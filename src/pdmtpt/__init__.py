@@ -72,16 +72,11 @@ from .tpt_extended import (
     InternalConsistencyError,
     build_one_param,
     build_two_param,
-    cd_coefficients,
     closed_form_wavefunction,
     expand_and_resum_one_param,
     expand_and_resum_two_param,
     generating_pair,
     potential_value,
-    psi0_closed_one_param,
-    psi0_closed_two_param,
-    psi1_closed_one_param,
-    psi1_closed_two_param,
 )
 
 __version__ = "0.1.0"
@@ -137,15 +132,10 @@ __all__ = [
     "InternalConsistencyError",
     "build_one_param",
     "build_two_param",
-    "cd_coefficients",
     "closed_form_wavefunction",
     "expand_and_resum_one_param",
     "expand_and_resum_two_param",
     "generating_pair",
     "potential_value",
-    "psi0_closed_one_param",
-    "psi0_closed_two_param",
-    "psi1_closed_one_param",
-    "psi1_closed_two_param",
     "__version__",
 ]

@@ -30,6 +30,7 @@ from .tpt_exact import (
 )
 from .tpt_extended import (
     ExtendedOneParamSpec,
+    InternalConsistencyError,
     build_one_param,
     build_two_param,
     closed_form_wavefunction,
@@ -414,7 +415,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, InternalConsistencyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -104,14 +104,12 @@ class NumericSpectrum:
         return (x, u / np.sqrt(self.problem.df.f(x)))
 
 
-def _sample_potential(v, x: np.ndarray) -> np.ndarray:
-    try:
-        out = np.asarray(v(x), dtype=float)
-        if out.shape == x.shape:
-            return out
-    except Exception:
-        pass
-    return np.array([float(v(xi)) for xi in x])
+def _sample(fn, x: np.ndarray) -> np.ndarray:
+    """fn(x) for the array x; fn must return an array of the same shape."""
+    out = np.asarray(fn(x), dtype=float)
+    if out.shape != x.shape:
+        raise ValueError(f"callable returned shape {out.shape} for input {x.shape}")
+    return out
 
 
 # Sampled potentials blow up like sec^(4m+2) next to the walls; entries many
@@ -123,11 +121,11 @@ def _sample_potential(v, x: np.ndarray) -> np.ndarray:
 _CAP_OVER_KINETIC = 16.0
 
 
-def _fd_eigenvalues(vt: np.ndarray, h: float, n_levels: int) -> np.ndarray:
+def _fd_bands(vt: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and off-diagonal of the capped finite-difference operator."""
     kin = 2.0 / h**2
     d = kin + np.minimum(vt, _CAP_OVER_KINETIC * kin)
-    e = np.full(len(vt) - 1, -1.0 / h**2)
-    return eigvalsh_tridiagonal(d, e, select="i", select_range=(0, n_levels - 1))
+    return d, np.full(len(vt) - 1, -1.0 / h**2)
 
 
 def solve_spectrum(
@@ -149,6 +147,9 @@ def solve_spectrum(
     inset-Dirichlet scheme down to O(h^(2s-1)), and extrapolating with the
     observed order cancels that term just as cleanly as the smooth-wall
     O(h^2) one.  Eigenvectors are the fine-grid ones.
+
+    v is called with the array of x values of each grid and must return an
+    array of the same shape; anything else raises ValueError.
     """
     if grid_size < 64:
         raise ValueError(f"grid_size must be at least 64, got {grid_size}")
@@ -158,21 +159,21 @@ def solve_spectrum(
     h = (g_hi - g_lo) / grid_size
     g = g_lo + h * np.arange(1, grid_size)
     x = np.asarray(mass_unflatten(df, g))
-    vt = _sample_potential(v, x)
+    vt = _sample(v, x)
     if not np.all(np.isfinite(vt)):
         raise ValueError("potential is not finite on the inset grid")
 
-    kin = 2.0 / h**2
-    d = kin + np.minimum(vt, _CAP_OVER_KINETIC * kin)
-    e = np.full(grid_size - 2, -1.0 / h**2)
-    fine, vecs = eigh_tridiagonal(d, e, select="i", select_range=(0, n_levels - 1))
+    levels = (0, n_levels - 1)
+    fine, vecs = eigh_tridiagonal(*_fd_bands(vt, h), select="i", select_range=levels)
 
     coarse = []
     for n in (grid_size // 2, grid_size // 4):
         hn = (g_hi - g_lo) / n
         gn = g_lo + hn * np.arange(1, n)
-        vtn = _sample_potential(v, np.asarray(mass_unflatten(df, gn)))
-        coarse.append(_fd_eigenvalues(vtn, hn, n_levels))
+        vtn = _sample(v, np.asarray(mass_unflatten(df, gn)))
+        coarse.append(
+            eigvalsh_tridiagonal(*_fd_bands(vtn, hn), select="i", select_range=levels)
+        )
     d1 = fine - coarse[0]
     d2 = coarse[0] - coarse[1]
     vals = fine.copy()
@@ -255,26 +256,18 @@ def count_nodes(values) -> int:
     return int(np.sum(live[:-1] * live[1:] < 0.0))
 
 
-def _eval_maybe_vector(fn, x: np.ndarray) -> np.ndarray:
-    try:
-        out = np.asarray(fn(x), dtype=float)
-        if out.shape == x.shape:
-            return out
-    except Exception:
-        pass
-    return np.array([float(fn(xi)) for xi in x])
-
-
 def inner_product(psi_a, psi_b, df: DeformingFunction, num: int = 16385) -> float:
     """int psi_a psi_b dx by composite Simpson on an inset uniform grid.
 
     The grid stops 1e-9 of the width short of each boundary; every
     wavefunction here decays fast enough that the clipped tails are far below
-    the quadrature error.
+    the quadrature error.  psi_a and psi_b are called once each with the
+    whole grid: they must accept an array and return one of the same shape,
+    or a ValueError is raised.
     """
     lo, hi = df.domain
     width = hi - lo
     xs = np.linspace(lo + 1e-9 * width, hi - 1e-9 * width, num)
-    ya = _eval_maybe_vector(psi_a, xs)
-    yb = _eval_maybe_vector(psi_b, xs)
+    ya = _sample(psi_a, xs)
+    yb = _sample(psi_b, xs)
     return float(integrate.simpson(ya * yb, x=xs))

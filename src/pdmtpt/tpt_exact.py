@@ -46,6 +46,10 @@ class ExactOneParam:
     alpha: float
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.big_a, self.alpha))):
+            raise ValueError(
+                f"parameters must be finite, got {(self.big_a, self.alpha)}"
+            )
         if not self.big_a > 1.0:
             raise ValueError(f"need A > 1, got {self.big_a}")
         if not self.alpha > -1.0:
@@ -111,6 +115,10 @@ class ExactTwoParam:
     alpha: float
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.big_a, self.big_b, self.alpha))):
+            raise ValueError(
+                f"parameters must be finite, got {(self.big_a, self.big_b, self.alpha)}"
+            )
         if not self.big_a > 1.0:
             raise ValueError(f"need A > 1, got {self.big_a}")
         if not self.big_b > 1.0:

@@ -16,6 +16,14 @@ polynomial algebra over tan^2 x / cot^2 x and resumming.  The two paths must
 agree to rounding level or the build aborts, which guards against
 transcription errors in the long formulas.
 
+The two-parameter well maps onto itself under x -> pi/2 - x, alpha -> -alpha
+with the sec and csc ladders swapped.  The closed-form path uses this: the
+csc coefficients B_2l and the wavefunction constants D_q are the sec-side
+formulas (A_2k and C_p) evaluated on the reflected well, and E_0 is its
+reflection-invariant terms plus one sec-side sum taken once as given and once
+reflected.  The expansion path is not reflected, so it still checks the csc
+side independently.
+
 For m2 = 0 the closed forms are reused with sqrt(B_2) replaced by
 1 + alpha + Delta/2, Delta = sqrt((1+alpha)^2 + 4 B_2); the coefficient
 formulas are polynomial identities in the replaced symbol, so they remain
@@ -47,13 +55,8 @@ __all__ = [
     "InternalConsistencyError",
     "build_one_param",
     "expand_and_resum_one_param",
-    "psi0_closed_one_param",
-    "psi1_closed_one_param",
     "build_two_param",
     "expand_and_resum_two_param",
-    "cd_coefficients",
-    "psi0_closed_two_param",
-    "psi1_closed_two_param",
     "closed_form_wavefunction",
     "generating_pair",
     "potential_value",
@@ -373,6 +376,8 @@ def _validate_one(m: int, a_top: float, alpha: float) -> None:
         )
     if m < 0:
         raise ValueError(f"m must be a positive integer, got {m}")
+    if not all(map(math.isfinite, (a_top, alpha))):
+        raise ValueError(f"parameters must be finite, got {(a_top, alpha)}")
     if not a_top > 0.0:
         raise ValueError(f"top coefficient must be positive, got {a_top}")
     if not alpha > -1.0:
@@ -448,16 +453,6 @@ def _poly_in_sin2(wp: TrigLaurentPoly) -> tuple[float, ...]:
     for j in range(deg + 1):
         out[j] = math.fsum(acc[j])
     return tuple(out)
-
-
-def psi0_closed_one_param(spec: ExtendedOneParamSpec, x):
-    """Closed-form ground state (un-normalized)."""
-    return closed_form_wavefunction(spec, 0).value(x)
-
-
-def psi1_closed_one_param(spec: ExtendedOneParamSpec, x):
-    """Closed-form first excited state (un-normalized, odd)."""
-    return closed_form_wavefunction(spec, 1).value(x)
 
 
 # ---------------------------------------------------------------------------
@@ -552,7 +547,7 @@ def _ladders_two(
     return lam, lam_p, mu, mu_p
 
 
-def _conv_a(big: int, m2: int, l: int, lo: int, hi: int) -> float:
+def _conv(big: int, m2: int, l: int, lo: int, hi: int) -> float:
     return float(
         sum(
             binomial(big, m2 + p + 1) * binomial(big, m2 + l - p)
@@ -561,261 +556,90 @@ def _conv_a(big: int, m2: int, l: int, lo: int, hi: int) -> float:
     )
 
 
-def _conv_b(big: int, m1: int, k: int, lo: int, hi: int) -> float:
-    return float(
-        sum(
-            binomial(big, m1 + p + 1) * binomial(big, m1 + k - p)
-            for p in range(lo, hi + 1)
-        )
-    )
-
-
-def _linear_block_a(big: int, m1: int, m2: int, k: int) -> float:
+def _linear_block(big: int, m1: int, m2: int, k: int) -> float:
     return (2 * m2 - 2 * k) * binomial(big, m2 + k + 1) - (2 * m1 + 2 * k) * binomial(
         big, m2 + k
     )
 
 
-def _linear_block_b(big: int, m1: int, m2: int, l: int) -> float:
-    return (2 * m1 - 2 * l) * binomial(big, m1 + l + 1) - (2 * m2 + 2 * l) * binomial(
-        big, m1 + l
-    )
+def _sec_terms(
+    m1: int, m2: int, j: int, sa: float, sb: float, alpha: float
+) -> list[float]:
+    """The linear, quadratic and cross sums of the sec side, weighted by
+    (-1)^(l-j) C(l, j) over l >= max(j, 1).
+
+    Their sum is A_2j for 2 <= j <= 2 m1; A_2 adds a leading block to j = 1
+    and E_0 takes j = 0.  On the reflected well (m2, m1, sb, sa, -alpha)
+    the same sums give the csc side.
+    """
+    big = m1 + m2 + 1
+    op, om = 1.0 + alpha, 1.0 - alpha
+    rp = op / om
+    lo = max(j, 1)
+    lin = [
+        (-1.0) ** (l - j)
+        * binomial(l, j)
+        * op ** (m1 - l + 1)
+        / om ** (m1 - l)
+        * _linear_block(big, m1, m2, l)
+        for l in range(lo, m1 + 2)
+    ]
+    quad = [
+        (-1.0) ** (l - j)
+        * binomial(l, j)
+        * rp ** (2 * m1 - l + 1)
+        * _conv(big, m2, l, max(0, l - m1 - 1), min(l - 1, m1))
+        for l in range(lo, 2 * m1 + 2)
+    ]
+    cross = [
+        (-1.0) ** (l - j)
+        * binomial(l, j)
+        * rp ** (m1 - m2 - l)
+        * _conv(big, m2, l, l, min(m2 + l, m1))
+        for l in range(lo, m1 + 1)
+    ]
+    return [
+        sa * math.fsum(lin),
+        sa * sa * math.fsum(quad),
+        -2.0 * sa * sb * math.fsum(cross),
+    ]
+
+
+def _sec_coeffs_two(
+    m1: int, m2: int, sa: float, sb: float, alpha: float
+) -> list[float]:
+    """Closed-form (A_2, ..., A_{4 m1}); the top coefficient is the input."""
+    om = 1.0 - alpha
+    front = (m1 + 0.5) * (m1 + 1.5) * om * om
+    out = [math.fsum([front] + _sec_terms(m1, m2, 1, sa, sb, alpha))]
+    out += [
+        math.fsum(_sec_terms(m1, m2, k, sa, sb, alpha)) for k in range(2, 2 * m1 + 1)
+    ]
+    return out
 
 
 def _e0_two_closed(m1: int, m2: int, sa: float, sb: float, alpha: float) -> float:
     big = m1 + m2 + 1
-    op, om = 1.0 + alpha, 1.0 - alpha
-    rp = op / om
-    rm = om / op
-    a_top = sa * sa
-    b_top_eff = sb * sb
-
+    rp = (1.0 + alpha) / (1.0 - alpha)
+    # the constant and the k = 0 cross term are invariant under reflection
     terms = [
         float(big) ** 2
         - 2.0 * alpha * (m1 - m2) * (m1 + m2 + 2)
-        + alpha * alpha * ((m1 - m2) ** 2 + 2 * big)
+        + alpha * alpha * ((m1 - m2) ** 2 + 2 * big),
+        2.0 * sa * sb * rp ** (m1 - m2) * _conv(big, m2, 0, 0, min(m2, m1)),
     ]
-
-    lin_a = [2.0 * m2 * binomial(big, m2 + 1) * op ** (m1 + 1) / om**m1]
-    for k in range(1, m1 + 2):
-        lin_a.append(
-            (-1.0) ** k
-            * _linear_block_a(big, m1, m2, k)
-            * op ** (m1 - k + 1)
-            / om ** (m1 - k)
+    for n1, n2, s1, s2, al in ((m1, m2, sa, sb, alpha), (m2, m1, sb, sa, -alpha)):
+        lead = (
+            2.0 * n2 * binomial(big, n2 + 1) * (1.0 + al) ** (n1 + 1) / (1.0 - al) ** n1
         )
-    terms.append(-sa * math.fsum(lin_a))
-
-    lin_b = [2.0 * m1 * binomial(big, m1 + 1) * om ** (m2 + 1) / op**m2]
-    for l in range(1, m2 + 2):
-        lin_b.append(
-            (-1.0) ** l
-            * _linear_block_b(big, m1, m2, l)
-            * om ** (m2 - l + 1)
-            / op ** (m2 - l)
-        )
-    terms.append(-sb * math.fsum(lin_b))
-
-    quad_a = [
-        (-1.0) ** k
-        * rp ** (2 * m1 - k + 1)
-        * _conv_a(big, m2, k, max(0, k - m1 - 1), min(k - 1, m1))
-        for k in range(1, 2 * m1 + 2)
-    ]
-    terms.append(-a_top * math.fsum(quad_a))
-
-    cross = [
-        (-1.0) ** k
-        * rp ** (m1 - m2 - k)
-        * _conv_a(big, m2, k, k, min(m2 + k, m1))
-        for k in range(0, m1 + 1)
-    ]
-    cross += [
-        (-1.0) ** l * rp ** (m1 - m2 + l) * _conv_b(big, m1, l, l, m2)
-        for l in range(1, m2 + 1)
-    ]
-    terms.append(2.0 * sa * sb * math.fsum(cross))
-
-    quad_b = [
-        (-1.0) ** l
-        * rm ** (2 * m2 - l + 1)
-        * _conv_b(big, m1, l, max(0, l - m2 - 1), min(l - 1, m2))
-        for l in range(1, 2 * m2 + 2)
-    ]
-    terms.append(-b_top_eff * math.fsum(quad_b))
-
+        terms.append(-s1 * lead)
+        terms += [-t for t in _sec_terms(n1, n2, 0, s1, s2, al)]
     return math.fsum(terms)
 
 
-def _a2_two_closed(m1: int, m2: int, sa: float, sb: float, alpha: float) -> float:
-    big = m1 + m2 + 1
-    op, om = 1.0 + alpha, 1.0 - alpha
-    rp = op / om
-    a_top = sa * sa
-    terms = [(m1 + 0.5) * (m1 + 1.5) * om * om]
-    lin = [
-        (-1.0) ** k
-        * k
-        * op ** (m1 - k + 1)
-        / om ** (m1 - k)
-        * _linear_block_a(big, m1, m2, k)
-        for k in range(1, m1 + 2)
-    ]
-    terms.append(-sa * math.fsum(lin))
-    quad = [
-        (-1.0) ** k
-        * k
-        * rp ** (2 * m1 - k + 1)
-        * _conv_a(big, m2, k, max(0, k - m1 - 1), min(k - 1, m1))
-        for k in range(1, 2 * m1 + 2)
-    ]
-    terms.append(-a_top * math.fsum(quad))
-    cross = [
-        (-1.0) ** k
-        * k
-        * rp ** (m1 - m2 - k)
-        * _conv_a(big, m2, k, k, min(m2 + k, m1))
-        for k in range(1, m1 + 1)
-    ]
-    terms.append(2.0 * sa * sb * math.fsum(cross))
-    return math.fsum(terms)
-
-
-def _a2k_two_closed(
-    m1: int, m2: int, k: int, sa: float, sb: float, alpha: float
-) -> float:
-    big = m1 + m2 + 1
-    op, om = 1.0 + alpha, 1.0 - alpha
-    rp = op / om
-    a_top = sa * sa
-    if 2 <= k <= m1 + 1:
-        lin = [
-            (-1.0) ** (l - k)
-            * binomial(l, k)
-            * op ** (m1 - l + 1)
-            / om ** (m1 - l)
-            * _linear_block_a(big, m1, m2, l)
-            for l in range(k, m1 + 2)
-        ]
-        quad = [
-            (-1.0) ** (l - k)
-            * binomial(l, k)
-            * rp ** (2 * m1 - l + 1)
-            * _conv_a(big, m2, l, max(0, l - m1 - 1), min(l - 1, m1))
-            for l in range(k, 2 * m1 + 2)
-        ]
-        cross = [
-            (-1.0) ** (l - k)
-            * binomial(l, k)
-            * rp ** (m1 - m2 - l)
-            * _conv_a(big, m2, l, l, min(m2 + l, m1))
-            for l in range(k, m1 + 1)
-        ]
-        return math.fsum(
-            [sa * math.fsum(lin), a_top * math.fsum(quad), -2.0 * sa * sb * math.fsum(cross)]
-        )
-    if m1 + 2 <= k <= 2 * m1:
-        quad = [
-            (-1.0) ** (l - k)
-            * binomial(l, k)
-            * rp ** (2 * m1 - l + 1)
-            * _conv_a(big, m2, l, l - m1 - 1, m1)
-            for l in range(k, 2 * m1 + 2)
-        ]
-        return a_top * math.fsum(quad)
-    raise ValueError(f"sec coefficient index {k} outside 2..{2 * m1}")
-
-
-def _b2_two_closed(m1: int, m2: int, sa: float, sb: float, alpha: float) -> float:
-    big = m1 + m2 + 1
-    op, om = 1.0 + alpha, 1.0 - alpha
-    rp = op / om
-    rm = om / op
-    b_top_eff = sb * sb
-    terms = [(m2 + 0.5) * (m2 + 1.5) * op * op]
-    lin = [
-        (-1.0) ** k
-        * k
-        * om ** (m2 - k + 1)
-        / op ** (m2 - k)
-        * _linear_block_b(big, m1, m2, k)
-        for k in range(1, m2 + 2)
-    ]
-    terms.append(-sb * math.fsum(lin))
-    cross = [
-        (-1.0) ** k * k * rp ** (m1 - m2 + k) * _conv_b(big, m1, k, k, m2)
-        for k in range(1, m2 + 1)
-    ]
-    terms.append(2.0 * sa * sb * math.fsum(cross))
-    quad = [
-        (-1.0) ** k
-        * k
-        * rm ** (2 * m2 - k + 1)
-        * _conv_b(big, m1, k, max(0, k - m2 - 1), min(k - 1, m2))
-        for k in range(1, 2 * m2 + 2)
-    ]
-    terms.append(-b_top_eff * math.fsum(quad))
-    return math.fsum(terms)
-
-
-def _b2l_two_closed(
-    m1: int, m2: int, l: int, sa: float, sb: float, alpha: float
-) -> float:
-    big = m1 + m2 + 1
-    op, om = 1.0 + alpha, 1.0 - alpha
-    rp = op / om
-    rm = om / op
-    b_top_eff = sb * sb
-    if 2 <= l <= m2 + 1:
-        lin = [
-            (-1.0) ** (k - l)
-            * binomial(k, l)
-            * om ** (m2 - k + 1)
-            / op ** (m2 - k)
-            * _linear_block_b(big, m1, m2, k)
-            for k in range(l, m2 + 2)
-        ]
-        cross = [
-            (-1.0) ** (k - l)
-            * binomial(k, l)
-            * rp ** (m1 - m2 + k)
-            * _conv_b(big, m1, k, k, m2)
-            for k in range(l, m2 + 1)
-        ]
-        quad = [
-            (-1.0) ** (k - l)
-            * binomial(k, l)
-            * rm ** (2 * m2 - k + 1)
-            * _conv_b(big, m1, k, max(0, k - m2 - 1), min(k - 1, m2))
-            for k in range(l, 2 * m2 + 2)
-        ]
-        return math.fsum(
-            [
-                sb * math.fsum(lin),
-                -2.0 * sa * sb * math.fsum(cross),
-                b_top_eff * math.fsum(quad),
-            ]
-        )
-    if m2 + 2 <= l <= 2 * m2:
-        quad = [
-            (-1.0) ** (k - l)
-            * binomial(k, l)
-            * rm ** (2 * m2 - k + 1)
-            * _conv_b(big, m1, k, k - m2 - 1, m2)
-            for k in range(l, 2 * m2 + 2)
-        ]
-        return b_top_eff * math.fsum(quad)
-    raise ValueError(f"csc coefficient index {l} outside 2..{2 * m2}")
-
-
-def _cd_two(
-    m1: int,
-    m2: int,
-    lam: tuple[float, ...],
-    mu: tuple[float, ...],
-    alpha: float,
-) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    op, om = 1.0 + alpha, 1.0 - alpha
+def _c_two(m1: int, lam: tuple[float, ...], alpha: float) -> tuple[float, ...]:
+    """C_1..C_{m1+1}; D_1..D_{m2+1} are _c_two(m2, mu, -alpha)."""
+    om = 1.0 - alpha
     c = []
     for p in range(1, m1 + 2):
         terms = []
@@ -825,16 +649,7 @@ def _cd_two(
             )
             terms.append(2.0**q * (-alpha) ** (q - p + 1) / om ** (q - p + 2) * inner)
         c.append(math.fsum(terms))
-    d = []
-    for q in range(1, m2 + 2):
-        terms = []
-        for p in range(q - 1, m2 + 1):
-            inner = math.fsum(
-                (-1.0) ** (l - p) * binomial(l, p) * mu[l] for l in range(p, m2 + 1)
-            )
-            terms.append(2.0**p * alpha ** (p - q + 1) / op ** (p - q + 2) * inner)
-        d.append(math.fsum(terms))
-    return tuple(c), tuple(d)
+    return tuple(c)
 
 
 def _psi1_poly_two(
@@ -864,6 +679,8 @@ def _validate_two(m1: int, m2: int, a_top: float, b_top: float, alpha: float) ->
         raise ValueError(
             "m1 = m2 = 0 is the exactly solvable baseline; build it with tpt_exact"
         )
+    if not all(map(math.isfinite, (a_top, b_top, alpha))):
+        raise ValueError(f"parameters must be finite, got {(a_top, b_top, alpha)}")
     if not (a_top > 0.0 and b_top > 0.0):
         raise ValueError(f"top coefficients must be positive, got {(a_top, b_top)}")
     if not abs(alpha) < 1.0:
@@ -907,19 +724,14 @@ def build_two_param(
     lam, lam_p, mu, mu_p = _ladders_two(m1, m2, sa, sb, alpha)
 
     e0 = _e0_two_closed(m1, m2, sa, sb, alpha)
-    a_coeffs = [_a2_two_closed(m1, m2, sa, sb, alpha)]
-    a_coeffs += [_a2k_two_closed(m1, m2, k, sa, sb, alpha) for k in range(2, 2 * m1 + 1)]
-    a_coeffs.append(a_top)
+    a_coeffs = _sec_coeffs_two(m1, m2, sa, sb, alpha) + [a_top]
+    # the csc side is the sec side of the reflected well
+    b_closed = _sec_coeffs_two(m2, m1, sb, sa, -alpha)
     if m2 == 0:
-        b_closed = _b2_two_closed(m1, m2, sa, sb, alpha)
-        _check_match("m2=0 bottom csc coefficient", b_closed, b_top, 1e-9)
+        _check_match("m2=0 bottom csc coefficient", b_closed[0], b_top, 1e-9)
         b_coeffs = [b_top]
     else:
-        b_coeffs = [_b2_two_closed(m1, m2, sa, sb, alpha)]
-        b_coeffs += [
-            _b2l_two_closed(m1, m2, l, sa, sb, alpha) for l in range(2, 2 * m2 + 1)
-        ]
-        b_coeffs.append(b_top)
+        b_coeffs = b_closed + [b_top]
 
     e0_exp, a_exp, b_exp = expand_and_resum_two_param(m1, m2, a_top, b_top, alpha)
     _check_match("two-param E0", e0, e0_exp, 1e-8)
@@ -930,7 +742,7 @@ def build_two_param(
     if not gap > 0.0:
         raise InternalConsistencyError(f"gap must be positive, got {gap}")
 
-    c, d = _cd_two(m1, m2, lam, mu, alpha)
+    c, d = _c_two(m1, lam, alpha), _c_two(m2, mu, -alpha)
     _check_match("two-param top C", c[-1], 2.0**m1 * sa / om, 1e-9)
     if m2 > 0:
         _check_match("two-param top D", d[-1], 2.0**m2 * sb / op, 1e-9)
@@ -962,23 +774,6 @@ def build_two_param(
         psi1_poly=psi1_poly,
         reflected=False,
     )
-
-
-def cd_coefficients(
-    spec: ExtendedTwoParamSpec,
-) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """(C_1..C_{m1+1}, D_1..D_{m2+1}) as stored on the built spec."""
-    return (spec.c, spec.d)
-
-
-def psi0_closed_two_param(spec: ExtendedTwoParamSpec, x):
-    """Closed-form ground state (un-normalized)."""
-    return closed_form_wavefunction(spec, 0).value(x)
-
-
-def psi1_closed_two_param(spec: ExtendedTwoParamSpec, x):
-    """Closed-form first excited state (un-normalized)."""
-    return closed_form_wavefunction(spec, 1).value(x)
 
 
 # ---------------------------------------------------------------------------

@@ -155,6 +155,45 @@ class TestExtend:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_dual_path_disagreement_exits_1(self, capsys):
+        # a top coefficient of 1e300 is beyond double precision for the two
+        # paths; the disagreement is reported as one error line
+        rc = main(
+            [
+                "extend", "--two", "--m1", "1", "--m2", "1",
+                "--atop", "1", "--btop", "1e300", "--alpha", "0.5",
+            ]
+        )
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["exact", "--one", "-A", "inf", "--alpha", "0"],
+        ["exact", "--one", "-A", "2", "--alpha", "inf"],
+        ["exact", "--one", "-A", "2", "--alpha", "inf", "--json"],
+        ["exact", "--two", "-A", "2", "-B", "nan", "--alpha", "0"],
+        ["extend", "--one", "-m", "1", "--atop", "inf", "--alpha", "-0.5"],
+        ["extend", "--two", "--m1", "1", "--m2", "0", "--atop", "1",
+         "--btop", "inf", "--alpha", "0.5"],
+        ["verify", "--one", "-m", "1", "--atop", "1", "--alpha", "nan"],
+    ],
+    ids=["exact-A", "exact-alpha", "exact-json", "exact-B-nan", "extend-one",
+         "extend-two", "verify-nan"],
+)
+def test_non_finite_parameters_exit_1(argv, capsys):
+    rc = main(argv)
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: parameters must be finite")
+    assert len(captured.err.splitlines()) == 1
+
 
 class TestVerify:
     def test_figure_spec_passes(self, capsys):

@@ -32,9 +32,8 @@ from pdmtpt.tpt_exact import (
 )
 from pdmtpt.tpt_extended import (
     build_one_param,
+    closed_form_wavefunction,
     generating_pair,
-    psi0_closed_one_param,
-    psi1_closed_one_param,
 )
 
 ONE_HALF = DeformingFunction.trig_one(-0.5)
@@ -277,16 +276,16 @@ def test_numeric_matches_closed_form_ratios():
     xs = np.linspace(-1.35, 1.35, 32)
     num0 = np.array([psi0_numeric(w, df, float(x)) for x in xs])
     num1 = np.array([psi1_numeric(pair, w_prime, df, float(x)) for x in xs])
-    closed0 = psi0_closed_one_param(spec, xs)
-    closed1 = psi1_closed_one_param(spec, xs)
+    closed0 = closed_form_wavefunction(spec, 0).value(xs)
+    closed1 = closed_form_wavefunction(spec, 1).value(xs)
     np.testing.assert_allclose(
         num0 / psi0_numeric(w, df, x_ref),
-        closed0 / psi0_closed_one_param(spec, x_ref),
+        closed0 / closed_form_wavefunction(spec, 0).value(x_ref),
         rtol=1e-9,
     )
     np.testing.assert_allclose(
         num1 / psi1_numeric(pair, w_prime, df, x_ref),
-        closed1 / psi1_closed_one_param(spec, x_ref),
+        closed1 / closed_form_wavefunction(spec, 1).value(x_ref),
         rtol=1e-9,
     )
 
@@ -296,7 +295,8 @@ def test_numeric_matches_closed_form_ratios():
 
 def test_hermiticity_check_passes_for_bound_state():
     spec = build_one_param(1, 1.0, -0.5)
-    check = hermiticity_boundary_check(lambda x: psi0_closed_one_param(spec, x), ONE_HALF)
+    psi0 = closed_form_wavefunction(spec, 0)
+    check = hermiticity_boundary_check(psi0.value, ONE_HALF)
     assert check.passed
     assert check.lower_limit < 1e-8 * check.interior_max
     assert check.upper_limit < 1e-8 * check.interior_max

@@ -21,11 +21,8 @@ from pdmtpt.tpt_exact import ExactOneParam, ExactTwoParam, energy_one_param, ene
 from pdmtpt.tpt_extended import (
     build_one_param,
     build_two_param,
+    closed_form_wavefunction,
     potential_value,
-    psi0_closed_one_param,
-    psi0_closed_two_param,
-    psi1_closed_one_param,
-    psi1_closed_two_param,
 )
 
 FIG1 = build_one_param(1, 1.0, -0.5)
@@ -135,6 +132,19 @@ def test_spectrum_input_validation():
         solve_spectrum(lambda x: np.full_like(x, np.nan), df, 2, 256)
 
 
+def test_callables_must_map_arrays_to_arrays():
+    # a callable that collapses the grid to a scalar is an error, not a cue
+    # to fall back to one call per point
+    df = DeformingFunction.trig_one(0.0)
+    scalar = lambda x: float(np.sum(x))
+    with pytest.raises(ValueError, match="shape"):
+        solve_spectrum(scalar, df, 2, 256)
+    with pytest.raises(ValueError, match="shape"):
+        inner_product(scalar, np.cos, df)
+    with pytest.raises(ValueError, match="shape"):
+        inner_product(np.cos, scalar, df)
+
+
 def _doubling_ratios(v, df, closed, n_levels, grids):
     # errors of the returned (extrapolated) eigenvalues along a doubling chain
     errs = [
@@ -196,14 +206,8 @@ def test_sturm_node_counts():
 def test_eigenvector_matches_closed_ground_state():
     sp = solve_spectrum(lambda x: potential_value(FIG1, x), FIG1.deforming, 1, 4000)
     x, psi_num = sp.psi_values(0)
-    closed = psi0_closed_one_param(FIG1, x)
-    closed /= math.sqrt(
-        inner_product(
-            lambda t: psi0_closed_one_param(FIG1, t),
-            lambda t: psi0_closed_one_param(FIG1, t),
-            FIG1.deforming,
-        )
-    )
+    psi0 = closed_form_wavefunction(FIG1, 0).value
+    closed = psi0(x) / math.sqrt(inner_product(psi0, psi0, FIG1.deforming))
     if _trapezoid(psi_num * closed, x) < 0.0:
         closed = -closed
     # both sides unit L2(dx); the clipped tails are exponentially small
@@ -217,7 +221,7 @@ def test_eigenvector_matches_closed_ground_state():
 
 def test_residual_flags_wrong_energy():
     xs = interior_samples(FIG3.deforming, 41)
-    psi1 = lambda x: psi1_closed_two_param(FIG3, x)
+    psi1 = closed_form_wavefunction(FIG3, 1).value
     v = lambda x: potential_value(FIG3, x)
     good = residual(psi1, v, FIG3.deforming, FIG3.e1, xs)
     bad = residual(psi1, v, FIG3.deforming, FIG3.e1 + 1.0, xs)
@@ -247,15 +251,15 @@ def test_count_nodes_threshold_and_resolution():
 def test_inner_product_parity_cancellation():
     # even ground state against odd first excited state: Simpson on the
     # symmetric grid cancels exactly, not merely to quadrature accuracy
-    psi0 = lambda x: psi0_closed_one_param(FIG1, x)
-    psi1 = lambda x: psi1_closed_one_param(FIG1, x)
+    psi0 = closed_form_wavefunction(FIG1, 0).value
+    psi1 = closed_form_wavefunction(FIG1, 1).value
     ip = inner_product(psi0, psi1, FIG1.deforming)
     assert abs(ip) < 1e-12
 
 
 def test_inner_product_orthogonality_without_parity():
-    psi0 = lambda x: psi0_closed_two_param(FIG3, x)
-    psi1 = lambda x: psi1_closed_two_param(FIG3, x)
+    psi0 = closed_form_wavefunction(FIG3, 0).value
+    psi1 = closed_form_wavefunction(FIG3, 1).value
     n0 = math.sqrt(inner_product(psi0, psi0, FIG3.deforming))
     n1 = math.sqrt(inner_product(psi1, psi1, FIG3.deforming))
     assert abs(inner_product(psi0, psi1, FIG3.deforming)) / (n0 * n1) < 1e-8

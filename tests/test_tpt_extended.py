@@ -19,16 +19,11 @@ from pdmtpt.tpt_extended import (
     InternalConsistencyError,
     build_one_param,
     build_two_param,
-    cd_coefficients,
     closed_form_wavefunction,
     expand_and_resum_one_param,
     expand_and_resum_two_param,
     generating_pair,
     potential_value,
-    psi0_closed_one_param,
-    psi0_closed_two_param,
-    psi1_closed_one_param,
-    psi1_closed_two_param,
 )
 
 
@@ -161,7 +156,9 @@ class TestOneParamLonghandForms:
             * np.cos(xs) ** (sa / (2.0 * op**2) - 1.5)
             * np.exp(-sa / (2.0 * op) / np.cos(xs) ** 2)
         )
-        np.testing.assert_allclose(psi0_closed_one_param(spec, xs), want, rtol=1e-12)
+        np.testing.assert_allclose(
+            closed_form_wavefunction(spec, 0).value(xs), want, rtol=1e-12
+        )
 
 
 class TestOneParamDualPath:
@@ -353,7 +350,7 @@ class TestTwoParamLonghandForms:
 class TestTwoParamWavefunctions:
     def test_partial_fraction_example_values(self):
         spec = build_two_param(1, 1, 1.0, 1.0, 0.5)
-        c, d = cd_coefficients(spec)
+        c, d = spec.c, spec.d
         assert c == pytest.approx((10.5, 4.0), abs=1e-12)
         assert d == pytest.approx((float(Fraction(-19, 18)), 4.0 / 3.0), abs=1e-12)
 
@@ -420,12 +417,14 @@ class TestTwoParamWavefunctions:
             * np.sin(xs) ** (-19.0 / 18.0)
             * np.exp(-1.0 / np.cos(xs) ** 2 - 1.0 / (3.0 * np.sin(xs) ** 2))
         )
-        np.testing.assert_allclose(psi0_closed_two_param(spec, xs), want, rtol=1e-12)
+        np.testing.assert_allclose(
+            closed_form_wavefunction(spec, 0).value(xs), want, rtol=1e-12
+        )
 
     @pytest.mark.parametrize("m1,m2", [(1, 1), (2, 1), (2, 2), (3, 1), (1, 0), (2, 0)])
     def test_boundary_coefficients_positive(self, m1, m2):
         spec = build_two_param(m1, m2, 1.6, 0.9, 0.3)
-        c, d = cd_coefficients(spec)
+        c, d = spec.c, spec.d
         assert c[-1] == pytest.approx(2.0**m1 * math.sqrt(1.6) / 0.7, rel=1e-12)
         assert c[-1] > 0.0
         if m2 > 0:
@@ -440,14 +439,12 @@ class TestTwoParamWavefunctions:
         spec = build_two_param(1, 1, 1.0, 5.0625, 0.5)
         w0 = closed_form_wavefunction(spec, 0)
         assert w0.sin_exp == pytest.approx(-0.5, abs=1e-12)
-        check = hermiticity_boundary_check(
-            lambda x: psi0_closed_two_param(spec, x), spec.deforming
-        )
+        check = hermiticity_boundary_check(w0.value, spec.deforming)
         assert check.passed
         # the squared norm must not pick anything up as the insets close in
         norms = [
             integrate.quad(
-                lambda x: psi0_closed_two_param(spec, x) ** 2,
+                lambda x: w0.value(x) ** 2,
                 inset,
                 math.pi / 2.0 - inset,
                 epsabs=0.0,
@@ -471,22 +468,19 @@ class TestTwoParamWavefunctions:
     def test_excited_states_have_one_interior_zero(self):
         one = build_one_param(1, 1.0, -0.5)
         xs = np.linspace(-math.pi / 2.0, math.pi / 2.0, 4003)[1:-1]
-        assert self._sign_changes(psi1_closed_one_param(one, xs)) == 1
+        assert self._sign_changes(closed_form_wavefunction(one, 1).value(xs)) == 1
         for spec in (
             build_two_param(1, 1, 1.0, 1.0, 0.5),
             build_two_param(1, 0, 1.0, 1.0, 0.5),
         ):
             xs = np.linspace(0.0, math.pi / 2.0, 4003)[1:-1]
-            assert self._sign_changes(psi1_closed_two_param(spec, xs)) == 1
+            assert self._sign_changes(closed_form_wavefunction(spec, 1).value(xs)) == 1
 
     def test_ground_state_parity(self):
         spec = build_one_param(2, 1.8, 0.35)
         xs = np.linspace(0.05, 1.45, 12)
-        np.testing.assert_allclose(
-            psi0_closed_one_param(spec, xs),
-            psi0_closed_one_param(spec, -xs),
-            rtol=1e-12,
-        )
+        psi0 = closed_form_wavefunction(spec, 0)
+        np.testing.assert_allclose(psi0.value(xs), psi0.value(-xs), rtol=1e-12)
 
     def test_hermiticity_boundary_decay(self):
         spec = build_two_param(1, 1, 1.0, 1.0, 0.5)
@@ -550,16 +544,34 @@ class TestTwoParamDualPath:
 
 
 class TestReflection:
-    def test_swapped_input_maps_to_canonical(self):
-        spec = build_two_param(1, 2, 0.7, 2.4, 0.3)
-        direct = build_two_param(2, 1, 2.4, 0.7, -0.3)
-        assert spec.reflected and not direct.reflected
-        assert (spec.m1, spec.m2) == (2, 1)
-        assert spec.a_top == 2.4 and spec.b_top == 0.7
-        assert spec.alpha == -0.3
-        assert spec.e0 == direct.e0 and spec.e1 == direct.e1
-        assert spec.a_coeffs == direct.a_coeffs
-        assert spec.b_coeffs == direct.b_coeffs
+    @pytest.mark.parametrize("m1,m2", [(1, 1), (2, 0), (3, 1), (5, 2), (6, 6)])
+    def test_swapped_input_maps_to_canonical(self, m1, m2):
+        spec = build_two_param(m2, m1, 0.7, 2.4, 0.3)
+        direct = build_two_param(m1, m2, 2.4, 0.7, -0.3)
+        assert not direct.reflected
+        if m1 > m2:
+            assert spec.reflected
+            assert (spec.m1, spec.m2) == (m1, m2)
+            assert spec.a_top == 2.4 and spec.b_top == 0.7
+            assert spec.alpha == -0.3
+            assert spec.e0 == direct.e0 and spec.e1 == direct.e1
+            assert spec.a_coeffs == direct.a_coeffs
+            assert spec.b_coeffs == direct.b_coeffs
+            assert spec.c == direct.c and spec.d == direct.d
+        else:
+            # equal depths build canonically both ways, so the csc side of
+            # one spec must mirror the sec side of the other
+            assert not spec.reflected
+            assert spec.e0 == pytest.approx(direct.e0, rel=1e-12)
+            assert spec.e1 == pytest.approx(direct.e1, rel=1e-12)
+            assert spec.a_coeffs == pytest.approx(direct.b_coeffs, rel=1e-12)
+            assert spec.b_coeffs == pytest.approx(direct.a_coeffs, rel=1e-12)
+            assert spec.c == pytest.approx(direct.d, rel=1e-12)
+            assert spec.d == pytest.approx(direct.c, rel=1e-12)
+        # the reflected csc formulas against the unreflected expansion path
+        _, _, b_exp = expand_and_resum_two_param(m1, m2, 2.4, 0.7, -0.3)
+        scale = max(1.0, max(abs(b) for b in b_exp))
+        np.testing.assert_allclose(direct.b_coeffs, b_exp, rtol=0.0, atol=1e-12 * scale)
 
     def test_swap_invariance_at_equal_depth(self):
         # with m1 = m2 both orderings build canonically, so the identity
@@ -576,8 +588,8 @@ class TestReflection:
             rtol=1e-10,
         )
         np.testing.assert_allclose(
-            psi0_closed_two_param(swapped, math.pi / 2.0 - xs),
-            psi0_closed_two_param(spec, xs),
+            closed_form_wavefunction(swapped, 0).value(math.pi / 2.0 - xs),
+            closed_form_wavefunction(spec, 0).value(xs),
             rtol=1e-10,
         )
 
