@@ -49,6 +49,13 @@ _FIGURES = {
 }
 
 
+# Curve files are evaluated and written this many rows at a time.
+_CURVE_BLOCK_ROWS = 131072
+
+# One CSV row of four floats, formatted like _fmt.
+_CSV_ROW = "{:.17g},{:.17g},{:.17g},{:.17g}\n".format
+
+
 def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
@@ -241,8 +248,8 @@ def cmd_verify(args) -> int:
     payload["nodes_psi0"] = n0
     payload["nodes_psi1"] = n1
 
-    norm0 = math.sqrt(inner_product(psi0.value, psi0.value, df))
-    norm1 = math.sqrt(inner_product(psi1.value, psi1.value, df))
+    norm0 = _norm(psi0, df, "psi0")
+    norm1 = _norm(psi1, df, "psi1")
     overlap = abs(inner_product(psi0.value, psi1.value, df)) / (norm0 * norm1)
     checks.append(("orthogonality", overlap < 1e-8, f"|<0|1>|={overlap:.3e} (tol 1e-08)"))
     payload["orthogonality"] = overlap
@@ -267,18 +274,32 @@ def cmd_verify(args) -> int:
     return 0 if all_pass else 1
 
 
+def _norm(psi, df, name: str) -> float:
+    """L2 norm of psi on the deformed domain.
+
+    A squared norm of 0 (or one that is not finite) means the wavefunction
+    underflows (or overflows) double precision: a precision limit of the
+    float evaluation, reported as a one-line ValueError.
+    """
+    norm_sq = inner_product(psi.value, psi.value, df)
+    if not 0.0 < norm_sq < math.inf:
+        raise ValueError(
+            f"precision limit: the squared norm of {name} is {norm_sq:.3g}; "
+            "the wavefunction underflows or overflows double precision"
+        )
+    return math.sqrt(norm_sq)
+
+
 def _write_curve_file(path: str, spec, npoints: int) -> dict:
     df = spec.deforming
     lo, hi = df.domain
     inset = 1e-3 * (hi - lo)
-    xs = np.linspace(lo + inset, hi - inset, npoints)
+    start, stop = lo + inset, hi - inset
+    step = (stop - start) / (npoints - 1)
     psi0 = closed_form_wavefunction(spec, 0)
     psi1 = closed_form_wavefunction(spec, 1)
-    norm0 = math.sqrt(inner_product(psi0.value, psi0.value, df))
-    norm1 = math.sqrt(inner_product(psi1.value, psi1.value, df))
-    v = potential_value(spec, xs)
-    p0 = psi0.value(xs) / norm0
-    p1 = psi1.value(xs) / norm1
+    norm0 = _norm(psi0, df, "psi0")
+    norm1 = _norm(psi1, df, "psi1")
     family = "extended-one" if isinstance(spec, ExtendedOneParamSpec) else "extended-two"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(
@@ -287,8 +308,18 @@ def _write_curve_file(path: str, spec, npoints: int) -> dict:
         )
         fh.write(f"# norm_psi0={_fmt(norm0)}, norm_psi1={_fmt(norm1)}\n")
         fh.write("x,V,psi0,psi1\n")
-        for i in range(npoints):
-            fh.write(f"{_fmt(xs[i])},{_fmt(v[i])},{_fmt(p0[i])},{_fmt(p1[i])}\n")
+        for first in range(0, npoints, _CURVE_BLOCK_ROWS):
+            end = min(first + _CURVE_BLOCK_ROWS, npoints)
+            # the arithmetic of np.linspace(start, stop, npoints), one block
+            # at a time, so memory does not grow with npoints
+            xs = np.arange(first, end, dtype=float) * step + start
+            if end == npoints:
+                xs[-1] = stop
+            v = potential_value(spec, xs)
+            p0 = psi0.value(xs) / norm0
+            p1 = psi1.value(xs) / norm1
+            columns = (xs.tolist(), v.tolist(), p0.tolist(), p1.tolist())
+            fh.writelines(map(_CSV_ROW, *columns))
     return {
         "path": path,
         "rows": npoints,

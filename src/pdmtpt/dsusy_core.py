@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 __all__ = [
     "Family",
@@ -476,7 +475,10 @@ def split_superpotentials(
 
 
 def _log_suppression(w: TrigLaurentPoly, df: DeformingFunction, x: float) -> float:
-    # Q(x) = int_{x_c}^{x} W/f, by adaptive quadrature.
+    # Q(x) = int_{x_c}^{x} W/f, by adaptive quadrature.  SciPy is imported
+    # here so that importing the package does not load scipy.integrate.
+    from scipy import integrate
+
     xc = df.midpoint
     val, err = integrate.quad(
         lambda t: w.value(t) / df.f(t), xc, x, epsabs=1e-12, epsrel=1e-12, limit=200

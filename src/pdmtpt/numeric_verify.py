@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
-from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
 from .dsusy_core import DeformingFunction, Family
 
@@ -151,6 +149,10 @@ def solve_spectrum(
     v is called with the array of x values of each grid and must return an
     array of the same shape; anything else raises ValueError.
     """
+    # SciPy is imported here, not at module level, so that importing the
+    # package (and every CLI command but verify) pays for NumPy alone.
+    from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
+
     if grid_size < 64:
         raise ValueError(f"grid_size must be at least 64, got {grid_size}")
     if n_levels < 1:
@@ -259,15 +261,19 @@ def count_nodes(values) -> int:
 def inner_product(psi_a, psi_b, df: DeformingFunction, num: int = 16385) -> float:
     """int psi_a psi_b dx by composite Simpson on an inset uniform grid.
 
-    The grid stops 1e-9 of the width short of each boundary; every
-    wavefunction here decays fast enough that the clipped tails are far below
-    the quadrature error.  psi_a and psi_b are called once each with the
-    whole grid: they must accept an array and return one of the same shape,
-    or a ValueError is raised.
+    With y sampled at num points h apart, the rule is
+    h/3 (y_0 + 4 (y_1 + y_3 + ...) + 2 (y_2 + y_4 + ...) + y_last).  num must
+    be odd and at least 3, so that the intervals pair up into panels, else a
+    ValueError is raised.  The grid stops 1e-9 of the width short of each
+    boundary; every wavefunction here decays fast enough that the clipped
+    tails are far below the quadrature error.  psi_a and psi_b are called
+    once each with the whole grid: they must accept an array and return one
+    of the same shape, or a ValueError is raised.
     """
+    if num < 3 or num % 2 == 0:
+        raise ValueError(f"num must be odd and at least 3, got {num}")
     lo, hi = df.domain
     width = hi - lo
-    xs = np.linspace(lo + 1e-9 * width, hi - 1e-9 * width, num)
-    ya = _sample(psi_a, xs)
-    yb = _sample(psi_b, xs)
-    return float(integrate.simpson(ya * yb, x=xs))
+    xs, h = np.linspace(lo + 1e-9 * width, hi - 1e-9 * width, num, retstep=True)
+    y = _sample(psi_a, xs) * _sample(psi_b, xs)
+    return float(h / 3.0 * (y[0] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-1:2].sum() + y[-1]))

@@ -1,16 +1,21 @@
 """End-to-end checks of the command-line surface.
 
 Every test drives `main` with an argv list and inspects stdout, stderr, exit
-codes, or emitted files; nothing reaches into command internals.
+codes, or emitted files; nothing reaches into command internals except the
+curve block size, read so that the streaming test spans two blocks.
 """
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from pdmtpt.cli import main
+import pdmtpt
+from pdmtpt.cli import _CURVE_BLOCK_ROWS, main
 from pdmtpt.numeric_verify import inner_product
 from pdmtpt.tpt_extended import (
     build_one_param,
@@ -40,6 +45,38 @@ def _read_curve(path):
     assert lines[2] == "x,V,psi0,psi1"
     data = np.array([[float(t) for t in row.split(",")] for row in lines[3:]])
     return meta, data
+
+
+def _per_row_curve(path, spec, npoints):
+    # the writer as it was before curves were streamed in blocks: whole
+    # arrays from np.linspace, one formatted row at a time
+    fmt = lambda x: f"{float(x):.17g}"
+    df = spec.deforming
+    lo, hi = df.domain
+    inset = 1e-3 * (hi - lo)
+    xs = np.linspace(lo + inset, hi - inset, npoints)
+    psi0 = closed_form_wavefunction(spec, 0)
+    psi1 = closed_form_wavefunction(spec, 1)
+    norm0 = math.sqrt(inner_product(psi0.value, psi0.value, df))
+    norm1 = math.sqrt(inner_product(psi1.value, psi1.value, df))
+    v = potential_value(spec, xs)
+    p0 = psi0.value(xs) / norm0
+    p1 = psi1.value(xs) / norm1
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(
+            f"# family=extended-two, params=m1={spec.m1};m2={spec.m2};"
+            f"a_top={fmt(spec.a_top)};b_top={fmt(spec.b_top)};alpha={fmt(spec.alpha)}, "
+            f"E0={fmt(spec.e0)}, E1={fmt(spec.e1)}\n"
+        )
+        fh.write(f"# norm_psi0={fmt(norm0)}, norm_psi1={fmt(norm1)}\n")
+        fh.write("x,V,psi0,psi1\n")
+        for i in range(npoints):
+            fh.write(f"{fmt(xs[i])},{fmt(v[i])},{fmt(p0[i])},{fmt(p1[i])}\n")
+
+
+# Underflowing wavefunctions: psi0 and psi1 of this well are below the
+# smallest double almost everywhere, so their norms vanish.
+_UNDERFLOW_WELL = ["--one", "-m", "1", "--atop", "1", "--alpha", "-0.999"]
 
 
 def _sign_changes(values):
@@ -230,6 +267,14 @@ class TestVerify:
         assert rc == 1
         assert any(ln.startswith("FAIL spectral") for ln in out.splitlines())
 
+    def test_underflowing_norm_is_a_precision_limit(self, capsys):
+        rc = main(["verify", *_UNDERFLOW_WELL])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: precision limit")
+        assert len(captured.err.splitlines()) == 1
+
 
 class TestSample:
     def test_csv_round_trip(self, tmp_path):
@@ -268,6 +313,31 @@ class TestSample:
             math.sqrt(inner_product(psi0.value, psi0.value, spec.deforming)),
             rel=1e-9,
         )
+
+    def test_blocks_match_the_per_row_writer(self, tmp_path):
+        # one full block plus a one-row last block
+        npoints = _CURVE_BLOCK_ROWS + 1
+        out = tmp_path / "curve.csv"
+        rc = main(
+            [
+                "sample", "--two", "--m1", "1", "--m2", "1", "--atop", "1",
+                "--btop", "1", "--alpha", "0.5", "--npoints", str(npoints),
+                "--out", str(out),
+            ]
+        )
+        assert rc == 0
+        ref = tmp_path / "reference.csv"
+        _per_row_curve(ref, build_two_param(1, 1, 1.0, 1.0, 0.5), npoints)
+        assert out.read_bytes() == ref.read_bytes()
+
+    def test_underflowing_norm_is_a_precision_limit(self, tmp_path, capsys):
+        out = tmp_path / "curve.csv"
+        rc = main(["sample", *_UNDERFLOW_WELL, "--npoints", "11", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err.startswith("error: precision limit")
+        assert len(captured.err.splitlines()) == 1
+        assert not out.exists()
 
     def test_unwritable_path_exits_3(self, tmp_path, capsys):
         out = tmp_path / "missing" / "curve.csv"
@@ -331,3 +401,37 @@ class TestFigures:
         )
         assert rc == 3
         assert "cannot write" in capsys.readouterr().err
+
+
+_IMPORT_PATH_PROBE = """
+import json, sys
+from pdmtpt.cli import main
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+seen = {"import": scipy_modules()}
+main(["exact", "--one", "-A", "2", "--alpha", "-0.5", "--json"])
+main(["extend", "--check", "--one", "-m", "1", "--atop", "1", "--alpha", "-0.5", "--json"])
+main(["sample", "--one", "-m", "1", "--atop", "1", "--alpha", "-0.5",
+      "--npoints", "11", "--out", sys.argv[1], "--json"])
+seen["exact,extend,sample"] = scipy_modules()
+main(["verify", "--one", "-m", "1", "--atop", "1", "--alpha", "-0.5", "--json"])
+seen["verify"] = scipy_modules()
+print(json.dumps(seen))
+"""
+
+
+def test_scipy_is_loaded_only_by_verify(tmp_path):
+    # a fresh interpreter, since this test process has imported SciPy already
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pdmtpt.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PATH_PROBE, str(tmp_path / "curve.csv")],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    seen = json.loads(run.stdout.splitlines()[-1])
+    assert seen["import"] == []
+    assert seen["exact,extend,sample"] == []
+    assert "scipy.linalg" in seen["verify"]
+    assert "scipy.integrate" not in seen["verify"]

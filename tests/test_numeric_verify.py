@@ -263,3 +263,40 @@ def test_inner_product_orthogonality_without_parity():
     n0 = math.sqrt(inner_product(psi0, psi0, FIG3.deforming))
     n1 = math.sqrt(inner_product(psi1, psi1, FIG3.deforming))
     assert abs(inner_product(psi0, psi1, FIG3.deforming)) / (n0 * n1) < 1e-8
+
+
+def test_inner_product_simpson_exact_for_cubics():
+    # composite Simpson integrates cubics exactly, so only rounding remains
+    df = FIG3.deforming
+    lo, hi = df.domain
+    a, b = lo + 1e-9 * (hi - lo), hi - 1e-9 * (hi - lo)
+    cubic = lambda x: 1.0 + 2.0 * x - 3.0 * x**2 + 4.0 * x**3
+    antiderivative = lambda x: x + x**2 - x**3 + x**4
+    exact = antiderivative(b) - antiderivative(a)
+    got = inner_product(cubic, np.ones_like, df)
+    assert abs(got - exact) <= 1e-14 * abs(exact)
+
+
+@pytest.mark.parametrize(
+    "spec", [FIG3, FIG1, build_one_param(3, 2.0, 2.0)], ids=["two-1-1", "one-1", "one-3"]
+)
+def test_inner_product_matches_scipy_simpson(spec):
+    # the three reference wells; the cross term is measured against the
+    # Cauchy-Schwarz scale, since parity makes it vanish on the one-param wells
+    df = spec.deforming
+    lo, hi = df.domain
+    xs = np.linspace(lo + 1e-9 * (hi - lo), hi - 1e-9 * (hi - lo), 16385)
+    psi = [closed_form_wavefunction(spec, k).value for k in (0, 1)]
+    ours = {}
+    for i, j in ((0, 0), (1, 1), (0, 1)):
+        ref = float(integrate.simpson(psi[i](xs) * psi[j](xs), x=xs))
+        ours[i, j] = (inner_product(psi[i], psi[j], df), ref)
+    scale = math.sqrt(ours[0, 0][1] * ours[1, 1][1])
+    for (i, j), (got, ref) in ours.items():
+        assert abs(got - ref) <= 1e-12 * (abs(ref) if i == j else scale), (i, j)
+
+
+@pytest.mark.parametrize("num", [16384, 2, 1])
+def test_inner_product_needs_odd_grid(num):
+    with pytest.raises(ValueError, match="odd"):
+        inner_product(np.cos, np.cos, FIG1.deforming, num=num)
