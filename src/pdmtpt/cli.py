@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import replace
 
@@ -354,6 +355,7 @@ def cmd_figures(args) -> int:
         )
         path = f"{args.outdir.rstrip('/')}/{name}.csv"
         try:
+            os.makedirs(args.outdir, exist_ok=True)
             info = _write_curve_file(path, spec, args.npoints)
         except OSError as exc:
             print(f"error: cannot write {path}: {exc}", file=sys.stderr)

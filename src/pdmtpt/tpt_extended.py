@@ -16,6 +16,16 @@ polynomial algebra over tan^2 x / cot^2 x and resumming.  The two paths must
 agree to rounding level or the build aborts, which guards against
 transcription errors in the long formulas.
 
+Both families split their generating pair the same way: W_plus and W_minus
+come from one `_w_pair_*` function each, and one `_ladders` gives the ladder
+coefficients of W = (W_plus - W_minus)/2 and W' = W + W_minus.
+
+The one-parameter closed forms share one sum: `_sec_terms_one` gives the
+linear and quadratic sums weighted by (-1)^(l-j) C(l, j), which are A_2j
+(j >= 2), A_2 with a leading block (j = 1) and, subtracted from two leading
+blocks, E_0 (j = 0).  The 2m+1 double-factorial sums s_sum it needs are
+computed once per build.
+
 The two-parameter well maps onto itself under x -> pi/2 - x, alpha -> -alpha
 with the sec and csc ladders swapped.  The closed-form path uses this: the
 csc coefficients B_2l and the wavefunction constants D_q are the sec-side
@@ -45,7 +55,6 @@ from .dsusy_core import (
     TrigLaurentPoly,
     make_generating_pair,
     partner_potential,
-    split_superpotentials,
 )
 
 __all__ = [
@@ -146,6 +155,24 @@ class ClosedFormWavefunction:
         return self.value(x)
 
 
+def _ladders(
+    w_plus: TrigLaurentPoly, w_minus: TrigLaurentPoly
+) -> tuple[tuple[float, ...], ...]:
+    """(lam, lam', mu, mu') of W = (W_plus - W_minus)/2 and W' = W + W_minus.
+
+    W_minus is constant on each ladder; mu and mu' are empty for the
+    one-parameter family.
+    """
+    out: list[tuple[float, ...]] = []
+    for plus, minus in ((w_plus.lam, w_minus.lam), (w_plus.mu, w_minus.mu)):
+        if not plus:
+            out += [(), ()]
+            continue
+        w = (0.5 * (plus[0] - minus[0]),) + tuple(0.5 * c for c in plus[1:])
+        out += [w, (w[0] + minus[0],) + w[1:]]
+    return tuple(out)
+
+
 # ---------------------------------------------------------------------------
 # One-parameter family.
 
@@ -190,7 +217,9 @@ def _gap_one(m: int, sa: float, alpha: float) -> float:
     )
 
 
-def _w_plus_one(m: int, sa: float, alpha: float) -> TrigLaurentPoly:
+def _w_pair_one(
+    m: int, sa: float, alpha: float
+) -> tuple[TrigLaurentPoly, TrigLaurentPoly]:
     top = double_factorial(2 * m + 1)
     lam = tuple(
         2.0
@@ -200,126 +229,59 @@ def _w_plus_one(m: int, sa: float, alpha: float) -> TrigLaurentPoly:
         * (1.0 + alpha) ** (k - m)
         for k in range(m + 1)
     )
-    return TrigLaurentPoly(Family.ONE, lam)
+    w_plus = TrigLaurentPoly(Family.ONE, lam)
+    w_minus = TrigLaurentPoly(Family.ONE, ((2 * m + 1) * (1.0 + alpha),))
+    return w_plus, w_minus
 
 
-def _ladders_one(
-    m: int, sa: float, alpha: float
-) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    wp = _w_plus_one(m, sa, alpha).lam
-    w_minus0 = (2 * m + 1) * (1.0 + alpha)
-    lam = (0.5 * (wp[0] - w_minus0),) + tuple(0.5 * c for c in wp[1:])
-    lam_p = (lam[0] + w_minus0,) + lam[1:]
-    return lam, lam_p
+def _sec_terms_one(
+    m: int, j: int, sa: float, alpha: float, s: list[float]
+) -> list[float]:
+    """The linear and quadratic sums, weighted by (-1)^(l-j) C(l, j) over
+    l >= max(j, 1); s[l - 1] is the double-factorial sum S_l.
 
-
-def _e0_a2_one(m: int, sa: float, alpha: float, weight) -> float:
-    """Shared alternating-sum skeleton of the closed E_0 and A_2 formulas.
-
-    weight(k) is 1 for the E_0-type sums and k for the A_2-type sums; only
-    the leading blocks differ between the two formulas and are added by the
-    callers.
+    Their sum is A_2j for 2 <= j <= 2m; A_2 adds a leading block to j = 1
+    and E_0 subtracts j = 0 from its two leading blocks.
     """
     op = 1.0 + alpha
-    a_top = sa * sa
-    terms = []
-    for k in range(1, m + 2):
-        terms.append(
-            (-1.0) ** k
-            * weight(k)
-            * float(s_sum(SumIndex(m, k, 0, k - 1)))
-            * op ** (k - 1)
-        )
-    for k in range(m + 2, 2 * m + 2):
-        terms.append(
-            (-1.0) ** k
-            * weight(k)
-            * float(s_sum(SumIndex(m, k, k - m - 1, m)))
-            * op ** (k - 1)
-        )
-    return -a_top * op ** (-2 * m) * math.fsum(terms)
-
-
-def _e0_one_closed(m: int, sa: float, alpha: float) -> float:
-    op = 1.0 + alpha
-    front = 0.25 * (2 * m + 1) * op * (2 * m + 1 + (2 * m + 3) * alpha)
-    bracket = [1.0]
-    for k in range(1, m + 2):
-        bracket.append(
-            2.0
-            * (2 * m + 1)
-            * (-1.0) ** k
-            * double_factorial(2 * m)
-            / (double_factorial(2 * k - 1) * double_factorial(2 * m - 2 * k + 2))
-            * op**k
-        )
-    linear = (
-        sa
-        * double_factorial(2 * m + 1)
-        / double_factorial(2 * m)
-        * op ** (-m)
-        * math.fsum(bracket)
-    )
-    return front + linear + _e0_a2_one(m, sa, alpha, lambda k: 1.0)
-
-
-def _a2_one_closed(m: int, sa: float, alpha: float) -> float:
-    op = 1.0 + alpha
-    front = 0.25 * (2 * m + 1) * (2 * m + 3) * op * op
-    lin_terms = [
-        2.0
+    top = double_factorial(2 * m + 1)
+    lo = max(j, 1)
+    lin = [
+        -2.0
         * (2 * m + 1)
-        * sa
-        * (-1.0) ** k
-        * k
-        * double_factorial(2 * m + 1)
-        / (double_factorial(2 * k - 1) * double_factorial(2 * m - 2 * k + 2))
-        * op ** (k - m)
-        for k in range(1, m + 2)
+        * (-1.0) ** (l - j)
+        * binomial(l, j)
+        * top
+        / (double_factorial(2 * l - 1) * double_factorial(2 * m - 2 * l + 2))
+        * op ** (l - m)
+        for l in range(lo, m + 2)
     ]
-    return front + math.fsum(lin_terms) + _e0_a2_one(m, sa, alpha, lambda k: float(k))
+    quad = [
+        (-1.0) ** (l - j) * binomial(l, j) * s[l - 1] * op ** (l - 1)
+        for l in range(lo, 2 * m + 2)
+    ]
+    return [sa * math.fsum(lin), sa * sa * op ** (-2 * m) * math.fsum(quad)]
 
 
-def _a2k_one_closed(m: int, k: int, sa: float, alpha: float) -> float:
+def _closed_one(m: int, sa: float, alpha: float) -> tuple[float, list[float]]:
+    """Closed-form E_0 and (A_2, ..., A_{4m}); the top coefficient is the input."""
     op = 1.0 + alpha
-    a_top = sa * sa
-    if 2 <= k <= m + 1:
-        lin = [
-            -2.0
-            * (2 * m + 1)
-            * sa
-            * (-1.0) ** (l - k)
-            * binomial(l, k)
-            * double_factorial(2 * m + 1)
-            / (double_factorial(2 * l - 1) * double_factorial(2 * m - 2 * l + 2))
-            * op ** (l - m)
-            for l in range(k, m + 2)
-        ]
-        quad = [
-            (-1.0) ** (l - k)
-            * binomial(l, k)
-            * float(s_sum(SumIndex(m, l, 0, l - 1)))
-            * op ** (l - 1)
-            for l in range(k, m + 2)
-        ]
-        quad += [
-            (-1.0) ** (l - k)
-            * binomial(l, k)
-            * float(s_sum(SumIndex(m, l, l - m - 1, m)))
-            * op ** (l - 1)
-            for l in range(m + 2, 2 * m + 2)
-        ]
-        return math.fsum(lin) + a_top * op ** (-2 * m) * math.fsum(quad)
-    if m + 2 <= k <= 2 * m:
-        terms = [
-            (-1.0) ** (l - k)
-            * binomial(l, k)
-            * float(s_sum(SumIndex(m, l, l - m - 1, m)))
-            * op ** (l - 2 * m - 1)
-            for l in range(k, 2 * m + 2)
-        ]
-        return a_top * math.fsum(terms)
-    raise ValueError(f"coefficient index {k} outside 2..{2 * m}")
+    s = [
+        float(s_sum(SumIndex(m, l, max(0, l - m - 1), min(l - 1, m))))
+        for l in range(1, 2 * m + 2)
+    ]
+    e0_front = 0.25 * (2 * m + 1) * op * (2 * m + 1 + (2 * m + 3) * alpha)
+    # the linear leading block of E_0 is half the gap
+    e0_lead = 0.5 * _gap_one(m, sa, alpha)
+    e0 = math.fsum(
+        [e0_front, e0_lead] + [-t for t in _sec_terms_one(m, 0, sa, alpha, s)]
+    )
+    a2_front = 0.25 * (2 * m + 1) * (2 * m + 3) * op * op
+    coeffs = [math.fsum([a2_front] + _sec_terms_one(m, 1, sa, alpha, s))]
+    coeffs += [
+        math.fsum(_sec_terms_one(m, j, sa, alpha, s)) for j in range(2, 2 * m + 1)
+    ]
+    return e0, coeffs
 
 
 def _c_odd_one(m: int, lam: tuple[float, ...], alpha: float) -> tuple[float, ...]:
@@ -361,8 +323,7 @@ def expand_and_resum_one_param(
     """Expansion-path (E_0, (A_2 ... A_{4m+2})): build W from the ladder
     coefficients, expand V_1 = W^2 - f W' in tan^2 x, resum in sec^2 x."""
     _validate_one(m, a_top, alpha)
-    sa = math.sqrt(a_top)
-    lam, _ = _ladders_one(m, sa, alpha)
+    lam = _ladders(*_w_pair_one(m, math.sqrt(a_top), alpha))[0]
     w = TrigLaurentPoly(Family.ONE, lam)
     df = DeformingFunction.trig_one(alpha)
     const, sec, _csc = partner_potential(w, df, "V1").resummed()
@@ -395,11 +356,10 @@ def build_one_param(m: int, a_top: float, alpha: float) -> ExtendedOneParamSpec:
     _validate_one(m, a_top, alpha)
     sa = math.sqrt(a_top)
     op = 1.0 + alpha
-    lam, lam_p = _ladders_one(m, sa, alpha)
+    wp, wm = _w_pair_one(m, sa, alpha)
+    lam, lam_p, _, _ = _ladders(wp, wm)
 
-    e0 = _e0_one_closed(m, sa, alpha)
-    coeffs = [_a2_one_closed(m, sa, alpha)]
-    coeffs += [_a2k_one_closed(m, k, sa, alpha) for k in range(2, 2 * m + 1)]
+    e0, coeffs = _closed_one(m, sa, alpha)
     coeffs.append(a_top)
 
     e0_exp, coeffs_exp = expand_and_resum_one_param(m, a_top, alpha)
@@ -414,7 +374,6 @@ def build_one_param(m: int, a_top: float, alpha: float) -> ExtendedOneParamSpec:
     _check_match("one-param top C", c_odd[-1], sa / op, 1e-9)
 
     psi1_poly = _psi1_poly_one(m, alpha)
-    wp = _w_plus_one(m, sa, alpha)
     dual = _poly_in_sin2(wp)
     _check_match(
         "one-param psi1 prefactor", tuple(c * 2.0 * sa for c in psi1_poly), dual, 1e-9
@@ -534,17 +493,6 @@ def _w_pair_two(
         ((2 * m2 + 1) * (1.0 + alpha),),
     )
     return w_plus, w_minus
-
-
-def _ladders_two(
-    m1: int, m2: int, sa: float, sb: float, alpha: float
-) -> tuple[tuple, tuple, tuple, tuple]:
-    wp, wm = _w_pair_two(m1, m2, sa, sb, alpha)
-    lam = (0.5 * (wp.lam[0] - wm.lam[0]),) + tuple(0.5 * c for c in wp.lam[1:])
-    lam_p = (lam[0] + wm.lam[0],) + lam[1:]
-    mu = (0.5 * (wp.mu[0] - wm.mu[0]),) + tuple(0.5 * c for c in wp.mu[1:])
-    mu_p = (mu[0] + wm.mu[0],) + mu[1:]
-    return lam, lam_p, mu, mu_p
 
 
 def _conv(big: int, m2: int, l: int, lo: int, hi: int) -> float:
@@ -696,7 +644,7 @@ def expand_and_resum_two_param(
         raise ValueError("expansion path expects the canonical ordering m1 >= m2")
     sa = math.sqrt(a_top)
     sb = _sqrt_b_eff(m2, b_top, alpha)
-    lam, _, mu, _ = _ladders_two(m1, m2, sa, sb, alpha)
+    lam, _, mu, _ = _ladders(*_w_pair_two(m1, m2, sa, sb, alpha))
     w = TrigLaurentPoly(Family.TWO, lam, mu)
     df = DeformingFunction.trig_two(alpha)
     const, sec, csc = partner_potential(w, df, "V1").resummed()
@@ -721,7 +669,8 @@ def build_two_param(
     sb = _sqrt_b_eff(m2, b_top, alpha)
     op = 1.0 + alpha
     om = 1.0 - alpha
-    lam, lam_p, mu, mu_p = _ladders_two(m1, m2, sa, sb, alpha)
+    wp, wm = _w_pair_two(m1, m2, sa, sb, alpha)
+    lam, lam_p, mu, mu_p = _ladders(wp, wm)
 
     e0 = _e0_two_closed(m1, m2, sa, sb, alpha)
     a_coeffs = _sec_coeffs_two(m1, m2, sa, sb, alpha) + [a_top]
@@ -750,7 +699,6 @@ def build_two_param(
         _check_match("two-param top D", d[-1], sb / op - 0.5, 1e-9)
 
     psi1_poly = _psi1_poly_two(m1, m2, sa, sb, alpha)
-    wp, _ = _w_pair_two(m1, m2, sa, sb, alpha)
     dual = _poly_in_sin2(wp)
     _check_match("two-param psi1 prefactor", psi1_poly, dual, 1e-8)
 
@@ -831,9 +779,7 @@ def closed_form_wavefunction(spec, level: int) -> ClosedFormWavefunction:
 def generating_pair(spec) -> GeneratingPair:
     """The validated (W_plus, W_minus, gap) behind a built spec."""
     if isinstance(spec, ExtendedOneParamSpec):
-        sa = math.sqrt(spec.a_top)
-        wp = _w_plus_one(spec.m, sa, spec.alpha)
-        wm = TrigLaurentPoly(Family.ONE, ((2 * spec.m + 1) * (1.0 + spec.alpha),))
+        wp, wm = _w_pair_one(spec.m, math.sqrt(spec.a_top), spec.alpha)
         return make_generating_pair(wp, wm, spec.deforming)
     if isinstance(spec, ExtendedTwoParamSpec):
         wp, wm = _w_pair_two(

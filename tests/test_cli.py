@@ -395,12 +395,39 @@ class TestFigures:
         payload = json.loads(capsys.readouterr().out)
         assert sorted(payload) == sorted(self.ENERGIES)
 
+    def test_creates_missing_outdir(self, tmp_path):
+        outdir = tmp_path / "fresh" / "out"
+        assert main(["figures", "--outdir", f"{outdir}/", "--npoints", "11"]) == 0
+        want = sorted(f"{name}.csv" for name in self.ENERGIES)
+        assert sorted(p.name for p in outdir.iterdir()) == want
+
     def test_unwritable_outdir_exits_3(self, tmp_path, capsys):
-        rc = main(
-            ["figures", "--outdir", str(tmp_path / "missing"), "--npoints", "11"]
-        )
+        # no directory can be made beneath a regular file
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        rc = main(["figures", "--outdir", str(blocker / "out"), "--npoints", "11"])
         assert rc == 3
         assert "cannot write" in capsys.readouterr().err
+
+
+_README = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md"
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "exact --one -A 2 --alpha -0.5 --nmax 2",
+        "extend --one -m 1 --atop 1 --alpha -0.5 --check",
+    ],
+)
+def test_readme_example_output(argv, capsys):
+    with open(_README, encoding="utf-8") as fh:
+        readme = fh.read()
+    shown = readme.split(f"$ pdmtpt {argv}\n", 1)[1].split("```", 1)[0]
+    assert main(argv.split()) == 0
+    assert capsys.readouterr().out == shown
 
 
 _IMPORT_PATH_PROBE = """

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from pdmtpt import tpt_extended
 from pdmtpt.combinatorics import double_factorial
 from pdmtpt.dsusy_core import hermiticity_boundary_check
 from pdmtpt.tpt_extended import (
@@ -183,6 +184,27 @@ class TestOneParamDualPath:
             assert abs(e0 - spec.e0) < 1e-8 * scale
             cscale = max(1.0, float(np.max(np.abs(spec.coeffs))))
             assert np.max(np.abs(np.subtract(coeffs, spec.coeffs))) < 1e-8 * cscale
+
+    def test_deep_ladder_precision(self):
+        # at m = 12 float cancellation in the closed sums shows: the paths
+        # differ by about 1.6e-10 of the largest |E0|, |A_k|
+        spec = build_one_param(12, 1.0, 0.5)
+        e0, coeffs = expand_and_resum_one_param(12, 1.0, 0.5)
+        scale = max([1.0, abs(spec.e0)] + [abs(c) for c in spec.coeffs])
+        worst = max(
+            [abs(e0 - spec.e0)] + [abs(a - b) for a, b in zip(coeffs, spec.coeffs)]
+        )
+        assert worst / scale < 2e-10
+
+    @pytest.mark.parametrize("m", [1, 4, 7])
+    def test_each_s_sum_once_per_build(self, m, monkeypatch):
+        calls = []
+        s_sum = tpt_extended.s_sum
+        monkeypatch.setattr(
+            tpt_extended, "s_sum", lambda idx: calls.append(idx) or s_sum(idx)
+        )
+        build_one_param(m, 1.0, 0.5)
+        assert len(calls) == len(set(calls)) == 2 * m + 1
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError, match="tpt_exact"):
