@@ -140,6 +140,14 @@ class DeformingFunction:
         return (1.0 + self.alpha, 1.0 - self.alpha)
 
 
+def _sample(fn, x: np.ndarray) -> np.ndarray:
+    """fn(x) for the array x; fn must return an array of the same shape."""
+    out = np.asarray(fn(x), dtype=float)
+    if out.shape != x.shape:
+        raise ValueError(f"callable returned shape {out.shape} for input {x.shape}")
+    return out
+
+
 def f_value(df: DeformingFunction, x: float) -> tuple[float, float]:
     """(f(x), f'(x)) at a strictly interior point."""
     df.check_interior(x)
@@ -352,9 +360,10 @@ def compatibility_gap(
 
     Checked symbolically (all nonconstant coefficients of the Laurent
     expansion must cancel to rounding level) and then re-sampled at 64 points
-    on the central half of the domain as a guard.  Raises CompatibilityError
-    if the expression is not constant, GapSignError if the constant is not
-    positive.
+    on the central half of the domain as a guard.  Both tolerances are 1e-10
+    times the largest term, so the rounding of deep ladders passes.  Raises
+    CompatibilityError if the expression is not constant, GapSignError if the
+    constant is not positive.
     """
     if w_plus.family is not w_minus.family or w_plus.family is not df.family:
         raise ValueError("pair and deforming function families disagree")
@@ -375,9 +384,11 @@ def compatibility_gap(
     lo, hi = df.domain
     width = hi - lo
     xs = np.linspace(lo + 0.25 * width, hi - 0.25 * width, 64)
-    sampled = df.f(xs) * w_plus.derivative_value(xs) - w_plus.value(xs) * w_minus.value(xs)
-    spread = float(np.max(np.abs(sampled - c0)))
-    if spread > 1e-10 * max(1.0, abs(c0)):
+    f_dw = df.f(xs) * w_plus.derivative_value(xs)
+    ww = w_plus.value(xs) * w_minus.value(xs)
+    spread = float(np.max(np.abs(f_dw - ww - c0)))
+    scale = max(1.0, abs(c0), float(np.max(np.abs(f_dw))), float(np.max(np.abs(ww))))
+    if spread > 1e-10 * scale:
         raise CompatibilityError(
             f"sampled gap spread {spread:.3e} exceeds tolerance", max_residual=spread
         )
@@ -526,23 +537,21 @@ class BoundaryCheck:
 def hermiticity_boundary_check(psi, df: DeformingFunction) -> BoundaryCheck:
     """Check |psi|^2 f -> 0 at both domain ends.
 
-    The product is sampled along the geometric sequences x_lo + 2^-j d and
-    x_hi - 2^-j d, d = width/8, j = 0..20; the limit estimate at each end is
-    the largest of the last three samples.  Passes iff both limits are below
-    1e-8 times the interior maximum of |psi|^2 f.
+    The limit estimate at each end is the largest of the probes x_lo + 2^-j d
+    and x_hi - 2^-j d, d = width/8, j = 18..20.  Passes iff both limits are
+    below 1e-8 times the maximum of |psi|^2 f over 257 interior points.  psi
+    is called once per end and once on the interior grid: it must map an
+    array to an array of the same shape, or a ValueError is raised.
     """
     lo, hi = df.domain
-    width = hi - lo
-    d = width / 8.0
+    d = (hi - lo) / 8.0
+    probes = d * 2.0 ** -np.arange(18, 21)
 
-    def density(x: float) -> float:
-        return abs(psi(x)) ** 2 * float(df.f(x))
+    def max_density(x: np.ndarray) -> float:
+        return float(np.max(np.abs(_sample(psi, x)) ** 2 * df.f(x)))
 
-    interior = np.linspace(lo + d, hi - d, 257)
-    interior_max = max(density(float(x)) for x in interior)
-    lows = [density(lo + d * 2.0**-j) for j in range(21)]
-    highs = [density(hi - d * 2.0**-j) for j in range(21)]
-    lower = max(lows[-3:])
-    upper = max(highs[-3:])
+    interior_max = max_density(np.linspace(lo + d, hi - d, 257))
+    lower = max_density(lo + probes)
+    upper = max_density(hi - probes)
     ok = interior_max > 0.0 and lower < 1e-8 * interior_max and upper < 1e-8 * interior_max
     return BoundaryCheck(ok, lower, upper, interior_max)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsusy_core import DeformingFunction, Family
+from .dsusy_core import DeformingFunction, Family, _sample
 
 __all__ = [
     "FlattenedProblem",
@@ -100,14 +100,6 @@ class NumericSpectrum:
         x = np.asarray(mass_unflatten(self.problem.df, self.problem.g))
         u = self.eigenvectors[k]
         return (x, u / np.sqrt(self.problem.df.f(x)))
-
-
-def _sample(fn, x: np.ndarray) -> np.ndarray:
-    """fn(x) for the array x; fn must return an array of the same shape."""
-    out = np.asarray(fn(x), dtype=float)
-    if out.shape != x.shape:
-        raise ValueError(f"callable returned shape {out.shape} for input {x.shape}")
-    return out
 
 
 # Sampled potentials blow up like sec^(4m+2) next to the walls; entries many
@@ -219,28 +211,27 @@ def residual(psi, v, df: DeformingFunction, energy: float, samples) -> float:
     over the samples, with derivatives of phi = sqrt(f) psi taken by 5-point
     central differences.  The step is h = 1e-3 (shrunk near the boundary),
     balancing the h^4 truncation against roundoff in the second difference.
+    psi is called once on the samples and once on the (n, 5) stencil, v once
+    on the samples: each must map an array to an array of the same shape, or
+    a ValueError is raised.
     """
     lo, hi = df.domain
     xs = np.asarray(samples, dtype=float)
     df.check_interior(xs)
-    psi_at = np.array([float(psi(x)) for x in xs])
+    psi_at = _sample(psi, xs)
     scale = abs(energy) * float(np.max(np.abs(psi_at)))
     if scale == 0.0:
         raise ValueError("zero scale: psi vanishes on all samples or E = 0")
-    worst = 0.0
-    for x, p0 in zip(xs, psi_at):
-        h = min(1e-3, 0.25 * (x - lo), 0.25 * (hi - x))
-        pts = x + h * np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
-        phi = np.array([float(psi(t)) for t in pts]) * np.sqrt(df.f(pts))
-        d1 = (phi[0] - 8.0 * phi[1] + 8.0 * phi[3] - phi[4]) / (12.0 * h)
-        d2 = (-phi[0] + 16.0 * phi[1] - 30.0 * phi[2] + 16.0 * phi[3] - phi[4]) / (
-            12.0 * h * h
-        )
-        f = float(df.f(x))
-        fp = float(df.f_prime(x))
-        r = -math.sqrt(f) * (fp * d1 + f * d2) + (float(v(x)) - energy) * p0
-        worst = max(worst, abs(r))
-    return worst / scale
+    h = np.minimum(1e-3, np.minimum(0.25 * (xs - lo), 0.25 * (hi - xs)))
+    pts = xs[:, None] + h[:, None] * np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
+    phi = (_sample(psi, pts) * np.sqrt(df.f(pts))).T
+    d1 = (phi[0] - 8.0 * phi[1] + 8.0 * phi[3] - phi[4]) / (12.0 * h)
+    d2 = (-phi[0] + 16.0 * phi[1] - 30.0 * phi[2] + 16.0 * phi[3] - phi[4]) / (
+        12.0 * h * h
+    )
+    f = df.f(xs)
+    r = -np.sqrt(f) * (df.f_prime(xs) * d1 + f * d2) + (_sample(v, xs) - energy) * psi_at
+    return float(np.max(np.abs(r))) / scale
 
 
 def count_nodes(values) -> int:
@@ -267,13 +258,15 @@ def inner_product(psi_a, psi_b, df: DeformingFunction, num: int = 16385) -> floa
     ValueError is raised.  The grid stops 1e-9 of the width short of each
     boundary; every wavefunction here decays fast enough that the clipped
     tails are far below the quadrature error.  psi_a and psi_b are called
-    once each with the whole grid: they must accept an array and return one
-    of the same shape, or a ValueError is raised.
+    once each with the whole grid, and a psi_b equal to psi_a (as two bound
+    methods of one object are) is not called again: they must accept an
+    array and return one of the same shape, or a ValueError is raised.
     """
     if num < 3 or num % 2 == 0:
         raise ValueError(f"num must be odd and at least 3, got {num}")
     lo, hi = df.domain
     width = hi - lo
     xs, h = np.linspace(lo + 1e-9 * width, hi - 1e-9 * width, num, retstep=True)
-    y = _sample(psi_a, xs) * _sample(psi_b, xs)
+    ya = _sample(psi_a, xs)
+    y = ya * (ya if psi_b == psi_a else _sample(psi_b, xs))
     return float(h / 3.0 * (y[0] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-1:2].sum() + y[-1]))

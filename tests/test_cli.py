@@ -2,7 +2,8 @@
 
 Every test drives `main` with an argv list and inspects stdout, stderr, exit
 codes, or emitted files; nothing reaches into command internals except the
-curve block size, read so that the streaming test spans two blocks.
+curve block size, read so that the streaming test spans two blocks, and the
+evaluators `verify` calls, counted so that each check samples once per grid.
 """
 
 import json
@@ -15,9 +16,11 @@ import numpy as np
 import pytest
 
 import pdmtpt
+from pdmtpt import cli
 from pdmtpt.cli import _CURVE_BLOCK_ROWS, main
 from pdmtpt.numeric_verify import inner_product
 from pdmtpt.tpt_extended import (
+    ClosedFormWavefunction,
     build_one_param,
     build_two_param,
     closed_form_wavefunction,
@@ -267,6 +270,27 @@ class TestVerify:
         assert rc == 1
         assert any(ln.startswith("FAIL spectral") for ln in out.splitlines())
 
+    def test_each_check_samples_once_per_grid(self, monkeypatch, capsys):
+        # psi: 2 per residual, 1 per node count, 1 per norm, 2 for the
+        # overlap, 3 per hermiticity check; V: 3 oracle grids, 1 per residual
+        calls = {"psi": 0, "v": 0}
+
+        def counted(key, fn):
+            def wrapper(*args):
+                calls[key] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(
+            ClosedFormWavefunction, "value", counted("psi", ClosedFormWavefunction.value)
+        )
+        monkeypatch.setattr(cli, "potential_value", counted("v", potential_value))
+        argv = ["--two", "--m1", "1", "--m2", "0", "--atop", "1", "--btop", "1"]
+        assert main(["verify", *argv, "--alpha", "0.5", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["pass"] is True
+        assert calls["psi"] <= 16
+        assert calls["v"] <= 5
+
     def test_underflowing_norm_is_a_precision_limit(self, capsys):
         rc = main(["verify", *_UNDERFLOW_WELL])
         captured = capsys.readouterr()
@@ -420,6 +444,7 @@ _README = os.path.join(
     [
         "exact --one -A 2 --alpha -0.5 --nmax 2",
         "extend --one -m 1 --atop 1 --alpha -0.5 --check",
+        "verify --two --m1 1 --m2 0 --atop 1 --btop 1 --alpha 0.5",
     ],
 )
 def test_readme_example_output(argv, capsys):

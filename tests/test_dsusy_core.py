@@ -32,6 +32,7 @@ from pdmtpt.tpt_exact import (
 )
 from pdmtpt.tpt_extended import (
     build_one_param,
+    build_two_param,
     closed_form_wavefunction,
     generating_pair,
 )
@@ -139,6 +140,25 @@ def test_compatibility_gap_rejects_perturbed_companion():
     bad = TrigLaurentPoly(Family.ONE, (w_minus.lam[0], 0.1))
     with pytest.raises(CompatibilityError):
         compatibility_gap(w_plus, bad, ONE_HALF)
+
+
+@pytest.mark.parametrize("m1,m2", [(8, 1), (0, 8), (7, 0)])
+def test_compatibility_gap_accepts_deep_two_param_pairs(m1, m2):
+    # f W+' and W+ W- each reach 1e8..1e9 on the central half at these
+    # depths, so their sampled difference carries rounding far above 1e-10
+    spec = build_two_param(m1, m2, 1.0, 1.0, 0.0)
+    pair = generating_pair(spec)
+    assert pair.gap == pytest.approx(spec.gap, rel=1e-12)
+
+
+def test_compatibility_gap_rejects_perturbed_deep_pair():
+    spec = build_two_param(8, 1, 1.0, 1.0, 0.0)
+    pair = generating_pair(spec)
+    lam = list(pair.w_minus.lam)
+    lam[0] *= 1.0 + 1e-6
+    bad = TrigLaurentPoly(Family.TWO, tuple(lam), pair.w_minus.mu)
+    with pytest.raises(CompatibilityError):
+        compatibility_gap(pair.w_plus, bad, spec.deforming)
 
 
 def test_compatibility_gap_rejects_negative_constant():
@@ -303,5 +323,5 @@ def test_hermiticity_check_passes_for_bound_state():
 
 
 def test_hermiticity_check_fails_for_constant():
-    check = hermiticity_boundary_check(lambda x: 1.0, ONE_HALF)
+    check = hermiticity_boundary_check(np.ones_like, ONE_HALF)
     assert not check.passed

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from pdmtpt.dsusy_core import DeformingFunction
+from pdmtpt.dsusy_core import DeformingFunction, hermiticity_boundary_check
 from pdmtpt.numeric_verify import (
     count_nodes,
     g_domain,
@@ -17,7 +17,7 @@ from pdmtpt.numeric_verify import (
     residual,
     solve_spectrum,
 )
-from pdmtpt.tpt_exact import ExactOneParam, ExactTwoParam, energy_one_param, energy_two_param, potential_one_param, potential_two_param
+from pdmtpt.tpt_exact import ExactOneParam, ExactTwoParam, energy_one_param, energy_two_param, potential_one_param, potential_two_param, wavefn_one_param, wavefn_two_param
 from pdmtpt.tpt_extended import (
     build_one_param,
     build_two_param,
@@ -143,6 +143,13 @@ def test_callables_must_map_arrays_to_arrays():
         inner_product(scalar, np.cos, df)
     with pytest.raises(ValueError, match="shape"):
         inner_product(np.cos, scalar, df)
+    xs = interior_samples(df, 11)
+    with pytest.raises(ValueError, match="shape"):
+        residual(scalar, np.ones_like, df, 1.0, xs)
+    with pytest.raises(ValueError, match="shape"):
+        residual(np.cos, scalar, df, 1.0, xs)
+    with pytest.raises(ValueError, match="shape"):
+        hermiticity_boundary_check(scalar, df)
 
 
 def _doubling_ratios(v, df, closed, n_levels, grids):
@@ -232,8 +239,86 @@ def test_residual_flags_wrong_energy():
 def test_residual_rejects_zero_scale():
     df = FIG1.deforming
     xs = interior_samples(df, 11)
-    with pytest.raises(ValueError):
-        residual(lambda x: 0.0, lambda x: 1.0, df, 1.0, xs)
+    with pytest.raises(ValueError, match="zero scale"):
+        residual(np.zeros_like, np.ones_like, df, 1.0, xs)
+
+
+# The scalar loops that residual and hermiticity_boundary_check replaced: one
+# call per point.  The vectorized checks keep their arithmetic order.
+
+
+def _residual_per_point(psi, v, df, energy, samples):
+    lo, hi = df.domain
+    xs = np.asarray(samples, dtype=float)
+    psi_at = np.array([float(psi(x)) for x in xs])
+    scale = abs(energy) * float(np.max(np.abs(psi_at)))
+    worst = 0.0
+    for x, p0 in zip(xs, psi_at):
+        h = min(1e-3, 0.25 * (x - lo), 0.25 * (hi - x))
+        pts = x + h * np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
+        phi = np.array([float(psi(t)) for t in pts]) * np.sqrt(df.f(pts))
+        d1 = (phi[0] - 8.0 * phi[1] + 8.0 * phi[3] - phi[4]) / (12.0 * h)
+        d2 = (-phi[0] + 16.0 * phi[1] - 30.0 * phi[2] + 16.0 * phi[3] - phi[4]) / (
+            12.0 * h * h
+        )
+        f = float(df.f(x))
+        fp = float(df.f_prime(x))
+        r = -math.sqrt(f) * (fp * d1 + f * d2) + (float(v(x)) - energy) * p0
+        worst = max(worst, abs(r))
+    return worst / scale
+
+
+def _hermiticity_per_point(psi, df):
+    lo, hi = df.domain
+    d = (hi - lo) / 8.0
+    density = lambda x: abs(float(psi(x))) ** 2 * float(df.f(x))
+    interior_max = max(density(float(x)) for x in np.linspace(lo + d, hi - d, 257))
+    lows = [density(lo + d * 2.0**-j) for j in range(21)]
+    highs = [density(hi - d * 2.0**-j) for j in range(21)]
+    lower, upper = max(lows[-3:]), max(highs[-3:])
+    ok = interior_max > 0.0 and lower < 1e-8 * interior_max and upper < 1e-8 * interior_max
+    return ok, (lower, upper, interior_max)
+
+
+def _check_cases():
+    # (psi, v, df, energy, ulps) for both levels of the figure specs and the
+    # first four levels of the exactly solvable baselines.  The closed forms
+    # give the same values on a float and on an array, so their limits must
+    # be equal.  The baselines' non-integer powers do not: NumPy rounds a
+    # scalar ** through libm and np.power on an array through SIMD code, an
+    # ulp or two apart, so their limits get 16 ulps.
+    for spec in (FIG1, FIG3, FIG5):
+        v = lambda x, s=spec: potential_value(s, x)
+        for level, energy in ((0, spec.e0), (1, spec.e1)):
+            psi = closed_form_wavefunction(spec, level).value
+            yield psi, v, spec.deforming, energy, 0
+    baselines = (
+        (ExactOneParam(2.0, -0.5), energy_one_param, potential_one_param, wavefn_one_param),
+        (ExactOneParam(2.0, 0.0), energy_one_param, potential_one_param, wavefn_one_param),
+        (ExactTwoParam(2.0, 2.0, 0.0), energy_two_param, potential_two_param, wavefn_two_param),
+        (ExactTwoParam(2.0, 2.0, 0.5), energy_two_param, potential_two_param, wavefn_two_param),
+    )
+    for p, energy_fn, pot_fn, wavefn in baselines:
+        v = lambda x, p=p, pot_fn=pot_fn: pot_fn(p, x)
+        for n in range(4):
+            psi = lambda x, p=p, n=n, wavefn=wavefn: wavefn(p, n, x)
+            yield psi, v, p.deforming, energy_fn(p, n), 16
+
+
+def test_checks_match_the_per_point_loops():
+    cases = list(_check_cases())
+    assert len(cases) == 22
+    for psi, v, df, energy, ulps in cases:
+        xs = interior_samples(df, 41)
+        got = residual(psi, v, df, energy, xs)
+        want = _residual_per_point(psi, v, df, energy, xs)
+        # 1% of the verify tolerance 1e-7
+        assert abs(got - want) <= 1e-9
+        check = hermiticity_boundary_check(psi, df)
+        passed, want = _hermiticity_per_point(psi, df)
+        got = (check.lower_limit, check.upper_limit, check.interior_max)
+        np.testing.assert_allclose(got, want, rtol=ulps * np.finfo(float).eps, atol=0.0)
+        assert check.passed is passed is True
 
 
 # --- nodes and inner products ----------------------------------------------
@@ -263,6 +348,15 @@ def test_inner_product_orthogonality_without_parity():
     n0 = math.sqrt(inner_product(psi0, psi0, FIG3.deforming))
     n1 = math.sqrt(inner_product(psi1, psi1, FIG3.deforming))
     assert abs(inner_product(psi0, psi1, FIG3.deforming)) / (n0 * n1) < 1e-8
+
+
+def test_inner_product_samples_a_repeated_callable_once():
+    calls = []
+    psi = closed_form_wavefunction(FIG3, 0)
+    counted = lambda x: calls.append(x.size) or psi.value(x)
+    once = inner_product(counted, counted, FIG3.deforming)
+    assert calls == [16385]
+    assert once == inner_product(psi.value, lambda x: psi.value(x), FIG3.deforming)
 
 
 def test_inner_product_simpson_exact_for_cubics():
