@@ -18,6 +18,7 @@ import numpy as np
 from .dsusy_core import hermiticity_boundary_check
 from .numeric_verify import (
     count_nodes,
+    gram,
     inner_product,
     interior_samples,
     residual,
@@ -249,9 +250,10 @@ def cmd_verify(args) -> int:
     payload["nodes_psi0"] = n0
     payload["nodes_psi1"] = n1
 
-    norm0 = _norm(psi0, df, "psi0")
-    norm1 = _norm(psi1, df, "psi1")
-    overlap = abs(inner_product(psi0.value, psi1.value, df)) / (norm0 * norm1)
+    g = gram((psi0.value, psi1.value), df)
+    norm0 = _norm(g[0, 0], "psi0")
+    norm1 = _norm(g[1, 1], "psi1")
+    overlap = abs(g[0, 1]) / (norm0 * norm1)
     checks.append(("orthogonality", overlap < 1e-8, f"|<0|1>|={overlap:.3e} (tol 1e-08)"))
     payload["orthogonality"] = overlap
 
@@ -275,14 +277,13 @@ def cmd_verify(args) -> int:
     return 0 if all_pass else 1
 
 
-def _norm(psi, df, name: str) -> float:
-    """L2 norm of psi on the deformed domain.
+def _norm(norm_sq: float, name: str) -> float:
+    """L2 norm of the wavefunction `name` from its squared norm.
 
     A squared norm of 0 (or one that is not finite) means the wavefunction
     underflows (or overflows) double precision: a precision limit of the
     float evaluation, reported as a one-line ValueError.
     """
-    norm_sq = inner_product(psi.value, psi.value, df)
     if not 0.0 < norm_sq < math.inf:
         raise ValueError(
             f"precision limit: the squared norm of {name} is {norm_sq:.3g}; "
@@ -299,8 +300,8 @@ def _write_curve_file(path: str, spec, npoints: int) -> dict:
     step = (stop - start) / (npoints - 1)
     psi0 = closed_form_wavefunction(spec, 0)
     psi1 = closed_form_wavefunction(spec, 1)
-    norm0 = _norm(psi0, df, "psi0")
-    norm1 = _norm(psi1, df, "psi1")
+    norm0 = _norm(inner_product(psi0.value, psi0.value, df), "psi0")
+    norm1 = _norm(inner_product(psi1.value, psi1.value, df), "psi1")
     family = "extended-one" if isinstance(spec, ExtendedOneParamSpec) else "extended-two"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(

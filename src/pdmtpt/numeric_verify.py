@@ -27,6 +27,7 @@ __all__ = [
     "solve_spectrum",
     "residual",
     "count_nodes",
+    "gram",
     "inner_product",
     "interior_samples",
 ]
@@ -80,26 +81,16 @@ class FlattenedProblem:
 
 @dataclass(frozen=True)
 class NumericSpectrum:
-    """Lowest eigenpairs of the flattened finite-difference operator.
-
-    eigenvectors[k] lives on problem.g and is normalized to unit L2 norm in
-    g, which equals unit L2 norm in x for psi = u/sqrt(f).
-    """
+    """Lowest eigenvalues of the flattened finite-difference operator."""
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
     grid_size: int
     errors: np.ndarray
     # fine-grid values before Richardson extrapolation; these carry the plain
     # O(h^2) discretization error and are what the convergence law applies to
     eigenvalues_raw: np.ndarray
+    # the fine grid and its potential samples
     problem: FlattenedProblem
-
-    def psi_values(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """(x grid, psi = u/sqrt(f)) for level k, L2(dx)-normalized."""
-        x = np.asarray(mass_unflatten(self.problem.df, self.problem.g))
-        u = self.eigenvectors[k]
-        return (x, u / np.sqrt(self.problem.df.f(x)))
 
 
 # Sampled potentials blow up like sec^(4m+2) next to the walls; entries many
@@ -110,6 +101,20 @@ class NumericSpectrum:
 # engages, so the induced eigenvalue shift is far below discretization error.
 _CAP_OVER_KINETIC = 16.0
 
+# Bisection tolerance over the kinetic scale 2/h^2.  The double-precision
+# Sturm counts of the capped operator place a level to about 0.3 eps * 2/h^2
+# (measured against long-double counts on the reference wells); a tolerance of
+# eps * 2/h^2 would add up to half its width as midpoint noise on top, which
+# Richardson then amplifies.  A sixteenth costs four more bisection steps.
+_TOL_OVER_KINETIC = np.finfo(float).eps / 16.0
+
+# Top of a value bracket: this many level gaps above the coarser grid's top
+# level.  Half a gap leaves room for the grid's shift of that level while
+# keeping the next level out, since bisection cost grows with the levels
+# inside.  A one-level bracket reaches _ONE_LEVEL_MARGIN of the level's size.
+_BRACKET_GAPS = 0.5
+_ONE_LEVEL_MARGIN = 0.05
+
 
 def _fd_bands(vt: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal and off-diagonal of the capped finite-difference operator."""
@@ -118,15 +123,53 @@ def _fd_bands(vt: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
     return d, np.full(len(vt) - 1, -1.0 / h**2)
 
 
+def _flatten(v, df: DeformingFunction, n: int) -> FlattenedProblem:
+    """V(x(g)) on the n-1 interior points of the uniform n-interval g grid."""
+    g_lo, g_hi = g_domain(df)
+    h = (g_hi - g_lo) / n
+    g = g_lo + h * np.arange(1, n)
+    return FlattenedProblem(df, g, _sample(v, np.asarray(mass_unflatten(df, g))), h)
+
+
+def _lowest_levels(problem: FlattenedProblem, n_levels: int, coarse=None) -> np.ndarray:
+    """Lowest n_levels eigenvalues of the problem's capped FD operator.
+
+    Without `coarse` the levels are found by index.  With `coarse`, the same
+    levels on a coarser grid, only the bracket from the Gershgorin lower bound
+    min(d) - 2/h^2 to _BRACKET_GAPS level gaps above the top coarse level is
+    bisected.  A bracket that is empty or holds too few levels falls back to
+    the index solve.
+    """
+    # SciPy is imported here, not at module level, so that importing the
+    # package (and every CLI command but verify) pays for NumPy alone.
+    from scipy.linalg import eigvalsh_tridiagonal
+
+    d, e = _fd_bands(problem.v, problem.spacing)
+    kin = 2.0 / problem.spacing**2
+    tol = _TOL_OVER_KINETIC * kin
+    if coarse is not None:
+        top = float(coarse[-1])
+        if len(coarse) > 1:
+            margin = _BRACKET_GAPS * (top - float(coarse[-2]))
+        else:
+            margin = _ONE_LEVEL_MARGIN * abs(top)
+        lo, hi = float(np.min(d)) - kin, top + margin
+        if lo < hi:
+            w = eigvalsh_tridiagonal(d, e, select="v", select_range=(lo, hi), tol=tol)
+            if len(w) >= n_levels:
+                return w[:n_levels]
+    return eigvalsh_tridiagonal(d, e, select="i", select_range=(0, n_levels - 1), tol=tol)
+
+
 def solve_spectrum(
     v, df: DeformingFunction, n_levels: int = 2, grid_size: int = 4000
 ) -> NumericSpectrum:
-    """Lowest n_levels eigenvalues/vectors of -u'' + V(x(g))u = Eu.
+    """Lowest n_levels eigenvalues of -u'' + V(x(g))u = Eu.
 
     Interior uniform grid of grid_size-1 points (Dirichlet zero at both
-    walls), symmetric tridiagonal eigensolve by bisection and inverse
-    iteration.  Companion runs at half and quarter resolution measure the
-    observed convergence order p per level, and the returned eigenvalues are
+    walls), symmetric tridiagonal eigensolve by bisection, eigenvalues only.
+    Companion runs at half and quarter resolution measure the observed
+    convergence order p per level, and the returned eigenvalues are
     Richardson-extrapolated with that order:
 
         E = E_N + (E_N - E_{N/2}) / (2^p - 1),   p clamped to [1, 4]
@@ -136,40 +179,36 @@ def solve_spectrum(
     and regular exponent s = 1/2 + sqrt(c + 1/4) < 3/2 drags the plain
     inset-Dirichlet scheme down to O(h^(2s-1)), and extrapolating with the
     observed order cancels that term just as cleanly as the smooth-wall
-    O(h^2) one.  Eigenvectors are the fine-grid ones.
+    O(h^2) one.
+
+    The quarter grid is solved by index.  The half and full grids are
+    solved by value, inside a bracket from the Gershgorin lower bound to half
+    a level gap above the next coarser grid's top level, so bisection never
+    searches the whole Gershgorin interval and its cost follows the few
+    levels inside the bracket.  An empty bracket, or one that holds fewer
+    than n_levels levels (a cap-dominated well whose levels grow with the
+    kinetic scale), falls back to the index solve.  Every grid bisects to
+    the absolute tolerance eps/16 * 2/h^2, a sixteenth of its kinetic scale,
+    where the Sturm counts themselves stop resolving a level; LAPACK's
+    default, eps * ||T||, is about 18 times the kinetic scale because of
+    the 16x cap.
 
     v is called with the array of x values of each grid and must return an
     array of the same shape; anything else raises ValueError.
     """
-    # SciPy is imported here, not at module level, so that importing the
-    # package (and every CLI command but verify) pays for NumPy alone.
-    from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
-
     if grid_size < 64:
         raise ValueError(f"grid_size must be at least 64, got {grid_size}")
     if n_levels < 1:
         raise ValueError("n_levels must be >= 1")
-    g_lo, g_hi = g_domain(df)
-    h = (g_hi - g_lo) / grid_size
-    g = g_lo + h * np.arange(1, grid_size)
-    x = np.asarray(mass_unflatten(df, g))
-    vt = _sample(v, x)
-    if not np.all(np.isfinite(vt)):
-        raise ValueError("potential is not finite on the inset grid")
-
-    levels = (0, n_levels - 1)
-    fine, vecs = eigh_tridiagonal(*_fd_bands(vt, h), select="i", select_range=levels)
-
-    coarse = []
-    for n in (grid_size // 2, grid_size // 4):
-        hn = (g_hi - g_lo) / n
-        gn = g_lo + hn * np.arange(1, n)
-        vtn = _sample(v, np.asarray(mass_unflatten(df, gn)))
-        coarse.append(
-            eigvalsh_tridiagonal(*_fd_bands(vtn, hn), select="i", select_range=levels)
-        )
-    d1 = fine - coarse[0]
-    d2 = coarse[0] - coarse[1]
+    solved: list[np.ndarray] = []
+    for n in (grid_size // 4, grid_size // 2, grid_size):
+        problem = _flatten(v, df, n)
+        if not np.all(np.isfinite(problem.v)):
+            raise ValueError("potential is not finite on the inset grid")
+        solved.append(_lowest_levels(problem, n_levels, solved[-1] if solved else None))
+    quarter, half, fine = solved
+    d1 = fine - half
+    d2 = half - quarter
     vals = fine.copy()
     errors = np.zeros_like(fine)
     for k in range(n_levels):
@@ -185,16 +224,7 @@ def solve_spectrum(
         errors[k] = abs(d1[k]) / (2.0**p - 1.0)
     if not np.all(np.diff(vals) > 0.0):
         raise ArithmeticError("eigenvalues not strictly increasing")
-
-    u = vecs.T.copy()
-    for k in range(n_levels):
-        norm = math.sqrt(h * float(np.sum(u[k] ** 2)))
-        u[k] /= norm
-        anchor = int(np.argmax(np.abs(u[k])))
-        if u[k][anchor] < 0.0:
-            u[k] = -u[k]
-    problem = FlattenedProblem(df, g, vt, h)
-    return NumericSpectrum(vals, u, grid_size, errors, fine, problem)
+    return NumericSpectrum(vals, grid_size, errors, fine, problem)
 
 
 def interior_samples(df: DeformingFunction, n: int, margin: float = 0.05) -> np.ndarray:
@@ -249,24 +279,38 @@ def count_nodes(values) -> int:
     return int(np.sum(live[:-1] * live[1:] < 0.0))
 
 
-def inner_product(psi_a, psi_b, df: DeformingFunction, num: int = 16385) -> float:
-    """int psi_a psi_b dx by composite Simpson on an inset uniform grid.
+def gram(psis, df: DeformingFunction, num: int = 16385) -> np.ndarray:
+    """Matrix of int psi_i psi_j dx by composite Simpson on an inset uniform grid.
 
     With y sampled at num points h apart, the rule is
     h/3 (y_0 + 4 (y_1 + y_3 + ...) + 2 (y_2 + y_4 + ...) + y_last).  num must
     be odd and at least 3, so that the intervals pair up into panels, else a
     ValueError is raised.  The grid stops 1e-9 of the width short of each
     boundary; every wavefunction here decays fast enough that the clipped
-    tails are far below the quadrature error.  psi_a and psi_b are called
-    once each with the whole grid, and a psi_b equal to psi_a (as two bound
-    methods of one object are) is not called again: they must accept an
-    array and return one of the same shape, or a ValueError is raised.
+    tails are far below the quadrature error.  Each psi is called once with
+    the whole grid: it must accept an array and return one of the same
+    shape, or a ValueError is raised.
     """
     if num < 3 or num % 2 == 0:
         raise ValueError(f"num must be odd and at least 3, got {num}")
     lo, hi = df.domain
     width = hi - lo
     xs, h = np.linspace(lo + 1e-9 * width, hi - 1e-9 * width, num, retstep=True)
-    ya = _sample(psi_a, xs)
-    y = ya * (ya if psi_b == psi_a else _sample(psi_b, xs))
-    return float(h / 3.0 * (y[0] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-1:2].sum() + y[-1]))
+    ys = [_sample(psi, xs) for psi in psis]
+    out = np.empty((len(ys), len(ys)))
+    for i, ya in enumerate(ys):
+        for j in range(i, len(ys)):
+            y = ya * ys[j]
+            out[i, j] = out[j, i] = h / 3.0 * (
+                y[0] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-1:2].sum() + y[-1]
+            )
+    return out
+
+
+def inner_product(psi_a, psi_b, df: DeformingFunction, num: int = 16385) -> float:
+    """int psi_a psi_b dx by the Simpson rule of `gram`.
+
+    A psi_b equal to psi_a (as two bound methods of one object are) is not
+    called again.
+    """
+    return float(gram((psi_a,) if psi_b == psi_a else (psi_a, psi_b), df, num)[0, -1])

@@ -207,6 +207,22 @@ class ExtendedOneParamSpec:
         return DeformingFunction.trig_one(self.alpha)
 
 
+def _first_excited(e0: float, gap: float) -> float:
+    """E1 = E0 + gap, or a precision-limit ValueError where the sum loses the gap.
+
+    Below 4 ulps of |E0| the sum keeps too few of the gap's bits to report
+    E1 - E0; below one ulp it would round E1 to E0 and print gap=0.
+    """
+    if not gap > 0.0:
+        raise InternalConsistencyError(f"gap must be positive, got {gap}")
+    if gap < 4.0 * math.ulp(e0):
+        raise ValueError(
+            f"precision limit: the gap {gap:.3g} is below 4 ulps of |E0| = "
+            f"{abs(e0):.3g}; E1 - E0 cannot be resolved in double precision"
+        )
+    return e0 + gap
+
+
 def _gap_one(m: int, sa: float, alpha: float) -> float:
     return (
         2.0
@@ -366,9 +382,7 @@ def build_one_param(m: int, a_top: float, alpha: float) -> ExtendedOneParamSpec:
     _check_match("one-param E0", e0, e0_exp, 1e-9)
     _check_match("one-param coefficients", coeffs, coeffs_exp, 1e-9)
 
-    gap = _gap_one(m, sa, alpha)
-    if not gap > 0.0:
-        raise InternalConsistencyError(f"gap must be positive, got {gap}")
+    e1 = _first_excited(e0, _gap_one(m, sa, alpha))
 
     c_odd = _c_odd_one(m, lam, alpha)
     _check_match("one-param top C", c_odd[-1], sa / op, 1e-9)
@@ -387,7 +401,7 @@ def build_one_param(m: int, a_top: float, alpha: float) -> ExtendedOneParamSpec:
         lam_prime=lam_p,
         coeffs=tuple(coeffs),
         e0=e0,
-        e1=e0 + gap,
+        e1=e1,
         c_odd=c_odd,
         psi1_poly=psi1_poly,
     )
@@ -687,9 +701,7 @@ def build_two_param(
     _check_match("two-param sec coefficients", a_coeffs, a_exp, 1e-8)
     _check_match("two-param csc coefficients", b_coeffs, b_exp, 1e-8)
 
-    gap = _gap_two(m1, m2, sa, sb, alpha)
-    if not gap > 0.0:
-        raise InternalConsistencyError(f"gap must be positive, got {gap}")
+    e1 = _first_excited(e0, _gap_two(m1, m2, sa, sb, alpha))
 
     c, d = _c_two(m1, lam, alpha), _c_two(m2, mu, -alpha)
     _check_match("two-param top C", c[-1], 2.0**m1 * sa / om, 1e-9)
@@ -716,7 +728,7 @@ def build_two_param(
         a_coeffs=tuple(a_coeffs),
         b_coeffs=tuple(b_coeffs),
         e0=e0,
-        e1=e0 + gap,
+        e1=e1,
         c=c,
         d=d,
         psi1_poly=psi1_poly,

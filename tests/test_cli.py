@@ -156,6 +156,15 @@ class TestExtend:
         assert float(pairs["E0"]) == pytest.approx(e0, abs=1e-12)
         assert float(pairs["E1"]) == pytest.approx(e1, abs=1e-12)
 
+    def test_gap_lost_in_rounding_is_a_precision_limit(self, capsys):
+        argv = ["--two", "--m1", "1", "--m2", "1", "--atop", "1", "--btop", "1e300"]
+        rc = main(["extend", *argv, "--alpha", "0", "--check"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: precision limit: the gap")
+        assert len(captured.err.splitlines()) == 1
+
     def test_check_flag_reports_discrepancy(self, capsys):
         rc = main(
             ["extend", "--one", "-m", "2", "--atop", "2.5", "--alpha", "0.3", "--check"]
@@ -271,7 +280,7 @@ class TestVerify:
         assert any(ln.startswith("FAIL spectral") for ln in out.splitlines())
 
     def test_each_check_samples_once_per_grid(self, monkeypatch, capsys):
-        # psi: 2 per residual, 1 per node count, 1 per norm, 2 for the
+        # psi: 2 per residual, 1 per node count, 1 for both norms and the
         # overlap, 3 per hermiticity check; V: 3 oracle grids, 1 per residual
         calls = {"psi": 0, "v": 0}
 
@@ -288,7 +297,7 @@ class TestVerify:
         argv = ["--two", "--m1", "1", "--m2", "0", "--atop", "1", "--btop", "1"]
         assert main(["verify", *argv, "--alpha", "0.5", "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["pass"] is True
-        assert calls["psi"] <= 16
+        assert calls["psi"] <= 14
         assert calls["v"] <= 5
 
     def test_underflowing_norm_is_a_precision_limit(self, capsys):

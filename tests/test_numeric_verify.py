@@ -4,12 +4,19 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy import integrate
+from scipy.linalg import eigh_tridiagonal
 
 from pdmtpt.dsusy_core import DeformingFunction, hermiticity_boundary_check
 from pdmtpt.numeric_verify import (
+    _TOL_OVER_KINETIC,
+    _fd_bands,
+    _flatten,
+    _lowest_levels,
     count_nodes,
     g_domain,
+    gram,
     inner_product,
     interior_samples,
     mass_flatten,
@@ -28,6 +35,12 @@ from pdmtpt.tpt_extended import (
 FIG1 = build_one_param(1, 1.0, -0.5)
 FIG3 = build_two_param(1, 1, 1.0, 1.0, 0.5)
 FIG5 = build_two_param(1, 0, 1.0, 1.0, 0.5)
+# the reference wells of the benchmark's verify workload
+REF_WELLS = {
+    "two-1-1": FIG3,
+    "one-1": FIG1,
+    "one-3": build_one_param(3, 2.0, 2.0),
+}
 
 
 def _trapezoid(y, x):
@@ -203,16 +216,38 @@ def test_raw_eigenvalues_second_order_at_smooth_walls():
         np.testing.assert_allclose(c / f, 4.0, rtol=0.05)
 
 
+# Reference eigenvectors, computed here from the fine-grid problem that
+# solve_spectrum returns; the oracle itself computes eigenvalues only.
+
+
+def _reference_eigenvectors(sp, n_levels):
+    """Fine-grid eigenvectors behind sp: unit L2 norm in g, largest entry > 0."""
+    p = sp.problem
+    kin = 2.0 / p.spacing**2
+    vals, vecs = eigh_tridiagonal(
+        *_fd_bands(p.v, p.spacing), select="i", select_range=(0, n_levels - 1),
+        tol=_TOL_OVER_KINETIC * kin,
+    )
+    # the same operator as the oracle's fine grid
+    np.testing.assert_allclose(vals, sp.eigenvalues_raw, rtol=0.0, atol=np.finfo(float).eps * kin)
+    u = vecs.T / np.sqrt(p.spacing * np.sum(vecs.T**2, axis=1, keepdims=True))
+    anchors = np.argmax(np.abs(u), axis=1)
+    return u * np.sign(u[np.arange(n_levels), anchors])[:, None]
+
+
 def test_sturm_node_counts():
     p = ExactOneParam(2.0, 0.0)
     sp = solve_spectrum(lambda x: potential_one_param(p, x), p.deforming, 4, 4000)
+    u = _reference_eigenvectors(sp, 4)
     for k in range(4):
-        assert count_nodes(sp.eigenvectors[k]) == k
+        assert count_nodes(u[k]) == k
 
 
 def test_eigenvector_matches_closed_ground_state():
     sp = solve_spectrum(lambda x: potential_value(FIG1, x), FIG1.deforming, 1, 4000)
-    x, psi_num = sp.psi_values(0)
+    # psi = u/sqrt(f) is unit L2(dx) when u is unit L2(dg)
+    x = np.asarray(mass_unflatten(FIG1.deforming, sp.problem.g))
+    psi_num = _reference_eigenvectors(sp, 1)[0] / np.sqrt(FIG1.deforming.f(x))
     psi0 = closed_form_wavefunction(FIG1, 0).value
     closed = psi0(x) / math.sqrt(inner_product(psi0, psi0, FIG1.deforming))
     if _trapezoid(psi_num * closed, x) < 0.0:
@@ -221,6 +256,69 @@ def test_eigenvector_matches_closed_ground_state():
     assert _trapezoid(psi_num**2, x) == pytest.approx(1.0, abs=1e-6)
     dist = math.sqrt(_trapezoid((psi_num - closed) ** 2, x))
     assert dist < 1e-4
+
+
+@pytest.mark.parametrize("spec", REF_WELLS.values(), ids=REF_WELLS.keys())
+def test_oracle_reference_wells_at_n16000(spec):
+    # the bisection stops where the Sturm counts stop resolving a level, not
+    # at LAPACK's default eps * ||T||, whose noise Richardson amplifies
+    sp = solve_spectrum(lambda x: potential_value(spec, x), spec.deforming, 2, 16000)
+    closed = np.array([spec.e0, spec.e1])
+    assert np.all(np.abs(sp.eigenvalues - closed) <= 1e-9 * closed)
+
+
+def _spy_eigensolves(monkeypatch):
+    # solve_spectrum imports eigvalsh_tridiagonal from scipy.linalg per call
+    selects = []
+    solve = scipy.linalg.eigvalsh_tridiagonal
+
+    def spy(d, e, select="a", select_range=None, **kwargs):
+        selects.append(select)
+        return solve(d, e, select=select, select_range=select_range, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigvalsh_tridiagonal", spy)
+    return selects
+
+
+@pytest.mark.parametrize("grid_size", [4000, 8000])
+@pytest.mark.parametrize("spec", REF_WELLS.values(), ids=REF_WELLS.keys())
+def test_bracketed_levels_match_the_index_solve(spec, grid_size, monkeypatch):
+    v = lambda x: potential_value(spec, x)
+    selects = _spy_eigensolves(monkeypatch)
+    levels = None
+    for n in (grid_size // 4, grid_size // 2, grid_size):
+        problem = _flatten(v, spec.deforming, n)
+        levels = _lowest_levels(problem, 2, levels)
+        by_index = _lowest_levels(problem, 2)
+        tol = _TOL_OVER_KINETIC * 2.0 / problem.spacing**2
+        assert np.all(np.abs(levels - by_index) <= tol)
+    # quarter by index; half and full inside a bracket, never falling back
+    assert selects == ["i", "i", "v", "i", "v", "i"]
+    sp = solve_spectrum(v, spec.deforming, 2, grid_size)
+    np.testing.assert_array_equal(sp.eigenvalues_raw, levels)
+
+
+def test_empty_bracket_falls_back_to_the_index_solve(monkeypatch):
+    # a cap-dominated well: its FD levels grow with the kinetic scale, about
+    # fourfold per refinement, so the bracket from a coarser grid is empty
+    spec = build_one_param(1, 1.0, -0.999)
+    v = lambda x: potential_value(spec, x)
+    selects = _spy_eigensolves(monkeypatch)
+    sp = solve_spectrum(v, spec.deforming, 2, 4000)
+    assert selects == ["i", "i", "i"]
+    assert np.all(np.diff(sp.eigenvalues) > 0.0)
+
+
+def test_short_bracket_falls_back_to_the_index_solve(monkeypatch):
+    # two close levels on coarse grids: from N=500 to N=1000 the upper level
+    # moves by 0.13, more than half its 0.22 gap, so the bracket holds one
+    spec = REF_WELLS["one-3"]
+    v = lambda x: potential_value(spec, x)
+    selects = _spy_eigensolves(monkeypatch)
+    sp = solve_spectrum(v, spec.deforming, 2, 2000)
+    assert selects == ["i", "v", "i", "v"]
+    tol = _TOL_OVER_KINETIC * 2.0 / sp.problem.spacing**2
+    assert np.all(np.abs(sp.eigenvalues_raw - _lowest_levels(sp.problem, 2)) <= tol)
 
 
 # --- residual ---------------------------------------------------------------
@@ -371,9 +469,7 @@ def test_inner_product_simpson_exact_for_cubics():
     assert abs(got - exact) <= 1e-14 * abs(exact)
 
 
-@pytest.mark.parametrize(
-    "spec", [FIG3, FIG1, build_one_param(3, 2.0, 2.0)], ids=["two-1-1", "one-1", "one-3"]
-)
+@pytest.mark.parametrize("spec", REF_WELLS.values(), ids=REF_WELLS.keys())
 def test_inner_product_matches_scipy_simpson(spec):
     # the three reference wells; the cross term is measured against the
     # Cauchy-Schwarz scale, since parity makes it vanish on the one-param wells
@@ -388,6 +484,19 @@ def test_inner_product_matches_scipy_simpson(spec):
     scale = math.sqrt(ours[0, 0][1] * ours[1, 1][1])
     for (i, j), (got, ref) in ours.items():
         assert abs(got - ref) <= 1e-12 * (abs(ref) if i == j else scale), (i, j)
+
+
+@pytest.mark.parametrize("spec", REF_WELLS.values(), ids=REF_WELLS.keys())
+def test_gram_is_the_pairwise_inner_products(spec):
+    calls = []
+    psi = [closed_form_wavefunction(spec, k).value for k in (0, 1)]
+    counted = [lambda x, p=p: calls.append(x.size) or p(x) for p in psi]
+    g = gram(counted, spec.deforming)
+    assert calls == [16385, 16385]
+    assert g.shape == (2, 2)
+    for i in (0, 1):
+        for j in (0, 1):
+            assert g[i, j] == inner_product(psi[i], psi[j], spec.deforming), (i, j)
 
 
 @pytest.mark.parametrize("num", [16384, 2, 1])

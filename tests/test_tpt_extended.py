@@ -220,6 +220,28 @@ class TestOneParamDualPath:
         assert issubclass(InternalConsistencyError, RuntimeError)
 
 
+@pytest.mark.parametrize(
+    "build,args",
+    [
+        (build_one_param, (1, 1e300, 0.0)),
+        (build_two_param, (1, 1, 1.0, 1e300, 0.0)),
+        (build_two_param, (1, 0, 1.0, 1e300, 0.0)),
+    ],
+    ids=["one", "two-1-1", "two-1-0"],
+)
+def test_gap_lost_in_rounding_is_a_precision_limit(build, args):
+    # the gap, about 1e151, is below one ulp of E0 (about 1e300): E1 = E0 + gap
+    # would round to E0 and report gap=0
+    with pytest.raises(ValueError, match="^precision limit: the gap"):
+        build(*args)
+
+
+def test_gap_well_above_4_ulps_still_builds():
+    # about 85 ulps of E0
+    spec = build_one_param(1, 1e30, 0.0)
+    assert spec.gap >= 4.0 * math.ulp(spec.e0)
+
+
 class TestTwoParamAnchors:
     def test_equal_depth_example(self):
         spec = build_two_param(1, 1, 1.0, 1.0, 0.5)
