@@ -7,6 +7,14 @@ functions admit a closed-form flattening map, the g-interval is finite, and
 the transformed problem is discretized by standard second-order central
 differences with Dirichlet ends.  Nothing here reuses the closed-form
 spectra, so agreement is a genuine cross-check.
+
+The eigenvalues come from three grids, N/4, N/2 and N, and a Richardson
+step.  The quarter grid is bisected by index with Sturm counts.  The finer
+two are refined from the coarser grids' levels by Rayleigh-quotient
+iteration, which converges cubically and carries no eps * 2/h^2 bisection
+floor.  Sturm counts and residual bounds certify each refined grid, and a
+grid they do not certify falls back to the index bisection.  The oracle
+reads only the potential.
 """
 
 from __future__ import annotations
@@ -91,6 +99,10 @@ class NumericSpectrum:
     eigenvalues_raw: np.ndarray
     # the fine grid and its potential samples
     problem: FlattenedProblem
+    # per grid (quarter, half, full): True where the levels were refined by
+    # certified Rayleigh-quotient iteration, False where they were bisected
+    # by index, as the quarter grid always is and a finer grid on fallback
+    refined: tuple[bool, ...]
 
 
 # Sampled potentials blow up like sec^(4m+2) next to the walls; entries many
@@ -101,26 +113,31 @@ class NumericSpectrum:
 # engages, so the induced eigenvalue shift is far below discretization error.
 _CAP_OVER_KINETIC = 16.0
 
-# Bisection tolerance over the kinetic scale 2/h^2.  The double-precision
-# Sturm counts of the capped operator place a level to about 0.3 eps * 2/h^2
-# (measured against long-double counts on the reference wells); a tolerance of
-# eps * 2/h^2 would add up to half its width as midpoint noise on top, which
-# Richardson then amplifies.  A sixteenth costs four more bisection steps.
+# Bisection tolerance over the kinetic scale 2/h^2, for the quarter grid and
+# the index-solve fallback.  The double-precision Sturm counts of the capped
+# operator place a level to about 0.3 eps * 2/h^2 (measured against
+# long-double counts on the reference wells); a tolerance of eps * 2/h^2
+# would add up to half its width as midpoint noise on top, which Richardson
+# then amplifies.  A sixteenth costs four more bisection steps.
 _TOL_OVER_KINETIC = np.finfo(float).eps / 16.0
 
-# Top of a value bracket: this many level gaps above the coarser grid's top
-# level.  Half a gap leaves room for the grid's shift of that level while
-# keeping the next level out, since bisection cost grows with the levels
-# inside.  A one-level bracket reaches _ONE_LEVEL_MARGIN of the level's size.
-_BRACKET_GAPS = 0.5
-_ONE_LEVEL_MARGIN = 0.05
+# Refinement of the half and full grids (see _refined_levels): a level is
+# converged once its Kato-Temple bound r^2/delta is below this fraction of
+# eps * 2/h^2.  A level still short of it after _RQI_SOLVES tridiagonal
+# solves sends its grid to the index bisection.
+_RQI_TOL_OVER_KINETIC = 1e-4 * np.finfo(float).eps
+_RQI_SOLVES = 4
+
+
+def _capped(vt: np.ndarray, kin: float) -> np.ndarray:
+    """Potential samples capped at _CAP_OVER_KINETIC times the kinetic scale."""
+    return np.minimum(vt, _CAP_OVER_KINETIC * kin)
 
 
 def _fd_bands(vt: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal and off-diagonal of the capped finite-difference operator."""
     kin = 2.0 / h**2
-    d = kin + np.minimum(vt, _CAP_OVER_KINETIC * kin)
-    return d, np.full(len(vt) - 1, -1.0 / h**2)
+    return kin + _capped(vt, kin), np.full(len(vt) - 1, -1.0 / h**2)
 
 
 def _flatten(v, df: DeformingFunction, n: int) -> FlattenedProblem:
@@ -131,33 +148,93 @@ def _flatten(v, df: DeformingFunction, n: int) -> FlattenedProblem:
     return FlattenedProblem(df, g, _sample(v, np.asarray(mass_unflatten(df, g))), h)
 
 
-def _lowest_levels(problem: FlattenedProblem, n_levels: int, coarse=None) -> np.ndarray:
-    """Lowest n_levels eigenvalues of the problem's capped FD operator.
+def _refined_levels(problem: FlattenedProblem, seeds: np.ndarray):
+    """The levels nearest `seeds` (at least two), or None if not certified.
 
-    Without `coarse` the levels are found by index.  With `coarse`, the same
-    levels on a coarser grid, only the bracket from the Gershgorin lower bound
-    min(d) - 2/h^2 to _BRACKET_GAPS level gaps above the top coarse level is
-    bisected.  A bracket that is empty or holds too few levels falls back to
-    the index solve.
+    Rayleigh-quotient inverse iteration, one level at a time, with LAPACK's
+    tridiagonal solver.  Each level starts from a ramp, which has both
+    parities, and is kept orthogonal to the levels below it.  The first
+    shift is its seed; later ones are its Rayleigh quotient
+
+        rho = [sum (Delta u)^2 / h^2 + sum min(V, cap) u^2] / sum u^2,
+
+    once the residual r = ||Tu - rho u|| of the unit vector u is below the
+    level's gap.  The quotient never forms the 2/h^2 + V diagonal, so it
+    keeps none of its eps * 2/h^2 rounding.
+
+    The levels are accepted only when the Sturm counts of the stored
+    operator from the Gershgorin bound up to each midpoint between them, and
+    up to half a gap above the top one, are 1, 2, ..., n, and every residual
+    meets r^2 <= tol * delta, delta being the level's distance to the
+    nearest of those count points.  Then each level lies alone in its counted
+    slot, which certifies its index, and the Kato-Temple bound r^2/delta
+    caps its error at tol = _RQI_TOL_OVER_KINETIC * 2/h^2.
+    """
+    from scipy.linalg.lapack import dgtsv, dstebz
+
+    d, e = _fd_bands(problem.v, problem.spacing)
+    c = -e[0]
+    vc = _capped(problem.v, 2.0 * c)
+    tol = _RQI_TOL_OVER_KINETIC * 2.0 * c
+
+    def slots(levels):
+        # the count point above each level, and each level's distance to the
+        # nearest count point; nothing lies below level 0
+        tops = np.append(0.5 * (levels[:-1] + levels[1:]), 1.5 * levels[-1] - 0.5 * levels[-2])
+        return tops, np.minimum(levels - np.append(-np.inf, tops[:-1]), tops - levels)
+
+    _, delta = slots(seeds)
+    ramp = np.linspace(1.0, 2.0, len(d))
+    rho = np.empty(len(seeds))
+    res = np.empty(len(seeds))
+    found: list[np.ndarray] = []
+    for k, shift in enumerate(seeds):
+        u = ramp
+        for _ in range(_RQI_SOLVES):
+            *_, x, info = dgtsv(e, d - shift, e, u[:, None])
+            if info != 0:
+                return None
+            u = x[:, 0]
+            for w in found:
+                u = u - np.dot(w, u) * w
+            u = u / np.linalg.norm(u)
+            du = np.diff(u, prepend=0.0, append=0.0)
+            rho[k] = c * np.dot(du, du) + np.dot(vc * u, u)
+            r = (d - rho[k]) * u
+            r[1:] += e * u[:-1]
+            r[:-1] += e * u[1:]
+            res[k] = np.linalg.norm(r)
+            if res[k] ** 2 <= tol * delta[k]:
+                break
+            # until its residual is below the gap, the quotient can still be
+            # drawn to another level, so the seed stays the shift
+            if res[k] < delta[k]:
+                shift = rho[k]
+        else:
+            return None
+        found.append(u)
+    tops, delta = slots(rho)
+    if not np.all(res**2 <= tol * delta):
+        return None
+    lo = float(np.min(d)) - 2.0 * c
+    for k, top in enumerate(tops):
+        # a tolerance wider than the interval stops dstebz at its counts
+        if dstebz(d, e, 1, lo, top, 1, 1, 2.0 * (top - lo), "E")[0] != k + 1:
+            return None
+    return rho
+
+
+def _lowest_levels(problem: FlattenedProblem, n_levels: int) -> np.ndarray:
+    """Lowest n_levels eigenvalues of the problem's capped FD operator, by index.
+
+    Bisection with Sturm counts to _TOL_OVER_KINETIC * 2/h^2.
     """
     # SciPy is imported here, not at module level, so that importing the
     # package (and every CLI command but verify) pays for NumPy alone.
     from scipy.linalg import eigvalsh_tridiagonal
 
     d, e = _fd_bands(problem.v, problem.spacing)
-    kin = 2.0 / problem.spacing**2
-    tol = _TOL_OVER_KINETIC * kin
-    if coarse is not None:
-        top = float(coarse[-1])
-        if len(coarse) > 1:
-            margin = _BRACKET_GAPS * (top - float(coarse[-2]))
-        else:
-            margin = _ONE_LEVEL_MARGIN * abs(top)
-        lo, hi = float(np.min(d)) - kin, top + margin
-        if lo < hi:
-            w = eigvalsh_tridiagonal(d, e, select="v", select_range=(lo, hi), tol=tol)
-            if len(w) >= n_levels:
-                return w[:n_levels]
+    tol = _TOL_OVER_KINETIC * 2.0 / problem.spacing**2
     return eigvalsh_tridiagonal(d, e, select="i", select_range=(0, n_levels - 1), tol=tol)
 
 
@@ -167,7 +244,8 @@ def solve_spectrum(
     """Lowest n_levels eigenvalues of -u'' + V(x(g))u = Eu.
 
     Interior uniform grid of grid_size-1 points (Dirichlet zero at both
-    walls), symmetric tridiagonal eigensolve by bisection, eigenvalues only.
+    walls), symmetric tridiagonal eigensolve by bisection and Rayleigh-quotient
+    iteration, eigenvalues only.
     Companion runs at half and quarter resolution measure the observed
     convergence order p per level, and the returned eigenvalues are
     Richardson-extrapolated with that order:
@@ -181,17 +259,19 @@ def solve_spectrum(
     observed order cancels that term just as cleanly as the smooth-wall
     O(h^2) one.
 
-    The quarter grid is solved by index.  The half and full grids are
-    solved by value, inside a bracket from the Gershgorin lower bound to half
-    a level gap above the next coarser grid's top level, so bisection never
-    searches the whole Gershgorin interval and its cost follows the few
-    levels inside the bracket.  An empty bracket, or one that holds fewer
-    than n_levels levels (a cap-dominated well whose levels grow with the
-    kinetic scale), falls back to the index solve.  Every grid bisects to
-    the absolute tolerance eps/16 * 2/h^2, a sixteenth of its kinetic scale,
-    where the Sturm counts themselves stop resolving a level; LAPACK's
-    default, eps * ||T||, is about 18 times the kinetic scale because of
-    the 16x cap.
+    The quarter grid is bisected by index to the absolute tolerance
+    eps/16 * 2/h^2, a sixteenth of its kinetic scale; the double-precision
+    Sturm counts stop resolving a level near 0.3 eps * 2/h^2, and LAPACK's
+    default, eps * ||T||, is about 18 times the kinetic scale because of the
+    16x cap.  The half grid is seeded with the quarter levels and the full
+    grid with their p = 2 prediction E_{N/2} + (E_{N/2} - E_{N/4})/4.  Both
+    are refined by Rayleigh-quotient iteration, which has no eps * 2/h^2
+    floor, and accepted only when Sturm counts certify every level's index
+    and the residuals bound its error (see `_refined_levels`).  A grid whose
+    refinement is not certified, such as a cap-dominated well whose levels
+    grow with the kinetic scale, falls back to the index bisection.  The
+    `refined` field says which grids were refined.  A single level is solved
+    together with the next one, whose gap the certificate needs.
 
     v is called with the array of x values of each grid and must return an
     array of the same shape; anything else raises ValueError.
@@ -200,13 +280,22 @@ def solve_spectrum(
         raise ValueError(f"grid_size must be at least 64, got {grid_size}")
     if n_levels < 1:
         raise ValueError("n_levels must be >= 1")
+    # a single level is solved with the next one, which gives it a gap
+    width = max(2, n_levels)
     solved: list[np.ndarray] = []
+    refined: list[bool] = []
     for n in (grid_size // 4, grid_size // 2, grid_size):
         problem = _flatten(v, df, n)
         if not np.all(np.isfinite(problem.v)):
             raise ValueError("potential is not finite on the inset grid")
-        solved.append(_lowest_levels(problem, n_levels, solved[-1] if solved else None))
-    quarter, half, fine = solved
+        if len(solved) == 2:
+            # the p = 2 prediction of the full grid's levels
+            levels = _refined_levels(problem, solved[1] + (solved[1] - solved[0]) / 4.0)
+        else:
+            levels = _refined_levels(problem, solved[0]) if solved else None
+        refined.append(levels is not None)
+        solved.append(_lowest_levels(problem, width) if levels is None else levels)
+    quarter, half, fine = (grid[:n_levels] for grid in solved)
     d1 = fine - half
     d2 = half - quarter
     vals = fine.copy()
@@ -224,7 +313,7 @@ def solve_spectrum(
         errors[k] = abs(d1[k]) / (2.0**p - 1.0)
     if not np.all(np.diff(vals) > 0.0):
         raise ArithmeticError("eigenvalues not strictly increasing")
-    return NumericSpectrum(vals, grid_size, errors, fine, problem)
+    return NumericSpectrum(vals, grid_size, errors, fine, problem, tuple(refined))
 
 
 def interior_samples(df: DeformingFunction, n: int, margin: float = 0.05) -> np.ndarray:

@@ -4,7 +4,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.linalg
 from scipy import integrate
 from scipy.linalg import eigh_tridiagonal
 
@@ -14,6 +13,7 @@ from pdmtpt.numeric_verify import (
     _fd_bands,
     _flatten,
     _lowest_levels,
+    _refined_levels,
     count_nodes,
     g_domain,
     gram,
@@ -260,65 +260,94 @@ def test_eigenvector_matches_closed_ground_state():
 
 @pytest.mark.parametrize("spec", REF_WELLS.values(), ids=REF_WELLS.keys())
 def test_oracle_reference_wells_at_n16000(spec):
-    # the bisection stops where the Sturm counts stop resolving a level, not
-    # at LAPACK's default eps * ||T||, whose noise Richardson amplifies
+    # the refined levels carry no eps * 2/h^2 floor, whose noise Richardson
+    # would amplify
     sp = solve_spectrum(lambda x: potential_value(spec, x), spec.deforming, 2, 16000)
     closed = np.array([spec.e0, spec.e1])
-    assert np.all(np.abs(sp.eigenvalues - closed) <= 1e-9 * closed)
+    assert np.all(np.abs(sp.eigenvalues - closed) <= 1e-10 * closed)
 
 
-def _spy_eigensolves(monkeypatch):
-    # solve_spectrum imports eigvalsh_tridiagonal from scipy.linalg per call
-    selects = []
-    solve = scipy.linalg.eigvalsh_tridiagonal
+def _sturm_levels_longdouble(problem, n_levels, sections=64):
+    """Lowest n_levels of the problem's capped FD operator in long double.
 
-    def spy(d, e, select="a", select_range=None, **kwargs):
-        selects.append(select)
-        return solve(d, e, select=select, select_range=select_range, **kwargs)
+    The operator is the oracle's: off-diagonal -c with c = 1/h^2 as stored in
+    double, diagonal 2c + min(V, 16 * 2c).  Every level is multisected from
+    the Gershgorin interval with long-double Sturm counts (the number of
+    negative pivots of T - x), all levels and all section points at once,
+    until its bracket is below 1e-6 eps * 2c.
+    """
+    ld = np.longdouble
+    c = ld(1.0 / problem.spacing**2)
+    kin = 2 * c
+    d = kin + np.minimum(problem.v.astype(ld), 16 * kin)
+    e2 = c * c
+    target = ld(1e-6 * np.finfo(float).eps) * kin
+    wanted = np.arange(n_levels)[:, None]
+    lo = np.full(n_levels, d.min() - kin)
+    hi = np.full(n_levels, d.max() + kin)
+    frac = np.linspace(0, 1, sections + 1, dtype=ld)[None, :]
+    while np.max(hi - lo) > target:
+        xs = lo[:, None] + (hi - lo)[:, None] * frac
+        q = d[0] - xs
+        below = (q < 0).astype(int)
+        for di in d[1:]:
+            q = di - xs - e2 / q
+            below += q < 0
+        # the first section point with more than k levels below it
+        j = np.argmax(below > wanted, axis=1)
+        rows = np.arange(n_levels)
+        lo, hi = xs[rows, j - 1], xs[rows, j]
+    return (lo + hi) / 2
 
-    monkeypatch.setattr(scipy.linalg, "eigvalsh_tridiagonal", spy)
-    return selects
+
+@pytest.mark.parametrize("n_levels", [1, 2, 4])
+@pytest.mark.parametrize("spec", REF_WELLS.values(), ids=REF_WELLS.keys())
+def test_refined_levels_match_long_double_sturm(spec, n_levels):
+    # the refined fine-grid levels sit far below the double Sturm floor of
+    # about 0.3 eps * 2/h^2 that bisection cannot pass
+    sp = solve_spectrum(lambda x: potential_value(spec, x), spec.deforming, n_levels, 1000)
+    ref = _sturm_levels_longdouble(sp.problem, n_levels)
+    kin = 2.0 / sp.problem.spacing**2
+    off = np.abs(sp.eigenvalues_raw - ref.astype(float)) / (np.finfo(float).eps * kin)
+    assert np.all(off <= 1e-3), off
+    assert sp.refined == (False, True, True)
 
 
 @pytest.mark.parametrize("grid_size", [4000, 8000])
 @pytest.mark.parametrize("spec", REF_WELLS.values(), ids=REF_WELLS.keys())
-def test_bracketed_levels_match_the_index_solve(spec, grid_size, monkeypatch):
-    v = lambda x: potential_value(spec, x)
-    selects = _spy_eigensolves(monkeypatch)
-    levels = None
-    for n in (grid_size // 4, grid_size // 2, grid_size):
-        problem = _flatten(v, spec.deforming, n)
-        levels = _lowest_levels(problem, 2, levels)
-        by_index = _lowest_levels(problem, 2)
-        tol = _TOL_OVER_KINETIC * 2.0 / problem.spacing**2
-        assert np.all(np.abs(levels - by_index) <= tol)
-    # quarter by index; half and full inside a bracket, never falling back
-    assert selects == ["i", "i", "v", "i", "v", "i"]
-    sp = solve_spectrum(v, spec.deforming, 2, grid_size)
-    np.testing.assert_array_equal(sp.eigenvalues_raw, levels)
+def test_bracketed_levels_match_the_index_solve(spec, grid_size):
+    # quarter by index; half and full refined and certified, never falling
+    # back.  How close they come is test_refined_levels_match_long_double_sturm's
+    sp = solve_spectrum(lambda x: potential_value(spec, x), spec.deforming, 2, grid_size)
+    assert sp.refined == (False, True, True)
 
 
-def test_empty_bracket_falls_back_to_the_index_solve(monkeypatch):
+def test_empty_bracket_falls_back_to_the_index_solve():
     # a cap-dominated well: its FD levels grow with the kinetic scale, about
-    # fourfold per refinement, so the bracket from a coarser grid is empty
+    # fourfold per refinement, so no coarser grid seeds them
     spec = build_one_param(1, 1.0, -0.999)
-    v = lambda x: potential_value(spec, x)
-    selects = _spy_eigensolves(monkeypatch)
-    sp = solve_spectrum(v, spec.deforming, 2, 4000)
-    assert selects == ["i", "i", "i"]
+    sp = solve_spectrum(lambda x: potential_value(spec, x), spec.deforming, 2, 4000)
+    assert sp.refined == (False, False, False)
+    np.testing.assert_array_equal(sp.eigenvalues_raw, _lowest_levels(sp.problem, 2))
     assert np.all(np.diff(sp.eigenvalues) > 0.0)
 
 
-def test_short_bracket_falls_back_to_the_index_solve(monkeypatch):
+def test_short_bracket_falls_back_to_the_index_solve():
     # two close levels on coarse grids: from N=500 to N=1000 the upper level
-    # moves by 0.13, more than half its 0.22 gap, so the bracket holds one
+    # moves by 0.13, more than half its 0.22 gap, so its seed lies nearer the
+    # lower level.  Deflation against the lower level still refines it.
     spec = REF_WELLS["one-3"]
-    v = lambda x: potential_value(spec, x)
-    selects = _spy_eigensolves(monkeypatch)
-    sp = solve_spectrum(v, spec.deforming, 2, 2000)
-    assert selects == ["i", "v", "i", "v"]
-    tol = _TOL_OVER_KINETIC * 2.0 / sp.problem.spacing**2
-    assert np.all(np.abs(sp.eigenvalues_raw - _lowest_levels(sp.problem, 2)) <= tol)
+    sp = solve_spectrum(lambda x: potential_value(spec, x), spec.deforming, 2, 2000)
+    assert sp.refined == (False, True, True)
+
+
+def test_refinement_that_skips_a_level_is_not_certified():
+    # seeded at levels 0 and 2, the iteration converges to them with tiny
+    # residuals; only the Sturm count at their midpoint sees level 1 between
+    problem = _flatten(lambda x: potential_value(FIG1, x), FIG1.deforming, 1000)
+    levels = _lowest_levels(problem, 3)
+    assert _refined_levels(problem, levels[[0, 1]]) is not None
+    assert _refined_levels(problem, levels[[0, 2]]) is None
 
 
 # --- residual ---------------------------------------------------------------
