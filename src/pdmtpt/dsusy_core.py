@@ -34,14 +34,9 @@ __all__ = [
     "GeneratingPair",
     "CompatibilityError",
     "GapSignError",
-    "f_value",
     "partner_potential",
     "compatibility_gap",
-    "companion_from_generator",
     "make_generating_pair",
-    "split_superpotentials",
-    "psi0_numeric",
-    "psi1_numeric",
     "hermiticity_boundary_check",
     "BoundaryCheck",
 ]
@@ -75,8 +70,8 @@ class DeformingFunction:
 
     TrigOne: f = 1 + alpha sin^2 x on (-pi/2, pi/2), requires alpha > -1.
     TrigTwo: f = 1 + alpha cos 2x on (0, pi/2), requires |alpha| < 1.
-    Both keep f > 0 on the open domain; alpha = 0 is the constant-mass limit
-    and is allowed but flagged through `undeformed`.
+    Both keep f > 0 on the open domain; alpha = 0, the constant-mass limit,
+    is allowed.
     """
 
     family: Family
@@ -105,15 +100,6 @@ class DeformingFunction:
             return (-_HALF_PI, _HALF_PI)
         return (0.0, _HALF_PI)
 
-    @property
-    def midpoint(self) -> float:
-        lo, hi = self.domain
-        return 0.5 * (lo + hi)
-
-    @property
-    def undeformed(self) -> bool:
-        return self.alpha == 0.0
-
     def check_interior(self, x) -> None:
         lo, hi = self.domain
         if np.any(np.asarray(x) <= lo) or np.any(np.asarray(x) >= hi):
@@ -129,9 +115,6 @@ class DeformingFunction:
             return self.alpha * np.sin(2.0 * x)
         return -2.0 * self.alpha * np.sin(2.0 * x)
 
-    def mass(self, x):
-        return 1.0 / self.f(x) ** 2
-
     def q_coeffs(self) -> tuple[float, float]:
         """(q0, q2) with f * sec^2 x = q0 + q2 tan^2 x, so that
         f dW/dx = (q0 + q2 u^2) dW/du in the variable u = tan x."""
@@ -146,12 +129,6 @@ def _sample(fn, x: np.ndarray) -> np.ndarray:
     if out.shape != x.shape:
         raise ValueError(f"callable returned shape {out.shape} for input {x.shape}")
     return out
-
-
-def f_value(df: DeformingFunction, x: float) -> tuple[float, float]:
-    """(f(x), f'(x)) at a strictly interior point."""
-    df.check_interior(x)
-    return (float(df.f(x)), float(df.f_prime(x)))
 
 
 @dataclass(frozen=True)
@@ -172,9 +149,6 @@ class TrigLaurentPoly:
         object.__setattr__(self, "mu", tuple(float(c) for c in self.mu))
         if self.family is Family.ONE and self.mu:
             raise ValueError("one-parameter superpotentials carry no cot powers")
-
-    def is_zero(self) -> bool:
-        return all(c == 0.0 for c in self.lam) and all(c == 0.0 for c in self.mu)
 
     def value(self, x):
         # Horner in u^2 for the tan block, then the cot block.
@@ -205,30 +179,6 @@ class TrigLaurentPoly:
                 acc = acc * w * w + (2 * l + 1) * self.mu[l]
             out = out + acc * w * w
         return out * (1.0 + u * u)
-
-    def scaled(self, c: float) -> "TrigLaurentPoly":
-        return TrigLaurentPoly(
-            self.family,
-            tuple(c * v for v in self.lam),
-            tuple(c * v for v in self.mu),
-        )
-
-
-def _combine(a: TrigLaurentPoly, b: TrigLaurentPoly, sb: float) -> TrigLaurentPoly:
-    # coefficient-wise a + sb*b with zero padding
-    if a.family is not b.family:
-        raise ValueError("superpotentials belong to different families")
-    nl = max(len(a.lam), len(b.lam))
-    nm = max(len(a.mu), len(b.mu))
-    lam = tuple(
-        (a.lam[k] if k < len(a.lam) else 0.0) + sb * (b.lam[k] if k < len(b.lam) else 0.0)
-        for k in range(nl)
-    )
-    mu = tuple(
-        (a.mu[l] if l < len(a.mu) else 0.0) + sb * (b.mu[l] if l < len(b.mu) else 0.0)
-        for l in range(nm)
-    )
-    return TrigLaurentPoly(a.family, lam, mu)
 
 
 @dataclass(frozen=True)
@@ -397,131 +347,11 @@ def compatibility_gap(
     return c0
 
 
-def companion_from_generator(
-    w_plus: TrigLaurentPoly, df: DeformingFunction, gap: float
-) -> TrigLaurentPoly:
-    """Solve f W_plus' - W_plus W_minus = gap for W_minus.
-
-    The quotient (f W_plus' - gap) / W_plus is computed by polynomial
-    division in v = tan^2 x after factoring out the lowest Laurent power; it
-    must itself be an odd trigonometric Laurent polynomial, otherwise the
-    given gap is incompatible with W_plus and CompatibilityError is raised.
-    """
-    if gap <= 0.0:
-        raise GapSignError(f"gap must be positive, got {gap}")
-    if w_plus.is_zero():
-        raise ValueError("W_plus must not be identically zero")
-    if w_plus.family is not df.family:
-        raise ValueError("W_plus and deforming function families disagree")
-    num = _f_dw_dx_map(w_plus, df)
-    num[0] = num.get(0, 0.0) - gap
-    den = _w_to_map(w_plus)
-
-    # Structural lowest powers: for the tan-only form W_plus starts at u^1 and
-    # the numerator at u^0; with a cot block down to u^-(2M+1) the numerator
-    # reaches u^-(2M+2).
-    n_mu = len(w_plus.mu)
-    dmin = -(2 * n_mu - 1) if n_mu else 1
-    dmax = 2 * len(w_plus.lam) - 1
-    nmin = dmin - 1
-    nmax = dmax + 1
-    den_v = [den.get(p, 0.0) for p in range(dmin, dmax + 1, 2)]
-    num_v = [num.get(p, 0.0) for p in range(nmin, nmax + 1, 2)]
-    while den_v and den_v[-1] == 0.0:
-        den_v.pop()
-        dmax -= 2
-    if not den_v:
-        raise ValueError("W_plus must not be identically zero")
-
-    # Synthetic division, highest degree first.
-    scale = max(1.0, max(abs(c) for c in num_v))
-    quot = [0.0] * (len(num_v) - len(den_v) + 1)
-    rem = list(num_v)
-    lead = den_v[-1]
-    for j in reversed(range(len(quot))):
-        q = rem[j + len(den_v) - 1] / lead
-        quot[j] = q
-        for i, d in enumerate(den_v):
-            rem[j + i] -= q * d
-    max_resid = max((abs(r) for r in rem[: len(den_v) - 1]), default=0.0)
-    tail = max((abs(r) for r in rem[len(den_v) - 1 :]), default=0.0)
-    max_resid = max(max_resid, tail)
-    if max_resid > 1e-8 * scale:
-        raise CompatibilityError(
-            f"quotient is not polynomial: remainder {max_resid:.3e} "
-            f"against numerator scale {scale:.3e}",
-            max_residual=max_resid,
-        )
-
-    # Quotient powers are u^(nmin-dmin+2j) = u^(-1+2j).
-    tol = 1e-8 * max(1.0, max(abs(q) for q in quot))
-    cot_c = -quot[0] if abs(quot[0]) > tol else 0.0
-    lam = [c if abs(c) > tol else 0.0 for c in quot[1:]]
-    while lam and lam[-1] == 0.0:
-        lam.pop()
-    if w_plus.family is Family.ONE:
-        if cot_c != 0.0:
-            raise CompatibilityError(
-                "quotient carries a cot power on the full-period domain",
-                max_residual=abs(cot_c),
-            )
-        return TrigLaurentPoly(Family.ONE, tuple(lam))
-    return TrigLaurentPoly(Family.TWO, tuple(lam), (cot_c,))
-
-
 def make_generating_pair(
     w_plus: TrigLaurentPoly, w_minus: TrigLaurentPoly, df: DeformingFunction
 ) -> GeneratingPair:
     """Validate compatibility and package the pair with its gap."""
     return GeneratingPair(w_plus, w_minus, compatibility_gap(w_plus, w_minus, df))
-
-
-def split_superpotentials(
-    pair: GeneratingPair,
-) -> tuple[TrigLaurentPoly, TrigLaurentPoly]:
-    """W = (W_plus - W_minus)/2 and W' = (W_plus + W_minus)/2."""
-    half = _combine(pair.w_plus, pair.w_minus, -1.0).scaled(0.5)
-    half_p = _combine(pair.w_plus, pair.w_minus, 1.0).scaled(0.5)
-    return (half, half_p)
-
-
-def _log_suppression(w: TrigLaurentPoly, df: DeformingFunction, x: float) -> float:
-    # Q(x) = int_{x_c}^{x} W/f, by adaptive quadrature.  SciPy is imported
-    # here so that importing the package does not load scipy.integrate.
-    from scipy import integrate
-
-    xc = df.midpoint
-    val, err = integrate.quad(
-        lambda t: w.value(t) / df.f(t), xc, x, epsabs=1e-12, epsrel=1e-12, limit=200
-    )
-    if err > 1e-9 * max(1.0, abs(val)):
-        raise RuntimeError(
-            f"quadrature for the superpotential integral did not converge "
-            f"(estimate {val}, error {err})"
-        )
-    return val
-
-
-def psi0_numeric(w: TrigLaurentPoly, df: DeformingFunction, x: float) -> float:
-    """Ground state f^(-1/2) exp(-int W/f), anchored at the domain midpoint.
-
-    Normalization convention: the exponential factor is 1 at the midpoint,
-    so psi0_numeric(x_c) = f(x_c)^(-1/2).
-    """
-    df.check_interior(x)
-    return float(df.f(x)) ** -0.5 * math.exp(-_log_suppression(w, df, x))
-
-
-def psi1_numeric(
-    pair: GeneratingPair,
-    w_prime: TrigLaurentPoly,
-    df: DeformingFunction,
-    x: float,
-) -> float:
-    """First excited state W_plus f^(-1/2) exp(-int W'/f), same anchoring."""
-    df.check_interior(x)
-    pref = float(pair.w_plus.value(x))
-    return pref * float(df.f(x)) ** -0.5 * math.exp(-_log_suppression(w_prime, df, x))
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,6 @@ __all__ = [
     "FlattenedProblem",
     "NumericSpectrum",
     "g_domain",
-    "mass_flatten",
     "mass_unflatten",
     "solve_spectrum",
     "residual",
@@ -50,23 +49,13 @@ def g_domain(df: DeformingFunction) -> tuple[float, float]:
     return (0.0, math.pi / (2.0 * math.sqrt(1.0 - a * a)))
 
 
-def mass_flatten(df: DeformingFunction, x):
-    """Closed-form g(x), strictly increasing, with dg/dx = 1/f.
-
-    One-parameter: g = arctan(sqrt(1+alpha) tan x)/sqrt(1+alpha).
-    Two-parameter: g = arctan(sqrt((1-alpha)/(1+alpha)) tan x)/sqrt(1-alpha^2).
-    Both are single-branch on their open domains, so no unwrapping is needed.
-    """
-    a = df.alpha
-    if df.family is Family.ONE:
-        r = math.sqrt(1.0 + a)
-        return np.arctan(r * np.tan(x)) / r
-    c = math.sqrt((1.0 - a) / (1.0 + a))
-    return np.arctan(c * np.tan(x)) / math.sqrt(1.0 - a * a)
-
-
 def mass_unflatten(df: DeformingFunction, g):
-    """Inverse of mass_flatten."""
+    """Closed-form x(g), strictly increasing, with dx/dg = f.
+
+    One-parameter: x = arctan(tan(sqrt(1+alpha) g)/sqrt(1+alpha)).
+    Two-parameter: x = arctan(tan(sqrt(1-alpha^2) g)/sqrt((1-alpha)/(1+alpha))).
+    It inverts g = int dx/f, which maps the open x domain onto g_domain.
+    """
     a = df.alpha
     if df.family is Family.ONE:
         r = math.sqrt(1.0 + a)
@@ -81,7 +70,6 @@ def mass_unflatten(df: DeformingFunction, g):
 class FlattenedProblem:
     """Uniform Dirichlet grid in g with potential samples V(x(g))."""
 
-    df: DeformingFunction
     g: np.ndarray
     v: np.ndarray
     spacing: float
@@ -145,7 +133,7 @@ def _flatten(v, df: DeformingFunction, n: int) -> FlattenedProblem:
     g_lo, g_hi = g_domain(df)
     h = (g_hi - g_lo) / n
     g = g_lo + h * np.arange(1, n)
-    return FlattenedProblem(df, g, _sample(v, np.asarray(mass_unflatten(df, g))), h)
+    return FlattenedProblem(g, _sample(v, np.asarray(mass_unflatten(df, g))), h)
 
 
 def _refined_levels(problem: FlattenedProblem, seeds: np.ndarray):
@@ -316,11 +304,11 @@ def solve_spectrum(
     return NumericSpectrum(vals, grid_size, errors, fine, problem, tuple(refined))
 
 
-def interior_samples(df: DeformingFunction, n: int, margin: float = 0.05) -> np.ndarray:
-    """n points spanning the central (1 - 2*margin) fraction of the domain."""
+def interior_samples(df: DeformingFunction, n: int) -> np.ndarray:
+    """n points spanning the central 90% of the domain."""
     lo, hi = df.domain
-    width = hi - lo
-    return np.linspace(lo + margin * width, hi - margin * width, n)
+    inset = 0.05 * (hi - lo)
+    return np.linspace(lo + inset, hi - inset, n)
 
 
 def residual(psi, v, df: DeformingFunction, energy: float, samples) -> float:

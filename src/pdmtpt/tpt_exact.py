@@ -39,8 +39,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ExactOneParam:
-    """Well depth A > 1 and deformation alpha > -1 (alpha = 0 allowed,
-    flagged as the constant-mass limit through `deforming.undeformed`)."""
+    """Well depth A > 1 and deformation alpha > -1 (alpha = 0, the
+    constant-mass limit, allowed)."""
 
     big_a: float
     alpha: float
@@ -107,8 +107,8 @@ def wavefn_one_param(p: ExactOneParam, n: int, x):
 
 @dataclass(frozen=True)
 class ExactTwoParam:
-    """Well depths A, B > 1 and deformation |alpha| < 1 (alpha = 0 allowed,
-    flagged)."""
+    """Well depths A, B > 1 and deformation |alpha| < 1 (alpha = 0, the
+    constant-mass limit, allowed)."""
 
     big_a: float
     big_b: float

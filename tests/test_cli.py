@@ -1,9 +1,10 @@
-"""End-to-end checks of the command-line surface.
+"""End-to-end checks of the command-line surface and the README.
 
 Every test drives `main` with an argv list and inspects stdout, stderr, exit
 codes, or emitted files; nothing reaches into command internals except the
 curve block size, read so that the streaming test spans two blocks, and the
 evaluators `verify` calls, counted so that each check samples once per grid.
+The README's library quick start is run as written.
 """
 
 import json
@@ -465,20 +466,26 @@ def test_readme_example_output(argv, capsys):
 
 
 _IMPORT_PATH_PROBE = """
-import json, sys
+import importlib, json, pkgutil, sys
+import pdmtpt
 from pdmtpt.cli import main
 
 def scipy_modules():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
+for info in pkgutil.iter_modules(pdmtpt.__path__):
+    importlib.import_module("pdmtpt." + info.name)
+well = ["--one", "-m", "1", "--atop", "1", "--alpha", "-0.5", "--json"]
 seen = {"import": scipy_modules()}
-main(["exact", "--one", "-A", "2", "--alpha", "-0.5", "--json"])
-main(["extend", "--check", "--one", "-m", "1", "--atop", "1", "--alpha", "-0.5", "--json"])
-main(["sample", "--one", "-m", "1", "--atop", "1", "--alpha", "-0.5",
-      "--npoints", "11", "--out", sys.argv[1], "--json"])
-seen["exact,extend,sample"] = scipy_modules()
-main(["verify", "--one", "-m", "1", "--atop", "1", "--alpha", "-0.5", "--json"])
-seen["verify"] = scipy_modules()
+for argv in (
+    ["exact", "--one", "-A", "2", "--alpha", "-0.5", "--json"],
+    ["extend", "--check"] + well,
+    ["sample", "--npoints", "11", "--out", sys.argv[1] + "/curve.csv"] + well,
+    ["figures", "--npoints", "11", "--outdir", sys.argv[1], "--json"],
+    ["verify"] + well,
+):
+    main(argv)
+    seen[argv[0]] = scipy_modules()
 print(json.dumps(seen))
 """
 
@@ -488,11 +495,29 @@ def test_scipy_is_loaded_only_by_verify(tmp_path):
     src = os.path.dirname(os.path.dirname(os.path.abspath(pdmtpt.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     run = subprocess.run(
-        [sys.executable, "-c", _IMPORT_PATH_PROBE, str(tmp_path / "curve.csv")],
+        [sys.executable, "-c", _IMPORT_PATH_PROBE, str(tmp_path)],
         capture_output=True, text=True, env=env, timeout=120, check=True,
     )
     seen = json.loads(run.stdout.splitlines()[-1])
-    assert seen["import"] == []
-    assert seen["exact,extend,sample"] == []
+    assert list(seen) == ["import", "exact", "extend", "sample", "figures", "verify"]
+    for stage in ("import", "exact", "extend", "sample", "figures"):
+        assert seen[stage] == [], stage
     assert "scipy.linalg" in seen["verify"]
-    assert "scipy.integrate" not in seen["verify"]
+    for stage, modules in seen.items():
+        assert "scipy.integrate" not in modules, stage
+
+
+def test_readme_library_quick_start(capsys):
+    # the README's quick start, the one user of the top-level re-exports
+    with open(_README, encoding="utf-8") as fh:
+        readme = fh.read()
+    block = readme.split("## Library quick start\n\n```python\n", 1)[1].split("```", 1)[0]
+    assert block.startswith("from pdmtpt import build_two_param, solve_spectrum, potential_value\n")
+    exec(block, {})
+    printed = capsys.readouterr().out.splitlines()
+    assert len(printed) == 3
+    assert printed[0] == "34.5 146.5"
+    assert printed[2] == "(False, True, True)"
+    # the values the README shows beside the prints
+    assert "# 34.5 146.5" in block
+    assert "# (False, True, True)" in block

@@ -19,7 +19,6 @@ from pdmtpt.numeric_verify import (
     gram,
     inner_product,
     interior_samples,
-    mass_flatten,
     mass_unflatten,
     residual,
     solve_spectrum,
@@ -52,18 +51,20 @@ def _trapezoid(y, x):
 
 def test_flatten_identity_when_undeformed():
     for df in (DeformingFunction.trig_one(0.0), DeformingFunction.trig_two(0.0)):
-        lo, hi = df.domain
-        xs = np.linspace(lo + 0.05, hi - 0.05, 11)
-        np.testing.assert_allclose(mass_flatten(df, xs), xs, rtol=1e-14)
+        lo, hi = g_domain(df)
+        gs = np.linspace(lo + 0.05, hi - 0.05, 11)
+        np.testing.assert_allclose(mass_unflatten(df, gs), gs, rtol=1e-14)
 
 
 def test_flatten_reference_point():
+    # g(pi/4) = sqrt(2) atan(2^-1/2) = int_0^(pi/4) dx/f at alpha = -1/2
     df = DeformingFunction.trig_one(-0.5)
-    g = mass_flatten(df, math.pi / 4.0)
-    assert g == pytest.approx(math.sqrt(2.0) * math.atan(2.0**-0.5), rel=1e-14)
-    assert g == pytest.approx(0.870420, abs=5e-7)
+    g = math.sqrt(2.0) * math.atan(2.0**-0.5)
+    assert mass_unflatten(df, g) == pytest.approx(math.pi / 4.0, rel=1e-14)
+    # dx/dg = f <= 1 here, so g to 5e-7 places x to 5e-7
+    assert mass_unflatten(df, 0.870420) == pytest.approx(math.pi / 4.0, abs=5e-7)
     by_quad, err = integrate.quad(lambda t: 1.0 / (1.0 - 0.5 * math.sin(t) ** 2), 0.0, math.pi / 4.0)
-    assert g == pytest.approx(by_quad, rel=1e-12)
+    assert mass_unflatten(df, by_quad) == pytest.approx(math.pi / 4.0, rel=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -76,29 +77,19 @@ def test_flatten_reference_point():
     ],
 )
 def test_flatten_derivative_is_inverse_mass_profile(df):
+    # dx/dg = f(x(g)), the inverse of dg/dx = 1/f
     rng = np.random.default_rng(11)
-    lo, hi = df.domain
+    lo, hi = g_domain(df)
     width = hi - lo
-    xs = lo + width * rng.uniform(0.05, 0.95, 64)
+    gs = lo + width * rng.uniform(0.05, 0.95, 64)
     h = 1e-3
     d1 = (
-        mass_flatten(df, xs - 2 * h)
-        - 8.0 * mass_flatten(df, xs - h)
-        + 8.0 * mass_flatten(df, xs + h)
-        - mass_flatten(df, xs + 2 * h)
+        mass_unflatten(df, gs - 2 * h)
+        - 8.0 * mass_unflatten(df, gs - h)
+        + 8.0 * mass_unflatten(df, gs + h)
+        - mass_unflatten(df, gs + 2 * h)
     ) / (12.0 * h)
-    np.testing.assert_allclose(d1, 1.0 / df.f(xs), rtol=1e-10)
-
-
-@pytest.mark.parametrize(
-    "df", [DeformingFunction.trig_one(0.6), DeformingFunction.trig_two(0.45)]
-)
-def test_flatten_round_trip(df):
-    lo, hi = df.domain
-    width = hi - lo
-    xs = np.linspace(lo + 1e-3 * width, hi - 1e-3 * width, 256)
-    back = mass_unflatten(df, mass_flatten(df, xs))
-    assert np.max(np.abs(xs - back)) < 1e-12
+    np.testing.assert_allclose(d1, df.f(mass_unflatten(df, gs)), rtol=1e-10)
 
 
 def test_flatten_monotone_and_domain():
@@ -106,10 +97,11 @@ def test_flatten_monotone_and_domain():
     lo, hi = g_domain(df)
     assert lo == 0.0
     assert hi == pytest.approx(math.pi / (2.0 * math.sqrt(0.75)), rel=1e-15)
-    xs = np.linspace(1e-4, math.pi / 2 - 1e-4, 501)
-    gs = mass_flatten(df, xs)
-    assert np.all(np.diff(gs) > 0.0)
-    assert gs[0] > lo and gs[-1] < hi
+    gs = np.linspace(lo + 1e-4, hi - 1e-4, 501)
+    xs = mass_unflatten(df, gs)
+    assert np.all(np.diff(xs) > 0.0)
+    x_lo, x_hi = df.domain
+    assert xs[0] > x_lo and xs[-1] < x_hi
 
 
 # --- eigensolver ------------------------------------------------------------
