@@ -13,6 +13,11 @@ rational helpers in :mod:`pdmtpt.combinatorics`, and an independent
 finite-difference eigensolver oracle in :mod:`pdmtpt.numeric_verify`.
 The top level re-exports only the builders, `potential_value` and
 `solve_spectrum`; everything else is imported from its module.
+
+The closed forms are scalar Python.  Importing the package, and building or
+checking a well, loads neither NumPy nor SciPy; NumPy loads at the first
+array evaluation (a potential or wavefunction on a grid, the oracle), and
+SciPy's LAPACK wrappers only inside `solve_spectrum`.
 """
 
 from .numeric_verify import solve_spectrum

@@ -13,8 +13,7 @@ import os
 import sys
 from dataclasses import replace
 
-import numpy as np
-
+from ._lazy import np
 from .dsusy_core import hermiticity_boundary_check
 from .numeric_verify import (
     count_nodes,

@@ -24,7 +24,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-import numpy as np
+from ._lazy import np
 
 __all__ = [
     "Family",

@@ -20,10 +20,10 @@ reads only the potential.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._lazy import np
 from .dsusy_core import DeformingFunction, Family, _sample
 
 __all__ = [
@@ -107,13 +107,13 @@ _CAP_OVER_KINETIC = 16.0
 # long-double counts on the reference wells); a tolerance of eps * 2/h^2
 # would add up to half its width as midpoint noise on top, which Richardson
 # then amplifies.  A sixteenth costs four more bisection steps.
-_TOL_OVER_KINETIC = np.finfo(float).eps / 16.0
+_TOL_OVER_KINETIC = sys.float_info.epsilon / 16.0
 
 # Refinement of the half and full grids (see _refined_levels): a level is
 # converged once its Kato-Temple bound r^2/delta is below this fraction of
 # eps * 2/h^2.  A level still short of it after _RQI_SOLVES tridiagonal
 # solves sends its grid to the index bisection.
-_RQI_TOL_OVER_KINETIC = 1e-4 * np.finfo(float).eps
+_RQI_TOL_OVER_KINETIC = 1e-4 * sys.float_info.epsilon
 _RQI_SOLVES = 4
 
 
@@ -218,7 +218,7 @@ def _lowest_levels(problem: FlattenedProblem, n_levels: int) -> np.ndarray:
     Bisection with Sturm counts to _TOL_OVER_KINETIC * 2/h^2.
     """
     # SciPy is imported here, not at module level, so that importing the
-    # package (and every CLI command but verify) pays for NumPy alone.
+    # package and every CLI command but verify run without it.
     from scipy.linalg import eigvalsh_tridiagonal
 
     d, e = _fd_bands(problem.v, problem.spacing)

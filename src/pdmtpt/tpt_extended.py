@@ -45,8 +45,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
+from ._lazy import np
 from .combinatorics import SumIndex, binomial, double_factorial, f_poly, s_sum
 from .dsusy_core import (
     DeformingFunction,
@@ -78,15 +77,27 @@ class InternalConsistencyError(RuntimeError):
 
 
 def _check_match(label: str, closed, expanded, tol: float) -> float:
-    """Max |closed - expanded| over matched entries, or raise."""
-    ca = np.atleast_1d(np.asarray(closed, dtype=float))
-    ea = np.atleast_1d(np.asarray(expanded, dtype=float))
-    if ca.shape != ea.shape:
+    """Max |closed - expanded| over matched entries, or raise.
+
+    `closed` and `expanded` are each a float or a list or tuple of floats.
+    A value that is not finite on either path is a precision limit of the
+    float build, reported as a one-line ValueError.
+    """
+    ca = closed if isinstance(closed, (list, tuple)) else (closed,)
+    ea = expanded if isinstance(expanded, (list, tuple)) else (expanded,)
+    if len(ca) != len(ea):
         raise InternalConsistencyError(
-            f"{label}: paths produced different shapes {ca.shape} vs {ea.shape}"
+            f"{label}: paths produced different shapes {(len(ca),)} vs {(len(ea),)}"
         )
-    scale = max(1.0, float(np.max(np.abs(ca))), float(np.max(np.abs(ea))))
-    worst = float(np.max(np.abs(ca - ea))) if ca.size else 0.0
+    for c, e in zip(ca, ea):
+        if not (math.isfinite(c) and math.isfinite(e)):
+            raise ValueError(
+                f"precision limit: {label} is {c:.3g} on the closed-form path "
+                f"and {e:.3g} on the expansion path; the build overflows "
+                "double precision"
+            )
+    scale = max(1.0, *map(abs, ca), *map(abs, ea))
+    worst = max((abs(c - e) for c, e in zip(ca, ea)), default=0.0)
     if worst > tol * scale:
         raise InternalConsistencyError(
             f"{label}: closed-form and expansion paths disagree by {worst:.3e} "

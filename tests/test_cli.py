@@ -166,6 +166,18 @@ class TestExtend:
         assert captured.err.startswith("error: precision limit: the gap")
         assert len(captured.err.splitlines()) == 1
 
+    def test_overflowing_coefficient_is_a_precision_limit(self, capsys):
+        # A_2 and A_4 overflow to +-inf on both build paths; their difference is nan
+        argv = ["--two", "--m1", "1", "--m2", "1", "--atop", "1e308", "--btop", "1"]
+        rc = main(["extend", *argv, "--alpha", "-0.999999"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "error: precision limit: two-param sec coefficients is inf"
+        )
+        assert len(captured.err.splitlines()) == 1
+
     def test_check_flag_reports_discrepancy(self, capsys):
         rc = main(
             ["extend", "--one", "-m", "2", "--atop", "2.5", "--alpha", "0.3", "--check"]
@@ -470,41 +482,68 @@ import importlib, json, pkgutil, sys
 import pdmtpt
 from pdmtpt.cli import main
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+def loaded():
+    # NumPy has executed once its core is imported; a lazy `numpy` entry in
+    # sys.modules alone does not count (numpy.core on NumPy 1.x)
+    numpy_ran = "numpy._core" in sys.modules or "numpy.core" in sys.modules
+    scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+    return {"numpy": numpy_ran, "scipy": scipy}
 
 for info in pkgutil.iter_modules(pdmtpt.__path__):
     importlib.import_module("pdmtpt." + info.name)
 well = ["--one", "-m", "1", "--atop", "1", "--alpha", "-0.5", "--json"]
-seen = {"import": scipy_modules()}
-for argv in (
-    ["exact", "--one", "-A", "2", "--alpha", "-0.5", "--json"],
-    ["extend", "--check"] + well,
-    ["sample", "--npoints", "11", "--out", sys.argv[1] + "/curve.csv"] + well,
-    ["figures", "--npoints", "11", "--outdir", sys.argv[1], "--json"],
-    ["verify"] + well,
+seen = {"import": loaded()}
+for stage, argv in (
+    ("exact", ["exact", "--one", "-A", "2", "--alpha", "-0.5", "--json"]),
+    ("extend", ["extend", "--check"] + well),
+    ("usage", ["extend", "--one", "--atop", "1", "--alpha", "0"]),
+    ("sample", ["sample", "--npoints", "11", "--out", sys.argv[1] + "/curve.csv"] + well),
+    ("figures", ["figures", "--npoints", "11", "--outdir", sys.argv[1], "--json"]),
+    ("verify", ["verify"] + well),
 ):
-    main(argv)
-    seen[argv[0]] = scipy_modules()
+    try:
+        main(argv)
+    except SystemExit:
+        pass
+    seen[stage] = loaded()
+seen["one_numpy"] = pdmtpt.numeric_verify.np is sys.modules["numpy"]
 print(json.dumps(seen))
 """
 
 
-def test_scipy_is_loaded_only_by_verify(tmp_path):
-    # a fresh interpreter, since this test process has imported SciPy already
+@pytest.fixture(scope="module")
+def import_path(tmp_path_factory):
+    # a fresh interpreter, since this test process has imported both already
     src = os.path.dirname(os.path.dirname(os.path.abspath(pdmtpt.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     run = subprocess.run(
-        [sys.executable, "-c", _IMPORT_PATH_PROBE, str(tmp_path)],
+        [sys.executable, "-c", _IMPORT_PATH_PROBE, str(tmp_path_factory.mktemp("probe"))],
         capture_output=True, text=True, env=env, timeout=120, check=True,
     )
+    assert "--one requires -m" in run.stderr
     seen = json.loads(run.stdout.splitlines()[-1])
-    assert list(seen) == ["import", "exact", "extend", "sample", "figures", "verify"]
-    for stage in ("import", "exact", "extend", "sample", "figures"):
-        assert seen[stage] == [], stage
-    assert "scipy.linalg" in seen["verify"]
+    one_numpy = seen.pop("one_numpy")
+    assert list(seen) == ["import", "exact", "extend", "usage", "sample", "figures", "verify"]
+    return seen, one_numpy
+
+
+def test_scipy_is_loaded_only_by_verify(import_path):
+    seen, _ = import_path
+    for stage in ("import", "exact", "extend", "usage", "sample", "figures"):
+        assert seen[stage]["scipy"] == [], stage
+    assert "scipy.linalg" in seen["verify"]["scipy"]
     for stage, modules in seen.items():
-        assert "scipy.integrate" not in modules, stage
+        assert "scipy.integrate" not in modules["scipy"], stage
+
+
+def test_numpy_executes_only_where_arrays_are_evaluated(import_path):
+    seen, one_numpy = import_path
+    for stage in ("import", "exact", "extend", "usage"):
+        assert seen[stage]["numpy"] is False, stage
+    for stage in ("sample", "figures", "verify"):
+        assert seen[stage]["numpy"] is True, stage
+    # the lazy module became the process's one NumPy
+    assert one_numpy is True
 
 
 def test_readme_library_quick_start(capsys):

@@ -236,6 +236,60 @@ def test_gap_lost_in_rounding_is_a_precision_limit(build, args):
         build(*args)
 
 
+@pytest.mark.parametrize(
+    "closed,expanded",
+    [
+        ([1.0, math.nan], [1.0, 1.0]),
+        ([1.0, 2.0], [1.0, math.inf]),
+        (math.inf, math.inf),
+        (-math.inf, 1.0),
+    ],
+    ids=["nan-closed", "inf-expanded", "inf-both", "scalar"],
+)
+def test_non_finite_dual_path_value_is_a_precision_limit(closed, expanded):
+    # worst > tol * scale is false for nan and inf, so the comparison alone
+    # would return them as the discrepancy and let the build through
+    with pytest.raises(ValueError, match="^precision limit: x ") as exc:
+        tpt_extended._check_match("x", closed, expanded, 1e-9)
+    assert "\n" not in str(exc.value)
+
+
+def test_check_match_agrees_with_the_array_reference():
+    # the former NumPy body, kept as the reference for finite inputs
+    def reference(closed, expanded, tol):
+        ca = np.atleast_1d(np.asarray(closed, dtype=float))
+        ea = np.atleast_1d(np.asarray(expanded, dtype=float))
+        scale = max(1.0, float(np.max(np.abs(ca))), float(np.max(np.abs(ea))))
+        worst = float(np.max(np.abs(ca - ea)))
+        if worst > tol * scale:
+            return (
+                f"x: closed-form and expansion paths disagree by {worst:.3e} "
+                f"(scale {scale:.3e}, tolerance {tol:.1e})"
+            )
+        return worst
+
+    rng = np.random.default_rng(5)
+    cases = [(0.0, 2.0), ([3.0, -1.0], (1.0, -1.0))]
+    for n in (1, 2, 7):
+        for _ in range(200):
+            ca = rng.normal(size=n) * 10.0 ** rng.integers(-3, 30, size=n)
+            ea = ca * (1.0 + rng.normal(size=n) * 10.0 ** rng.integers(-14, -7))
+            cases.append((float(ca[0]) if n == 1 else ca.tolist(), tuple(ea.tolist())))
+    for closed, expanded in cases:
+        want = reference(closed, expanded, 1e-9)
+        if isinstance(want, str):
+            with pytest.raises(InternalConsistencyError) as exc:
+                tpt_extended._check_match("x", closed, expanded, 1e-9)
+            assert str(exc.value) == want
+        else:
+            got = tpt_extended._check_match("x", closed, expanded, 1e-9)
+            assert type(got) is float and got == want
+    with pytest.raises(
+        InternalConsistencyError, match=r"^x: paths produced different shapes \(2,\) vs \(1,\)$"
+    ):
+        tpt_extended._check_match("x", [1.0, 2.0], 1.0, 1e-9)
+
+
 def test_gap_well_above_4_ulps_still_builds():
     # about 85 ulps of E0
     spec = build_one_param(1, 1e30, 0.0)
