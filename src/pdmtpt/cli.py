@@ -69,6 +69,15 @@ def _emit(args, lines: list[str], payload: dict) -> None:
             print(line)
 
 
+def _report(args, payload: dict) -> int:
+    """Emit closed-form values as key=value lines; OverflowError if one is inf or nan."""
+    if not all(math.isfinite(val) for val in payload.values() if isinstance(val, float)):
+        raise OverflowError("a closed-form value is not finite")
+    lines = [f"{k}={_fmt(v) if isinstance(v, float) else v}" for k, v in payload.items()]
+    _emit(args, lines, payload)
+    return 0
+
+
 # ---------------------------------------------------------------------------
 # Spec construction from parsed arguments.
 
@@ -174,12 +183,7 @@ def cmd_exact(args) -> int:
         energies = [energy_two_param(p, n) for n in range(args.nmax + 1)]
     for n, e in enumerate(energies):
         payload[f"E{n}"] = e
-    lines = [
-        f"{key}={_fmt(val) if isinstance(val, float) else val}"
-        for key, val in payload.items()
-    ]
-    _emit(args, lines, payload)
-    return 0
+    return _report(args, payload)
 
 
 def cmd_extend(args) -> int:
@@ -198,12 +202,7 @@ def cmd_extend(args) -> int:
             diffs += [abs(c - x) for c, x in zip(spec.a_coeffs, ax)]
             diffs += [abs(c - x) for c, x in zip(spec.b_coeffs, bx)]
         payload["dual_path_max_discrepancy"] = max(diffs)
-    lines = [
-        f"{key}={_fmt(val) if isinstance(val, float) else val}"
-        for key, val in payload.items()
-    ]
-    _emit(args, lines, payload)
-    return 0
+    return _report(args, payload)
 
 
 def cmd_verify(args) -> int:
@@ -227,9 +226,7 @@ def cmd_verify(args) -> int:
     ns = solve_spectrum(v, df, n_levels=2, grid_size=args.grid_size)
     for level, closed in ((0, spec.e0), (1, spec.e1)):
         rel = abs(ns.eigenvalues[level] - closed) / max(1e-300, abs(closed))
-        checks.append(
-            (f"spectral level{level}", rel < 1e-6, f"|dE|/|E|={rel:.3e} (tol 1e-06)")
-        )
+        checks.append(_below(f"spectral level{level}", "|dE|/|E|", rel, 1e-6))
         payload[f"spectral_rel_err{level}"] = rel
 
     psi0 = closed_form_wavefunction(spec, 0)
@@ -237,7 +234,7 @@ def cmd_verify(args) -> int:
     samples = interior_samples(df, 41)
     for name, psi, energy in (("psi0", psi0, spec.e0), ("psi1", psi1, spec.e1)):
         r = residual(psi.value, v, df, energy, samples)
-        checks.append((f"residual {name}", r < 1e-7, f"max={r:.3e} (tol 1e-07)"))
+        checks.append(_below(f"residual {name}", "max", r, 1e-7))
         payload[f"residual_{name}"] = r
 
     lo, hi = df.domain
@@ -253,7 +250,7 @@ def cmd_verify(args) -> int:
     norm0 = _norm(g[0, 0], "psi0")
     norm1 = _norm(g[1, 1], "psi1")
     overlap = abs(g[0, 1]) / (norm0 * norm1)
-    checks.append(("orthogonality", overlap < 1e-8, f"|<0|1>|={overlap:.3e} (tol 1e-08)"))
+    checks.append(_below("orthogonality", "|<0|1>|", overlap, 1e-8))
     payload["orthogonality"] = overlap
 
     for name, psi in (("psi0", psi0), ("psi1", psi1)):
@@ -274,6 +271,11 @@ def cmd_verify(args) -> int:
     ]
     _emit(args, lines, payload)
     return 0 if all_pass else 1
+
+
+def _below(name: str, shown: str, value: float, tol: float) -> tuple[str, bool, str]:
+    """A verify check that passes when value < tol, reported with both."""
+    return (name, value < tol, f"{shown}={value:.3e} (tol {tol:.0e})")
 
 
 def _norm(norm_sq: float, name: str) -> float:
@@ -448,7 +450,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, InternalConsistencyError) as exc:
+    except (ValueError, InternalConsistencyError, OverflowError) as exc:
+        # OverflowError: a float ** past the largest double, or a value _report refuses
+        if isinstance(exc, OverflowError):
+            exc = ValueError("precision limit: the closed forms overflow double precision")
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -13,8 +13,8 @@ step.  The quarter grid is bisected by index with Sturm counts.  The finer
 two are refined from the coarser grids' levels by Rayleigh-quotient
 iteration, which converges cubically and carries no eps * 2/h^2 bisection
 floor.  Sturm counts and residual bounds certify each refined grid, and a
-grid they do not certify falls back to the index bisection.  The oracle
-reads only the potential.
+well with a grid they do not certify is refused.  The oracle reads only the
+potential.
 """
 
 from __future__ import annotations
@@ -87,10 +87,6 @@ class NumericSpectrum:
     eigenvalues_raw: np.ndarray
     # the fine grid and its potential samples
     problem: FlattenedProblem
-    # per grid (quarter, half, full): True where the levels were refined by
-    # certified Rayleigh-quotient iteration, False where they were bisected
-    # by index, as the quarter grid always is and a finer grid on fallback
-    refined: tuple[bool, ...]
 
 
 # Sampled potentials blow up like sec^(4m+2) next to the walls; entries many
@@ -101,18 +97,18 @@ class NumericSpectrum:
 # engages, so the induced eigenvalue shift is far below discretization error.
 _CAP_OVER_KINETIC = 16.0
 
-# Bisection tolerance over the kinetic scale 2/h^2, for the quarter grid and
-# the index-solve fallback.  The double-precision Sturm counts of the capped
-# operator place a level to about 0.3 eps * 2/h^2 (measured against
-# long-double counts on the reference wells); a tolerance of eps * 2/h^2
-# would add up to half its width as midpoint noise on top, which Richardson
-# then amplifies.  A sixteenth costs four more bisection steps.
+# Bisection tolerance of the quarter grid over its kinetic scale 2/h^2.  The
+# double-precision Sturm counts of the capped operator place a level to about
+# 0.3 eps * 2/h^2 (measured against long-double counts on the reference
+# wells); a tolerance of eps * 2/h^2 would add up to half its width as
+# midpoint noise on top, which Richardson then amplifies.  A sixteenth costs
+# four more bisection steps.
 _TOL_OVER_KINETIC = sys.float_info.epsilon / 16.0
 
 # Refinement of the half and full grids (see _refined_levels): a level is
 # converged once its Kato-Temple bound r^2/delta is below this fraction of
 # eps * 2/h^2.  A level still short of it after _RQI_SOLVES tridiagonal
-# solves sends its grid to the index bisection.
+# solves leaves its grid uncertified, and solve_spectrum refuses the well.
 _RQI_TOL_OVER_KINETIC = 1e-4 * sys.float_info.epsilon
 _RQI_SOLVES = 4
 
@@ -129,11 +125,14 @@ def _fd_bands(vt: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _flatten(v, df: DeformingFunction, n: int) -> FlattenedProblem:
-    """V(x(g)) on the n-1 interior points of the uniform n-interval g grid."""
+    """Finite V(x(g)) on the n-1 interior points of the uniform n-interval g grid."""
     g_lo, g_hi = g_domain(df)
     h = (g_hi - g_lo) / n
     g = g_lo + h * np.arange(1, n)
-    return FlattenedProblem(g, _sample(v, np.asarray(mass_unflatten(df, g))), h)
+    vt = _sample(v, np.asarray(mass_unflatten(df, g)))
+    if not np.all(np.isfinite(vt)):
+        raise ValueError("potential is not finite on the inset grid")
+    return FlattenedProblem(g, vt, h)
 
 
 def _refined_levels(problem: FlattenedProblem, seeds: np.ndarray):
@@ -255,11 +254,11 @@ def solve_spectrum(
     grid with their p = 2 prediction E_{N/2} + (E_{N/2} - E_{N/4})/4.  Both
     are refined by Rayleigh-quotient iteration, which has no eps * 2/h^2
     floor, and accepted only when Sturm counts certify every level's index
-    and the residuals bound its error (see `_refined_levels`).  A grid whose
-    refinement is not certified, such as a cap-dominated well whose levels
-    grow with the kinetic scale, falls back to the index bisection.  The
-    `refined` field says which grids were refined.  A single level is solved
-    together with the next one, whose gap the certificate needs.
+    and the residuals bound its error (see `_refined_levels`).  A grid they
+    do not certify, such as that of a cap-dominated well whose levels grow
+    with the kinetic scale, or extrapolated levels out of order, raise a
+    ValueError "oracle cannot resolve ..." naming the grid.  A single level
+    is solved together with the next one, whose gap the certificate needs.
 
     v is called with the array of x values of each grid and must return an
     array of the same shape; anything else raises ValueError.
@@ -268,21 +267,15 @@ def solve_spectrum(
         raise ValueError(f"grid_size must be at least 64, got {grid_size}")
     if n_levels < 1:
         raise ValueError("n_levels must be >= 1")
-    # a single level is solved with the next one, which gives it a gap
     width = max(2, n_levels)
-    solved: list[np.ndarray] = []
-    refined: list[bool] = []
-    for n in (grid_size // 4, grid_size // 2, grid_size):
+    solved = [_lowest_levels(_flatten(v, df, grid_size // 4), width)]
+    for n in (grid_size // 2, grid_size):
         problem = _flatten(v, df, n)
-        if not np.all(np.isfinite(problem.v)):
-            raise ValueError("potential is not finite on the inset grid")
-        if len(solved) == 2:
-            # the p = 2 prediction of the full grid's levels
-            levels = _refined_levels(problem, solved[1] + (solved[1] - solved[0]) / 4.0)
-        else:
-            levels = _refined_levels(problem, solved[0]) if solved else None
-        refined.append(levels is not None)
-        solved.append(_lowest_levels(problem, width) if levels is None else levels)
+        seeds = solved[0] if len(solved) == 1 else solved[1] + (solved[1] - solved[0]) / 4.0
+        levels = _refined_levels(problem, seeds)
+        if levels is None:
+            raise ValueError(f"oracle cannot resolve: the N={n} grid is not certified")
+        solved.append(levels)
     quarter, half, fine = (grid[:n_levels] for grid in solved)
     d1 = fine - half
     d2 = half - quarter
@@ -292,7 +285,7 @@ def solve_spectrum(
         scale = max(1.0, abs(fine[k]))
         if abs(d1[k]) < 1e3 * np.finfo(float).eps * scale:
             # already at the eigensolver's floor; extrapolation would only
-            # amplify bisection noise
+            # amplify rounding noise
             errors[k] = abs(d1[k])
             continue
         ratio = d2[k] / d1[k]
@@ -300,8 +293,8 @@ def solve_spectrum(
         vals[k] += d1[k] / (2.0**p - 1.0)
         errors[k] = abs(d1[k]) / (2.0**p - 1.0)
     if not np.all(np.diff(vals) > 0.0):
-        raise ArithmeticError("eigenvalues not strictly increasing")
-    return NumericSpectrum(vals, grid_size, errors, fine, problem, tuple(refined))
+        raise ValueError(f"oracle cannot resolve: the N={grid_size} levels are out of order")
+    return NumericSpectrum(vals, grid_size, errors, fine, problem)
 
 
 def interior_samples(df: DeformingFunction, n: int) -> np.ndarray:

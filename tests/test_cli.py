@@ -257,6 +257,28 @@ def test_non_finite_parameters_exit_1(argv, capsys):
     assert len(captured.err.splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # a float ** overflows: Delta's (1 + alpha)^2, the sec sums' (1 + alpha)^k
+        ["exact", "--one", "-A", "2", "--alpha", "1e308"],
+        ["extend", "--one", "-m", "1", "--atop", "1", "--alpha", "1e308"],
+        ["extend", "--one", "-m", "30", "--atop", "1", "--alpha", "-0.999999"],
+        # Delta, lam or mu is inf, and E0 is inf - inf
+        ["exact", "--one", "-A", "1e200", "--alpha", "0.5"],
+        ["exact", "--two", "-A", "2", "-B", "1e308", "--alpha", "0.5"],
+    ],
+    ids=["exact-delta", "extend-alpha", "extend-deep", "exact-one-nan", "exact-two-nan"],
+)
+def test_overflowing_closed_forms_are_a_precision_limit(argv, capsys):
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: precision limit")
+    assert len(captured.err.splitlines()) == 1
+
+
 class TestVerify:
     def test_figure_spec_passes(self, capsys):
         rc = main(["verify", "--one", "-m", "1", "--atop", "1", "--alpha", "-0.5"])
@@ -314,11 +336,32 @@ class TestVerify:
         assert calls["v"] <= 5
 
     def test_underflowing_norm_is_a_precision_limit(self, capsys):
+        # the oracle refuses this cap-dominated well before any norm is
+        # taken; TestSample pins the norm's precision limit on it
         rc = main(["verify", *_UNDERFLOW_WELL])
         captured = capsys.readouterr()
         assert rc == 1
         assert captured.out == ""
-        assert captured.err.startswith("error: precision limit")
+        assert captured.err.startswith("error: oracle cannot resolve")
+        assert len(captured.err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "argv, grid",
+        [
+            # pockets at both walls: neither finer grid is certified
+            (["--one", "-m", "1", "--atop", "1", "--alpha", "50"], "N=2000"),
+            # only the half grid is not certified; the full grid is not solved
+            (["--one", "-m", "4", "--atop", "1.601248", "--alpha", "0.693485", "-N", "256"],
+             "N=128"),
+        ],
+        ids=["both-grids", "half-grid"],
+    )
+    def test_unresolved_well_is_refused(self, argv, grid, capsys):
+        rc = main(["verify", *argv])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err == f"error: oracle cannot resolve: the {grid} grid is not certified\n"
         assert len(captured.err.splitlines()) == 1
 
 
@@ -554,9 +597,7 @@ def test_readme_library_quick_start(capsys):
     assert block.startswith("from pdmtpt import build_two_param, solve_spectrum, potential_value\n")
     exec(block, {})
     printed = capsys.readouterr().out.splitlines()
-    assert len(printed) == 3
+    assert len(printed) == 2
     assert printed[0] == "34.5 146.5"
-    assert printed[2] == "(False, True, True)"
-    # the values the README shows beside the prints
+    # the value the README shows beside the print
     assert "# 34.5 146.5" in block
-    assert "# (False, True, True)" in block

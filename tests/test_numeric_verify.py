@@ -7,6 +7,7 @@ import pytest
 from scipy import integrate
 from scipy.linalg import eigh_tridiagonal
 
+from pdmtpt import numeric_verify
 from pdmtpt.dsusy_core import DeformingFunction, hermiticity_boundary_check
 from pdmtpt.numeric_verify import (
     _TOL_OVER_KINETIC,
@@ -302,35 +303,46 @@ def test_refined_levels_match_long_double_sturm(spec, n_levels):
     kin = 2.0 / sp.problem.spacing**2
     off = np.abs(sp.eigenvalues_raw - ref.astype(float)) / (np.finfo(float).eps * kin)
     assert np.all(off <= 1e-3), off
-    assert sp.refined == (False, True, True)
 
 
 @pytest.mark.parametrize("grid_size", [4000, 8000])
 @pytest.mark.parametrize("spec", REF_WELLS.values(), ids=REF_WELLS.keys())
 def test_bracketed_levels_match_the_index_solve(spec, grid_size):
-    # quarter by index; half and full refined and certified, never falling
-    # back.  How close they come is test_refined_levels_match_long_double_sturm's
+    # the refined fine-grid levels are the index solve's to within its own
+    # Sturm floor.  How much closer they come is
+    # test_refined_levels_match_long_double_sturm's
     sp = solve_spectrum(lambda x: potential_value(spec, x), spec.deforming, 2, grid_size)
-    assert sp.refined == (False, True, True)
+    kin = 2.0 / sp.problem.spacing**2
+    np.testing.assert_allclose(
+        sp.eigenvalues_raw, _lowest_levels(sp.problem, 2), rtol=0.0, atol=np.finfo(float).eps * kin
+    )
 
 
-def test_empty_bracket_falls_back_to_the_index_solve():
+def test_empty_bracket_is_refused():
     # a cap-dominated well: its FD levels grow with the kinetic scale, about
-    # fourfold per refinement, so no coarser grid seeds them
+    # fourfold per refinement, so no coarser grid seeds them and the half
+    # grid is never certified
     spec = build_one_param(1, 1.0, -0.999)
-    sp = solve_spectrum(lambda x: potential_value(spec, x), spec.deforming, 2, 4000)
-    assert sp.refined == (False, False, False)
-    np.testing.assert_array_equal(sp.eigenvalues_raw, _lowest_levels(sp.problem, 2))
-    assert np.all(np.diff(sp.eigenvalues) > 0.0)
+    with pytest.raises(ValueError, match=r"^oracle cannot resolve: the N=2000 grid is not certified$"):
+        solve_spectrum(lambda x: potential_value(spec, x), spec.deforming, 2, 4000)
 
 
-def test_short_bracket_falls_back_to_the_index_solve():
+def test_short_bracket_is_still_refined():
     # two close levels on coarse grids: from N=500 to N=1000 the upper level
     # moves by 0.13, more than half its 0.22 gap, so its seed lies nearer the
     # lower level.  Deflation against the lower level still refines it.
     spec = REF_WELLS["one-3"]
     sp = solve_spectrum(lambda x: potential_value(spec, x), spec.deforming, 2, 2000)
-    assert sp.refined == (False, True, True)
+    closed = np.array([spec.e0, spec.e1])
+    assert np.all(np.abs(sp.eigenvalues - closed) <= 1e-6 * closed)
+
+
+def test_levels_out_of_order_are_refused(monkeypatch):
+    # levels the extrapolation leaves out of order are refused like an
+    # uncertified grid, as a ValueError that the CLI reports on one line
+    monkeypatch.setattr(numeric_verify, "_refined_levels", lambda problem, seeds: np.array([1.0, 0.5]))
+    with pytest.raises(ValueError, match=r"^oracle cannot resolve: the N=256 levels are out of order$"):
+        solve_spectrum(lambda x: 0.0 * x, DeformingFunction.trig_one(0.0), 2, 256)
 
 
 def test_refinement_that_skips_a_level_is_not_certified():
