@@ -18,6 +18,7 @@ from fractions import Fraction
 __all__ = [
     "double_factorial",
     "binomial",
+    "fsum",
     "SumIndex",
     "s_sum",
     "f_poly",
@@ -98,6 +99,19 @@ def s_sum(idx: SumIndex) -> Fraction:
     return total
 
 
+def fsum(terms) -> float:
+    """math.fsum, except that terms of both infinite signs raise OverflowError.
+
+    Such terms are float products past the largest double, so their sum is a
+    precision limit of the float build rather than a bad value.
+    """
+    terms = list(terms)
+    try:
+        return math.fsum(terms)
+    except ValueError:  # math.fsum's one ValueError: -inf + inf
+        raise OverflowError("float terms overflow to both -inf and +inf") from None
+
+
 def f_poly(n: int, k: int, z: float) -> float:
     """Alternating binomial polynomial F_n^k(z) = sum_{p=0}^n (-1)^p C(k,p) z^p.
 
@@ -105,8 +119,7 @@ def f_poly(n: int, k: int, z: float) -> float:
     """
     if k <= n:
         raise ValueError(f"f_poly requires k > n, got n={n}, k={k}")
-    terms = [(-1.0) ** p * binomial(k, p) * z**p for p in range(n + 1)]
-    return math.fsum(terms)
+    return fsum((-1.0) ** p * binomial(k, p) * z**p for p in range(n + 1))
 
 
 def gegenbauer(n: int, lam: float, t):

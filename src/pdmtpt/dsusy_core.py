@@ -25,18 +25,17 @@ import math
 from dataclasses import dataclass
 
 from ._lazy import np
+from .combinatorics import fsum
 
 __all__ = [
     "Family",
     "DeformingFunction",
     "TrigLaurentPoly",
     "EvenTrigPoly",
-    "GeneratingPair",
     "CompatibilityError",
     "GapSignError",
     "partner_potential",
     "compatibility_gap",
-    "make_generating_pair",
     "hermiticity_boundary_check",
     "BoundaryCheck",
 ]
@@ -220,28 +219,19 @@ class EvenTrigPoly:
         const_terms = [(-1.0) ** k * a[k] for k in range(len(a))]
         const_terms += [(-1.0) ** l * b[l - 1] for l in range(1, len(b) + 1)]
         sec = tuple(
-            math.fsum(
+            fsum(
                 (-1.0) ** (l - k) * math.comb(l, k) * a[l] for l in range(k, len(a))
             )
             for k in range(1, len(a))
         )
         csc = tuple(
-            math.fsum(
+            fsum(
                 (-1.0) ** (j - l) * math.comb(j, l) * b[j - 1]
                 for j in range(l, len(b) + 1)
             )
             for l in range(1, len(b) + 1)
         )
-        return (math.fsum(const_terms), sec, csc)
-
-
-@dataclass(frozen=True)
-class GeneratingPair:
-    """(W_plus, W_minus, gap) with f W_plus' - W_plus W_minus = gap > 0."""
-
-    w_plus: TrigLaurentPoly
-    w_minus: TrigLaurentPoly
-    gap: float
+        return (fsum(const_terms), sec, csc)
 
 
 # ---------------------------------------------------------------------------
@@ -308,12 +298,10 @@ def compatibility_gap(
 ) -> float:
     """The constant c = f W_plus' - W_plus W_minus, if it is one.
 
-    Checked symbolically (all nonconstant coefficients of the Laurent
-    expansion must cancel to rounding level) and then re-sampled at 64 points
-    on the central half of the domain as a guard.  Both tolerances are 1e-10
-    times the largest term, so the rounding of deep ladders passes.  Raises
-    CompatibilityError if the expression is not constant, GapSignError if the
-    constant is not positive.
+    Checked symbolically: every nonconstant coefficient of the Laurent
+    expansion must cancel to 1e-10 times the largest term, so the rounding of
+    deep ladders passes.  Raises CompatibilityError if the expression is not
+    constant, GapSignError if the constant is not positive.
     """
     if w_plus.family is not w_minus.family or w_plus.family is not df.family:
         raise ValueError("pair and deforming function families disagree")
@@ -331,27 +319,9 @@ def compatibility_gap(
             f"against scale {scale:.3e}",
             max_residual=worst,
         )
-    lo, hi = df.domain
-    width = hi - lo
-    xs = np.linspace(lo + 0.25 * width, hi - 0.25 * width, 64)
-    f_dw = df.f(xs) * w_plus.derivative_value(xs)
-    ww = w_plus.value(xs) * w_minus.value(xs)
-    spread = float(np.max(np.abs(f_dw - ww - c0)))
-    scale = max(1.0, abs(c0), float(np.max(np.abs(f_dw))), float(np.max(np.abs(ww))))
-    if spread > 1e-10 * scale:
-        raise CompatibilityError(
-            f"sampled gap spread {spread:.3e} exceeds tolerance", max_residual=spread
-        )
     if c0 <= 0.0:
         raise GapSignError(f"compatibility constant must be positive, got {c0}")
     return c0
-
-
-def make_generating_pair(
-    w_plus: TrigLaurentPoly, w_minus: TrigLaurentPoly, df: DeformingFunction
-) -> GeneratingPair:
-    """Validate compatibility and package the pair with its gap."""
-    return GeneratingPair(w_plus, w_minus, compatibility_gap(w_plus, w_minus, df))
 
 
 @dataclass(frozen=True)

@@ -232,7 +232,8 @@ def solve_spectrum(
 
     Interior uniform grid of grid_size-1 points (Dirichlet zero at both
     walls), symmetric tridiagonal eigensolve by bisection and Rayleigh-quotient
-    iteration, eigenvalues only.
+    iteration, eigenvalues only.  grid_size must be a multiple of 4, at least
+    64, so that the spacing halves exactly from N/4 to N/2 to N.
     Companion runs at half and quarter resolution measure the observed
     convergence order p per level, and the returned eigenvalues are
     Richardson-extrapolated with that order:
@@ -263,8 +264,10 @@ def solve_spectrum(
     v is called with the array of x values of each grid and must return an
     array of the same shape; anything else raises ValueError.
     """
-    if grid_size < 64:
-        raise ValueError(f"grid_size must be at least 64, got {grid_size}")
+    if grid_size < 64 or grid_size % 4:
+        raise ValueError(
+            f"grid_size must be a multiple of 4 and at least 64, got {grid_size}"
+        )
     if n_levels < 1:
         raise ValueError("n_levels must be >= 1")
     width = max(2, n_levels)

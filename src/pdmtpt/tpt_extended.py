@@ -18,7 +18,9 @@ transcription errors in the long formulas.
 
 Both families split their generating pair the same way: W_plus and W_minus
 come from one `_w_pair_*` function each, and one `_ladders` gives the ladder
-coefficients of W = (W_plus - W_minus)/2 and W' = W + W_minus.
+coefficients of W = (W_plus - W_minus)/2 and W' = W + W_minus.  The gap
+E_1 - E_0 is stored as its closed form (`_gap_*`), and each build checks it
+against the constant f W_plus' - W_plus W_minus of the same pair.
 
 The one-parameter closed forms share one sum: `_sec_terms_one` gives the
 linear and quadratic sums weighted by (-1)^(l-j) C(l, j), which are A_2j
@@ -46,13 +48,12 @@ import math
 from dataclasses import dataclass, replace
 
 from ._lazy import np
-from .combinatorics import SumIndex, binomial, double_factorial, f_poly, s_sum
+from .combinatorics import SumIndex, binomial, double_factorial, f_poly, fsum, s_sum
 from .dsusy_core import (
     DeformingFunction,
     Family,
-    GeneratingPair,
     TrigLaurentPoly,
-    make_generating_pair,
+    compatibility_gap,
     partner_potential,
 )
 
@@ -66,7 +67,6 @@ __all__ = [
     "build_two_param",
     "expand_and_resum_two_param",
     "closed_form_wavefunction",
-    "generating_pair",
     "potential_value",
 ]
 
@@ -196,6 +196,7 @@ class ExtendedOneParamSpec:
     C_{2m+1}), the partial-fraction constants wavefunction exponents are
     built from; psi1_poly holds the coefficients of the odd polynomial
     prefactor of the first excited state (in powers of sin^2 x, times sin x).
+    gap is the closed-form E_1 - E_0, and e1 is e0 + gap rounded once.
     """
 
     m: int
@@ -206,12 +207,9 @@ class ExtendedOneParamSpec:
     coeffs: tuple[float, ...]
     e0: float
     e1: float
+    gap: float
     c_odd: tuple[float, ...]
     psi1_poly: tuple[float, ...]
-
-    @property
-    def gap(self) -> float:
-        return self.e1 - self.e0
 
     @property
     def deforming(self) -> DeformingFunction:
@@ -221,11 +219,9 @@ class ExtendedOneParamSpec:
 def _first_excited(e0: float, gap: float) -> float:
     """E1 = E0 + gap, or a precision-limit ValueError where the sum loses the gap.
 
-    Below 4 ulps of |E0| the sum keeps too few of the gap's bits to report
-    E1 - E0; below one ulp it would round E1 to E0 and print gap=0.
+    Below 4 ulps of |E0| the sum keeps too few of the gap's bits to
+    represent E1 apart from E0; below one ulp it would round E1 to E0.
     """
-    if not gap > 0.0:
-        raise InternalConsistencyError(f"gap must be positive, got {gap}")
     if gap < 4.0 * math.ulp(e0):
         raise ValueError(
             f"precision limit: the gap {gap:.3g} is below 4 ulps of |E0| = "
@@ -287,7 +283,7 @@ def _sec_terms_one(
         (-1.0) ** (l - j) * binomial(l, j) * s[l - 1] * op ** (l - 1)
         for l in range(lo, 2 * m + 2)
     ]
-    return [sa * math.fsum(lin), sa * sa * op ** (-2 * m) * math.fsum(quad)]
+    return [sa * fsum(lin), sa * sa * op ** (-2 * m) * fsum(quad)]
 
 
 def _closed_one(m: int, sa: float, alpha: float) -> tuple[float, list[float]]:
@@ -300,13 +296,13 @@ def _closed_one(m: int, sa: float, alpha: float) -> tuple[float, list[float]]:
     e0_front = 0.25 * (2 * m + 1) * op * (2 * m + 1 + (2 * m + 3) * alpha)
     # the linear leading block of E_0 is half the gap
     e0_lead = 0.5 * _gap_one(m, sa, alpha)
-    e0 = math.fsum(
+    e0 = fsum(
         [e0_front, e0_lead] + [-t for t in _sec_terms_one(m, 0, sa, alpha, s)]
     )
     a2_front = 0.25 * (2 * m + 1) * (2 * m + 3) * op * op
-    coeffs = [math.fsum([a2_front] + _sec_terms_one(m, 1, sa, alpha, s))]
+    coeffs = [fsum([a2_front] + _sec_terms_one(m, 1, sa, alpha, s))]
     coeffs += [
-        math.fsum(_sec_terms_one(m, j, sa, alpha, s)) for j in range(2, 2 * m + 1)
+        fsum(_sec_terms_one(m, j, sa, alpha, s)) for j in range(2, 2 * m + 1)
     ]
     return e0, coeffs
 
@@ -317,12 +313,12 @@ def _c_odd_one(m: int, lam: tuple[float, ...], alpha: float) -> tuple[float, ...
     for kappa in range(m + 1):
         terms = []
         for p in range(m - kappa + 1):
-            inner = math.fsum(
+            inner = fsum(
                 (-1.0) ** l * binomial(l + m - p, l) * lam[l + m - p]
                 for l in range(p + 1)
             )
             terms.append(alpha ** (m - kappa - p) * op**p * inner)
-        out.append(op ** (kappa - m - 1) * math.fsum(terms))
+        out.append(op ** (kappa - m - 1) * fsum(terms))
     return tuple(out)
 
 
@@ -332,7 +328,7 @@ def _psi1_poly_one(m: int, alpha: float) -> tuple[float, ...]:
     op = 1.0 + alpha
     top = double_factorial(2 * m + 1)
     return tuple(
-        math.fsum(
+        fsum(
             (-1.0) ** (k - l)
             * binomial(m - l, k - l)
             * top
@@ -378,7 +374,9 @@ def build_one_param(m: int, a_top: float, alpha: float) -> ExtendedOneParamSpec:
     All closed-form quantities (energies, potential coefficients, the
     wavefunction constants) are recomputed through the polynomial-expansion
     path and must agree to 1e-9 relative; disagreement raises
-    InternalConsistencyError.
+    InternalConsistencyError.  The gap must match the compatibility constant
+    of the generating pair the same way, and a pair whose f W_plus' -
+    W_plus W_minus is not constant raises CompatibilityError.
     """
     _validate_one(m, a_top, alpha)
     sa = math.sqrt(a_top)
@@ -393,7 +391,10 @@ def build_one_param(m: int, a_top: float, alpha: float) -> ExtendedOneParamSpec:
     _check_match("one-param E0", e0, e0_exp, 1e-9)
     _check_match("one-param coefficients", coeffs, coeffs_exp, 1e-9)
 
-    e1 = _first_excited(e0, _gap_one(m, sa, alpha))
+    gap = _gap_one(m, sa, alpha)
+    e1 = _first_excited(e0, gap)
+    df = DeformingFunction.trig_one(alpha)
+    _check_match("one-param gap", gap, compatibility_gap(wp, wm, df), 1e-9)
 
     c_odd = _c_odd_one(m, lam, alpha)
     _check_match("one-param top C", c_odd[-1], sa / op, 1e-9)
@@ -413,6 +414,7 @@ def build_one_param(m: int, a_top: float, alpha: float) -> ExtendedOneParamSpec:
         coeffs=tuple(coeffs),
         e0=e0,
         e1=e1,
+        gap=gap,
         c_odd=c_odd,
         psi1_poly=psi1_poly,
     )
@@ -435,7 +437,7 @@ def _poly_in_sin2(wp: TrigLaurentPoly) -> tuple[float, ...]:
         for j in range(l + m1 + 2):
             acc[m2 - l + j].append(-muc * (-1.0) ** j * binomial(l + m1 + 1, j))
     for j in range(deg + 1):
-        out[j] = math.fsum(acc[j])
+        out[j] = fsum(acc[j])
     return tuple(out)
 
 
@@ -453,6 +455,7 @@ class ExtendedTwoParamSpec:
     `reflected` records that the caller's (m1 < m2) input was mapped to this
     spec by x -> pi/2 - x, alpha -> -alpha, with the two coefficient ladders
     swapped; evaluate this spec at pi/2 - x to recover the original system.
+    gap is the closed-form E_1 - E_0, and e1 is e0 + gap rounded once.
     """
 
     m1: int
@@ -469,14 +472,11 @@ class ExtendedTwoParamSpec:
     b_coeffs: tuple[float, ...]
     e0: float
     e1: float
+    gap: float
     c: tuple[float, ...]
     d: tuple[float, ...]
     psi1_poly: tuple[float, ...]
     reflected: bool = False
-
-    @property
-    def gap(self) -> float:
-        return self.e1 - self.e0
 
     @property
     def deforming(self) -> DeformingFunction:
@@ -572,9 +572,9 @@ def _sec_terms(
         for l in range(lo, m1 + 1)
     ]
     return [
-        sa * math.fsum(lin),
-        sa * sa * math.fsum(quad),
-        -2.0 * sa * sb * math.fsum(cross),
+        sa * fsum(lin),
+        sa * sa * fsum(quad),
+        -2.0 * sa * sb * fsum(cross),
     ]
 
 
@@ -584,9 +584,9 @@ def _sec_coeffs_two(
     """Closed-form (A_2, ..., A_{4 m1}); the top coefficient is the input."""
     om = 1.0 - alpha
     front = (m1 + 0.5) * (m1 + 1.5) * om * om
-    out = [math.fsum([front] + _sec_terms(m1, m2, 1, sa, sb, alpha))]
+    out = [fsum([front] + _sec_terms(m1, m2, 1, sa, sb, alpha))]
     out += [
-        math.fsum(_sec_terms(m1, m2, k, sa, sb, alpha)) for k in range(2, 2 * m1 + 1)
+        fsum(_sec_terms(m1, m2, k, sa, sb, alpha)) for k in range(2, 2 * m1 + 1)
     ]
     return out
 
@@ -607,7 +607,7 @@ def _e0_two_closed(m1: int, m2: int, sa: float, sb: float, alpha: float) -> floa
         )
         terms.append(-s1 * lead)
         terms += [-t for t in _sec_terms(n1, n2, 0, s1, s2, al)]
-    return math.fsum(terms)
+    return fsum(terms)
 
 
 def _c_two(m1: int, lam: tuple[float, ...], alpha: float) -> tuple[float, ...]:
@@ -617,11 +617,11 @@ def _c_two(m1: int, lam: tuple[float, ...], alpha: float) -> tuple[float, ...]:
     for p in range(1, m1 + 2):
         terms = []
         for q in range(p - 1, m1 + 1):
-            inner = math.fsum(
+            inner = fsum(
                 (-1.0) ** (k - q) * binomial(k, q) * lam[k] for k in range(q, m1 + 1)
             )
             terms.append(2.0**q * (-alpha) ** (q - p + 1) / om ** (q - p + 2) * inner)
-        c.append(math.fsum(terms))
+        c.append(fsum(terms))
     return tuple(c)
 
 
@@ -683,7 +683,8 @@ def build_two_param(
 
     m1 < m2 inputs are reflected to the canonical ordering (swap the ladders
     and tops, alpha -> -alpha, x -> pi/2 - x) and flagged via `reflected`.
-    Closed-form and expansion-path results must agree to 1e-8 relative.
+    Closed-form and expansion-path results, and the gap and the generating
+    pair's compatibility constant, must agree to 1e-8 relative.
     """
     _validate_two(m1, m2, a_top, b_top, alpha)
     if m1 < m2:
@@ -712,7 +713,10 @@ def build_two_param(
     _check_match("two-param sec coefficients", a_coeffs, a_exp, 1e-8)
     _check_match("two-param csc coefficients", b_coeffs, b_exp, 1e-8)
 
-    e1 = _first_excited(e0, _gap_two(m1, m2, sa, sb, alpha))
+    gap = _gap_two(m1, m2, sa, sb, alpha)
+    e1 = _first_excited(e0, gap)
+    df = DeformingFunction.trig_two(alpha)
+    _check_match("two-param gap", gap, compatibility_gap(wp, wm, df), 1e-8)
 
     c, d = _c_two(m1, lam, alpha), _c_two(m2, mu, -alpha)
     _check_match("two-param top C", c[-1], 2.0**m1 * sa / om, 1e-9)
@@ -740,6 +744,7 @@ def build_two_param(
         b_coeffs=tuple(b_coeffs),
         e0=e0,
         e1=e1,
+        gap=gap,
         c=c,
         d=d,
         psi1_poly=psi1_poly,
@@ -796,19 +801,6 @@ def closed_form_wavefunction(spec, level: int) -> ClosedFormWavefunction:
             poly=spec.psi1_poly,
             odd=False,
         )
-    raise TypeError(f"not an extension spec: {type(spec).__name__}")
-
-
-def generating_pair(spec) -> GeneratingPair:
-    """The validated (W_plus, W_minus, gap) behind a built spec."""
-    if isinstance(spec, ExtendedOneParamSpec):
-        wp, wm = _w_pair_one(spec.m, math.sqrt(spec.a_top), spec.alpha)
-        return make_generating_pair(wp, wm, spec.deforming)
-    if isinstance(spec, ExtendedTwoParamSpec):
-        wp, wm = _w_pair_two(
-            spec.m1, spec.m2, math.sqrt(spec.a_top), spec.sqrt_b_eff, spec.alpha
-        )
-        return make_generating_pair(wp, wm, spec.deforming)
     raise TypeError(f"not an extension spec: {type(spec).__name__}")
 
 

@@ -2,8 +2,10 @@
 
 Every test drives `main` with an argv list and inspects stdout, stderr, exit
 codes, or emitted files; nothing reaches into command internals except the
-curve block size, read so that the streaming test spans two blocks, and the
-evaluators `verify` calls, counted so that each check samples once per grid.
+curve block size, read so that the streaming test spans two blocks, the
+evaluators `verify` calls, counted so that each check samples once per grid,
+the build's generating pair, perturbed so that the build must refuse it, and
+the closed-form gap that `extend` prints.
 The README's library quick start is run as written.
 """
 
@@ -17,11 +19,13 @@ import numpy as np
 import pytest
 
 import pdmtpt
-from pdmtpt import cli
+from pdmtpt import cli, tpt_extended
 from pdmtpt.cli import _CURVE_BLOCK_ROWS, main
+from pdmtpt.dsusy_core import Family, TrigLaurentPoly
 from pdmtpt.numeric_verify import inner_product
 from pdmtpt.tpt_extended import (
     ClosedFormWavefunction,
+    _gap_two,
     build_one_param,
     build_two_param,
     closed_form_wavefunction,
@@ -178,6 +182,54 @@ class TestExtend:
         )
         assert len(captured.err.splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--one", "-m", "1", "--atop", "1e308", "--alpha", "0.5"],
+            ["--one", "-m", "2", "--atop", "1e308", "--alpha", "3"],
+            ["--two", "--m1", "2", "--m2", "1", "--atop", "1e308", "--btop", "1",
+             "--alpha", "0.5"],
+            ["--two", "--m1", "1", "--m2", "1", "--atop", "1e308", "--btop", "1e308",
+             "--alpha", "0.5"],
+        ],
+        ids=["one-1", "one-2", "two-2-1", "two-1-1"],
+    )
+    def test_overflow_to_both_infinities_is_a_precision_limit(self, flags, capsys):
+        # float products in the expansion (one-1, one-2, two-2-1) or closed-form
+        # (two-1-1) sums overflow to -inf and +inf
+        rc = main(["extend", "--check", *flags])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err == (
+            "error: precision limit: the closed forms overflow double precision\n"
+        )
+
+    @pytest.mark.parametrize("m", ["8", "14"])
+    def test_gap_line_is_the_closed_form(self, m, capsys):
+        # not E1 - E0, which is off by 8.6e-3 relative at (14, 14)
+        argv = ["--m1", m, "--m2", m, "--atop", "1", "--btop", "1", "--alpha", "0.6"]
+        assert main(["extend", "--two", *argv]) == 0
+        gap = _gap_two(int(m), int(m), 1.0, 1.0, 0.6)
+        assert _kv(capsys.readouterr().out)["gap"] == f"{gap:.17g}"
+
+    def test_incompatible_generating_pair_is_one_error_line(self, monkeypatch, capsys):
+        w_pair = tpt_extended._w_pair_one
+
+        def perturbed(m, sa, alpha):
+            # a tan^3 term in W_minus leaves the ladders, E0 and the
+            # coefficients as they were
+            w_plus, w_minus = w_pair(m, sa, alpha)
+            return w_plus, TrigLaurentPoly(Family.ONE, w_minus.lam + (1e-6,))
+
+        monkeypatch.setattr(tpt_extended, "_w_pair_one", perturbed)
+        rc = main(["extend", "--one", "-m", "2", "--atop", "1.3", "--alpha", "0.4"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: f W+' - W+ W- is not constant")
+        assert len(captured.err.splitlines()) == 1
+
     def test_check_flag_reports_discrepancy(self, capsys):
         rc = main(
             ["extend", "--one", "-m", "2", "--atop", "2.5", "--alpha", "0.3", "--check"]
@@ -313,6 +365,19 @@ class TestVerify:
         out = capsys.readouterr().out
         assert rc == 1
         assert any(ln.startswith("FAIL spectral") for ln in out.splitlines())
+
+    @pytest.mark.parametrize("grid", ["255", "1002"])
+    def test_grid_not_a_multiple_of_4_is_refused(self, grid, capsys):
+        # with unequal spacings Richardson's error (2.2e-6 at -N 255) would
+        # fail closed forms that pass at -N 256
+        argv = ["--one", "-m", "1", "--atop", "1", "--alpha", "-0.5", "-N", grid]
+        rc = main(["verify", *argv])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: grid_size must be a multiple of 4 and at least 64, got {grid}\n"
+        )
 
     def test_each_check_samples_once_per_grid(self, monkeypatch, capsys):
         # psi: 2 per residual, 1 per node count, 1 for both norms and the
@@ -532,8 +597,17 @@ def loaded():
     scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
     return {"numpy": numpy_ran, "scipy": scipy}
 
-for info in pkgutil.iter_modules(pdmtpt.__path__):
+modules = [pdmtpt] + [
     importlib.import_module("pdmtpt." + info.name)
+    for info in pkgutil.iter_modules(pdmtpt.__path__)
+]
+# every name a module exports, resolved before the "import" stage is recorded
+stale = [
+    f"{module.__name__}.{name}"
+    for module in modules
+    for name in getattr(module, "__all__", ())
+    if not hasattr(module, name)
+]
 well = ["--one", "-m", "1", "--atop", "1", "--alpha", "-0.5", "--json"]
 seen = {"import": loaded()}
 for stage, argv in (
@@ -550,6 +624,7 @@ for stage, argv in (
         pass
     seen[stage] = loaded()
 seen["one_numpy"] = pdmtpt.numeric_verify.np is sys.modules["numpy"]
+seen["stale"] = stale
 print(json.dumps(seen))
 """
 
@@ -566,12 +641,20 @@ def import_path(tmp_path_factory):
     assert "--one requires -m" in run.stderr
     seen = json.loads(run.stdout.splitlines()[-1])
     one_numpy = seen.pop("one_numpy")
+    stale = seen.pop("stale")
     assert list(seen) == ["import", "exact", "extend", "usage", "sample", "figures", "verify"]
-    return seen, one_numpy
+    return seen, one_numpy, stale
+
+
+def test_every_exported_name_resolves(import_path):
+    # resolving them is part of the "import" stage, which executes no NumPy
+    seen, _, stale = import_path
+    assert stale == []
+    assert seen["import"]["numpy"] is False
 
 
 def test_scipy_is_loaded_only_by_verify(import_path):
-    seen, _ = import_path
+    seen, _, _ = import_path
     for stage in ("import", "exact", "extend", "usage", "sample", "figures"):
         assert seen[stage]["scipy"] == [], stage
     assert "scipy.linalg" in seen["verify"]["scipy"]
@@ -580,7 +663,7 @@ def test_scipy_is_loaded_only_by_verify(import_path):
 
 
 def test_numpy_executes_only_where_arrays_are_evaluated(import_path):
-    seen, one_numpy = import_path
+    seen, one_numpy, _ = import_path
     for stage in ("import", "exact", "extend", "usage"):
         assert seen[stage]["numpy"] is False, stage
     for stage in ("sample", "figures", "verify"):

@@ -13,6 +13,7 @@ from pdmtpt.combinatorics import (
     binomial,
     double_factorial,
     f_poly,
+    fsum,
     gegenbauer,
     jacobi,
     s_sum,
@@ -108,6 +109,18 @@ def test_f_poly_requires_k_above_n():
         f_poly(2, 2, 0.5)
     with pytest.raises(ValueError):
         f_poly(3, 1, 0.5)
+
+
+def test_fsum_is_math_fsum_until_both_infinities_meet():
+    terms = [1e16, 1.0, -1e16, 0.5]
+    assert fsum(iter(terms)) == math.fsum(terms) == 1.5
+    assert fsum([2.0 * 1e308, 1.0]) == math.inf
+    assert math.isnan(fsum([math.nan, 1.0]))
+    with pytest.raises(OverflowError):
+        fsum([1e308, 1e308])
+    # products past the largest double: a precision limit, not a ValueError
+    with pytest.raises(OverflowError):
+        fsum([-2.0 * 1e308, 3.0 * 1e308])
 
 
 def test_gegenbauer_low_orders():

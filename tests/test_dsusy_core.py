@@ -15,7 +15,6 @@ from pdmtpt.dsusy_core import (
     TrigLaurentPoly,
     compatibility_gap,
     hermiticity_boundary_check,
-    make_generating_pair,
     partner_potential,
 )
 from pdmtpt.tpt_exact import (
@@ -28,10 +27,11 @@ from pdmtpt.tpt_exact import (
 )
 from pdmtpt.tpt_extended import (
     _ladders,
+    _w_pair_one,
+    _w_pair_two,
     build_one_param,
     build_two_param,
     closed_form_wavefunction,
-    generating_pair,
 )
 
 ONE_HALF = DeformingFunction.trig_one(-0.5)
@@ -114,21 +114,22 @@ def test_compatibility_gap_rejects_perturbed_companion():
 
 @pytest.mark.parametrize("m1,m2", [(8, 1), (0, 8), (7, 0)])
 def test_compatibility_gap_accepts_deep_two_param_pairs(m1, m2):
-    # f W+' and W+ W- each reach 1e8..1e9 on the central half at these
-    # depths, so their sampled difference carries rounding far above 1e-10
+    # the pair of a built deep well, canonical (m1 >= m2) as the build makes it
     spec = build_two_param(m1, m2, 1.0, 1.0, 0.0)
-    pair = generating_pair(spec)
-    assert pair.gap == pytest.approx(spec.gap, rel=1e-12)
+    w_plus, w_minus = _w_pair_two(
+        spec.m1, spec.m2, math.sqrt(spec.a_top), spec.sqrt_b_eff, spec.alpha
+    )
+    gap = compatibility_gap(w_plus, w_minus, spec.deforming)
+    assert gap == pytest.approx(spec.gap, rel=1e-12)
 
 
 def test_compatibility_gap_rejects_perturbed_deep_pair():
-    spec = build_two_param(8, 1, 1.0, 1.0, 0.0)
-    pair = generating_pair(spec)
-    lam = list(pair.w_minus.lam)
+    w_plus, w_minus = _w_pair_two(8, 1, 1.0, 1.0, 0.0)
+    lam = list(w_minus.lam)
     lam[0] *= 1.0 + 1e-6
-    bad = TrigLaurentPoly(Family.TWO, tuple(lam), pair.w_minus.mu)
+    bad = TrigLaurentPoly(Family.TWO, tuple(lam), w_minus.mu)
     with pytest.raises(CompatibilityError):
-        compatibility_gap(pair.w_plus, bad, spec.deforming)
+        compatibility_gap(w_plus, bad, DeformingFunction.trig_two(0.0))
 
 
 def test_compatibility_gap_rejects_negative_constant():
@@ -140,24 +141,27 @@ def test_compatibility_gap_rejects_negative_constant():
 
 
 def test_gap_constant_on_sample_grid():
-    w_plus, w_minus = _m1_pair()
-    pair = make_generating_pair(w_plus, w_minus, ONE_HALF)
+    # the build's pair for m = 1, A_top = 1, alpha = -1/2 is _m1_pair
+    w_plus, w_minus = _w_pair_one(1, 1.0, -0.5)
+    assert (w_plus, w_minus) == _m1_pair()
+    gap = build_one_param(1, 1.0, -0.5).gap
+    assert compatibility_gap(w_plus, w_minus, ONE_HALF) == pytest.approx(gap, rel=1e-14)
     lo, hi = ONE_HALF.domain
     xs = np.linspace(lo + 0.1, hi - 0.1, 64)
     sampled = (
         ONE_HALF.f(xs) * w_plus.derivative_value(xs)
         - w_plus.value(xs) * w_minus.value(xs)
     )
-    np.testing.assert_allclose(sampled, pair.gap, rtol=1e-12)
+    np.testing.assert_allclose(sampled, gap, rtol=1e-12)
 
 
 def test_split_superpotentials():
     # W = (W+ - W-)/2 and W' = (W+ + W-)/2 of a compatible pair
     df = DeformingFunction.trig_one(0.0)
-    pair = make_generating_pair(
-        TrigLaurentPoly(Family.ONE, (5.0,)), TrigLaurentPoly(Family.ONE, (1.0,)), df
-    )
-    lam, lam_prime, mu, mu_prime = _ladders(pair.w_plus, pair.w_minus)
+    w_plus = TrigLaurentPoly(Family.ONE, (5.0,))
+    w_minus = TrigLaurentPoly(Family.ONE, (1.0,))
+    assert compatibility_gap(w_plus, w_minus, df) == pytest.approx(5.0, rel=1e-15)
+    lam, lam_prime, mu, mu_prime = _ladders(w_plus, w_minus)
     np.testing.assert_allclose(lam, (2.0,))
     np.testing.assert_allclose(lam_prime, (3.0,))
     assert mu == mu_prime == ()

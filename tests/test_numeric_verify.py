@@ -132,6 +132,9 @@ def test_spectrum_input_validation():
     df = DeformingFunction.trig_one(0.0)
     with pytest.raises(ValueError):
         solve_spectrum(lambda x: 0.0 * x, df, 2, 63)
+    # Richardson needs the spacing to halve exactly from N/4 to N/2 to N
+    with pytest.raises(ValueError, match="multiple of 4"):
+        solve_spectrum(lambda x: 0.0 * x, df, 2, 250)
     with pytest.raises(ValueError):
         solve_spectrum(lambda x: 0.0 * x, df, 0, 256)
     with pytest.raises(ValueError):
@@ -177,7 +180,7 @@ def test_discretization_converges_figure_specs():
     ]
     for spec, closed in cases:
         ratios = _doubling_ratios(
-            lambda x: potential_value(spec, x), spec.deforming, closed, 2, (250, 500, 1000)
+            lambda x: potential_value(spec, x), spec.deforming, closed, 2, (256, 512, 1024)
         )
         for r in ratios:
             assert np.all(r >= 3.5)
@@ -187,13 +190,13 @@ def test_discretization_converges_es_baselines():
     p = ExactOneParam(2.0, -0.5)
     closed = np.array([energy_one_param(p, n) for n in range(5)])
     for r in _doubling_ratios(
-        lambda x: potential_one_param(p, x), p.deforming, closed, 5, (250, 500, 1000)
+        lambda x: potential_one_param(p, x), p.deforming, closed, 5, (256, 512, 1024)
     ):
         assert np.all(r >= 3.5)
     q = ExactTwoParam(2.0, 2.0, 0.5)
     closed2 = np.array([energy_two_param(q, n) for n in range(5)])
     for r in _doubling_ratios(
-        lambda x: potential_two_param(q, x), q.deforming, closed2, 5, (250, 500, 1000)
+        lambda x: potential_two_param(q, x), q.deforming, closed2, 5, (256, 512, 1024)
     ):
         assert np.all(r >= 3.5)
 

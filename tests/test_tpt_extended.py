@@ -15,7 +15,12 @@ from scipy import integrate
 
 from pdmtpt import tpt_extended
 from pdmtpt.combinatorics import double_factorial
-from pdmtpt.dsusy_core import hermiticity_boundary_check
+from pdmtpt.dsusy_core import (
+    CompatibilityError,
+    TrigLaurentPoly,
+    compatibility_gap,
+    hermiticity_boundary_check,
+)
 from pdmtpt.tpt_extended import (
     InternalConsistencyError,
     build_one_param,
@@ -23,7 +28,6 @@ from pdmtpt.tpt_extended import (
     closed_form_wavefunction,
     expand_and_resum_one_param,
     expand_and_resum_two_param,
-    generating_pair,
     potential_value,
 )
 
@@ -294,6 +298,60 @@ def test_gap_well_above_4_ulps_still_builds():
     # about 85 ulps of E0
     spec = build_one_param(1, 1e30, 0.0)
     assert spec.gap >= 4.0 * math.ulp(spec.e0)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [(1, 1.7, 0.45), (8, 1.7, 0.45), (14, 14, 1.0, 1.0, 0.6), (8, 8, 1.0, 1.0, 0.6),
+     (2, 0, 1.1, 0.7, -0.25)],
+    ids=["one-1", "one-8", "two-14-14", "two-8-8", "two-2-0"],
+)
+def test_stored_gap_is_the_closed_form(args):
+    # E1 - E0 after rounding is off by 8.6e-3 relative at (14, 14) and by
+    # 5.8e-11 at (8, 8); the stored gap is the closed form itself
+    if len(args) == 3:
+        m, a_top, alpha = args
+        spec = build_one_param(*args)
+        want = tpt_extended._gap_one(m, math.sqrt(a_top), alpha)
+    else:
+        m1, m2, a_top, b_top, alpha = args
+        spec = build_two_param(*args)
+        sb = tpt_extended._sqrt_b_eff(m2, b_top, alpha)
+        want = tpt_extended._gap_two(m1, m2, math.sqrt(a_top), sb, alpha)
+    assert spec.gap == want
+    assert spec.e1 == spec.e0 + spec.gap
+
+
+def _perturbed_w_minus(w_pair):
+    """`w_pair` with a tan^3 term added to W_minus.
+
+    The ladders read only W_minus's tan x coefficient, so E_0 and the
+    potential coefficients still pass; only f W_plus' - W_plus W_minus
+    stops being constant.
+    """
+
+    def perturbed(*args):
+        w_plus, w_minus = w_pair(*args)
+        bad = TrigLaurentPoly(w_minus.family, w_minus.lam + (1e-6,), w_minus.mu)
+        return w_plus, bad
+
+    return perturbed
+
+
+@pytest.mark.parametrize(
+    "name,build,args",
+    [
+        ("_w_pair_one", build_one_param, (2, 1.3, 0.4)),
+        ("_w_pair_two", build_two_param, (2, 1, 1.3, 0.8, -0.3)),
+    ],
+    ids=["one", "two"],
+)
+def test_incompatible_generating_pair_fails_the_build(monkeypatch, name, build, args):
+    monkeypatch.setattr(
+        tpt_extended, name, _perturbed_w_minus(getattr(tpt_extended, name))
+    )
+    with pytest.raises(CompatibilityError, match=r"^f W\+' - W\+ W- is not constant"):
+        build(*args)
 
 
 class TestTwoParamAnchors:
@@ -704,8 +762,15 @@ class TestGeneratingPairs:
         ids=["one-m1", "one-m3", "two-11", "two-20"],
     )
     def test_pair_gap_matches_spec(self, spec):
-        pair = generating_pair(spec)
-        assert pair.gap == pytest.approx(spec.gap, rel=1e-12)
+        sa = math.sqrt(spec.a_top)
+        if isinstance(spec, tpt_extended.ExtendedOneParamSpec):
+            pair = tpt_extended._w_pair_one(spec.m, sa, spec.alpha)
+        else:
+            pair = tpt_extended._w_pair_two(
+                spec.m1, spec.m2, sa, spec.sqrt_b_eff, spec.alpha
+            )
+        gap = compatibility_gap(*pair, spec.deforming)
+        assert gap == pytest.approx(spec.gap, rel=1e-12)
 
     def test_potential_values_match_partner_route(self):
         spec = build_one_param(1, 1.0, -0.5)
