@@ -35,6 +35,7 @@ from .tpt_extended import (
     build_one_param,
     build_two_param,
     closed_form_wavefunction,
+    # not called here: perfbench/tracing.py TARGETS resolves them on pdmtpt.cli
     expand_and_resum_one_param,
     expand_and_resum_two_param,
     potential_value,
@@ -103,44 +104,33 @@ def _spec_fields(spec) -> dict:
             "m": spec.m,
             "a_top": spec.a_top,
             "alpha": spec.alpha,
-            "E0": spec.e0,
-            "E1": spec.e1,
-            "gap": spec.gap,
         }
-        for k, c in enumerate(spec.coeffs, start=1):
-            out[f"A{2 * k}"] = c
-        for kappa, c in enumerate(spec.c_odd):
-            out[f"C{2 * kappa + 1}"] = c
-        return out
-    out = {
-        "family": "extended-two",
-        "m1": spec.m1,
-        "m2": spec.m2,
-        "a_top": spec.a_top,
-        "b_top": spec.b_top,
-        "alpha": spec.alpha,
-        "reflected": spec.reflected,
-        "E0": spec.e0,
-        "E1": spec.e1,
-        "gap": spec.gap,
-    }
-    for k, c in enumerate(spec.a_coeffs, start=1):
-        out[f"A{2 * k}"] = c
-    for l, c in enumerate(spec.b_coeffs, start=1):
-        out[f"B{2 * l}"] = c
-    for p, c in enumerate(spec.c, start=1):
-        out[f"C{p}"] = c
-    for q, c in enumerate(spec.d, start=1):
-        out[f"D{q}"] = c
+        consts = {f"C{2 * kappa + 1}": c for kappa, c in enumerate(spec.c_odd)}
+    else:
+        out = {
+            "family": "extended-two",
+            "m1": spec.m1,
+            "m2": spec.m2,
+            "a_top": spec.a_top,
+            "b_top": spec.b_top,
+            "alpha": spec.alpha,
+            "reflected": spec.reflected,
+        }
+        consts = {f"C{p}": c for p, c in enumerate(spec.c, start=1)}
+        consts.update((f"D{q}", c) for q, c in enumerate(spec.d, start=1))
+    out.update(E0=spec.e0, E1=spec.e1, gap=spec.gap)
+    out.update((f"A{2 * k}", c) for k, c in enumerate(spec.a_coeffs, start=1))
+    out.update((f"B{2 * l}", c) for l, c in enumerate(spec.b_coeffs, start=1))
+    out.update(consts)
     return out
 
 
-def _params_string(spec) -> str:
-    if isinstance(spec, ExtendedOneParamSpec):
-        return f"m={spec.m};a_top={_fmt(spec.a_top)};alpha={_fmt(spec.alpha)}"
-    return (
-        f"m1={spec.m1};m2={spec.m2};a_top={_fmt(spec.a_top)};"
-        f"b_top={_fmt(spec.b_top)};alpha={_fmt(spec.alpha)}"
+def _params_string(fields: dict) -> str:
+    """The build parameters among `_spec_fields`, as k=v joined by ';'."""
+    return ";".join(
+        f"{k}={_fmt(v) if isinstance(v, float) else v}"
+        for k, v in fields.items()
+        if k in ("m", "m1", "m2", "a_top", "b_top", "alpha")
     )
 
 
@@ -190,18 +180,7 @@ def cmd_extend(args) -> int:
     spec = _extended_spec(args)
     payload = _spec_fields(spec)
     if args.check:
-        if isinstance(spec, ExtendedOneParamSpec):
-            e0x, ax = expand_and_resum_one_param(spec.m, spec.a_top, spec.alpha)
-            diffs = [abs(spec.e0 - e0x)]
-            diffs += [abs(c - x) for c, x in zip(spec.coeffs, ax)]
-        else:
-            e0x, ax, bx = expand_and_resum_two_param(
-                spec.m1, spec.m2, spec.a_top, spec.b_top, spec.alpha
-            )
-            diffs = [abs(spec.e0 - e0x)]
-            diffs += [abs(c - x) for c, x in zip(spec.a_coeffs, ax)]
-            diffs += [abs(c - x) for c, x in zip(spec.b_coeffs, bx)]
-        payload["dual_path_max_discrepancy"] = max(diffs)
+        payload["dual_path_max_discrepancy"] = spec.dual_path
     return _report(args, payload)
 
 
@@ -209,14 +188,7 @@ def cmd_verify(args) -> int:
     spec = _extended_spec(args)
     numeric_spec = spec
     if args.override_a2 is not None:
-        if isinstance(spec, ExtendedOneParamSpec):
-            numeric_spec = replace(
-                spec, coeffs=(args.override_a2,) + spec.coeffs[1:]
-            )
-        else:
-            numeric_spec = replace(
-                spec, a_coeffs=(args.override_a2,) + spec.a_coeffs[1:]
-            )
+        numeric_spec = replace(spec, a_coeffs=(args.override_a2,) + spec.a_coeffs[1:])
     df = spec.deforming
     v = lambda x: potential_value(numeric_spec, x)
 
@@ -303,10 +275,10 @@ def _write_curve_file(path: str, spec, npoints: int) -> dict:
     psi1 = closed_form_wavefunction(spec, 1)
     norm0 = _norm(inner_product(psi0.value, psi0.value, df), "psi0")
     norm1 = _norm(inner_product(psi1.value, psi1.value, df), "psi1")
-    family = "extended-one" if isinstance(spec, ExtendedOneParamSpec) else "extended-two"
+    fields = _spec_fields(spec)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(
-            f"# family={family}, params={_params_string(spec)}, "
+            f"# family={fields['family']}, params={_params_string(fields)}, "
             f"E0={_fmt(spec.e0)}, E1={_fmt(spec.e1)}\n"
         )
         fh.write(f"# norm_psi0={_fmt(norm0)}, norm_psi1={_fmt(norm1)}\n")
@@ -363,7 +335,7 @@ def cmd_figures(args) -> int:
             print(f"error: cannot write {path}: {exc}", file=sys.stderr)
             return 3
         payload[name] = info["path"]
-        lines.append(f"wrote {info['path']} ({_params_string(spec)})")
+        lines.append(f"wrote {info['path']} ({_params_string(_spec_fields(spec))})")
     _emit(args, lines, payload)
     return 0
 
@@ -413,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_extend.add_argument(
         "--check",
         action="store_true",
-        help="re-run the dual-path comparison and print the max discrepancy",
+        help="print the largest dual-path discrepancy the build measured",
     )
     p_extend.add_argument("--json", action="store_true")
     p_extend.set_defaults(func=cmd_extend, parser=p_extend)
@@ -451,9 +423,10 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ValueError, InternalConsistencyError, OverflowError) as exc:
-        # OverflowError: a float ** past the largest double, or a value _report refuses
+        # OverflowError: a float ** or sum past the largest double on either
+        # path, or a value _report refuses
         if isinstance(exc, OverflowError):
-            exc = ValueError("precision limit: the closed forms overflow double precision")
+            exc = ValueError("precision limit: a float value overflows double precision")
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

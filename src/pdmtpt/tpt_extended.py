@@ -22,6 +22,12 @@ coefficients of W = (W_plus - W_minus)/2 and W' = W + W_minus.  The gap
 E_1 - E_0 is stored as its closed form (`_gap_*`), and each build checks it
 against the constant f W_plus' - W_plus W_minus of the same pair.
 
+Both spec classes store what their consumers read under the same names:
+the sec and csc ladders `a_coeffs` and `b_coeffs` (empty for the
+one-parameter family), the deforming function `deforming`, the closed-form
+wavefunctions `psi` and `dual_path`, the largest discrepancy of the build's
+E_0 and coefficient checks.
+
 The one-parameter closed forms share one sum: `_sec_terms_one` gives the
 linear and quadratic sums weighted by (-1)^(l-j) C(l, j), which are A_2j
 (j >= 2), A_2 with a leading block (j = 1) and, subtracted from two leading
@@ -162,9 +168,6 @@ class ClosedFormWavefunction:
         out = pref * np.exp(expo)
         return float(out) if np.ndim(x) == 0 else out
 
-    def __call__(self, x):
-        return self.value(x)
-
 
 def _ladders(
     w_plus: TrigLaurentPoly, w_minus: TrigLaurentPoly
@@ -192,11 +195,13 @@ def _ladders(
 class ExtendedOneParamSpec:
     """Closed-form data of one extension V = sum A_2k sec^(2k) x.
 
-    coeffs holds (A_2, A_4, ..., A_{4m+2}); c_odd holds (C_1, C_3, ...,
-    C_{2m+1}), the partial-fraction constants wavefunction exponents are
-    built from; psi1_poly holds the coefficients of the odd polynomial
-    prefactor of the first excited state (in powers of sin^2 x, times sin x).
-    gap is the closed-form E_1 - E_0, and e1 is e0 + gap rounded once.
+    The fields both families share: a_coeffs holds (A_2, A_4, ...,
+    A_{4m+2}) and b_coeffs the csc ladder, empty here; deforming is f;
+    psi is the closed-form (psi_0, psi_1); dual_path is the largest
+    |closed form - expansion| the build measured over E_0 and the
+    coefficients.  gap is the closed-form E_1 - E_0, and e1 is e0 + gap
+    rounded once.  c_odd holds (C_1, C_3, ..., C_{2m+1}), the
+    partial-fraction constants the wavefunction exponents are built from.
     """
 
     m: int
@@ -204,16 +209,15 @@ class ExtendedOneParamSpec:
     alpha: float
     lam: tuple[float, ...]
     lam_prime: tuple[float, ...]
-    coeffs: tuple[float, ...]
+    a_coeffs: tuple[float, ...]
     e0: float
     e1: float
     gap: float
     c_odd: tuple[float, ...]
-    psi1_poly: tuple[float, ...]
-
-    @property
-    def deforming(self) -> DeformingFunction:
-        return DeformingFunction.trig_one(self.alpha)
+    deforming: DeformingFunction
+    psi: tuple[ClosedFormWavefunction, ClosedFormWavefunction]
+    dual_path: float
+    b_coeffs: tuple[float, ...] = ()
 
 
 def _first_excited(e0: float, gap: float) -> float:
@@ -388,8 +392,10 @@ def build_one_param(m: int, a_top: float, alpha: float) -> ExtendedOneParamSpec:
     coeffs.append(a_top)
 
     e0_exp, coeffs_exp = expand_and_resum_one_param(m, a_top, alpha)
-    _check_match("one-param E0", e0, e0_exp, 1e-9)
-    _check_match("one-param coefficients", coeffs, coeffs_exp, 1e-9)
+    dual_path = max(
+        _check_match("one-param E0", e0, e0_exp, 1e-9),
+        _check_match("one-param coefficients", coeffs, coeffs_exp, 1e-9),
+    )
 
     gap = _gap_one(m, sa, alpha)
     e1 = _first_excited(e0, gap)
@@ -405,18 +411,28 @@ def build_one_param(m: int, a_top: float, alpha: float) -> ExtendedOneParamSpec:
         "one-param psi1 prefactor", tuple(c * 2.0 * sa for c in psi1_poly), dual, 1e-9
     )
 
+    c1 = c_odd[0]
+    sec = tuple(c_odd[kappa] / (2.0 * kappa) for kappa in range(1, m + 1))
+    psi = (
+        ClosedFormWavefunction(df, -0.5 * (c1 + 1.0), c1, 0.0, sec, ()),
+        ClosedFormWavefunction(
+            df, -0.5 * (c1 + 2.0 * m + 2.0), c1, 0.0, sec, (), poly=psi1_poly, odd=True
+        ),
+    )
     return ExtendedOneParamSpec(
         m=m,
         a_top=a_top,
         alpha=alpha,
         lam=lam,
         lam_prime=lam_p,
-        coeffs=tuple(coeffs),
+        a_coeffs=tuple(coeffs),
         e0=e0,
         e1=e1,
         gap=gap,
         c_odd=c_odd,
-        psi1_poly=psi1_poly,
+        deforming=df,
+        psi=psi,
+        dual_path=dual_path,
     )
 
 
@@ -455,7 +471,12 @@ class ExtendedTwoParamSpec:
     `reflected` records that the caller's (m1 < m2) input was mapped to this
     spec by x -> pi/2 - x, alpha -> -alpha, with the two coefficient ladders
     swapped; evaluate this spec at pi/2 - x to recover the original system.
-    gap is the closed-form E_1 - E_0, and e1 is e0 + gap rounded once.
+    The fields both families share: a_coeffs holds (A_2, ..., A_{4 m1 + 2})
+    and b_coeffs the csc ladder (B_2, ...); deforming is f; psi is the
+    closed-form (psi_0, psi_1); dual_path is the largest |closed form -
+    expansion| the build measured over E_0 and both ladders.  gap is the
+    closed-form E_1 - E_0, and e1 is e0 + gap rounded once.  c and d hold
+    the partial-fraction constants C_p and D_q of the wavefunctions.
     """
 
     m1: int
@@ -475,12 +496,10 @@ class ExtendedTwoParamSpec:
     gap: float
     c: tuple[float, ...]
     d: tuple[float, ...]
-    psi1_poly: tuple[float, ...]
+    deforming: DeformingFunction
+    psi: tuple[ClosedFormWavefunction, ClosedFormWavefunction]
+    dual_path: float
     reflected: bool = False
-
-    @property
-    def deforming(self) -> DeformingFunction:
-        return DeformingFunction.trig_two(self.alpha)
 
 
 def _sqrt_b_eff(m2: int, b_top: float, alpha: float) -> float:
@@ -709,9 +728,11 @@ def build_two_param(
         b_coeffs = b_closed + [b_top]
 
     e0_exp, a_exp, b_exp = expand_and_resum_two_param(m1, m2, a_top, b_top, alpha)
-    _check_match("two-param E0", e0, e0_exp, 1e-8)
-    _check_match("two-param sec coefficients", a_coeffs, a_exp, 1e-8)
-    _check_match("two-param csc coefficients", b_coeffs, b_exp, 1e-8)
+    dual_path = max(
+        _check_match("two-param E0", e0, e0_exp, 1e-8),
+        _check_match("two-param sec coefficients", a_coeffs, a_exp, 1e-8),
+        _check_match("two-param csc coefficients", b_coeffs, b_exp, 1e-8),
+    )
 
     gap = _gap_two(m1, m2, sa, sb, alpha)
     e1 = _first_excited(e0, gap)
@@ -729,6 +750,16 @@ def build_two_param(
     dual = _poly_in_sin2(wp)
     _check_match("two-param psi1 prefactor", psi1_poly, dual, 1e-8)
 
+    c1, d1 = c[0], d[0]
+    sec = tuple(c[p - 1] / (2.0**p * (p - 1)) for p in range(2, m1 + 2))
+    csc = tuple(d[q - 1] / (2.0**q * (q - 1)) for q in range(2, m2 + 2))
+    psi = (
+        ClosedFormWavefunction(df, -0.5 * (c1 + d1 + 1.0), c1, d1, sec, csc),
+        ClosedFormWavefunction(
+            df, -0.5 * (c1 + d1 + 2.0 * m1 + 2.0 * m2 + 3.0), c1, d1, sec, csc,
+            poly=psi1_poly,
+        ),
+    )
     return ExtendedTwoParamSpec(
         m1=m1,
         m2=m2,
@@ -747,8 +778,9 @@ def build_two_param(
         gap=gap,
         c=c,
         d=d,
-        psi1_poly=psi1_poly,
-        reflected=False,
+        deforming=df,
+        psi=psi,
+        dual_path=dual_path,
     )
 
 
@@ -760,69 +792,20 @@ def closed_form_wavefunction(spec, level: int) -> ClosedFormWavefunction:
     """The level-0 or level-1 closed-form wavefunction of a built spec."""
     if level not in (0, 1):
         raise ValueError(f"only levels 0 and 1 exist in closed form, got {level}")
-    if isinstance(spec, ExtendedOneParamSpec):
-        c1 = spec.c_odd[0]
-        sec = tuple(
-            spec.c_odd[kappa] / (2.0 * kappa) for kappa in range(1, spec.m + 1)
-        )
-        if level == 0:
-            return ClosedFormWavefunction(
-                spec.deforming, -0.5 * (c1 + 1.0), c1, 0.0, sec, ()
-            )
-        return ClosedFormWavefunction(
-            spec.deforming,
-            -0.5 * (c1 + 2.0 * spec.m + 2.0),
-            c1,
-            0.0,
-            sec,
-            (),
-            poly=spec.psi1_poly,
-            odd=True,
-        )
-    if isinstance(spec, ExtendedTwoParamSpec):
-        c1, d1 = spec.c[0], spec.d[0]
-        sec = tuple(
-            spec.c[p - 1] / (2.0**p * (p - 1)) for p in range(2, spec.m1 + 2)
-        )
-        csc = tuple(
-            spec.d[q - 1] / (2.0**q * (q - 1)) for q in range(2, spec.m2 + 2)
-        )
-        if level == 0:
-            return ClosedFormWavefunction(
-                spec.deforming, -0.5 * (c1 + d1 + 1.0), c1, d1, sec, csc
-            )
-        return ClosedFormWavefunction(
-            spec.deforming,
-            -0.5 * (c1 + d1 + 2.0 * spec.m1 + 2.0 * spec.m2 + 3.0),
-            c1,
-            d1,
-            sec,
-            csc,
-            poly=spec.psi1_poly,
-            odd=False,
-        )
-    raise TypeError(f"not an extension spec: {type(spec).__name__}")
+    return spec.psi[level]
 
 
 def potential_value(spec, x):
     """V(x) from the resummed coefficient arrays; scalar or array x."""
-    df = spec.deforming
-    df.check_interior(x)
+    spec.deforming.check_interior(x)
     arr = np.asarray(x, dtype=float)
-    sec2 = 1.0 / np.cos(arr) ** 2
-    if isinstance(spec, ExtendedOneParamSpec):
+    out = None
+    for coeffs, trig in ((spec.a_coeffs, np.cos), (spec.b_coeffs, np.sin)):
+        if not coeffs:
+            continue  # the one-parameter family has no csc ladder
+        inv2 = 1.0 / trig(arr) ** 2
         acc = np.zeros_like(arr)
-        for coef in reversed(spec.coeffs):
-            acc = (acc + coef) * sec2
-        return float(acc) if np.ndim(x) == 0 else acc
-    if isinstance(spec, ExtendedTwoParamSpec):
-        csc2 = 1.0 / np.sin(arr) ** 2
-        acc = np.zeros_like(arr)
-        for coef in reversed(spec.a_coeffs):
-            acc = (acc + coef) * sec2
-        acc2 = np.zeros_like(arr)
-        for coef in reversed(spec.b_coeffs):
-            acc2 = (acc2 + coef) * csc2
-        out = acc + acc2
-        return float(out) if np.ndim(x) == 0 else out
-    raise TypeError(f"not an extension spec: {type(spec).__name__}")
+        for coef in reversed(coeffs):
+            acc = (acc + coef) * inv2
+        out = acc if out is None else out + acc
+    return float(out) if np.ndim(x) == 0 else out

@@ -146,7 +146,7 @@ def test_criterion_3_dual_path_coefficients():
         if family == "one":
             spec = build_one_param(*params)
             e0x, ax = expand_and_resum_one_param(*params)
-            closed = (spec.e0,) + spec.coeffs
+            closed = (spec.e0,) + spec.a_coeffs
             expanded = (e0x,) + tuple(ax)
         else:
             spec = build_two_param(*params)
@@ -278,7 +278,7 @@ def test_criterion_6_reduction_and_symmetry():
         e0 = base + 1.5 * (-1.0 + 2.0 * alpha + 4.0 * alpha**2) * sa / op
         e1 = base + 1.5 * (1.0 + 2.0 * alpha + 4.0 * alpha**2) * sa / op
         longhand = np.array([a2, a4, a_top, e0, e1])
-        got = np.array([*spec.coeffs, spec.e0, spec.e1])
+        got = np.array([*spec.a_coeffs, spec.e0, spec.e1])
         scale = max(1.0, float(np.max(np.abs(longhand))))
         worst_m1 = max(worst_m1, float(np.max(np.abs(got - longhand))) / scale)
     m1_ok = worst_m1 < 1e-12

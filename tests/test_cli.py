@@ -4,8 +4,9 @@ Every test drives `main` with an argv list and inspects stdout, stderr, exit
 codes, or emitted files; nothing reaches into command internals except the
 curve block size, read so that the streaming test spans two blocks, the
 evaluators `verify` calls, counted so that each check samples once per grid,
-the build's generating pair, perturbed so that the build must refuse it, and
-the closed-form gap that `extend` prints.
+the build's generating pair, perturbed so that the build must refuse it, the
+expansion path, counted so that `extend --check` expands once, and the
+closed-form gap that `extend` prints.
 The README's library quick start is run as written.
 """
 
@@ -202,7 +203,7 @@ class TestExtend:
         assert rc == 1
         assert captured.out == ""
         assert captured.err == (
-            "error: precision limit: the closed forms overflow double precision\n"
+            "error: precision limit: a float value overflows double precision\n"
         )
 
     @pytest.mark.parametrize("m", ["8", "14"])
@@ -237,6 +238,31 @@ class TestExtend:
         assert rc == 0
         pairs = _kv(capsys.readouterr().out)
         assert float(pairs["dual_path_max_discrepancy"]) < 1e-6
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--one", "-m", "2", "--atop", "2.5", "--alpha", "0.3"],
+            ["--two", "--m1", "1", "--m2", "2", "--atop", "1.5", "--btop", "0.75",
+             "--alpha", "-0.2"],
+        ],
+        ids=["one", "two-reflected"],
+    )
+    def test_check_expands_once(self, flags, monkeypatch, capsys):
+        # --check prints the discrepancy the build measured; it does not
+        # run the expansion path a second time
+        calls = []
+        for name in ("expand_and_resum_one_param", "expand_and_resum_two_param"):
+
+            def counted(*args, _real=getattr(tpt_extended, name)):
+                calls.append(args)
+                return _real(*args)
+
+            monkeypatch.setattr(tpt_extended, name, counted)
+            monkeypatch.setattr(cli, name, counted)
+        assert main(["extend", "--check", *flags]) == 0
+        assert "dual_path_max_discrepancy" in _kv(capsys.readouterr().out)
+        assert len(calls) == 1
 
     def test_json_gap_consistency(self, capsys):
         rc = main(
@@ -355,13 +381,17 @@ class TestVerify:
         assert payload["spectral_rel_err1"] < 1e-6
         assert payload["nodes_psi0"] == 0 and payload["nodes_psi1"] == 1
 
-    def test_fault_injection_fails(self, capsys):
-        rc = main(
-            [
-                "verify", "--one", "-m", "1", "--atop", "1", "--alpha", "-0.5",
-                "-N", "1200", "--override-a2", "-1.0",
-            ]
-        )
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--one", "-m", "1", "--atop", "1", "--alpha", "-0.5"],
+            ["--two", "--m1", "1", "--m2", "1", "--atop", "1", "--btop", "1",
+             "--alpha", "0.5"],
+        ],
+        ids=["one", "two"],
+    )
+    def test_fault_injection_fails(self, flags, capsys):
+        rc = main(["verify", *flags, "-N", "1200", "--override-a2", "-1.0"])
         out = capsys.readouterr().out
         assert rc == 1
         assert any(ln.startswith("FAIL spectral") for ln in out.splitlines())

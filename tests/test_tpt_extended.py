@@ -52,7 +52,7 @@ class TestOneParamAnchors:
         spec = build_one_param(1, 1.0, -0.5)
         assert spec.e0 == pytest.approx(float(Fraction(19, 16)), abs=1e-12)
         assert spec.e1 == pytest.approx(float(Fraction(115, 16)), abs=1e-12)
-        assert spec.coeffs == pytest.approx(
+        assert spec.a_coeffs == pytest.approx(
             (float(Fraction(-33, 16)), 0.0, 1.0), abs=1e-12
         )
         assert spec.c_odd == pytest.approx((0.5, 2.0), abs=1e-12)
@@ -85,8 +85,8 @@ class TestOneParamAnchors:
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_coefficient_array_shape_and_top(self, m):
         spec = build_one_param(m, 3.1, 0.6)
-        assert len(spec.coeffs) == 2 * m + 1
-        assert spec.coeffs[-1] == 3.1
+        assert len(spec.a_coeffs) == 2 * m + 1
+        assert spec.a_coeffs[-1] == 3.1
         # leading partial-fraction constant controls the boundary decay
         assert spec.c_odd[-1] == pytest.approx(
             math.sqrt(3.1) / (1.0 + spec.alpha), rel=1e-12
@@ -110,7 +110,7 @@ class TestOneParamLonghandForms:
             + 3.0 * (4.0 * alpha**2 - 1.0) * a_top / (4.0 * op**2)
         )
         a4 = -3.0 * sa * (2.0 * op + alpha * sa / op)
-        np.testing.assert_allclose(spec.coeffs, (a2, a4, a_top), rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(spec.a_coeffs, (a2, a4, a_top), rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("a_top,alpha", CASES)
     def test_energies(self, a_top, alpha):
@@ -171,13 +171,13 @@ class TestOneParamDualPath:
         spec = build_one_param(1, 1.0, -0.5)
         e0, coeffs = expand_and_resum_one_param(1, 1.0, -0.5)
         assert e0 == pytest.approx(spec.e0, abs=1e-12)
-        np.testing.assert_allclose(coeffs, spec.coeffs, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(coeffs, spec.a_coeffs, rtol=1e-12, atol=1e-12)
 
     def test_matches_build_depth_two(self):
         spec = build_one_param(2, 1.0, 0.25)
         e0, coeffs = expand_and_resum_one_param(2, 1.0, 0.25)
         assert e0 == pytest.approx(spec.e0, rel=1e-9)
-        np.testing.assert_allclose(coeffs, spec.coeffs, rtol=1e-9, atol=1e-9)
+        np.testing.assert_allclose(coeffs, spec.a_coeffs, rtol=1e-9, atol=1e-9)
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_random_sweep(self, m):
@@ -186,17 +186,17 @@ class TestOneParamDualPath:
             e0, coeffs = expand_and_resum_one_param(m, a_top, alpha)
             scale = max(1.0, abs(spec.e0))
             assert abs(e0 - spec.e0) < 1e-8 * scale
-            cscale = max(1.0, float(np.max(np.abs(spec.coeffs))))
-            assert np.max(np.abs(np.subtract(coeffs, spec.coeffs))) < 1e-8 * cscale
+            cscale = max(1.0, float(np.max(np.abs(spec.a_coeffs))))
+            assert np.max(np.abs(np.subtract(coeffs, spec.a_coeffs))) < 1e-8 * cscale
 
     def test_deep_ladder_precision(self):
         # at m = 12 float cancellation in the closed sums shows: the paths
         # differ by about 1.6e-10 of the largest |E0|, |A_k|
         spec = build_one_param(12, 1.0, 0.5)
         e0, coeffs = expand_and_resum_one_param(12, 1.0, 0.5)
-        scale = max([1.0, abs(spec.e0)] + [abs(c) for c in spec.coeffs])
+        scale = max([1.0, abs(spec.e0)] + [abs(c) for c in spec.a_coeffs])
         worst = max(
-            [abs(e0 - spec.e0)] + [abs(a - b) for a, b in zip(coeffs, spec.coeffs)]
+            [abs(e0 - spec.e0)] + [abs(a - b) for a, b in zip(coeffs, spec.a_coeffs)]
         )
         assert worst / scale < 2e-10
 
@@ -320,6 +320,31 @@ def test_stored_gap_is_the_closed_form(args):
         want = tpt_extended._gap_two(m1, m2, math.sqrt(a_top), sb, alpha)
     assert spec.gap == want
     assert spec.e1 == spec.e0 + spec.gap
+
+
+@pytest.mark.parametrize(
+    "build,expand,args,expand_args",
+    [
+        (build_two_param, expand_and_resum_two_param, (1, 1, 1.0, 1.0, 0.5), None),
+        (build_one_param, expand_and_resum_one_param, (1, 1.0, -0.5), None),
+        (build_one_param, expand_and_resum_one_param, (3, 2.0, 2.0), None),
+        (build_one_param, expand_and_resum_one_param, (12, 1.0, 0.5), None),
+        (build_two_param, expand_and_resum_two_param, (1, 2, 1.5, 0.75, -0.2),
+         (2, 1, 0.75, 1.5, 0.2)),
+        (build_two_param, expand_and_resum_two_param, (1, 0, 1.0, 1.0, 0.5), None),
+    ],
+    ids=["two-1-1", "one-1", "one-3", "one-12", "two-1-2-reflected", "two-1-0"],
+)
+def test_stored_dual_path_is_the_largest_build_discrepancy(build, expand, args, expand_args):
+    # the first four are the wells perfbench's set-up probe reads
+    # dual_path_rel_max from; a reflected well expands its canonical form
+    spec = build(*args)
+    e0_exp, *ladders_exp = expand(*(expand_args or args))
+    closed = spec.a_coeffs + spec.b_coeffs
+    expanded = tuple(c for ladder in ladders_exp for c in ladder)
+    assert len(closed) == len(expanded)
+    want = max(abs(spec.e0 - e0_exp), *(abs(c - x) for c, x in zip(closed, expanded)))
+    assert spec.dual_path == want
 
 
 def _perturbed_w_minus(w_pair):
@@ -642,7 +667,7 @@ class TestTwoParamWavefunctions:
         spec = build_two_param(1, 1, 1.0, 1.0, 0.5)
         for level in (0, 1):
             psi = closed_form_wavefunction(spec, level)
-            assert hermiticity_boundary_check(psi, spec.deforming).passed
+            assert hermiticity_boundary_check(psi.value, spec.deforming).passed
 
     def test_level_out_of_range(self):
         spec = build_one_param(1, 1.0, 0.0)
