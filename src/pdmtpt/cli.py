@@ -209,16 +209,14 @@ def cmd_verify(args) -> int:
         checks.append(_below(f"residual {name}", "max", r, 1e-7))
         payload[f"residual_{name}"] = r
 
-    lo, hi = df.domain
-    inset = 1e-6 * (hi - lo)
-    xs = np.linspace(lo + inset, hi - inset, 4001)
-    n0 = count_nodes(psi0.value(xs))
-    n1 = count_nodes(psi1.value(xs))
+    # the nodes are counted on the samples of gram's last level
+    g, (y0, y1) = gram((psi0.value, psi1.value), df)
+    n0 = count_nodes(y0)
+    n1 = count_nodes(y1)
     checks.append(("nodes", n0 == 0 and n1 == 1, f"psi0={n0} psi1={n1} (want 0,1)"))
     payload["nodes_psi0"] = n0
     payload["nodes_psi1"] = n1
 
-    g = gram((psi0.value, psi1.value), df)
     norm0 = _norm(g[0, 0], "psi0")
     norm1 = _norm(g[1, 1], "psi1")
     overlap = abs(g[0, 1]) / (norm0 * norm1)

@@ -9,12 +9,17 @@ differences with Dirichlet ends.  Nothing here reuses the closed-form
 spectra, so agreement is a genuine cross-check.
 
 The eigenvalues come from three grids, N/4, N/2 and N, and a Richardson
-step.  The quarter grid is bisected by index with Sturm counts.  The finer
-two are refined from the coarser grids' levels by Rayleigh-quotient
-iteration, which converges cubically and carries no eps * 2/h^2 bisection
-floor.  Sturm counts and residual bounds certify each refined grid, and a
-well with a grid they do not certify is refused.  The oracle reads only the
-potential.
+step.  The coarser two are every fourth and every second point of the N
+grid, so the potential is sampled once.  The quarter grid is bisected by
+index with Sturm counts.  The finer two are refined from the coarser grids'
+levels by Rayleigh-quotient iteration, which converges cubically and carries
+no eps * 2/h^2 bisection floor.  Sturm counts and residual bounds certify
+each refined grid, and a well with a grid they do not certify is refused.
+The oracle reads only the potential.
+
+Norms and overlaps of the closed-form wavefunctions come from nested
+composite Simpson (`gram`), which refines only until two successive levels
+agree, and whose final samples also serve the node count.
 """
 
 from __future__ import annotations
@@ -233,10 +238,11 @@ def solve_spectrum(
     Interior uniform grid of grid_size-1 points (Dirichlet zero at both
     walls), symmetric tridiagonal eigensolve by bisection and Rayleigh-quotient
     iteration, eigenvalues only.  grid_size must be a multiple of 4, at least
-    64, so that the spacing halves exactly from N/4 to N/2 to N.
-    Companion runs at half and quarter resolution measure the observed
-    convergence order p per level, and the returned eigenvalues are
-    Richardson-extrapolated with that order:
+    64, so that the spacing halves exactly from N/4 to N/2 to N.  V is
+    sampled once, on the N grid; the N/2 and N/4 grids are its every second
+    and fourth point.  Companion runs at half and quarter resolution measure
+    the observed convergence order p per level, and the returned eigenvalues
+    are Richardson-extrapolated with that order:
 
         E = E_N + (E_N - E_{N/2}) / (2^p - 1),   p clamped to [1, 4]
 
@@ -261,8 +267,8 @@ def solve_spectrum(
     ValueError "oracle cannot resolve ..." naming the grid.  A single level
     is solved together with the next one, whose gap the certificate needs.
 
-    v is called with the array of x values of each grid and must return an
-    array of the same shape; anything else raises ValueError.
+    v is called once, with the array of x values of the N grid, and must
+    return an array of the same shape; anything else raises ValueError.
     """
     if grid_size < 64 or grid_size % 4:
         raise ValueError(
@@ -271,9 +277,15 @@ def solve_spectrum(
     if n_levels < 1:
         raise ValueError("n_levels must be >= 1")
     width = max(2, n_levels)
-    solved = [_lowest_levels(_flatten(v, df, grid_size // 4), width)]
-    for n in (grid_size // 2, grid_size):
-        problem = _flatten(v, df, n)
+    # the N/2 and N/4 grids are every second and fourth point of the N grid:
+    # 2 (W/N) == W/(N/2) in floating point, so their points are the same
+    full = _flatten(v, df, grid_size)
+    g, vt, h = full.g, full.v, full.spacing
+    solved = [_lowest_levels(FlattenedProblem(g[3::4], vt[3::4], 4.0 * h), width)]
+    for n, problem in (
+        (grid_size // 2, FlattenedProblem(g[1::2], vt[1::2], 2.0 * h)),
+        (grid_size, full),
+    ):
         seeds = solved[0] if len(solved) == 1 else solved[1] + (solved[1] - solved[0]) / 4.0
         levels = _refined_levels(problem, seeds)
         if levels is None:
@@ -286,7 +298,7 @@ def solve_spectrum(
     errors = np.zeros_like(fine)
     for k in range(n_levels):
         scale = max(1.0, abs(fine[k]))
-        if abs(d1[k]) < 1e3 * np.finfo(float).eps * scale:
+        if abs(d1[k]) < 1e3 * sys.float_info.epsilon * scale:
             # already at the eigensolver's floor; extrapolation would only
             # amplify rounding noise
             errors[k] = abs(d1[k])
@@ -297,7 +309,7 @@ def solve_spectrum(
         errors[k] = abs(d1[k]) / (2.0**p - 1.0)
     if not np.all(np.diff(vals) > 0.0):
         raise ValueError(f"oracle cannot resolve: the N={grid_size} levels are out of order")
-    return NumericSpectrum(vals, grid_size, errors, fine, problem)
+    return NumericSpectrum(vals, grid_size, errors, fine, full)
 
 
 def interior_samples(df: DeformingFunction, n: int) -> np.ndarray:
@@ -352,24 +364,57 @@ def count_nodes(values) -> int:
     return int(np.sum(live[:-1] * live[1:] < 0.0))
 
 
-def gram(psis, df: DeformingFunction, num: int = 16385) -> np.ndarray:
-    """Matrix of int psi_i psi_j dx by composite Simpson on an inset uniform grid.
+# The grid of `gram`: its finest level has _SIMPSON_POINTS points, its
+# coarsest _SIMPSON_FIRST, and successive levels settle when they agree to
+# _SIMPSON_RTOL.  The integrands vanish smoothly at both walls, so Simpson
+# converges fast on them and the coarsest level settles on most wells.
+_SIMPSON_POINTS = 16385
+_SIMPSON_FIRST = 1025
+_SIMPSON_RTOL = 1e-12
 
-    With y sampled at num points h apart, the rule is
-    h/3 (y_0 + 4 (y_1 + y_3 + ...) + 2 (y_2 + y_4 + ...) + y_last).  num must
-    be odd and at least 3, so that the intervals pair up into panels, else a
-    ValueError is raised.  The grid stops 1e-9 of the width short of each
-    boundary; every wavefunction here decays fast enough that the clipped
-    tails are far below the quadrature error.  Each psi is called once with
-    the whole grid: it must accept an array and return one of the same
-    shape, or a ValueError is raised.
+
+def gram(psis, df: DeformingFunction) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Matrix of int psi_i psi_j dx by nested composite Simpson, and its samples.
+
+    The finest grid has _SIMPSON_POINTS points h apart, stopping 1e-9 of the
+    width short of each boundary; every wavefunction here decays fast enough
+    that the clipped tails are far below the quadrature error.  The levels
+    are the grid's every 16th, 8th, ..., 1st point, from _SIMPSON_FIRST
+    points up, and each level samples each psi only at the midpoints it
+    adds.  On y sampled at a level's points, s h apart, the rule is
+    s h/3 (y_0 + 4 (y_1 + y_3 + ...) + 2 (y_2 + y_4 + ...) + y_last).
+
+    The levels stop once two successive ones agree in every entry to
+    _SIMPSON_RTOL * sqrt(g_ii g_jj); a level with a zero diagonal entry never
+    counts as settled.  A matrix that does not settle is the finest level's,
+    so it is no worse than plain Simpson on the whole grid.  Returns the
+    matrix and, per psi, its samples at the last level, in grid order.
+    Each psi must accept an array and return one of the same shape, or a
+    ValueError is raised.
     """
-    if num < 3 or num % 2 == 0:
-        raise ValueError(f"num must be odd and at least 3, got {num}")
     lo, hi = df.domain
     width = hi - lo
-    xs, h = np.linspace(lo + 1e-9 * width, hi - 1e-9 * width, num, retstep=True)
-    ys = [_sample(psi, xs) for psi in psis]
+    xs, h = np.linspace(lo + 1e-9 * width, hi - 1e-9 * width, _SIMPSON_POINTS, retstep=True)
+    stride = (_SIMPSON_POINTS - 1) // (_SIMPSON_FIRST - 1)
+    ys = [_sample(psi, xs[::stride]) for psi in psis]
+    prev = None
+    while True:
+        out = _simpson_gram(ys, stride * h)
+        if stride == 1 or (prev is not None and _settled(prev, out)):
+            return out, ys
+        stride //= 2
+        mids = xs[stride :: 2 * stride]
+        finer = []
+        for psi, y in zip(psis, ys):
+            z = np.empty(2 * len(y) - 1)
+            z[::2] = y
+            z[1::2] = _sample(psi, mids)
+            finer.append(z)
+        ys, prev = finer, out
+
+
+def _simpson_gram(ys: list[np.ndarray], h: float) -> np.ndarray:
+    """Composite Simpson of every product ys[i] * ys[j] with spacing h."""
     out = np.empty((len(ys), len(ys)))
     for i, ya in enumerate(ys):
         for j in range(i, len(ys)):
@@ -380,10 +425,19 @@ def gram(psis, df: DeformingFunction, num: int = 16385) -> np.ndarray:
     return out
 
 
-def inner_product(psi_a, psi_b, df: DeformingFunction, num: int = 16385) -> float:
-    """int psi_a psi_b dx by the Simpson rule of `gram`.
+def _settled(coarse: np.ndarray, fine: np.ndarray) -> bool:
+    """Whether every entry of two successive levels agrees to _SIMPSON_RTOL."""
+    diag = np.diag(fine)
+    if not np.all(diag > 0.0):
+        return False
+    scale = np.sqrt(diag)
+    return bool(np.all(np.abs(fine - coarse) <= _SIMPSON_RTOL * np.outer(scale, scale)))
+
+
+def inner_product(psi_a, psi_b, df: DeformingFunction) -> float:
+    """int psi_a psi_b dx: one entry of `gram`.
 
     A psi_b equal to psi_a (as two bound methods of one object are) is not
     called again.
     """
-    return float(gram((psi_a,) if psi_b == psi_a else (psi_a, psi_b), df, num)[0, -1])
+    return float(gram((psi_a,) if psi_b == psi_a else (psi_a, psi_b), df)[0][0, -1])

@@ -410,25 +410,28 @@ class TestVerify:
         )
 
     def test_each_check_samples_once_per_grid(self, monkeypatch, capsys):
-        # psi: 2 per residual, 1 per node count, 1 for both norms and the
-        # overlap, 3 per hermiticity check; V: 3 oracle grids, 1 per residual
-        calls = {"psi": 0, "v": 0}
+        # psi points: 41 + 41*5 per residual, 257 + 3 + 3 per hermiticity
+        # check, and gram's nested levels up to 8193 points (1025 + 1024 +
+        # 2048 + 4096), whose samples the node count reads; V: one sampling
+        # for the oracle's three grids, 1 per residual
+        counts = {"psi_points": 0, "v_calls": 0}
+        value = ClosedFormWavefunction.value
 
-        def counted(key, fn):
-            def wrapper(*args):
-                calls[key] += 1
-                return fn(*args)
-            return wrapper
+        def psi_value(self, x):
+            counts["psi_points"] += np.size(x)
+            return value(self, x)
 
-        monkeypatch.setattr(
-            ClosedFormWavefunction, "value", counted("psi", ClosedFormWavefunction.value)
-        )
-        monkeypatch.setattr(cli, "potential_value", counted("v", potential_value))
+        def v_value(spec, x):
+            counts["v_calls"] += 1
+            return potential_value(spec, x)
+
+        monkeypatch.setattr(ClosedFormWavefunction, "value", psi_value)
+        monkeypatch.setattr(cli, "potential_value", v_value)
         argv = ["--two", "--m1", "1", "--m2", "0", "--atop", "1", "--btop", "1"]
         assert main(["verify", *argv, "--alpha", "0.5", "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["pass"] is True
-        assert calls["psi"] <= 14
-        assert calls["v"] <= 5
+        assert counts["psi_points"] == 2 * (41 + 41 * 5) + 2 * (257 + 3 + 3) + 2 * 8193
+        assert counts["v_calls"] <= 3
 
     def test_underflowing_norm_is_a_precision_limit(self, capsys):
         # the oracle refuses this cap-dominated well before any norm is

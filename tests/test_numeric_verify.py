@@ -321,6 +321,43 @@ def test_bracketed_levels_match_the_index_solve(spec, grid_size):
     )
 
 
+def _three_flatten_spectrum(v, df, grid_size):
+    """solve_spectrum at two levels with one V sampling per grid: the reference."""
+    solved = [_lowest_levels(_flatten(v, df, grid_size // 4), 2)]
+    for n in (grid_size // 2, grid_size):
+        seeds = solved[0] if len(solved) == 1 else solved[1] + (solved[1] - solved[0]) / 4.0
+        solved.append(_refined_levels(_flatten(v, df, n), seeds))
+    quarter, half, fine = solved
+    d1, d2 = fine - half, half - quarter
+    vals, errors = fine.copy(), np.zeros(2)
+    for k in range(2):
+        if abs(d1[k]) < 1e3 * np.finfo(float).eps * max(1.0, abs(fine[k])):
+            errors[k] = abs(d1[k])
+            continue
+        ratio = d2[k] / d1[k]
+        p = min(4.0, max(1.0, math.log2(ratio))) if ratio > 0.0 else 2.0
+        vals[k] += d1[k] / (2.0**p - 1.0)
+        errors[k] = abs(d1[k]) / (2.0**p - 1.0)
+    return vals, errors, fine
+
+
+@pytest.mark.parametrize("grid_size", [2000, 4000, 8000, 16000])
+@pytest.mark.parametrize("spec", [*REF_WELLS.values(), FIG5], ids=[*REF_WELLS, "two-1-0"])
+def test_spectrum_samples_v_once(spec, grid_size):
+    # the N/2 and N/4 grids are strided views of the N grid, whose points
+    # and potential samples are bit-identical to their own flattening
+    sizes = []
+    v = lambda x: sizes.append(x.size) or potential_value(spec, x)
+    sp = solve_spectrum(v, spec.deforming, 2, grid_size)
+    assert sizes == [grid_size - 1]
+    vals, errors, raw = _three_flatten_spectrum(
+        lambda x: potential_value(spec, x), spec.deforming, grid_size
+    )
+    assert np.array_equal(sp.eigenvalues, vals)
+    assert np.array_equal(sp.errors, errors)
+    assert np.array_equal(sp.eigenvalues_raw, raw)
+
+
 def test_empty_bracket_is_refused():
     # a cap-dominated well: its FD levels grow with the kinetic scale, about
     # fourfold per refinement, so no coarser grid seeds them and the half
@@ -489,7 +526,8 @@ def test_inner_product_samples_a_repeated_callable_once():
     psi = closed_form_wavefunction(FIG3, 0)
     counted = lambda x: calls.append(x.size) or psi.value(x)
     once = inner_product(counted, counted, FIG3.deforming)
-    assert calls == [16385]
+    # the 1025-point level, then the midpoints of the 2049-point one
+    assert calls == [1025, 1024]
     assert once == inner_product(psi.value, lambda x: psi.value(x), FIG3.deforming)
 
 
@@ -527,15 +565,73 @@ def test_gram_is_the_pairwise_inner_products(spec):
     calls = []
     psi = [closed_form_wavefunction(spec, k).value for k in (0, 1)]
     counted = [lambda x, p=p: calls.append(x.size) or p(x) for p in psi]
-    g = gram(counted, spec.deforming)
-    assert calls == [16385, 16385]
+    g, ys = gram(counted, spec.deforming)
+    assert calls == [1025, 1025, 1024, 1024]
+    assert [y.size for y in ys] == [2049, 2049]
     assert g.shape == (2, 2)
     for i in (0, 1):
         for j in (0, 1):
             assert g[i, j] == inner_product(psi[i], psi[j], spec.deforming), (i, j)
 
 
-@pytest.mark.parametrize("num", [16384, 2, 1])
-def test_inner_product_needs_odd_grid(num):
-    with pytest.raises(ValueError, match="odd"):
-        inner_product(np.cos, np.cos, FIG1.deforming, num=num)
+# The Simpson rule of gram as it was before the nested levels: one sampling
+# of each psi on the whole 16385-point grid.  The reference for the tests
+# below.
+
+
+def _plain_simpson_gram(psis, df):
+    lo, hi = df.domain
+    width = hi - lo
+    xs, h = np.linspace(lo + 1e-9 * width, hi - 1e-9 * width, 16385, retstep=True)
+    ys = [psi(xs) for psi in psis]
+    out = np.empty((len(ys), len(ys)))
+    for i, ya in enumerate(ys):
+        for j in range(i, len(ys)):
+            y = ya * ys[j]
+            out[i, j] = out[j, i] = h / 3.0 * (
+                y[0] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-1:2].sum() + y[-1]
+            )
+    return out
+
+
+# the reference wells and the README verify well
+GRAM_WELLS = {**REF_WELLS, "two-1-0": FIG5}
+
+
+@pytest.mark.parametrize("spec", GRAM_WELLS.values(), ids=GRAM_WELLS.keys())
+def test_gram_forced_to_stride_1_is_the_plain_rule(spec, monkeypatch):
+    monkeypatch.setattr(numeric_verify, "_SIMPSON_FIRST", numeric_verify._SIMPSON_POINTS)
+    calls = []
+    psi = [closed_form_wavefunction(spec, k).value for k in (0, 1)]
+    counted = [lambda x, p=p: calls.append(x.size) or p(x) for p in psi]
+    g, _ = gram(counted, spec.deforming)
+    assert calls == [16385, 16385]
+    assert np.array_equal(g, _plain_simpson_gram(psi, spec.deforming))
+
+
+@pytest.mark.parametrize("spec", GRAM_WELLS.values(), ids=GRAM_WELLS.keys())
+def test_gram_lands_on_the_full_grid_value(spec):
+    psi = [closed_form_wavefunction(spec, k).value for k in (0, 1)]
+    g, _ = gram(psi, spec.deforming)
+    ref = _plain_simpson_gram(psi, spec.deforming)
+    scale = np.sqrt(np.outer(np.diag(ref), np.diag(ref)))
+    assert np.all(np.abs(g - ref) <= 1e-12 * scale)
+
+
+def test_narrow_bump_is_refined_not_an_underflowing_norm():
+    # a bump of radius 3.5 finest spacings centred between two points of the
+    # 1025- and of the 2049-point level: both levels sample it as 0, and they
+    # agree, but a zero norm never settles.  Every finer level moves the
+    # value, so the rule ends on the whole grid
+    df = FIG1.deforming
+    lo, hi = df.domain
+    xs = np.linspace(lo + 1e-9 * (hi - lo), hi - 1e-9 * (hi - lo), 16385)
+    centre, radius = xs[8204], 3.5 * (xs[1] - xs[0])
+    bump = lambda x: np.maximum(0.0, 1.0 - ((x - centre) / radius) ** 2) ** 2
+    assert not np.any(bump(xs[::8]))
+    calls = []
+    g, ys = gram([lambda x: calls.append(x.size) or bump(x)], df)
+    assert calls == [1025, 1024, 2048, 4096, 8192]
+    assert ys[0].size == 16385
+    assert g[0, 0] > 0.0
+    assert np.array_equal(g, _plain_simpson_gram([bump], df))
