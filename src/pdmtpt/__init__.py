@@ -17,7 +17,8 @@ The top level re-exports only the builders, `potential_value` and
 The closed forms are scalar Python.  Importing the package, and building or
 checking a well, loads neither NumPy nor SciPy; NumPy loads at the first
 array evaluation (a potential or wavefunction on a grid, the oracle), and
-SciPy's LAPACK wrappers only inside `solve_spectrum`.
+SciPy's compiled LAPACK module, without the `scipy.linalg` package, only
+inside `solve_spectrum`.
 """
 
 from .numeric_verify import solve_spectrum

@@ -15,7 +15,10 @@ index with Sturm counts.  The finer two are refined from the coarser grids'
 levels by Rayleigh-quotient iteration, which converges cubically and carries
 no eps * 2/h^2 bisection floor.  Sturm counts and residual bounds certify
 each refined grid, and a well with a grid they do not certify is refused.
-The oracle reads only the potential.
+The oracle reads only the potential.  Its two LAPACK routines, dstebz for
+the Sturm-count bisection and dgtsv for the tridiagonal solves, come from
+SciPy's compiled LAPACK module alone (`_lazy.lapack`), loaded on the first
+solve; the `scipy.linalg` package is never imported.
 
 Norms and overlaps of the closed-form wavefunctions come from nested
 composite Simpson (`gram`), which refines only until two successive levels
@@ -28,7 +31,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from ._lazy import np
+from ._lazy import lapack, np
 from .dsusy_core import DeformingFunction, Family, _sample
 
 __all__ = [
@@ -117,6 +120,9 @@ _TOL_OVER_KINETIC = sys.float_info.epsilon / 16.0
 _RQI_TOL_OVER_KINETIC = 1e-4 * sys.float_info.epsilon
 _RQI_SOLVES = 4
 
+# The largest grid_size: the oracle holds several arrays of grid_size floats.
+_MAX_GRID_SIZE = 1 << 20
+
 
 def _capped(vt: np.ndarray, kin: float) -> np.ndarray:
     """Potential samples capped at _CAP_OVER_KINETIC times the kinetic scale."""
@@ -162,7 +168,8 @@ def _refined_levels(problem: FlattenedProblem, seeds: np.ndarray):
     slot, which certifies its index, and the Kato-Temple bound r^2/delta
     caps its error at tol = _RQI_TOL_OVER_KINETIC * 2/h^2.
     """
-    from scipy.linalg.lapack import dgtsv, dstebz
+    flapack = lapack()
+    dgtsv, dstebz = flapack.dgtsv, flapack.dstebz
 
     d, e = _fd_bands(problem.v, problem.spacing)
     c = -e[0]
@@ -219,15 +226,16 @@ def _refined_levels(problem: FlattenedProblem, seeds: np.ndarray):
 def _lowest_levels(problem: FlattenedProblem, n_levels: int) -> np.ndarray:
     """Lowest n_levels eigenvalues of the problem's capped FD operator, by index.
 
-    Bisection with Sturm counts to _TOL_OVER_KINETIC * 2/h^2.
+    Bisection with Sturm counts to _TOL_OVER_KINETIC * 2/h^2: LAPACK's
+    dstebz by index (range 2, levels 1..n_levels), called as
+    `scipy.linalg.eigvalsh_tridiagonal(..., select="i")` calls it.
     """
-    # SciPy is imported here, not at module level, so that importing the
-    # package and every CLI command but verify run without it.
-    from scipy.linalg import eigvalsh_tridiagonal
-
     d, e = _fd_bands(problem.v, problem.spacing)
     tol = _TOL_OVER_KINETIC * 2.0 / problem.spacing**2
-    return eigvalsh_tridiagonal(d, e, select="i", select_range=(0, n_levels - 1), tol=tol)
+    m, w, _, _, info = lapack().dstebz(d, e, 2, 0.0, 1.0, 1, n_levels, tol, "E")
+    if info != 0:
+        raise ValueError(f"dstebz did not converge (LAPACK info={info})")
+    return w[:m]
 
 
 def solve_spectrum(
@@ -238,11 +246,11 @@ def solve_spectrum(
     Interior uniform grid of grid_size-1 points (Dirichlet zero at both
     walls), symmetric tridiagonal eigensolve by bisection and Rayleigh-quotient
     iteration, eigenvalues only.  grid_size must be a multiple of 4, at least
-    64, so that the spacing halves exactly from N/4 to N/2 to N.  V is
-    sampled once, on the N grid; the N/2 and N/4 grids are its every second
-    and fourth point.  Companion runs at half and quarter resolution measure
-    the observed convergence order p per level, and the returned eigenvalues
-    are Richardson-extrapolated with that order:
+    64, so that the spacing halves exactly from N/4 to N/2 to N, and at most
+    _MAX_GRID_SIZE = 2^20.  V is sampled once, on the N grid; the N/2 and N/4
+    grids are its every second and fourth point.  Companion runs at half and
+    quarter resolution measure the observed convergence order p per level,
+    and the returned eigenvalues are Richardson-extrapolated with that order:
 
         E = E_N + (E_N - E_{N/2}) / (2^p - 1),   p clamped to [1, 4]
 
@@ -270,6 +278,8 @@ def solve_spectrum(
     v is called once, with the array of x values of the N grid, and must
     return an array of the same shape; anything else raises ValueError.
     """
+    if grid_size > _MAX_GRID_SIZE:
+        raise ValueError(f"grid_size must be at most {_MAX_GRID_SIZE}, got {grid_size}")
     if grid_size < 64 or grid_size % 4:
         raise ValueError(
             f"grid_size must be a multiple of 4 and at least 64, got {grid_size}"

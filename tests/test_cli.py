@@ -5,11 +5,13 @@ codes, or emitted files; nothing reaches into command internals except the
 curve block size, read so that the streaming test spans two blocks, the
 evaluators `verify` calls, counted so that each check samples once per grid,
 the build's generating pair, perturbed so that the build must refuse it, the
-expansion path, counted so that `extend --check` expands once, and the
-closed-form gap that `extend` prints.
+expansion path, counted so that `extend --check` expands once, the
+closed-form gap that `extend` prints, and the parser, counted so that one
+process builds it once.
 The README's library quick start is run as written.
 """
 
+import argparse
 import json
 import math
 import os
@@ -21,7 +23,7 @@ import pytest
 
 import pdmtpt
 from pdmtpt import cli, tpt_extended
-from pdmtpt.cli import _CURVE_BLOCK_ROWS, main
+from pdmtpt.cli import _CURVE_BLOCK_ROWS, _MAX_NMAX, _MAX_NPOINTS, build_parser, main
 from pdmtpt.dsusy_core import Family, TrigLaurentPoly
 from pdmtpt.numeric_verify import inner_product
 from pdmtpt.tpt_extended import (
@@ -128,6 +130,18 @@ class TestExact:
         assert payload["family"] == "one"
         assert payload["E0"] == pytest.approx(3.686141, abs=5e-7)
         assert all(not isinstance(v, (list, dict)) for v in payload.values())
+
+    def test_nmax_is_bounded(self, capsys):
+        argv = ["exact", "--two", "-A", "2", "-B", "3", "--alpha", "0.3", "--json"]
+        assert main([*argv, "--nmax", str(_MAX_NMAX)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert f"E{_MAX_NMAX}" in payload and f"E{_MAX_NMAX + 1}" not in payload
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--nmax", str(_MAX_NMAX + 1)])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"pdmtpt exact: error: --nmax must be at most {_MAX_NMAX}\n")
 
     def test_invalid_depth_exits_1(self, capsys):
         rc = main(["exact", "--one", "-A", "0.5", "--alpha", "0"])
@@ -409,6 +423,15 @@ class TestVerify:
             f"error: grid_size must be a multiple of 4 and at least 64, got {grid}\n"
         )
 
+    def test_grid_above_the_bound_is_refused(self, capsys):
+        # only the refusal is run: the bound itself would allocate 2^20-point grids
+        argv = ["--one", "-m", "1", "--atop", "1", "--alpha", "-0.5", "-N", "1048577"]
+        rc = main(["verify", *argv])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err == "error: grid_size must be at most 1048576, got 1048577\n"
+
     def test_each_check_samples_once_per_grid(self, monkeypatch, capsys):
         # psi points: 41 + 41*5 per residual, 257 + 3 + 3 per hermiticity
         # check, and gram's nested levels up to 8193 points (1025 + 1024 +
@@ -547,6 +570,20 @@ class TestSample:
             )
         assert excinfo.value.code == 2
 
+    def test_npoints_is_bounded(self, tmp_path, capsys):
+        out = tmp_path / "curve.csv"
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                [
+                    "sample", "--one", "-m", "1", "--atop", "1", "--alpha", "-0.5",
+                    "--npoints", str(_MAX_NPOINTS + 1), "--out", str(out),
+                ]
+            )
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.endswith(f"pdmtpt sample: error: --npoints must be at most {_MAX_NPOINTS}\n")
+        assert not out.exists()
+
 
 class TestFigures:
     # header energies, keyed by emitted file
@@ -588,6 +625,15 @@ class TestFigures:
         want = sorted(f"{name}.csv" for name in self.ENERGIES)
         assert sorted(p.name for p in outdir.iterdir()) == want
 
+    def test_npoints_is_bounded(self, tmp_path, capsys):
+        outdir = tmp_path / "out"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["figures", "--outdir", str(outdir), "--npoints", str(_MAX_NPOINTS + 1)])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.endswith(f"pdmtpt figures: error: --npoints must be at most {_MAX_NPOINTS}\n")
+        assert not outdir.exists()
+
     def test_unwritable_outdir_exits_3(self, tmp_path, capsys):
         # no directory can be made beneath a regular file
         blocker = tmp_path / "file"
@@ -616,6 +662,166 @@ def test_readme_example_output(argv, capsys):
     shown = readme.split(f"$ pdmtpt {argv}\n", 1)[1].split("```", 1)[0]
     assert main(argv.split()) == 0
     assert capsys.readouterr().out == shown
+
+
+# ---------------------------------------------------------------------------
+# One parser per process.
+
+_SRC = os.path.dirname(os.path.dirname(os.path.abspath(pdmtpt.__file__)))
+
+_OTHER_OPS = [
+    ["exact", "--two", "-A", "2", "-B", "3", "--alpha", "0.3", "--nmax", "3", "--json"],
+    ["extend", "--check", "--one", "-m", "2", "--atop", "1", "--alpha", "0.3"],
+    ["verify", "--one", "-m", "1", "--atop", "1", "--alpha", "-0.5", "-N", "2000", "--json"],
+]
+
+# An argparse usage error, then each line a command prints through its own
+# `args.parser.error`, which names the subcommand
+_USAGE_ERRORS = [
+    ["verify", "--one", "-m", "1", "--atop", "1"],
+    ["exact", "--two", "-A", "2", "--alpha", "0"],
+    ["exact", "--one", "-A", "2", "-B", "1", "--alpha", "0"],
+    ["exact", "--one", "-A", "2", "--alpha", "0", "--nmax", "-1"],
+    ["exact", "--one", "-A", "2", "--alpha", "0", "--nmax", str(_MAX_NMAX + 1)],
+    ["extend", "--one", "--atop", "1", "--alpha", "0"],
+    ["extend", "--one", "-m", "1", "--btop", "1", "--atop", "1", "--alpha", "0"],
+    ["verify", "--two", "--m1", "1", "--atop", "1", "--alpha", "0"],
+    ["verify", "--two", "-m", "1", "--m1", "1", "--m2", "1", "--atop", "1", "--btop", "1",
+     "--alpha", "0"],
+    ["sample", "--one", "-m", "1", "--atop", "1", "--alpha", "0", "--npoints", "1",
+     "--out", "unused.csv"],
+    ["sample", "--one", "-m", "1", "--atop", "1", "--alpha", "0",
+     "--npoints", str(_MAX_NPOINTS + 1), "--out", "unused.csv"],
+    ["figures", "--npoints", "1"],
+    ["figures", "--npoints", str(_MAX_NPOINTS + 1)],
+]
+
+_RUN_ARGVS = """
+import contextlib, io, json, sys
+from pdmtpt.cli import main
+
+out = []
+for argv in json.loads(sys.argv[1]):
+    o, e = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(o), contextlib.redirect_stderr(e):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    out.append([rc, o.getvalue(), e.getvalue()])
+print(json.dumps(out))
+"""
+
+
+def _run_fresh(cwd, *argvs):
+    """[rc, stdout, stderr] of each argv, run in order in one fresh interpreter."""
+    run = subprocess.run(
+        [sys.executable, "-c", _RUN_ARGVS, json.dumps(argvs)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=_SRC),
+        cwd=cwd, timeout=120, check=True,
+    )
+    return json.loads(run.stdout)
+
+
+def test_usage_errors_read_the_same_after_other_ops(tmp_path):
+    first = [_run_fresh(tmp_path, argv)[0] for argv in _USAGE_ERRORS]
+    after = _run_fresh(tmp_path, *_OTHER_OPS, *_USAGE_ERRORS)
+    assert [rc for rc, _, _ in after[: len(_OTHER_OPS)]] == [0] * len(_OTHER_OPS)
+    assert after[len(_OTHER_OPS):] == first
+    for argv, (rc, out, err) in zip(_USAGE_ERRORS, first):
+        assert (rc, out) == (2, ""), argv
+        assert err.startswith(f"usage: pdmtpt {argv[0]} "), argv
+        assert err.splitlines()[-1].startswith(f"pdmtpt {argv[0]}: error: "), argv
+    assert not (tmp_path / "unused.csv").exists()
+
+
+def test_parser_is_built_once_per_process(monkeypatch, capsys):
+    progs = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(
+        argparse.ArgumentParser,
+        "__init__",
+        lambda self, *a, **k: progs.append(k.get("prog")) or init(self, *a, **k),
+    )
+    build_parser.cache_clear()
+    for argv in _OTHER_OPS * 2:
+        assert main(argv) == 0
+    for argv in _USAGE_ERRORS[:3]:
+        with pytest.raises(SystemExit):
+            main(argv)
+    capsys.readouterr()
+    # the top-level parser and one subparser per command, each built once
+    assert progs.count("pdmtpt") == 1
+    assert len(progs) == 6
+    assert build_parser() is build_parser()
+
+
+def test_defaults_do_not_leak_between_calls(monkeypatch, capsys):
+    grids = []
+    solve = cli.solve_spectrum
+    monkeypatch.setattr(
+        cli, "solve_spectrum", lambda *a, **k: grids.append(k["grid_size"]) or solve(*a, **k)
+    )
+    well = ["--one", "-m", "1", "--atop", "1", "--alpha", "-0.5"]
+    assert main(["verify", *well, "-N", "2000", "--json", "--override-a2", "-2.0625"]) == 0
+    assert json.loads(capsys.readouterr().out)["pass"] is True
+    assert main(["verify", *well]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("PASS spectral level0: ")
+    assert grids == [2000, 4000]
+    assert main(["extend", "--check", *well]) == 0
+    assert "dual_path_max_discrepancy=" in capsys.readouterr().out
+    assert main(["extend", *well]) == 0
+    assert "dual_path_max_discrepancy" not in capsys.readouterr().out
+
+
+def test_command_is_looked_up_when_main_calls_it(monkeypatch, capsys):
+    # the benchmark's tracer wraps cmd_* on the module after the parser is
+    # cached; the wrapper must be what runs
+    build_parser()
+    seen = []
+    extend = cli.cmd_extend
+    monkeypatch.setattr(cli, "cmd_extend", lambda args: seen.append(args.m) or extend(args))
+    assert main(["extend", "--one", "-m", "2", "--atop", "1", "--alpha", "0.3"]) == 0
+    assert seen == [2]
+    assert capsys.readouterr().out.startswith("family=extended-one\n")
+
+
+_LOAD_ORDER_PROBE = """
+import json, math, sys
+from pdmtpt._lazy import lapack
+from pdmtpt.cli import main
+
+rc = main(["verify", "--one", "-m", "1", "--atop", "1", "--alpha", "-0.5", "-N", "2000", "--json"])
+package_before = "scipy.linalg" in sys.modules
+import numpy as np
+import scipy.linalg
+
+w = scipy.linalg.eigvalsh_tridiagonal(np.full(5, 2.0), np.full(4, -1.0))
+print(json.dumps({
+    "rc": rc,
+    "package_before": package_before,
+    "same": [scipy.linalg.lapack.dgtsv is lapack().dgtsv,
+             scipy.linalg.lapack.dstebz is lapack().dstebz],
+    "w": w.tolist(),
+}))
+"""
+
+
+def test_scipy_linalg_imports_after_verify():
+    # verify registers SciPy's LAPACK module alone; the package imported
+    # later adopts that module and works
+    run = subprocess.run(
+        [sys.executable, "-c", _LOAD_ORDER_PROBE],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=_SRC),
+        timeout=120, check=True,
+    )
+    seen = json.loads(run.stdout.splitlines()[-1])
+    assert seen["rc"] == 0
+    assert seen["package_before"] is False
+    assert seen["same"] == [True, True]
+    exact = [2.0 - 2.0 * math.cos(k * math.pi / 6.0) for k in range(1, 6)]
+    np.testing.assert_allclose(seen["w"], exact, rtol=0.0, atol=1e-14)
 
 
 _IMPORT_PATH_PROBE = """
@@ -665,8 +871,7 @@ print(json.dumps(seen))
 @pytest.fixture(scope="module")
 def import_path(tmp_path_factory):
     # a fresh interpreter, since this test process has imported both already
-    src = os.path.dirname(os.path.dirname(os.path.abspath(pdmtpt.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
+    env = dict(os.environ, PYTHONPATH=_SRC)
     run = subprocess.run(
         [sys.executable, "-c", _IMPORT_PATH_PROBE, str(tmp_path_factory.mktemp("probe"))],
         capture_output=True, text=True, env=env, timeout=120, check=True,
@@ -690,8 +895,11 @@ def test_scipy_is_loaded_only_by_verify(import_path):
     seen, _, _ = import_path
     for stage in ("import", "exact", "extend", "usage", "sample", "figures"):
         assert seen[stage]["scipy"] == [], stage
-    assert "scipy.linalg" in seen["verify"]["scipy"]
+    # the oracle loads SciPy's compiled LAPACK module by itself, and never
+    # the scipy.linalg package, whose __init__ imports far more
+    assert "scipy.linalg._flapack" in seen["verify"]["scipy"]
     for stage, modules in seen.items():
+        assert "scipy.linalg" not in modules["scipy"], stage
         assert "scipy.integrate" not in modules["scipy"], stage
 
 

@@ -5,11 +5,14 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate
-from scipy.linalg import eigh_tridiagonal
+import scipy.linalg.lapack
+from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
 from pdmtpt import numeric_verify
+from pdmtpt._lazy import lapack
 from pdmtpt.dsusy_core import DeformingFunction, hermiticity_boundary_check
 from pdmtpt.numeric_verify import (
+    _MAX_GRID_SIZE,
     _TOL_OVER_KINETIC,
     _fd_bands,
     _flatten,
@@ -135,6 +138,9 @@ def test_spectrum_input_validation():
     # Richardson needs the spacing to halve exactly from N/4 to N/2 to N
     with pytest.raises(ValueError, match="multiple of 4"):
         solve_spectrum(lambda x: 0.0 * x, df, 2, 250)
+    # refused before anything is allocated
+    with pytest.raises(ValueError, match=f"at most {_MAX_GRID_SIZE}, got {_MAX_GRID_SIZE + 4}"):
+        solve_spectrum(lambda x: 0.0 * x, df, 2, _MAX_GRID_SIZE + 4)
     with pytest.raises(ValueError):
         solve_spectrum(lambda x: 0.0 * x, df, 0, 256)
     with pytest.raises(ValueError):
@@ -306,6 +312,25 @@ def test_refined_levels_match_long_double_sturm(spec, n_levels):
     kin = 2.0 / sp.problem.spacing**2
     off = np.abs(sp.eigenvalues_raw - ref.astype(float)) / (np.finfo(float).eps * kin)
     assert np.all(off <= 1e-3), off
+
+
+@pytest.mark.parametrize("n_levels", [1, 2, 4])
+@pytest.mark.parametrize("grid_size", [2000, 4000, 8000, 16000])
+@pytest.mark.parametrize("spec", REF_WELLS.values(), ids=REF_WELLS.keys())
+def test_quarter_solve_is_scipys_index_solve(spec, grid_size, n_levels):
+    # _lowest_levels calls dstebz as eigvalsh_tridiagonal does, so the quarter
+    # grid's levels are bit-identical to SciPy's
+    quarter = _flatten(lambda x: potential_value(spec, x), spec.deforming, grid_size // 4)
+    d, e = _fd_bands(quarter.v, quarter.spacing)
+    tol = _TOL_OVER_KINETIC * 2.0 / quarter.spacing**2
+    ref = eigvalsh_tridiagonal(d, e, select="i", select_range=(0, n_levels - 1), tol=tol)
+    assert np.array_equal(_lowest_levels(quarter, n_levels), ref)
+
+
+def test_lapack_routines_are_the_ones_scipy_linalg_exports():
+    flapack = lapack()
+    assert flapack.dgtsv is scipy.linalg.lapack.dgtsv
+    assert flapack.dstebz is scipy.linalg.lapack.dstebz
 
 
 @pytest.mark.parametrize("grid_size", [4000, 8000])
