@@ -213,7 +213,7 @@ def cmd_verify(args) -> int:
     psi1 = closed_form_wavefunction(spec, 1)
     samples = interior_samples(df, 41)
     for name, psi, energy in (("psi0", psi0, spec.e0), ("psi1", psi1, spec.e1)):
-        r = residual(psi.value, v, df, energy, samples)
+        r = residual(psi, v, df, energy, samples)
         checks.append(_below(f"residual {name}", "max", r, 1e-7))
         payload[f"residual_{name}"] = r
 

@@ -114,6 +114,11 @@ class DeformingFunction:
             return self.alpha * np.sin(2.0 * x)
         return -2.0 * self.alpha * np.sin(2.0 * x)
 
+    def f_second(self, x):
+        if self.family is Family.ONE:
+            return 2.0 * self.alpha * np.cos(2.0 * x)
+        return -4.0 * self.alpha * np.cos(2.0 * x)
+
     def q_coeffs(self) -> tuple[float, float]:
         """(q0, q2) with f * sec^2 x = q0 + q2 tan^2 x, so that
         f dW/dx = (q0 + q2 u^2) dW/du in the variable u = tan x."""
@@ -149,36 +154,6 @@ class TrigLaurentPoly:
         if self.family is Family.ONE and self.mu:
             raise ValueError("one-parameter superpotentials carry no cot powers")
 
-    def value(self, x):
-        # Horner in u^2 for the tan block, then the cot block.
-        u = np.tan(x)
-        acc = 0.0 * u
-        for c in reversed(self.lam):
-            acc = acc * u * u + c
-        out = acc * u
-        if self.mu:
-            w = 1.0 / u
-            acc = 0.0 * u
-            for c in reversed(self.mu):
-                acc = acc * w * w + c
-            out = out - acc * w
-        return out
-
-    def derivative_value(self, x):
-        """dW/dx = (dW/du) sec^2 x."""
-        u = np.tan(x)
-        acc = 0.0 * u
-        for k in reversed(range(len(self.lam))):
-            acc = acc * u * u + (2 * k + 1) * self.lam[k]
-        out = acc
-        if self.mu:
-            w = 1.0 / u
-            acc = 0.0 * u
-            for l in reversed(range(len(self.mu))):
-                acc = acc * w * w + (2 * l + 1) * self.mu[l]
-            out = out + acc * w * w
-        return out * (1.0 + u * u)
-
 
 @dataclass(frozen=True)
 class EvenTrigPoly:
@@ -193,20 +168,6 @@ class EvenTrigPoly:
     def __post_init__(self) -> None:
         object.__setattr__(self, "a", tuple(float(c) for c in self.a))
         object.__setattr__(self, "b", tuple(float(c) for c in self.b))
-
-    def value(self, x):
-        u = np.tan(x)
-        acc = 0.0 * u
-        for c in reversed(self.a):
-            acc = acc * u * u + c
-        out = acc
-        if self.b:
-            w = 1.0 / (u * u)
-            acc = 0.0 * u
-            for c in reversed(self.b):
-                acc = (acc + c) * w
-            out = out + acc
-        return out
 
     def resummed(self) -> tuple[float, tuple[float, ...], tuple[float, ...]]:
         """Rewrite in powers of sec^2 x and csc^2 x.

@@ -22,7 +22,11 @@ solve; the `scipy.linalg` package is never imported.
 
 Norms and overlaps of the closed-form wavefunctions come from nested
 composite Simpson (`gram`), which refines only until two successive levels
-agree, and whose final samples also serve the node count.
+agree, and whose final samples also serve the node count.  The pointwise
+residual of the eigenequation (`residual`) takes psi's first two
+derivatives in closed form from `ClosedFormWavefunction.log_form`, with no
+step to choose, and works in log space, so it neither underflows with psi
+nor carries a finite-difference error floor.
 """
 
 from __future__ import annotations
@@ -332,31 +336,35 @@ def interior_samples(df: DeformingFunction, n: int) -> np.ndarray:
 def residual(psi, v, df: DeformingFunction, energy: float, samples) -> float:
     """Max relative pointwise residual of the deformed eigenequation.
 
-    Evaluates |-sqrt(f) (f (sqrt(f) psi)')' + (V - E) psi| / (|E| max|psi|)
-    over the samples, with derivatives of phi = sqrt(f) psi taken by 5-point
-    central differences.  The step is h = 1e-3 (shrunk near the boundary),
-    balancing the h^4 truncation against roundoff in the second difference.
-    psi is called once on the samples and once on the (n, 5) stencil, v once
-    on the samples: each must map an array to an array of the same shape, or
-    a ValueError is raised.
+    The residual -sqrt(f) (f (sqrt(f) psi)')' + (V - E) psi is e^L R with
+
+        R = -sqrt(f) [f' (q' + q L') + f (q'' + 2 q' L' + q (L'' + L'^2))]
+            + (V - E) q / sqrt(f),
+
+    where sqrt(f) psi = q e^L and the derivatives are psi's closed forms
+    (`ClosedFormWavefunction.log_form`).  Returns max |e^L R| / (|E| max|psi|)
+    over the samples, with numerator and max|psi| both taken in log space,
+    so a psi that under- or overflows double precision still gives a ratio.
+    v is called once on the samples and must map an array to an array of
+    the same shape, or a ValueError is raised.
     """
-    lo, hi = df.domain
     xs = np.asarray(samples, dtype=float)
-    df.check_interior(xs)
-    psi_at = _sample(psi, xs)
-    scale = abs(energy) * float(np.max(np.abs(psi_at)))
-    if scale == 0.0:
-        raise ValueError("zero scale: psi vanishes on all samples or E = 0")
-    h = np.minimum(1e-3, np.minimum(0.25 * (xs - lo), 0.25 * (hi - xs)))
-    pts = xs[:, None] + h[:, None] * np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
-    phi = (_sample(psi, pts) * np.sqrt(df.f(pts))).T
-    d1 = (phi[0] - 8.0 * phi[1] + 8.0 * phi[3] - phi[4]) / (12.0 * h)
-    d2 = (-phi[0] + 16.0 * phi[1] - 30.0 * phi[2] + 16.0 * phi[3] - phi[4]) / (
-        12.0 * h * h
-    )
+    (q, q1, q2), (big_l, l1, l2) = psi.log_form(xs, derivatives=True)
     f = df.f(xs)
-    r = -np.sqrt(f) * (df.f_prime(xs) * d1 + f * d2) + (_sample(v, xs) - energy) * psi_at
-    return float(np.max(np.abs(r))) / scale
+    root = np.sqrt(f)
+    r = -root * (
+        df.f_prime(xs) * (q1 + q * l1) + f * (q2 + 2.0 * q1 * l1 + q * (l2 + l1 * l1))
+    ) + (_sample(v, xs) - energy) * q / root
+    # log max|psi|, where |psi| = |q| e^L / sqrt(f)
+    top = float(np.max(_log_abs(q) + big_l - 0.5 * np.log(f)))
+    if energy == 0.0 or top == -math.inf:
+        raise ValueError("zero scale: psi vanishes on all samples or E = 0")
+    return math.exp(float(np.max(_log_abs(r) + big_l)) - top) / abs(energy)
+
+
+def _log_abs(a: np.ndarray) -> np.ndarray:
+    """log |a|, -inf where a is 0."""
+    return np.log(np.abs(a), out=np.full(a.shape, -math.inf), where=a != 0.0)
 
 
 def count_nodes(values) -> int:

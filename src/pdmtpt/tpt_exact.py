@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from ._lazy import np
 from .combinatorics import gegenbauer, jacobi
-from .dsusy_core import DeformingFunction, Family, TrigLaurentPoly
+from .dsusy_core import DeformingFunction
 
 __all__ = [
     "ExactOneParam",
@@ -31,8 +31,6 @@ __all__ = [
     "wavefn_two_param",
     "potential_one_param",
     "potential_two_param",
-    "superpotentials_one_param",
-    "superpotentials_two_param",
 ]
 
 
@@ -81,14 +79,6 @@ def energy_one_param(p: ExactOneParam, n: int) -> float:
 def potential_one_param(p: ExactOneParam, x):
     """V(x) = A(A-1) sec^2 x."""
     return p.big_a * (p.big_a - 1.0) / np.cos(x) ** 2
-
-
-def superpotentials_one_param(p: ExactOneParam) -> tuple[TrigLaurentPoly, TrigLaurentPoly]:
-    """(W, W') = (lam tan x, lam' tan x)."""
-    return (
-        TrigLaurentPoly(Family.ONE, (p.lam,)),
-        TrigLaurentPoly(Family.ONE, (p.lam_prime,)),
-    )
 
 
 def wavefn_one_param(p: ExactOneParam, n: int, x):
@@ -167,14 +157,6 @@ def potential_two_param(p: ExactTwoParam, x):
     return (
         p.big_a * (p.big_a - 1.0) / np.cos(x) ** 2
         + p.big_b * (p.big_b - 1.0) / np.sin(x) ** 2
-    )
-
-
-def superpotentials_two_param(p: ExactTwoParam) -> tuple[TrigLaurentPoly, TrigLaurentPoly]:
-    """(W, W') = (lam tan x - mu cot x, lam' tan x - mu' cot x)."""
-    return (
-        TrigLaurentPoly(Family.TWO, (p.lam,), (p.mu,)),
-        TrigLaurentPoly(Family.TWO, (p.lam_prime,), (p.mu_prime,)),
     )
 
 

@@ -116,6 +116,19 @@ def _check_match(label: str, closed, expanded, tol: float) -> float:
 # Closed-form wavefunction container, shared by both families.
 
 
+def _horner(coeffs, y):
+    """sum_j coeffs[j] y^j, the one polynomial evaluation of this module."""
+    acc = 0.0
+    for coef in reversed(coeffs):
+        acc = acc * y + coef
+    return acc
+
+
+def _euler(coeffs) -> tuple[float, ...]:
+    """Coefficients of y dF/dy for F = sum_j coeffs[j] y^j."""
+    return tuple(j * coef for j, coef in enumerate(coeffs))
+
+
 @dataclass(frozen=True)
 class ClosedFormWavefunction:
     """Wavefunction of the form
@@ -140,33 +153,65 @@ class ClosedFormWavefunction:
 
     def value(self, x):
         self.df.check_interior(x)
-        arr = np.asarray(x, dtype=float)
-        f = self.df.f(arr)
-        c = np.cos(arr)
-        s = np.sin(arr)
-        expo = self.f_exp * np.log(f) + self.cos_exp * np.log(c)
-        if self.sin_exp != 0.0:
-            expo = expo + self.sin_exp * np.log(s)
-        if self.sec_coeffs:
-            sec2 = 1.0 / (c * c)
-            p = sec2
-            for coef in self.sec_coeffs:
-                expo = expo - coef * p
-                p = p * sec2
-        if self.csc_coeffs:
-            csc2 = 1.0 / (s * s)
-            p = csc2
-            for coef in self.csc_coeffs:
-                expo = expo - coef * p
-                p = p * csc2
-        s2 = s * s
-        pref = np.zeros_like(arr)
-        for coef in reversed(self.poly):
-            pref = pref * s2 + coef
-        if self.odd:
-            pref = pref * s
-        out = pref * np.exp(expo)
+        (q,), (expo,) = self._log_form(np.asarray(x, dtype=float), self.f_exp, False)
+        out = q * np.exp(expo)
         return float(out) if np.ndim(x) == 0 else out
+
+    def log_form(self, x, derivatives: bool = False):
+        """sqrt(f) psi = q e^L at the interior points x, in closed form.
+
+        q = P(sin^2 x) (sin x if odd) is the prefactor and L the log of the
+        rest.  Returns the lists [q] and [L], or with `derivatives`
+        [q, q', q''] and [L, L', L''], the primes being x-derivatives.
+        """
+        self.df.check_interior(x)
+        return self._log_form(np.asarray(x, dtype=float), self.f_exp + 0.5, derivatives)
+
+    def _log_form(self, x, f_exp: float, derivatives: bool):
+        """log_form with f raised to f_exp: psi itself at self.f_exp.
+
+        With y = sec^2 x and g = tan x, or y = csc^2 x and g = -cot x, a
+        ladder F(y) = sum_K c_K y^K has dF/dx = 2 g DF and d^2F/dx^2 =
+        2 y DF + 4 g^2 D^2F, where D = y d/dy; the log of cos x or sin x
+        has derivatives -g and -y.
+        """
+        f = self.df.f(x)
+        c = np.cos(x)
+        s = np.sin(x)
+        s2 = s * s
+        big_l = [f_exp * np.log(f) + self.cos_exp * np.log(c)]
+        if self.sin_exp != 0.0:
+            big_l[0] = big_l[0] + self.sin_exp * np.log(s)
+        q = [_horner(self.poly, s2)]
+        if derivatives:
+            fp = self.df.f_prime(x) / f
+            big_l += [f_exp * fp, f_exp * (self.df.f_second(x) / f - fp * fp)]
+            # P(u) at u = sin^2 x, where u' = 2 s c and u'' = 2 (c^2 - s^2)
+            pu = _euler(self.poly)[1:]
+            p1 = _horner(pu, s2)
+            q += [
+                p1 * 2.0 * s * c,
+                _horner(_euler(pu)[1:], s2) * 4.0 * s2 * c * c + p1 * 2.0 * (c * c - s2),
+            ]
+        for expo, coeffs, trig, co in (
+            (self.cos_exp, self.sec_coeffs, c, s),
+            (self.sin_exp, self.csc_coeffs, s, -c),
+        ):
+            if not (coeffs or (derivatives and expo != 0.0)):
+                continue  # so nothing divides by sin x unless this side needs it
+            y = 1.0 / (trig * trig)
+            ladder = (0.0,) + coeffs
+            big_l[0] = big_l[0] - _horner(ladder, y)
+            if derivatives:
+                g = co / trig
+                slope = expo + 2.0 * _horner(_euler(ladder), y)  # L' gains -g slope
+                big_l[1] = big_l[1] - g * slope
+                big_l[2] = big_l[2] - y * slope - 4.0 * g * g * _horner(_euler(_euler(ladder)), y)
+        if self.odd:
+            if derivatives:
+                q[1:] = [q[1] * s + q[0] * c, q[2] * s + 2.0 * q[1] * c - q[0] * s]
+            q[0] = q[0] * s
+        return q, big_l
 
 
 def _ladders(
@@ -803,9 +848,6 @@ def potential_value(spec, x):
     for coeffs, trig in ((spec.a_coeffs, np.cos), (spec.b_coeffs, np.sin)):
         if not coeffs:
             continue  # the one-parameter family has no csc ladder
-        inv2 = 1.0 / trig(arr) ** 2
-        acc = np.zeros_like(arr)
-        for coef in reversed(coeffs):
-            acc = (acc + coef) * inv2
+        acc = _horner((0.0,) + coeffs, 1.0 / trig(arr) ** 2)
         out = acc if out is None else out + acc
     return float(out) if np.ndim(x) == 0 else out

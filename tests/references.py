@@ -1,0 +1,112 @@
+"""Reference implementations that only the tests use.
+
+* `stencil_residual`: the eigenequation residual with the derivatives of
+  sqrt(f) psi taken by 5-point central differences.  It needs nothing but
+  psi's values, so it checks the exactly solvable baselines, whose
+  wavefunctions are plain callables, and cross-checks the closed-form
+  residual of `numeric_verify.residual`.
+* pointwise values of the superpotentials (`laurent_value`,
+  `laurent_derivative`) and partner potentials (`even_value`), and the
+  exactly solvable wells' superpotential pairs, which the library only ever
+  handles as coefficient algebra.
+"""
+
+import numpy as np
+
+from pdmtpt.dsusy_core import DeformingFunction, EvenTrigPoly, Family, TrigLaurentPoly, _sample
+from pdmtpt.tpt_exact import ExactOneParam, ExactTwoParam
+
+
+def stencil_residual(psi, v, df: DeformingFunction, energy: float, samples) -> float:
+    """Max relative pointwise residual of the deformed eigenequation.
+
+    Evaluates |-sqrt(f) (f (sqrt(f) psi)')' + (V - E) psi| / (|E| max|psi|)
+    over the samples, with derivatives of phi = sqrt(f) psi taken by 5-point
+    central differences.  The step is h = 1e-3 (shrunk near the boundary),
+    balancing the h^4 truncation against roundoff in the second difference.
+    psi is called once on the samples and once on the (n, 5) stencil, v once
+    on the samples: each must map an array to an array of the same shape, or
+    a ValueError is raised.
+    """
+    lo, hi = df.domain
+    xs = np.asarray(samples, dtype=float)
+    df.check_interior(xs)
+    psi_at = _sample(psi, xs)
+    scale = abs(energy) * float(np.max(np.abs(psi_at)))
+    if scale == 0.0:
+        raise ValueError("zero scale: psi vanishes on all samples or E = 0")
+    h = np.minimum(1e-3, np.minimum(0.25 * (xs - lo), 0.25 * (hi - xs)))
+    pts = xs[:, None] + h[:, None] * np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
+    phi = (_sample(psi, pts) * np.sqrt(df.f(pts))).T
+    d1 = (phi[0] - 8.0 * phi[1] + 8.0 * phi[3] - phi[4]) / (12.0 * h)
+    d2 = (-phi[0] + 16.0 * phi[1] - 30.0 * phi[2] + 16.0 * phi[3] - phi[4]) / (
+        12.0 * h * h
+    )
+    f = df.f(xs)
+    r = -np.sqrt(f) * (df.f_prime(xs) * d1 + f * d2) + (_sample(v, xs) - energy) * psi_at
+    return float(np.max(np.abs(r))) / scale
+
+
+def laurent_value(w: TrigLaurentPoly, x):
+    """W(x) = sum_k lam[k] tan^(2k+1) x - sum_l mu[l] cot^(2l+1) x."""
+    # Horner in u^2 for the tan block, then the cot block.
+    u = np.tan(x)
+    acc = 0.0 * u
+    for c in reversed(w.lam):
+        acc = acc * u * u + c
+    out = acc * u
+    if w.mu:
+        cot = 1.0 / u
+        acc = 0.0 * u
+        for c in reversed(w.mu):
+            acc = acc * cot * cot + c
+        out = out - acc * cot
+    return out
+
+
+def laurent_derivative(w: TrigLaurentPoly, x):
+    """dW/dx = (dW/du) sec^2 x with u = tan x."""
+    u = np.tan(x)
+    acc = 0.0 * u
+    for k in reversed(range(len(w.lam))):
+        acc = acc * u * u + (2 * k + 1) * w.lam[k]
+    out = acc
+    if w.mu:
+        cot = 1.0 / u
+        acc = 0.0 * u
+        for l in reversed(range(len(w.mu))):
+            acc = acc * cot * cot + (2 * l + 1) * w.mu[l]
+        out = out + acc * cot * cot
+    return out * (1.0 + u * u)
+
+
+def even_value(p: EvenTrigPoly, x):
+    """P(x) = sum_{k>=0} a[k] tan^(2k) x + sum_{l>=1} b[l-1] cot^(2l) x."""
+    u = np.tan(x)
+    acc = 0.0 * u
+    for c in reversed(p.a):
+        acc = acc * u * u + c
+    out = acc
+    if p.b:
+        cot2 = 1.0 / (u * u)
+        acc = 0.0 * u
+        for c in reversed(p.b):
+            acc = (acc + c) * cot2
+        out = out + acc
+    return out
+
+
+def superpotentials_one_param(p: ExactOneParam) -> tuple[TrigLaurentPoly, TrigLaurentPoly]:
+    """(W, W') = (lam tan x, lam' tan x)."""
+    return (
+        TrigLaurentPoly(Family.ONE, (p.lam,)),
+        TrigLaurentPoly(Family.ONE, (p.lam_prime,)),
+    )
+
+
+def superpotentials_two_param(p: ExactTwoParam) -> tuple[TrigLaurentPoly, TrigLaurentPoly]:
+    """(W, W') = (lam tan x - mu cot x, lam' tan x - mu' cot x)."""
+    return (
+        TrigLaurentPoly(Family.TWO, (p.lam,), (p.mu,)),
+        TrigLaurentPoly(Family.TWO, (p.lam_prime,), (p.mu_prime,)),
+    )

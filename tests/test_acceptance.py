@@ -42,6 +42,7 @@ from pdmtpt.tpt_extended import (
     expand_and_resum_two_param,
     potential_value,
 )
+from references import laurent_derivative, laurent_value, stencil_residual
 
 _ANCHORS = (
     (Fraction(19, 16), Fraction(115, 16)),
@@ -184,7 +185,9 @@ def test_criterion_4_compatibility_identity():
         lo, hi = df.domain
         width = hi - lo
         xs = np.linspace(lo + 0.25 * width, hi - 0.25 * width, 64)
-        vals = df.f(xs) * w_plus.derivative_value(xs) - w_plus.value(xs) * w_minus.value(xs)
+        vals = df.f(xs) * laurent_derivative(w_plus, xs) - laurent_value(
+            w_plus, xs
+        ) * laurent_value(w_minus, xs)
         worst_const = max(
             worst_const, float(np.max(np.abs(vals - spec.gap))) / spec.gap
         )
@@ -206,7 +209,7 @@ def test_criterion_5_wavefunction_correctness():
         samples = interior_samples(df, 41)
         for level, energy in ((0, spec.e0), (1, spec.e1)):
             psi = closed_form_wavefunction(spec, level)
-            worst_res = max(worst_res, residual(psi.value, v, df, energy, samples))
+            worst_res = max(worst_res, residual(psi, v, df, energy, samples))
     for p, energy_fn, pot_fn, wavefn in _es_baselines():
         df = p.deforming
         v = lambda x: pot_fn(p, x)
@@ -214,7 +217,7 @@ def test_criterion_5_wavefunction_correctness():
         for n in range(4):
             psi = lambda x, n=n: wavefn(p, n, x)
             worst_res = max(
-                worst_res, residual(psi, v, df, energy_fn(p, n), samples)
+                worst_res, stencil_residual(psi, v, df, energy_fn(p, n), samples)
             )
     residual_ok = worst_res < 1e-7
 

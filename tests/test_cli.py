@@ -433,10 +433,11 @@ class TestVerify:
         assert captured.err == "error: grid_size must be at most 1048576, got 1048577\n"
 
     def test_each_check_samples_once_per_grid(self, monkeypatch, capsys):
-        # psi points: 41 + 41*5 per residual, 257 + 3 + 3 per hermiticity
-        # check, and gram's nested levels up to 8193 points (1025 + 1024 +
-        # 2048 + 4096), whose samples the node count reads; V: one sampling
-        # for the oracle's three grids, 1 per residual
+        # psi points: 257 + 3 + 3 per hermiticity check, and gram's nested
+        # levels up to 8193 points (1025 + 1024 + 2048 + 4096), whose samples
+        # the node count reads; the residual reads psi's closed-form log form,
+        # not its values; V: one sampling for the oracle's three grids, 1 per
+        # residual
         counts = {"psi_points": 0, "v_calls": 0}
         value = ClosedFormWavefunction.value
 
@@ -453,8 +454,39 @@ class TestVerify:
         argv = ["--two", "--m1", "1", "--m2", "0", "--atop", "1", "--btop", "1"]
         assert main(["verify", *argv, "--alpha", "0.5", "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["pass"] is True
-        assert counts["psi_points"] == 2 * (41 + 41 * 5) + 2 * (257 + 3 + 3) + 2 * 8193
+        assert counts["psi_points"] == 2 * (257 + 3 + 3) + 2 * 8193
         assert counts["v_calls"] <= 3
+
+    @pytest.mark.parametrize(
+        "well",
+        [
+            ["--m1", "3", "--m2", "3", "--atop", "1.61738", "--btop", "1.07673",
+             "--alpha", "-0.437047"],
+            ["--m1", "4", "--m2", "1", "--atop", "1.90172", "--btop", "0.317807",
+             "--alpha", "-0.269603"],
+            ["--m1", "4", "--m2", "1", "--atop", "0.522048", "--btop", "1.1524",
+             "--alpha", "-0.683007"],
+        ],
+        ids=["3-3", "4-1-psi0", "4-1-both"],
+    )
+    def test_deep_census_wells_pass(self, well, capsys):
+        # a 5-point stencil residual failed these closed forms at 1.1e-7 to
+        # 6.0e-7; the closed-form derivatives give rounding-level residuals
+        assert main(["verify", "--two", *well, "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["pass"] is True
+        assert max(payload["residual_psi0"], payload["residual_psi1"]) < 1e-10
+
+    def test_underflowing_psi_is_a_norm_precision_limit(self, capsys):
+        # psi underflows on most residual samples; the residual, taken in
+        # log space, still passes, and the norm reports the limit
+        argv = ["--m1", "3", "--m2", "3", "--atop", "2", "--btop", "1", "--alpha", "0.6"]
+        rc = main(["verify", "--two", *argv])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: precision limit: the squared norm of psi0 is 0")
+        assert len(captured.err.splitlines()) == 1
 
     def test_underflowing_norm_is_a_precision_limit(self, capsys):
         # the oracle refuses this cap-dominated well before any norm is

@@ -1,6 +1,7 @@
 """Oracle layer: coordinate flattening, FD eigensolve, residuals, inner products."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from pdmtpt.tpt_extended import (
     closed_form_wavefunction,
     potential_value,
 )
+from references import stencil_residual
 
 FIG1 = build_one_param(1, 1.0, -0.5)
 FIG3 = build_two_param(1, 1, 1.0, 1.0, 0.5)
@@ -160,9 +162,11 @@ def test_callables_must_map_arrays_to_arrays():
         inner_product(np.cos, scalar, df)
     xs = interior_samples(df, 11)
     with pytest.raises(ValueError, match="shape"):
-        residual(scalar, np.ones_like, df, 1.0, xs)
+        stencil_residual(scalar, np.ones_like, df, 1.0, xs)
     with pytest.raises(ValueError, match="shape"):
-        residual(np.cos, scalar, df, 1.0, xs)
+        stencil_residual(np.cos, scalar, df, 1.0, xs)
+    with pytest.raises(ValueError, match="shape"):
+        residual(FIG1.psi[0], scalar, FIG1.deforming, FIG1.e0, xs)
     with pytest.raises(ValueError, match="shape"):
         hermiticity_boundary_check(scalar, df)
 
@@ -424,7 +428,7 @@ def test_refinement_that_skips_a_level_is_not_certified():
 
 def test_residual_flags_wrong_energy():
     xs = interior_samples(FIG3.deforming, 41)
-    psi1 = closed_form_wavefunction(FIG3, 1).value
+    psi1 = closed_form_wavefunction(FIG3, 1)
     v = lambda x: potential_value(FIG3, x)
     good = residual(psi1, v, FIG3.deforming, FIG3.e1, xs)
     bad = residual(psi1, v, FIG3.deforming, FIG3.e1 + 1.0, xs)
@@ -436,11 +440,66 @@ def test_residual_rejects_zero_scale():
     df = FIG1.deforming
     xs = interior_samples(df, 11)
     with pytest.raises(ValueError, match="zero scale"):
-        residual(np.zeros_like, np.ones_like, df, 1.0, xs)
+        residual(FIG1.psi[0], np.ones_like, df, 0.0, xs)
+    with pytest.raises(ValueError, match="zero scale"):
+        stencil_residual(np.zeros_like, np.ones_like, df, 1.0, xs)
 
 
-# The scalar loops that residual and hermiticity_boundary_check replaced: one
-# call per point.  The vectorized checks keep their arithmetic order.
+# Wells of the fault-injection tests: (m1, m2, atop, btop, alpha).
+_FAULT_WELLS = ((2, 1, 1.0, 1.3, 0.3), (3, 3, 2.0, 1.0, 0.6), (4, 1, 3.0, 2.0, -0.7))
+
+
+def _with_a2(spec, factor):
+    """spec with A_2 scaled by factor, for the potential only, as in `verify --override-a2`."""
+    return replace(spec, a_coeffs=(spec.a_coeffs[0] * factor,) + spec.a_coeffs[1:])
+
+
+def _residuals(spec, v_spec=None, energy_factor=1.0):
+    """The residuals of (psi0, psi1) against v_spec's potential."""
+    v_spec = spec if v_spec is None else v_spec
+    v = lambda x: potential_value(v_spec, x)
+    xs = interior_samples(spec.deforming, 41)
+    return [
+        residual(psi, v, spec.deforming, energy * energy_factor, xs)
+        for psi, energy in zip(spec.psi, (spec.e0, spec.e1))
+    ]
+
+
+def test_closed_form_residual_against_the_stencil():
+    for spec in (FIG1, FIG3, FIG5):
+        v = lambda x, s=spec: potential_value(s, x)
+        xs = interior_samples(spec.deforming, 41)
+        for psi, energy in zip(spec.psi, (spec.e0, spec.e1)):
+            assert residual(psi, v, spec.deforming, energy, xs) <= 1e-12
+            assert stencil_residual(psi.value, v, spec.deforming, energy, xs) < 1e-7
+    # a fault far above the stencil's floor reads the same on both
+    spec = build_two_param(*_FAULT_WELLS[0])
+    faulty = _with_a2(spec, 1.0 + 1e-6)
+    v = lambda x: potential_value(faulty, x)
+    xs = interior_samples(spec.deforming, 41)
+    for psi, energy, got in zip(spec.psi, (spec.e0, spec.e1), _residuals(spec, faulty)):
+        want = stencil_residual(psi.value, v, spec.deforming, energy, xs)
+        assert abs(got - want) <= 0.05 * want
+
+
+@pytest.mark.parametrize("well", _FAULT_WELLS, ids=str)
+def test_residual_fails_injected_faults(well):
+    spec = build_two_param(*well)
+    assert all(r >= 1e-7 for r in _residuals(spec, _with_a2(spec, 1.0 + 1e-5)))
+    assert all(r >= 1e-7 for r in _residuals(spec, energy_factor=1.0 + 1e-6))
+    psi0 = spec.psi[0]
+    sec = (psi0.sec_coeffs[0] * (1.0 + 1e-4),) + psi0.sec_coeffs[1:]
+    bad = replace(spec, psi=(replace(psi0, sec_coeffs=sec), spec.psi[1]))
+    assert _residuals(bad)[0] >= 1e-7
+    # a fault below the tolerance still shows far above the floor
+    clean = _residuals(spec)
+    for got, floor in zip(_residuals(spec, _with_a2(spec, 1.0 + 1e-8)), clean):
+        assert got >= 50.0 * floor
+
+
+# The scalar loops that the stencil residual and hermiticity_boundary_check
+# replaced: one call per point.  The vectorized checks keep their arithmetic
+# order.
 
 
 def _residual_per_point(psi, v, df, energy, samples):
@@ -506,7 +565,7 @@ def test_checks_match_the_per_point_loops():
     assert len(cases) == 22
     for psi, v, df, energy, ulps in cases:
         xs = interior_samples(df, 41)
-        got = residual(psi, v, df, energy, xs)
+        got = stencil_residual(psi, v, df, energy, xs)
         want = _residual_per_point(psi, v, df, energy, xs)
         # 1% of the verify tolerance 1e-7
         assert abs(got - want) <= 1e-9

@@ -1,0 +1,51 @@
+"""The parent-against-change output comparison, on three inputs."""
+
+import json
+
+import output_diff
+
+_ARGVS = [
+    ["verify", "--json", "--two", "--m1", "1", "--m2", "0", "--atop", "1", "--btop", "1",
+     "--alpha", "0.5", "-N", "2000"],
+    ["exact", "--one", "-A", "2", "--alpha", "-0.5", "--nmax", "2"],
+    ["verify", "--one", "-m", "1", "--atop", "1"],
+]
+
+
+def test_record_and_diff_three_inputs(capsys):
+    runs = [output_diff.record(argv) for argv in _ARGVS]
+    assert [r["rc"] for r in runs] == [0, 0, 2]
+    assert "required" in runs[2]["stderr"]
+    same = output_diff.diff_lines({"smoke": runs}, {"smoke": json.loads(json.dumps(runs))})
+    assert same == ["smoke: 3 inputs"]
+
+    changed = json.loads(json.dumps(runs))
+    payload = json.loads(changed[0]["stdout"])
+    payload["residual_psi0"] *= 4.0
+    payload["pass"] = False
+    changed[0]["stdout"] = json.dumps(payload) + "\n"
+    changed[1]["stdout"] = changed[1]["stdout"].replace("E0=", "E_0=")
+    assert output_diff.diff_lines({"smoke": runs}, {"smoke": changed}) == [
+        "smoke: 3 inputs",
+        "  stdout: 2 differ, max rel text",
+        "  json.pass: 1 differ, max rel text",
+        "  json.residual_psi0: 1 differ, max rel 0.75",
+    ]
+
+
+def test_census_outcomes_are_classified():
+    passed = output_diff.record(_ARGVS[0])
+    assert output_diff.classify(passed) == "pass"
+    payload = dict(json.loads(passed["stdout"]), residual_psi1=2e-7)
+    failed = dict(passed, rc=1, stdout=json.dumps(payload))
+    assert output_diff.classify(failed) == "residual verdict"
+    refused = dict(passed, rc=1, stdout="", stderr="error: oracle cannot resolve: ...\n")
+    assert output_diff.classify(refused) == "oracle refused"
+
+
+def test_input_sets_follow_their_documented_draws():
+    sets = output_diff.input_sets()
+    assert len(sets["pool"]) == 912
+    census = sets["census"]
+    assert len(census) == 180
+    assert [argv[4:7:2] for argv in census[::60]] == [["2", "2"], ["3", "3"], ["4", "1"]]

@@ -9,7 +9,6 @@ from pdmtpt.numeric_verify import (
     count_nodes,
     inner_product,
     interior_samples,
-    residual,
     solve_spectrum,
 )
 from pdmtpt.tpt_exact import (
@@ -19,11 +18,10 @@ from pdmtpt.tpt_exact import (
     energy_two_param,
     potential_one_param,
     potential_two_param,
-    superpotentials_one_param,
-    superpotentials_two_param,
     wavefn_one_param,
     wavefn_two_param,
 )
+from references import stencil_residual, superpotentials_one_param, superpotentials_two_param
 
 
 def test_constant_mass_spectrum_one_param():
@@ -151,7 +149,7 @@ def test_oracle_agreement_two_param():
 def test_residual_one_param(n):
     p = ExactOneParam(2.0, -0.5)
     xs = interior_samples(p.deforming, 41)
-    r = residual(
+    r = stencil_residual(
         lambda x: wavefn_one_param(p, n, x),
         lambda x: potential_one_param(p, x),
         p.deforming,
@@ -165,7 +163,7 @@ def test_residual_one_param(n):
 def test_residual_two_param(n):
     p = ExactTwoParam(2.0, 2.0, 0.5)
     xs = interior_samples(p.deforming, 41)
-    r = residual(
+    r = stencil_residual(
         lambda x: wavefn_two_param(p, n, x),
         lambda x: potential_two_param(p, x),
         p.deforming,

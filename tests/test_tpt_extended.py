@@ -21,6 +21,7 @@ from pdmtpt.dsusy_core import (
     compatibility_gap,
     hermiticity_boundary_check,
 )
+from pdmtpt.numeric_verify import interior_samples
 from pdmtpt.tpt_extended import (
     InternalConsistencyError,
     build_one_param,
@@ -526,6 +527,43 @@ class TestTwoParamLonghandForms:
         )
         assert spec.e0 == pytest.approx(e0, rel=1e-12)
         assert spec.e1 == pytest.approx(e1, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        build_one_param(1, 1.0, -0.5),
+        build_one_param(3, 2.0, 2.0),
+        build_two_param(1, 1, 1.0, 1.0, 0.5),
+        build_two_param(1, 0, 1.0, 1.0, 0.5),
+        build_two_param(2, 1, 1.0, 1.3, 0.3),
+    ],
+    ids=["one-1", "one-3", "two-1-1", "two-1-0", "two-2-1"],
+)
+def test_log_form_is_sqrt_f_psi_and_its_derivatives(spec):
+    # q e^L against sqrt(f) psi, and each closed-form derivative against
+    # 5-point central differences of the values; the residual's samples
+    # include x = 0 for the one-parameter family
+    df = spec.deforming
+    xs = interior_samples(df, 41)
+    h = 1e-3
+    stencil = xs[:, None] + h * np.arange(-2.0, 3.0)
+    for psi in spec.psi:
+        (q, q1, q2), (big_l, l1, l2) = psi.log_form(xs, derivatives=True)
+        np.testing.assert_allclose(
+            q * np.exp(big_l), np.sqrt(df.f(xs)) * psi.value(xs), rtol=1e-12, atol=0.0
+        )
+        (qs,), (ls,) = psi.log_form(stencil)
+        for derivatives, y in (((q1, q2), qs), ((l1, l2), ls)):
+            d1 = (y[:, 0] - 8.0 * y[:, 1] + 8.0 * y[:, 3] - y[:, 4]) / (12.0 * h)
+            d2 = (-y[:, 0] + 16.0 * y[:, 1] - 30.0 * y[:, 2] + 16.0 * y[:, 3] - y[:, 4]) / (
+                12.0 * h * h
+            )
+            # the differences' own h^4 error reaches 1.4e-6 at the walls
+            for got, want in zip(derivatives, (d1, d2)):
+                np.testing.assert_allclose(
+                    got, want, rtol=1e-5, atol=1e-8 * np.max(np.abs(want))
+                )
 
 
 class TestTwoParamWavefunctions:
