@@ -346,10 +346,12 @@ def residual(psi, v, df: DeformingFunction, energy: float, samples) -> float:
     over the samples, with numerator and max|psi| both taken in log space,
     so a psi that under- or overflows double precision still gives a ratio.
     v is called once on the samples and must map an array to an array of
-    the same shape, or a ValueError is raised.
+    the same shape, and psi must be built on df, or a ValueError is raised.
     """
+    if psi.df != df:
+        raise ValueError(f"psi is built on {psi.df}, not on {df}")
     xs = np.asarray(samples, dtype=float)
-    (q, q1, q2), (big_l, l1, l2) = psi.log_form(xs, derivatives=True)
+    (q, q1, q2), (big_l, l1, l2) = psi.log_form(xs)
     f = df.f(xs)
     root = np.sqrt(f)
     r = -root * (

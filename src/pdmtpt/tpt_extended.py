@@ -117,9 +117,13 @@ def _check_match(label: str, closed, expanded, tol: float) -> float:
 
 
 def _horner(coeffs, y):
-    """sum_j coeffs[j] y^j, the one polynomial evaluation of this module."""
-    acc = 0.0
-    for coef in reversed(coeffs):
+    """sum_j coeffs[j] y^j, the one polynomial evaluation of this module.
+
+    Starts from the scalar top coefficient, so one coefficient gives a
+    scalar and none gives 0.0.
+    """
+    acc = coeffs[-1] if coeffs else 0.0
+    for coef in reversed(coeffs[:-1]):
         acc = acc * y + coef
     return acc
 
@@ -157,18 +161,22 @@ class ClosedFormWavefunction:
         out = q * np.exp(expo)
         return float(out) if np.ndim(x) == 0 else out
 
-    def log_form(self, x, derivatives: bool = False):
+    def log_form(self, x):
         """sqrt(f) psi = q e^L at the interior points x, in closed form.
 
         q = P(sin^2 x) (sin x if odd) is the prefactor and L the log of the
-        rest.  Returns the lists [q] and [L], or with `derivatives`
-        [q, q', q''] and [L, L', L''], the primes being x-derivatives.
+        rest.  Returns the lists [q, q', q''] and [L, L', L''], the primes
+        being x-derivatives.
         """
         self.df.check_interior(x)
-        return self._log_form(np.asarray(x, dtype=float), self.f_exp + 0.5, derivatives)
+        arr = np.asarray(x, dtype=float)
+        q, big_l = self._log_form(arr, self.f_exp + 0.5, True)
+        q[0] = np.broadcast_to(q[0], arr.shape)  # a scalar where q is constant
+        return q, big_l
 
     def _log_form(self, x, f_exp: float, derivatives: bool):
-        """log_form with f raised to f_exp: psi itself at self.f_exp.
+        """log_form with f raised to f_exp: psi itself at self.f_exp.  Without
+        `derivatives`, only [q] and [L], as `value` needs them.
 
         With y = sec^2 x and g = tan x, or y = csc^2 x and g = -cot x, a
         ladder F(y) = sum_K c_K y^K has dF/dx = 2 g DF and d^2F/dx^2 =

@@ -18,6 +18,10 @@ how many inputs differ and the largest relative difference.  Numbers are
 compared by |a - b| / max(|a|, |b|); texts by the numbers in them when the
 rest of the text is the same, else they count as "text" differences.
 `table` classifies the census outcomes per (m1, m2).
+
+Dump both checkouts with the same BLAS thread setting (for example
+OPENBLAS_NUM_THREADS=1 for both): the oracle's `spectral_rel_err*` depends
+on it.
 """
 
 import contextlib

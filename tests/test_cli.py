@@ -435,26 +435,33 @@ class TestVerify:
     def test_each_check_samples_once_per_grid(self, monkeypatch, capsys):
         # psi points: 257 + 3 + 3 per hermiticity check, and gram's nested
         # levels up to 8193 points (1025 + 1024 + 2048 + 4096), whose samples
-        # the node count reads; the residual reads psi's closed-form log form,
-        # not its values; V: one sampling for the oracle's three grids, 1 per
-        # residual
-        counts = {"psi_points": 0, "v_calls": 0}
+        # the node count reads; the residual reads psi's closed-form log form
+        # once on its 41 samples, not its values; V: one sampling for the
+        # oracle's three grids, 1 per residual
+        counts = {"psi_points": 0, "log_form_points": [], "v_calls": 0}
         value = ClosedFormWavefunction.value
+        log_form = ClosedFormWavefunction.log_form
 
         def psi_value(self, x):
             counts["psi_points"] += np.size(x)
             return value(self, x)
+
+        def psi_log_form(self, x):
+            counts["log_form_points"].append(np.size(x))
+            return log_form(self, x)
 
         def v_value(spec, x):
             counts["v_calls"] += 1
             return potential_value(spec, x)
 
         monkeypatch.setattr(ClosedFormWavefunction, "value", psi_value)
+        monkeypatch.setattr(ClosedFormWavefunction, "log_form", psi_log_form)
         monkeypatch.setattr(cli, "potential_value", v_value)
         argv = ["--two", "--m1", "1", "--m2", "0", "--atop", "1", "--btop", "1"]
         assert main(["verify", *argv, "--alpha", "0.5", "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["pass"] is True
         assert counts["psi_points"] == 2 * (257 + 3 + 3) + 2 * 8193
+        assert counts["log_form_points"] == [41, 41]
         assert counts["v_calls"] <= 3
 
     @pytest.mark.parametrize(

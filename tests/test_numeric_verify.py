@@ -441,8 +441,21 @@ def test_residual_rejects_zero_scale():
     xs = interior_samples(df, 11)
     with pytest.raises(ValueError, match="zero scale"):
         residual(FIG1.psi[0], np.ones_like, df, 0.0, xs)
+    # a zero prefactor: psi vanishes on every sample, log max|psi| is -inf
+    vanishing = replace(FIG1.psi[0], poly=(0.0,))
+    with pytest.raises(ValueError, match="zero scale"):
+        residual(vanishing, np.ones_like, df, FIG1.e0, xs)
     with pytest.raises(ValueError, match="zero scale"):
         stencil_residual(np.zeros_like, np.ones_like, df, 1.0, xs)
+
+
+def test_residual_rejects_psi_of_another_deforming_function():
+    # f and its derivatives come from df, psi's own derivatives from psi.df
+    df = DeformingFunction.trig_one(0.0)
+    assert FIG1.deforming != df
+    xs = interior_samples(df, 11)
+    with pytest.raises(ValueError, match="built on"):
+        residual(FIG1.psi[0], lambda x: potential_value(FIG1, x), df, FIG1.e0, xs)
 
 
 # Wells of the fault-injection tests: (m1, m2, atop, btop, alpha).
@@ -499,7 +512,9 @@ def test_residual_fails_injected_faults(well):
 
 # The scalar loops that the stencil residual and hermiticity_boundary_check
 # replaced: one call per point.  The vectorized checks keep their arithmetic
-# order.
+# order.  The stencil residual is itself a test reference, so its half of
+# the comparison checks one test implementation against another; the
+# closed-form residual is checked against the stencil above.
 
 
 def _residual_per_point(psi, v, df, energy, samples):

@@ -549,11 +549,12 @@ def test_log_form_is_sqrt_f_psi_and_its_derivatives(spec):
     h = 1e-3
     stencil = xs[:, None] + h * np.arange(-2.0, 3.0)
     for psi in spec.psi:
-        (q, q1, q2), (big_l, l1, l2) = psi.log_form(xs, derivatives=True)
+        (q, q1, q2), (big_l, l1, l2) = psi.log_form(xs)
+        assert all(np.shape(a) == xs.shape for a in (q, q1, q2, big_l, l1, l2))
         np.testing.assert_allclose(
             q * np.exp(big_l), np.sqrt(df.f(xs)) * psi.value(xs), rtol=1e-12, atol=0.0
         )
-        (qs,), (ls,) = psi.log_form(stencil)
+        (qs, *_), (ls, *_) = psi.log_form(stencil)
         for derivatives, y in (((q1, q2), qs), ((l1, l2), ls)):
             d1 = (y[:, 0] - 8.0 * y[:, 1] + 8.0 * y[:, 3] - y[:, 4]) / (12.0 * h)
             d2 = (-y[:, 0] + 16.0 * y[:, 1] - 30.0 * y[:, 2] + 16.0 * y[:, 3] - y[:, 4]) / (
