@@ -52,16 +52,17 @@ _FIGURES = {
 }
 
 
-# Curve files are evaluated and written this many rows at a time.
-_CURVE_BLOCK_ROWS = 131072
+# Curve files are evaluated, formatted and written this many rows at a time,
+# so the writer's memory (about 2.6 MB) does not grow with `--npoints`.
+_CURVE_BLOCK_ROWS = 8192
 
 # Upper bounds of the sizes a command computes: `--npoints` rows per curve
 # file (about 80 bytes each) and `--nmax` + 1 exact energies.
 _MAX_NPOINTS = 10_000_000
 _MAX_NMAX = 10_000
 
-# One CSV row of four floats, formatted like _fmt.
-_CSV_ROW = "{:.17g},{:.17g},{:.17g},{:.17g}\n".format
+# One CSV row of four floats; %.17g formats a float exactly as _fmt does.
+_CSV_ROW = "%.17g,%.17g,%.17g,%.17g\n"
 
 
 def _fmt(x: float) -> str:
@@ -299,8 +300,8 @@ def _write_curve_file(path: str, spec, npoints: int) -> dict:
             v = potential_value(spec, xs)
             p0 = psi0.value(xs) / norm0
             p1 = psi1.value(xs) / norm1
-            columns = (xs.tolist(), v.tolist(), p0.tolist(), p1.tolist())
-            fh.writelines(map(_CSV_ROW, *columns))
+            cells = np.stack((xs, v, p0, p1), axis=1).ravel().tolist()
+            fh.write(_CSV_ROW * (end - first) % tuple(cells))
     return {
         "path": path,
         "rows": npoints,

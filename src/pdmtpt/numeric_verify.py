@@ -150,6 +150,18 @@ def _flatten(v, df: DeformingFunction, n: int) -> FlattenedProblem:
     return FlattenedProblem(g, vt, h)
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """sum a_i b_i by NumPy's pairwise summation, never by BLAS.
+
+    BLAS splits long dot products across its threads, so np.dot's last
+    digits, and through them the refined levels, would depend on the
+    thread count.  einsum does not call BLAS either, but its running sum
+    is less accurate: levels refined with it stray further from long-double
+    Sturm-count levels.
+    """
+    return float(np.sum(a * b))
+
+
 def _refined_levels(problem: FlattenedProblem, seeds: np.ndarray):
     """The levels nearest `seeds` (at least two), or None if not certified.
 
@@ -199,14 +211,14 @@ def _refined_levels(problem: FlattenedProblem, seeds: np.ndarray):
                 return None
             u = x[:, 0]
             for w in found:
-                u = u - np.dot(w, u) * w
-            u = u / np.linalg.norm(u)
+                u = u - _dot(w, u) * w
+            u = u / math.sqrt(_dot(u, u))
             du = np.diff(u, prepend=0.0, append=0.0)
-            rho[k] = c * np.dot(du, du) + np.dot(vc * u, u)
+            rho[k] = c * _dot(du, du) + _dot(vc * u, u)
             r = (d - rho[k]) * u
             r[1:] += e * u[:-1]
             r[:-1] += e * u[1:]
-            res[k] = np.linalg.norm(r)
+            res[k] = math.sqrt(_dot(r, r))
             if res[k] ** 2 <= tol * delta[k]:
                 break
             # until its residual is below the gap, the quotient can still be

@@ -5,26 +5,29 @@
     python tests/output_diff.py table OUT.json
 
 `dump` runs `pdmtpt.cli.main` in-process, from whichever `pdmtpt` is on the
-path, on three input sets and writes {set: [{argv, rc, stdout, stderr}]}:
+path, on four input sets and writes {set: [{argv, rc, stdout, stderr}]}:
 
 * pool: the argv of perfbench/verify_pool.json, read-only;
 * census: ROADMAP item 1's census of deep two-parameter wells, one
   `random.Random(7)` stream drawing atop, btop and alpha for 60 wells each
   at (m1, m2) = (2, 2), (3, 3), (4, 1), in that order;
-* defects: the known-defect inputs.
+* defects: the known-defect inputs;
+* curves: `sample` at 100,001 rows on the wells of `figures` (its six files
+  plot three wells).
 
-`diff` prints, per set, for each stream and each key of a `--json` payload,
-how many inputs differ and the largest relative difference.  Numbers are
-compared by |a - b| / max(|a|, |b|); texts by the numbers in them when the
-rest of the text is the same, else they count as "text" differences.
+An argv with `--out` runs in a temporary directory, and its record also
+holds the SHA-256 of the file it wrote (None if it wrote none).
+
+`diff` prints, per set, for each stream, the file hash and each key of a
+`--json` payload, how many inputs differ and the largest relative
+difference.  Numbers are compared by |a - b| / max(|a|, |b|); texts by the
+numbers in them when the rest of the text is the same, else they count as
+"text" differences, as differing hashes always do.
 `table` classifies the census outcomes per (m1, m2).
-
-Dump both checkouts with the same BLAS thread setting (for example
-OPENBLAS_NUM_THREADS=1 for both): the oracle's `spectral_rel_err*` depends
-on it.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -32,6 +35,7 @@ import os
 import random
 import re
 import sys
+import tempfile
 
 _POOL = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                      "perfbench", "verify_pool.json")
@@ -46,8 +50,18 @@ _DEFECTS = [
     ["verify", "--json", "--one", "-m", "1", "--atop", "1", "--alpha", "50", "-N", "16000"],
     ["verify", "--json", "--one", "-m", "1", "--atop", "1e-8", "--alpha", "0"],
     ["sample", "--json", "--one", "-m", "1", "--atop", "1", "--alpha", "-0.999",
-     "--out", os.devnull],
+     "--out", "curve.csv"],
     ["extend", "--json", "--check", "--one", "-m", "40", "--atop", "1", "--alpha", "0.3"],
+]
+
+# the wells of `figures`: fig1/fig2, fig3/fig4 and fig5/fig6
+_CURVES = [
+    ["sample", "--json", *well, "--npoints", "100001", "--out", "curve.csv"]
+    for well in (
+        ["--one", "-m", "1", "--atop", "1", "--alpha", "-0.5"],
+        ["--two", "--m1", "1", "--m2", "1", "--atop", "1", "--btop", "1", "--alpha", "0.5"],
+        ["--two", "--m1", "1", "--m2", "0", "--atop", "1", "--btop", "1", "--alpha", "0.5"],
+    )
 ]
 
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
@@ -67,11 +81,33 @@ def census_argv() -> list[list[str]]:
 def input_sets() -> dict[str, list[list[str]]]:
     with open(_POOL, encoding="utf-8") as fh:
         pool = json.load(fh)["argv"]
-    return {"pool": pool, "census": census_argv(), "defects": _DEFECTS}
+    return {"pool": pool, "census": census_argv(), "defects": _DEFECTS, "curves": _CURVES}
 
 
 def record(argv: list[str]) -> dict:
-    """{argv, rc, stdout, stderr} of one in-process `main` call."""
+    """{argv, rc, stdout, stderr} of one in-process `main` call.
+
+    An argv with `--out` runs in a temporary directory and adds sha256, the
+    SHA-256 of the file it wrote, or None.
+    """
+    if "--out" not in argv:
+        return _record(argv)
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            rec = _record(argv)
+            path = argv[argv.index("--out") + 1]
+            rec["sha256"] = None
+            if os.path.exists(path):
+                with open(path, "rb") as fh:
+                    rec["sha256"] = hashlib.sha256(fh.read()).hexdigest()
+        finally:
+            os.chdir(cwd)
+    return rec
+
+
+def _record(argv: list[str]) -> dict:
     from pdmtpt.cli import main
 
     out, err = io.StringIO(), io.StringIO()
@@ -115,19 +151,20 @@ def compare(a: list[dict], b: list[dict]) -> dict[str, tuple[int, float]]:
         raise ValueError("the two runs have different inputs")
     out: dict[str, tuple[int, float]] = {}
 
-    def note(field, x, y):
+    def note(field, rel):
         n, worst = out.get(field, (0, 0.0))
-        rel = _rel(x, y)
         out[field] = (n + (rel > 0.0), max(worst, rel))
 
     for ra, rb in zip(a, b):
         for stream in ("rc", "stdout", "stderr"):
-            note(stream, ra[stream], rb[stream])
+            note(stream, _rel(ra[stream], rb[stream]))
+        if "sha256" in ra or "sha256" in rb:
+            note("sha256", 0.0 if ra.get("sha256") == rb.get("sha256") else math.inf)
         pa, pb = _payload(ra["stdout"]), _payload(rb["stdout"])
         if pa is not None or pb is not None:
             pa, pb = pa or {}, pb or {}
             for key in sorted(set(pa) | set(pb)):
-                note(f"json.{key}", pa.get(key), pb.get(key))
+                note(f"json.{key}", _rel(pa.get(key), pb.get(key)))
     return out
 
 

@@ -2,12 +2,12 @@
 
 Every test drives `main` with an argv list and inspects stdout, stderr, exit
 codes, or emitted files; nothing reaches into command internals except the
-curve block size, read so that the streaming test spans two blocks, the
-evaluators `verify` calls, counted so that each check samples once per grid,
-the build's generating pair, perturbed so that the build must refuse it, the
-expansion path, counted so that `extend --check` expands once, the
-closed-form gap that `extend` prints, and the parser, counted so that one
-process builds it once.
+curve writer (its block size, read so that the streaming test spans several
+blocks, its row format and its memory peak), the evaluators `verify` calls,
+counted so that each check samples once per grid, the build's generating
+pair, perturbed so that the build must refuse it, the expansion path,
+counted so that `extend --check` expands once, the closed-form gap that
+`extend` prints, and the parser, counted so that one process builds it once.
 The README's library quick start is run as written.
 """
 
@@ -17,6 +17,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -564,20 +565,47 @@ class TestSample:
         )
 
     def test_blocks_match_the_per_row_writer(self, tmp_path):
-        # one full block plus a one-row last block
-        npoints = _CURVE_BLOCK_ROWS + 1
-        out = tmp_path / "curve.csv"
-        rc = main(
-            [
-                "sample", "--two", "--m1", "1", "--m2", "1", "--atop", "1",
-                "--btop", "1", "--alpha", "0.5", "--npoints", str(npoints),
-                "--out", str(out),
-            ]
-        )
-        assert rc == 0
-        ref = tmp_path / "reference.csv"
-        _per_row_curve(ref, build_two_param(1, 1, 1.0, 1.0, 0.5), npoints)
-        assert out.read_bytes() == ref.read_bytes()
+        # the smallest file, one full block plus a one-row last block, and
+        # two full blocks
+        spec = build_two_param(1, 1, 1.0, 1.0, 0.5)
+        for npoints in (2, _CURVE_BLOCK_ROWS + 1, 2 * _CURVE_BLOCK_ROWS):
+            out = tmp_path / f"curve{npoints}.csv"
+            rc = main(
+                [
+                    "sample", "--two", "--m1", "1", "--m2", "1", "--atop", "1",
+                    "--btop", "1", "--alpha", "0.5", "--npoints", str(npoints),
+                    "--out", str(out),
+                ]
+            )
+            assert rc == 0
+            ref = tmp_path / f"reference{npoints}.csv"
+            _per_row_curve(ref, spec, npoints)
+            assert out.read_bytes() == ref.read_bytes(), npoints
+
+    @pytest.mark.parametrize(
+        "x",
+        [-0.0, 5e-324, 2.2250738585072014e-308, 0.1, 9.999999999999999e-05, 1e16,
+         1e308, -1.5],
+    )
+    def test_row_format_is_fmt(self, x):
+        row = (x, -x, 1.0, x)
+        assert cli._CSV_ROW % row == ",".join(map(cli._fmt, row)) + "\n"
+
+    def test_writer_memory_does_not_grow_with_npoints(self, tmp_path):
+        spec = build_two_param(1, 1, 1.0, 1.0, 0.5)
+        path = str(tmp_path / "curve.csv")
+
+        def peak(npoints):
+            tracemalloc.start()
+            try:
+                cli._write_curve_file(path, spec, npoints)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # untraced, so that one-time lazy imports do not count as the writer's
+        cli._write_curve_file(path, spec, 2)
+        assert peak(8 * _CURVE_BLOCK_ROWS + 1) <= 1.5 * peak(2 * _CURVE_BLOCK_ROWS + 1)
 
     def test_underflowing_norm_is_a_precision_limit(self, tmp_path, capsys):
         out = tmp_path / "curve.csv"
@@ -861,6 +889,25 @@ def test_scipy_linalg_imports_after_verify():
     assert seen["same"] == [True, True]
     exact = [2.0 - 2.0 * math.cos(k * math.pi / 6.0) for k in range(1, 6)]
     np.testing.assert_allclose(seen["w"], exact, rtol=0.0, atol=1e-14)
+
+
+# A pool well whose oracle levels, summed by BLAS, moved in their last
+# digits with the BLAS thread count
+_THREAD_PROBE_WELL = ["verify", "--json", "--one", "-m", "2", "--atop", "1.754147",
+                      "--alpha", "0.791842", "-N", "16000"]
+
+
+def test_verify_output_does_not_depend_on_blas_threads():
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=_SRC, OPENBLAS_NUM_THREADS=threads)
+        run = subprocess.run(
+            [sys.executable, "-m", "pdmtpt.cli", *_THREAD_PROBE_WELL],
+            capture_output=True, text=True, env=env, timeout=120, check=True,
+        )
+        outs.append(run.stdout)
+    assert json.loads(outs[0])["pass"] is True
+    assert outs[0] == outs[1]
 
 
 _IMPORT_PATH_PROBE = """

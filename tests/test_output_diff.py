@@ -1,6 +1,8 @@
-"""The parent-against-change output comparison, on three inputs."""
+"""The parent-against-change output comparison, on three inputs and a curve."""
 
+import hashlib
 import json
+import os
 
 import output_diff
 
@@ -33,6 +35,31 @@ def test_record_and_diff_three_inputs(capsys):
     ]
 
 
+_CURVE = ["sample", "--one", "-m", "1", "--atop", "1", "--alpha", "-0.5", "--npoints", "11",
+          "--out", "curve.csv"]
+
+
+def test_curve_is_recorded_by_its_hash(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    run = output_diff.record(_CURVE)
+    assert (run["rc"], run["stdout"]) == (0, "wrote curve.csv (11 rows)\n")
+    assert os.listdir(tmp_path) == []
+    # run here, the same call leaves the file whose hash was recorded
+    assert output_diff._record(_CURVE)["rc"] == 0
+    assert run["sha256"] == hashlib.sha256((tmp_path / "curve.csv").read_bytes()).hexdigest()
+
+    same = json.loads(json.dumps(run))
+    assert output_diff.diff_lines({"curves": [run]}, {"curves": [same]}) == ["curves: 1 inputs"]
+    changed = dict(run, sha256=hashlib.sha256(b"").hexdigest())
+    assert output_diff.diff_lines({"curves": [run]}, {"curves": [changed]}) == [
+        "curves: 1 inputs",
+        "  sha256: 1 differ, max rel text",
+    ]
+    # psi underflows at alpha = -0.999: a precision limit, and no file
+    failed = output_diff.record([*_CURVE[:7], "-0.999", *_CURVE[8:]])
+    assert failed["rc"] == 1 and failed["sha256"] is None
+
+
 def test_census_outcomes_are_classified():
     passed = output_diff.record(_ARGVS[0])
     assert output_diff.classify(passed) == "pass"
@@ -49,3 +76,6 @@ def test_input_sets_follow_their_documented_draws():
     census = sets["census"]
     assert len(census) == 180
     assert [argv[4:7:2] for argv in census[::60]] == [["2", "2"], ["3", "3"], ["4", "1"]]
+    assert [argv[-4:] for argv in sets["curves"]] == [
+        ["--npoints", "100001", "--out", "curve.csv"]
+    ] * 3
