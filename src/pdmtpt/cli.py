@@ -11,6 +11,7 @@ import functools
 import json
 import math
 import os
+import shutil
 import sys
 from dataclasses import replace
 
@@ -19,6 +20,7 @@ from .dsusy_core import hermiticity_boundary_check
 from .numeric_verify import (
     count_nodes,
     gram,
+    # not called here: perfbench/tracing.py TARGETS resolves it on pdmtpt.cli
     inner_product,
     interior_samples,
     residual,
@@ -42,14 +44,12 @@ from .tpt_extended import (
     potential_value,
 )
 
-_FIGURES = {
-    "fig1": ("one", (1, 1.0, -0.5)),
-    "fig2": ("one", (1, 1.0, -0.5)),
-    "fig3": ("two", (1, 1, 1.0, 1.0, 0.5)),
-    "fig4": ("two", (1, 1, 1.0, 1.0, 0.5)),
-    "fig5": ("two", (1, 0, 1.0, 1.0, 0.5)),
-    "fig6": ("two", (1, 0, 1.0, 1.0, 0.5)),
-}
+# The three wells of `figures`, each written under two file names.
+_FIGURES = (
+    (("fig1", "fig2"), "one", (1, 1.0, -0.5)),
+    (("fig3", "fig4"), "two", (1, 1, 1.0, 1.0, 0.5)),
+    (("fig5", "fig6"), "two", (1, 0, 1.0, 1.0, 0.5)),
+)
 
 
 # Curve files are evaluated, formatted and written this many rows at a time,
@@ -280,8 +280,9 @@ def _write_curve_file(path: str, spec, npoints: int) -> dict:
     step = (stop - start) / (npoints - 1)
     psi0 = closed_form_wavefunction(spec, 0)
     psi1 = closed_form_wavefunction(spec, 1)
-    norm0 = _norm(inner_product(psi0.value, psi0.value, df), "psi0")
-    norm1 = _norm(inner_product(psi1.value, psi1.value, df), "psi1")
+    g, _ = gram((psi0.value, psi1.value), df)
+    norm0 = _norm(g[0, 0], "psi0")
+    norm1 = _norm(g[1, 1], "psi1")
     fields = _spec_fields(spec)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(
@@ -335,19 +336,28 @@ def cmd_figures(args) -> int:
     _check_npoints(args)
     payload = {}
     lines = []
-    for name, (family, params) in _FIGURES.items():
+    try:
+        os.makedirs(args.outdir, exist_ok=True)
+    except OSError as exc:
+        print(f"error: cannot write {args.outdir}: {exc}", file=sys.stderr)
+        return 3
+    for names, family, params in _FIGURES:
         spec = (
             build_one_param(*params) if family == "one" else build_two_param(*params)
         )
-        path = f"{args.outdir.rstrip('/')}/{name}.csv"
-        try:
-            os.makedirs(args.outdir, exist_ok=True)
-            info = _write_curve_file(path, spec, args.npoints)
-        except OSError as exc:
-            print(f"error: cannot write {path}: {exc}", file=sys.stderr)
-            return 3
-        payload[name] = info["path"]
-        lines.append(f"wrote {info['path']} ({_params_string(_spec_fields(spec))})")
+        params_string = _params_string(_spec_fields(spec))
+        paths = [os.path.join(args.outdir, f"{name}.csv") for name in names]
+        for name, path in zip(names, paths):
+            try:
+                if path == paths[0]:
+                    _write_curve_file(path, spec, args.npoints)
+                else:
+                    shutil.copyfile(paths[0], path)
+            except OSError as exc:
+                print(f"error: cannot write {path}: {exc}", file=sys.stderr)
+                return 3
+            payload[name] = path
+            lines.append(f"wrote {path} ({params_string})")
     _emit(args, lines, payload)
     return 0
 

@@ -4,22 +4,21 @@ Everything downstream (superpotential coefficients, resummed potential
 coefficients, wavefunction prefactors) is assembled from double factorials,
 binomials, one family of four-fold double-factorial sums, a small alternating
 binomial polynomial, and classical orthogonal polynomials evaluated by their
-three-term recurrences.  The sums are carried out in exact rational
-arithmetic (fractions.Fraction) and converted to float only at the call
-boundary, so cancellation inside them is never a float problem.
+three-term recurrences.  The double-factorial sums of a ladder are one
+integer self-convolution of its ratios, divided exactly (fractions.Fraction)
+and converted to float only at the call boundary, so cancellation inside
+them is never a float problem.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 __all__ = [
     "double_factorial",
     "binomial",
     "fsum",
-    "SumIndex",
     "s_sum",
     "f_poly",
     "gegenbauer",
@@ -52,51 +51,30 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-@dataclass(frozen=True)
-class SumIndex:
-    """Index bundle (m, k, a, b) for the double-factorial sum s_sum.
+def s_sum(m: int) -> tuple[Fraction, ...]:
+    """Exact values of the 2m+1 four-fold double-factorial sums S_1..S_{2m+1}.
 
-    Constraints: 0 <= a <= b <= m, and every double factorial appearing for
-    l in [a, b] must have argument >= -1 (so b <= k <= m + a + 1).
+    S_k = sum_l [(2m+1)!!]^2 /
+          [(2l+1)!! (2k-2l-1)!! (2m-2l)!! (2m-2k+2l+2)!!]
+    over l = max(0, k-m-1) .. min(k-1, m), is the self-convolution of the
+    ladder ratios t_l = (2m+1)!! / ((2l+1)!! (2m-2l)!!), l = 0..m.  They are
+    carried as the integers T_l = (2m)!! t_l, so the convolution is an
+    integer one and each S_k is one Fraction of it over ((2m)!!)^2.  A
+    negative m is a ValueError, from double_factorial(2m).
     """
-
-    m: int
-    k: int
-    a: int
-    b: int
-
-    def __post_init__(self) -> None:
-        if not (0 <= self.a <= self.b <= self.m):
-            raise ValueError(f"need 0 <= a <= b <= m, got {self}")
-        for l in (self.a, self.b):
-            for arg in (2 * self.k - 2 * l - 1, 2 * self.m - 2 * self.k + 2 * l + 2):
-                if arg < -1:
-                    raise ValueError(
-                        f"double factorial argument {arg} < -1 for {self}"
-                    )
-
-
-def s_sum(idx: SumIndex) -> Fraction:
-    """Exact value of the four-fold double-factorial sum.
-
-    S = sum_{l=a}^{b} [(2m+1)!!]^2 /
-        [(2l+1)!! (2k-2l-1)!! (2m-2l)!! (2m-2k+2l+2)!!]
-
-    An empty range (never produced by SumIndex, which requires a <= b) would
-    be 0; callers that need an empty range simply skip the term.
-    """
-    m, k, a, b = idx.m, idx.k, idx.a, idx.b
-    top = double_factorial(2 * m + 1) ** 2
-    total = Fraction(0)
-    for l in range(a, b + 1):
-        den = (
-            double_factorial(2 * l + 1)
-            * double_factorial(2 * k - 2 * l - 1)
-            * double_factorial(2 * m - 2 * l)
-            * double_factorial(2 * m - 2 * k + 2 * l + 2)
+    top = double_factorial(2 * m + 1)
+    even = double_factorial(2 * m)
+    t = [
+        top // double_factorial(2 * l + 1) * (even // double_factorial(2 * m - 2 * l))
+        for l in range(m + 1)
+    ]
+    return tuple(
+        Fraction(
+            sum(t[l] * t[k - 1 - l] for l in range(max(0, k - m - 1), min(k - 1, m) + 1)),
+            even * even,
         )
-        total += Fraction(top, den)
-    return total
+        for k in range(1, 2 * m + 2)
+    )
 
 
 def fsum(terms) -> float:

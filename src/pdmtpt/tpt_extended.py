@@ -31,8 +31,9 @@ E_0 and coefficient checks.
 The one-parameter closed forms share one sum: `_sec_terms_one` gives the
 linear and quadratic sums weighted by (-1)^(l-j) C(l, j), which are A_2j
 (j >= 2), A_2 with a leading block (j = 1) and, subtracted from two leading
-blocks, E_0 (j = 0).  The 2m+1 double-factorial sums s_sum it needs are
-computed once per build.
+blocks, E_0 (j = 0).  The 2m+1 double-factorial sums S_l it needs are the
+self-convolution of W_plus's ladder ratios (2m+1)!! / ((2l+1)!! (2m-2l)!!),
+which one `s_sum` call per build takes as an integer convolution.
 
 The two-parameter well maps onto itself under x -> pi/2 - x, alpha -> -alpha
 with the sec and csc ladders swapped.  The closed-form path uses this: the
@@ -54,7 +55,7 @@ import math
 from dataclasses import dataclass, replace
 
 from ._lazy import np
-from .combinatorics import SumIndex, binomial, double_factorial, f_poly, fsum, s_sum
+from .combinatorics import binomial, double_factorial, f_poly, fsum, s_sum
 from .dsusy_core import (
     DeformingFunction,
     Family,
@@ -346,10 +347,7 @@ def _sec_terms_one(
 def _closed_one(m: int, sa: float, alpha: float) -> tuple[float, list[float]]:
     """Closed-form E_0 and (A_2, ..., A_{4m}); the top coefficient is the input."""
     op = 1.0 + alpha
-    s = [
-        float(s_sum(SumIndex(m, l, max(0, l - m - 1), min(l - 1, m))))
-        for l in range(1, 2 * m + 2)
-    ]
+    s = [float(v) for v in s_sum(m)]
     e0_front = 0.25 * (2 * m + 1) * op * (2 * m + 1 + (2 * m + 3) * alpha)
     # the linear leading block of E_0 is half the gap
     e0_lead = 0.5 * _gap_one(m, sa, alpha)

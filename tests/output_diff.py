@@ -12,17 +12,17 @@ path, on four input sets and writes {set: [{argv, rc, stdout, stderr}]}:
   `random.Random(7)` stream drawing atop, btop and alpha for 60 wells each
   at (m1, m2) = (2, 2), (3, 3), (4, 1), in that order;
 * defects: the known-defect inputs;
-* curves: `sample` at 100,001 rows on the wells of `figures` (its six files
-  plot three wells).
+* curves: `sample` at 100,001 rows on the three wells of `figures`, and
+  `figures` itself at 100,001 rows (its six files plot those three wells).
 
-An argv with `--out` runs in a temporary directory, and its record also
-holds the SHA-256 of the file it wrote (None if it wrote none).
+Each argv runs in a temporary directory of its own, and its record also
+holds {path: SHA-256} of every file it left there.
 
 `diff` prints, per set, for each stream, the file hash and each key of a
 `--json` payload, how many inputs differ and the largest relative
 difference.  Numbers are compared by |a - b| / max(|a|, |b|); texts by the
 numbers in them when the rest of the text is the same, else they count as
-"text" differences, as differing hashes always do.
+"text" differences, as differing sets of file hashes always do.
 `table` classifies the census outcomes per (m1, m2).
 """
 
@@ -62,7 +62,7 @@ _CURVES = [
         ["--two", "--m1", "1", "--m2", "1", "--atop", "1", "--btop", "1", "--alpha", "0.5"],
         ["--two", "--m1", "1", "--m2", "0", "--atop", "1", "--btop", "1", "--alpha", "0.5"],
     )
-]
+] + [["figures", "--json", "--npoints", "100001"]]
 
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
@@ -85,26 +85,27 @@ def input_sets() -> dict[str, list[list[str]]]:
 
 
 def record(argv: list[str]) -> dict:
-    """{argv, rc, stdout, stderr} of one in-process `main` call.
+    """{argv, rc, stdout, stderr, sha256} of one in-process `main` call.
 
-    An argv with `--out` runs in a temporary directory and adds sha256, the
-    SHA-256 of the file it wrote, or None.
+    The call runs in a temporary directory of its own; sha256 maps the path
+    of every file it left there to the file's SHA-256 ({} if it wrote none).
     """
-    if "--out" not in argv:
-        return _record(argv)
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
             rec = _record(argv)
-            path = argv[argv.index("--out") + 1]
-            rec["sha256"] = None
-            if os.path.exists(path):
-                with open(path, "rb") as fh:
-                    rec["sha256"] = hashlib.sha256(fh.read()).hexdigest()
+            paths = sorted(os.path.relpath(os.path.join(root, name))
+                           for root, _, names in os.walk(".") for name in names)
+            rec["sha256"] = {path: _sha256(path) for path in paths}
         finally:
             os.chdir(cwd)
     return rec
+
+
+def _sha256(path: str) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
 
 
 def _record(argv: list[str]) -> dict:
@@ -158,8 +159,7 @@ def compare(a: list[dict], b: list[dict]) -> dict[str, tuple[int, float]]:
     for ra, rb in zip(a, b):
         for stream in ("rc", "stdout", "stderr"):
             note(stream, _rel(ra[stream], rb[stream]))
-        if "sha256" in ra or "sha256" in rb:
-            note("sha256", 0.0 if ra.get("sha256") == rb.get("sha256") else math.inf)
+        note("sha256", 0.0 if ra["sha256"] == rb["sha256"] else math.inf)
         pa, pb = _payload(ra["stdout"]), _payload(rb["stdout"])
         if pa is not None or pb is not None:
             pa, pb = pa or {}, pb or {}

@@ -5,14 +5,19 @@
   psi's values, so it checks the exactly solvable baselines, whose
   wavefunctions are plain callables, and cross-checks the closed-form
   residual of `numeric_verify.residual`.
+* `s_sum_terms`: one double-factorial sum S_k, term by term in Fractions,
+  the four-fold formula that `combinatorics.s_sum` takes as a convolution.
 * pointwise values of the superpotentials (`laurent_value`,
   `laurent_derivative`) and partner potentials (`even_value`), and the
   exactly solvable wells' superpotential pairs, which the library only ever
   handles as coefficient algebra.
 """
 
+from fractions import Fraction
+
 import numpy as np
 
+from pdmtpt.combinatorics import double_factorial
 from pdmtpt.dsusy_core import DeformingFunction, EvenTrigPoly, Family, TrigLaurentPoly, _sample
 from pdmtpt.tpt_exact import ExactOneParam, ExactTwoParam
 
@@ -45,6 +50,22 @@ def stencil_residual(psi, v, df: DeformingFunction, energy: float, samples) -> f
     f = df.f(xs)
     r = -np.sqrt(f) * (df.f_prime(xs) * d1 + f * d2) + (_sample(v, xs) - energy) * psi_at
     return float(np.max(np.abs(r))) / scale
+
+
+def s_sum_terms(m: int, k: int) -> Fraction:
+    """S_k = sum_l [(2m+1)!!]^2 / [(2l+1)!! (2k-2l-1)!! (2m-2l)!! (2m-2k+2l+2)!!]
+    over l = max(0, k-m-1) .. min(k-1, m), one Fraction per term."""
+    top = double_factorial(2 * m + 1) ** 2
+    total = Fraction(0)
+    for l in range(max(0, k - m - 1), min(k - 1, m) + 1):
+        den = (
+            double_factorial(2 * l + 1)
+            * double_factorial(2 * k - 2 * l - 1)
+            * double_factorial(2 * m - 2 * l)
+            * double_factorial(2 * m - 2 * k + 2 * l + 2)
+        )
+        total += Fraction(top, den)
+    return total
 
 
 def laurent_value(w: TrigLaurentPoly, x):

@@ -3,8 +3,10 @@
 Every test drives `main` with an argv list and inspects stdout, stderr, exit
 codes, or emitted files; nothing reaches into command internals except the
 curve writer (its block size, read so that the streaming test spans several
-blocks, its row format and its memory peak), the evaluators `verify` calls,
-counted so that each check samples once per grid, the build's generating
+blocks, its row format, its memory peak and its `gram` calls, counted so
+that each file takes its norms from one), the builds and writes of
+`figures`, counted so that each well is done once, the evaluators `verify`
+calls, counted so that each check samples once per grid, the build's generating
 pair, perturbed so that the build must refuse it, the expansion path,
 counted so that `extend --check` expands once, the closed-form gap that
 `extend` prints, and the parser, counted so that one process builds it once.
@@ -26,7 +28,7 @@ import pdmtpt
 from pdmtpt import cli, tpt_extended
 from pdmtpt.cli import _CURVE_BLOCK_ROWS, _MAX_NMAX, _MAX_NPOINTS, build_parser, main
 from pdmtpt.dsusy_core import Family, TrigLaurentPoly
-from pdmtpt.numeric_verify import inner_product
+from pdmtpt.numeric_verify import gram, inner_product
 from pdmtpt.tpt_extended import (
     ClosedFormWavefunction,
     _gap_two,
@@ -559,10 +561,26 @@ class TestSample:
             data[:, 3], psi1.value(xs) / norm1, rtol=1e-9, atol=1e-9 * scale1
         )
         # the recorded norms really are the closed forms' L2 norms
-        assert norm0 == pytest.approx(
-            math.sqrt(inner_product(psi0.value, psi0.value, spec.deforming)),
-            rel=1e-9,
-        )
+        g, _ = gram((psi0.value, psi1.value), spec.deforming)
+        assert (norm0, norm1) == (math.sqrt(g[0, 0]), math.sqrt(g[1, 1]))
+
+    def test_one_gram_per_curve_file(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(psis, df):
+            out = gram(psis, df)
+            calls.append((len(psis), out[0]))
+            return out
+
+        monkeypatch.setattr(cli, "gram", counted)
+        out = tmp_path / "curve.csv"
+        info = cli._write_curve_file(str(out), build_one_param(1, 1.0, -0.5), 11)
+        [(n, g)] = calls
+        assert n == 2
+        norms = (math.sqrt(g[0, 0]), math.sqrt(g[1, 1]))
+        assert (info["norm_psi0"], info["norm_psi1"]) == norms
+        meta, _ = _read_curve(out)
+        assert (float(meta["norm_psi0"]), float(meta["norm_psi1"])) == norms
 
     def test_blocks_match_the_per_row_writer(self, tmp_path):
         # the smallest file, one full block plus a one-row last block, and
@@ -708,6 +726,42 @@ class TestFigures:
         rc = main(["figures", "--outdir", str(blocker / "out"), "--npoints", "11"])
         assert rc == 3
         assert "cannot write" in capsys.readouterr().err
+
+    def test_empty_outdir_exits_3_naming_no_other_path(self, capsys):
+        rc = main(["figures", "--outdir", "", "--npoints", "11"])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.startswith("error: cannot write")
+        assert len(err.splitlines()) == 1
+        assert "/fig1.csv" not in err
+
+    def test_each_well_is_built_normed_and_written_once(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        for name in ("build_one_param", "build_two_param", "_write_curve_file"):
+            real = getattr(cli, name)
+            monkeypatch.setattr(
+                cli, name,
+                lambda *a, _name=name, _real=real: calls.append(_name) or _real(*a),
+            )
+        assert main(["figures", "--outdir", str(tmp_path), "--npoints", "11"]) == 0
+        assert sorted(calls) == (
+            ["_write_curve_file"] * 3 + ["build_one_param"] + ["build_two_param"] * 2
+        )
+        read = lambda name: (tmp_path / f"{name}.csv").read_bytes()
+        for first, second in (("fig1", "fig2"), ("fig3", "fig4"), ("fig5", "fig6")):
+            assert read(first) == read(second)
+        params = {
+            "fig1": "m=1;a_top=1;alpha=-0.5",
+            "fig3": "m1=1;m2=1;a_top=1;b_top=1;alpha=0.5",
+            "fig5": "m1=1;m2=0;a_top=1;b_top=1;alpha=0.5",
+        }
+        params.update(fig2=params["fig1"], fig4=params["fig3"], fig6=params["fig5"])
+        paths = {name: os.path.join(str(tmp_path), f"{name}.csv") for name in sorted(params)}
+        assert capsys.readouterr().out == "".join(
+            f"wrote {paths[name]} ({params[name]})\n" for name in paths
+        )
+        assert main(["figures", "--outdir", str(tmp_path), "--npoints", "11", "--json"]) == 0
+        assert capsys.readouterr().out == json.dumps(paths) + "\n"
 
 
 _README = os.path.join(

@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 from scipy.special import eval_gegenbauer, eval_jacobi
 
 from pdmtpt.combinatorics import (
-    SumIndex,
     binomial,
     double_factorial,
     f_poly,
@@ -18,6 +17,7 @@ from pdmtpt.combinatorics import (
     jacobi,
     s_sum,
 )
+from references import s_sum_terms
 
 
 def test_double_factorial_small_values():
@@ -49,48 +49,34 @@ def test_binomial_values_and_truncation():
     assert binomial(4, -1) == 0
 
 
-def test_sum_index_validation():
-    with pytest.raises(ValueError):
-        SumIndex(1, 1, 1, 0)  # a > b
-    with pytest.raises(ValueError):
-        SumIndex(2, 1, 0, 3)  # b > m
-    with pytest.raises(ValueError):
-        SumIndex(1, 3, 0, 0)  # 2m-2k+2l+2 = -2 at l=0
-    SumIndex(1, 2, 1, 1)  # boundary-legal
-
-
 def test_s_sum_frozen_values():
-    assert s_sum(SumIndex(1, 1, 0, 0)) == Fraction(9, 4)
-    assert s_sum(SumIndex(1, 2, 1, 1)) == Fraction(3, 2)
-    assert isinstance(s_sum(SumIndex(2, 1, 0, 1)), Fraction)
+    assert s_sum(1) == (Fraction(9, 4), Fraction(3), Fraction(1))
+    assert s_sum(2) == (
+        Fraction(225, 64), Fraction(75, 8), Fraction(10), Fraction(5), Fraction(1)
+    )
+    assert all(isinstance(v, Fraction) for v in s_sum(3))
+    with pytest.raises(ValueError):
+        s_sum(-1)
 
 
-@st.composite
-def _valid_sum_index(draw):
-    m = draw(st.integers(min_value=1, max_value=6))
-    k = draw(st.integers(min_value=0, max_value=2 * m + 1))
-    lo = max(0, k - m - 1)
-    hi = min(m, k)
-    if lo > hi:
-        # k = 0 with lo = 0, hi = 0 is always fine; only impossible combos land here
-        m, k, lo, hi = 1, 1, 0, 0
-    a = draw(st.integers(min_value=lo, max_value=hi))
-    b = draw(st.integers(min_value=a, max_value=hi))
-    return SumIndex(m, k, a, b)
+def test_s_sum_equals_the_per_term_sum():
+    for m in range(41):
+        assert s_sum(m) == tuple(s_sum_terms(m, k) for k in range(1, 2 * m + 2)), m
 
 
-@given(_valid_sum_index())
-def test_s_sum_positive_and_float_consistent(idx):
-    exact = s_sum(idx)
+@given(st.integers(min_value=1, max_value=6), st.data())
+def test_s_sum_positive_and_float_consistent(m, data):
+    k = data.draw(st.integers(min_value=1, max_value=2 * m + 1))
+    exact = s_sum(m)[k - 1]
     assert exact > 0
-    top = double_factorial(2 * idx.m + 1) ** 2
+    top = double_factorial(2 * m + 1) ** 2
     terms = []
-    for l in range(idx.a, idx.b + 1):
+    for l in range(max(0, k - m - 1), min(k - 1, m) + 1):
         den = (
             double_factorial(2 * l + 1)
-            * double_factorial(2 * idx.k - 2 * l - 1)
-            * double_factorial(2 * idx.m - 2 * l)
-            * double_factorial(2 * idx.m - 2 * idx.k + 2 * l + 2)
+            * double_factorial(2 * k - 2 * l - 1)
+            * double_factorial(2 * m - 2 * l)
+            * double_factorial(2 * m - 2 * k + 2 * l + 2)
         )
         terms.append(top / den)
     assert math.fsum(terms) == pytest.approx(float(exact), rel=1e-14)

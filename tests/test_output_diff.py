@@ -1,4 +1,4 @@
-"""The parent-against-change output comparison, on three inputs and a curve."""
+"""The parent-against-change output comparison, on three inputs, a curve and the figures."""
 
 import hashlib
 import json
@@ -46,18 +46,42 @@ def test_curve_is_recorded_by_its_hash(tmp_path, monkeypatch):
     assert os.listdir(tmp_path) == []
     # run here, the same call leaves the file whose hash was recorded
     assert output_diff._record(_CURVE)["rc"] == 0
-    assert run["sha256"] == hashlib.sha256((tmp_path / "curve.csv").read_bytes()).hexdigest()
+    assert run["sha256"] == {"curve.csv": _sha256(tmp_path / "curve.csv")}
 
     same = json.loads(json.dumps(run))
     assert output_diff.diff_lines({"curves": [run]}, {"curves": [same]}) == ["curves: 1 inputs"]
-    changed = dict(run, sha256=hashlib.sha256(b"").hexdigest())
+    changed = dict(run, sha256={"curve.csv": hashlib.sha256(b"").hexdigest()})
     assert output_diff.diff_lines({"curves": [run]}, {"curves": [changed]}) == [
         "curves: 1 inputs",
         "  sha256: 1 differ, max rel text",
     ]
     # psi underflows at alpha = -0.999: a precision limit, and no file
     failed = output_diff.record([*_CURVE[:7], "-0.999", *_CURVE[8:]])
-    assert failed["rc"] == 1 and failed["sha256"] is None
+    assert failed["rc"] == 1 and failed["sha256"] == {}
+
+
+def test_every_file_of_figures_is_recorded(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    argv = ["figures", "--npoints", "11", "--outdir", "out"]
+    run = output_diff.record(argv)
+    assert run["rc"] == 0
+    assert os.listdir(tmp_path) == []
+    assert output_diff._record(argv)["rc"] == 0
+    names = [f"fig{i}.csv" for i in range(1, 7)]
+    assert run["sha256"] == {
+        os.path.join("out", name): _sha256(tmp_path / "out" / name) for name in names
+    }
+
+    changed = dict(run, sha256=dict(run["sha256"]))
+    del changed["sha256"][os.path.join("out", "fig6.csv")]
+    assert output_diff.diff_lines({"curves": [run]}, {"curves": [changed]}) == [
+        "curves: 1 inputs",
+        "  sha256: 1 differ, max rel text",
+    ]
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def test_census_outcomes_are_classified():
@@ -76,6 +100,7 @@ def test_input_sets_follow_their_documented_draws():
     census = sets["census"]
     assert len(census) == 180
     assert [argv[4:7:2] for argv in census[::60]] == [["2", "2"], ["3", "3"], ["4", "1"]]
-    assert [argv[-4:] for argv in sets["curves"]] == [
+    assert [argv[-4:] for argv in sets["curves"][:3]] == [
         ["--npoints", "100001", "--out", "curve.csv"]
     ] * 3
+    assert sets["curves"][3] == ["figures", "--json", "--npoints", "100001"]

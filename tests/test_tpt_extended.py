@@ -205,11 +205,14 @@ class TestOneParamDualPath:
     def test_each_s_sum_once_per_build(self, m, monkeypatch):
         calls = []
         s_sum = tpt_extended.s_sum
-        monkeypatch.setattr(
-            tpt_extended, "s_sum", lambda idx: calls.append(idx) or s_sum(idx)
-        )
+
+        def counted(depth):
+            calls.append(s_sum(depth))
+            return calls[-1]
+
+        monkeypatch.setattr(tpt_extended, "s_sum", counted)
         build_one_param(m, 1.0, 0.5)
-        assert len(calls) == len(set(calls)) == 2 * m + 1
+        assert [len(sums) for sums in calls] == [2 * m + 1]
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError, match="tpt_exact"):
