@@ -4,10 +4,12 @@ Everything downstream (superpotential coefficients, resummed potential
 coefficients, wavefunction prefactors) is assembled from double factorials,
 binomials, one family of four-fold double-factorial sums, a small alternating
 binomial polynomial, and classical orthogonal polynomials evaluated by their
-three-term recurrences.  The double-factorial sums of a ladder are one
-integer self-convolution of its ratios, divided exactly (fractions.Fraction)
-and converted to float only at the call boundary, so cancellation inside
-them is never a float problem.
+three-term recurrences.  A one-parameter ladder's double factorials are one
+table, (2m+1)!! and the m+1 denominators (2l+1)!! (2m-2l)!! of its ratios,
+formed by running products (`ladder_table`).  The double-factorial sums of
+the ladder are one integer self-convolution of its ratios, read from that
+table, divided exactly (fractions.Fraction) and converted to float only at
+the call boundary, so cancellation inside them is never a float problem.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from fractions import Fraction
 __all__ = [
     "double_factorial",
     "binomial",
+    "ladder_table",
     "fsum",
     "s_sum",
     "f_poly",
@@ -51,23 +54,36 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-def s_sum(m: int) -> tuple[Fraction, ...]:
-    """Exact values of the 2m+1 four-fold double-factorial sums S_1..S_{2m+1}.
+def ladder_table(m: int) -> tuple[int, tuple[int, ...]]:
+    """((2m+1)!!, (den_0, ..., den_m)) with den_l = (2l+1)!! (2m-2l)!!.
+
+    These are the double factorials of the ladder ratios
+    t_l = (2m+1)!! / den_l, l = 0..m, formed by two running products, so the
+    table costs O(m) integer products.  A negative m is a ValueError.
+    """
+    if m < 0:
+        raise ValueError(f"ladder depth must be >= 0, got {m}")
+    odd, even = [1], [1]  # (2l+1)!! and (2l)!!, l = 0..m
+    for l in range(1, m + 1):
+        odd.append(odd[-1] * (2 * l + 1))
+        even.append(even[-1] * 2 * l)
+    return odd[m], tuple(odd[l] * even[m - l] for l in range(m + 1))
+
+
+def s_sum(table: tuple[int, tuple[int, ...]]) -> tuple[Fraction, ...]:
+    """Exact values of the 2m+1 four-fold double-factorial sums S_1..S_{2m+1}
+    of the ladder whose `ladder_table` is given.
 
     S_k = sum_l [(2m+1)!!]^2 /
           [(2l+1)!! (2k-2l-1)!! (2m-2l)!! (2m-2k+2l+2)!!]
     over l = max(0, k-m-1) .. min(k-1, m), is the self-convolution of the
-    ladder ratios t_l = (2m+1)!! / ((2l+1)!! (2m-2l)!!), l = 0..m.  They are
-    carried as the integers T_l = (2m)!! t_l, so the convolution is an
-    integer one and each S_k is one Fraction of it over ((2m)!!)^2.  A
-    negative m is a ValueError, from double_factorial(2m).
+    ladder ratios t_l = (2m+1)!! / den_l, l = 0..m.  They are carried as the
+    integers T_l = (2m)!! t_l, (2m)!! being den_0, so the convolution is an
+    integer one and each S_k is one Fraction of it over ((2m)!!)^2.
     """
-    top = double_factorial(2 * m + 1)
-    even = double_factorial(2 * m)
-    t = [
-        top // double_factorial(2 * l + 1) * (even // double_factorial(2 * m - 2 * l))
-        for l in range(m + 1)
-    ]
+    top, den = table
+    m, even = len(den) - 1, den[0]
+    t = [top * even // d for d in den]
     return tuple(
         Fraction(
             sum(t[l] * t[k - 1 - l] for l in range(max(0, k - m - 1), min(k - 1, m) + 1)),

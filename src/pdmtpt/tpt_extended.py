@@ -28,12 +28,18 @@ one-parameter family), the deforming function `deforming`, the closed-form
 wavefunctions `psi` and `dual_path`, the largest discrepancy of the build's
 E_0 and coefficient checks.
 
-The one-parameter closed forms share one sum: `_sec_terms_one` gives the
-linear and quadratic sums weighted by (-1)^(l-j) C(l, j), which are A_2j
-(j >= 2), A_2 with a leading block (j = 1) and, subtracted from two leading
-blocks, E_0 (j = 0).  The 2m+1 double-factorial sums S_l it needs are the
-self-convolution of W_plus's ladder ratios (2m+1)!! / ((2l+1)!! (2m-2l)!!),
-which one `s_sum` call per build takes as an integer convolution.
+The one-parameter closed forms read one double-factorial table per build,
+`ladder_table(m)`: (2m+1)!! and the denominators (2l+1)!! (2m-2l)!! of
+W_plus's ladder ratios.  W_plus, the gap, the psi_1 prefactor and the linear
+block of `_sec_terms_one` read their ratios from it, and one `s_sum` call
+takes the 2m+1 double-factorial sums S_l as the integer self-convolution of
+the same ratios.  `_sec_terms_one` gives the linear and quadratic sums
+weighted by (-1)^(l-j) C(l, j), which are A_2j (j >= 2), A_2 with a leading
+block (j = 1) and, subtracted from two leading blocks, E_0 (j = 0).
+
+The wavefunction constants of both families (C, and D for the csc ladder)
+read one resummation per ladder, `_resummed`: the coefficients of
+sum_k lam_k tan^(2k) x in powers of sec^2 x.
 
 The two-parameter well maps onto itself under x -> pi/2 - x, alpha -> -alpha
 with the sec and csc ladders swapped.  The closed-form path uses this: the
@@ -55,7 +61,7 @@ import math
 from dataclasses import dataclass, replace
 
 from ._lazy import np
-from .combinatorics import binomial, double_factorial, f_poly, fsum, s_sum
+from .combinatorics import binomial, f_poly, fsum, ladder_table, s_sum
 from .dsusy_core import (
     DeformingFunction,
     Family,
@@ -76,6 +82,15 @@ __all__ = [
     "closed_form_wavefunction",
     "potential_value",
 ]
+
+
+# The deepest ladder a build accepts.  One-parameter builds overflow double
+# precision from about m = 150 on; the bound refuses depths whose exact
+# integer work would run for seconds or hours before any overflow shows.
+_MAX_DEPTH = 1000
+
+# A one-parameter ladder's ((2m+1)!!, denominators), from `ladder_table`.
+_Table = tuple[int, tuple[int, ...]]
 
 
 class InternalConsistencyError(RuntimeError):
@@ -288,27 +303,17 @@ def _first_excited(e0: float, gap: float) -> float:
     return e0 + gap
 
 
-def _gap_one(m: int, sa: float, alpha: float) -> float:
-    return (
-        2.0
-        * sa
-        * double_factorial(2 * m + 1)
-        / double_factorial(2 * m)
-        * (1.0 + alpha) ** (-m)
-    )
+def _gap_one(m: int, sa: float, alpha: float, table: _Table) -> float:
+    top, den = table  # den[0] = (2m)!!
+    return 2.0 * sa * top / den[0] * (1.0 + alpha) ** (-m)
 
 
 def _w_pair_one(
-    m: int, sa: float, alpha: float
+    m: int, sa: float, alpha: float, table: _Table
 ) -> tuple[TrigLaurentPoly, TrigLaurentPoly]:
-    top = double_factorial(2 * m + 1)
+    top, den = table
     lam = tuple(
-        2.0
-        * sa
-        * top
-        / (double_factorial(2 * k + 1) * double_factorial(2 * m - 2 * k))
-        * (1.0 + alpha) ** (k - m)
-        for k in range(m + 1)
+        2.0 * sa * top / den[k] * (1.0 + alpha) ** (k - m) for k in range(m + 1)
     )
     w_plus = TrigLaurentPoly(Family.ONE, lam)
     w_minus = TrigLaurentPoly(Family.ONE, ((2 * m + 1) * (1.0 + alpha),))
@@ -316,7 +321,7 @@ def _w_pair_one(
 
 
 def _sec_terms_one(
-    m: int, j: int, sa: float, alpha: float, s: list[float]
+    m: int, j: int, sa: float, alpha: float, table: _Table, s: list[float]
 ) -> list[float]:
     """The linear and quadratic sums, weighted by (-1)^(l-j) C(l, j) over
     l >= max(j, 1); s[l - 1] is the double-factorial sum S_l.
@@ -325,15 +330,10 @@ def _sec_terms_one(
     and E_0 subtracts j = 0 from its two leading blocks.
     """
     op = 1.0 + alpha
-    top = double_factorial(2 * m + 1)
+    top, den = table
     lo = max(j, 1)
     lin = [
-        -2.0
-        * (2 * m + 1)
-        * (-1.0) ** (l - j)
-        * binomial(l, j)
-        * top
-        / (double_factorial(2 * l - 1) * double_factorial(2 * m - 2 * l + 2))
+        -2.0 * (2 * m + 1) * (-1.0) ** (l - j) * binomial(l, j) * top / den[l - 1]
         * op ** (l - m)
         for l in range(lo, m + 2)
     ]
@@ -344,51 +344,53 @@ def _sec_terms_one(
     return [sa * fsum(lin), sa * sa * op ** (-2 * m) * fsum(quad)]
 
 
-def _closed_one(m: int, sa: float, alpha: float) -> tuple[float, list[float]]:
+def _closed_one(
+    m: int, sa: float, alpha: float, table: _Table, gap: float
+) -> tuple[float, list[float]]:
     """Closed-form E_0 and (A_2, ..., A_{4m}); the top coefficient is the input."""
     op = 1.0 + alpha
-    s = [float(v) for v in s_sum(m)]
+    s = [float(v) for v in s_sum(table)]
     e0_front = 0.25 * (2 * m + 1) * op * (2 * m + 1 + (2 * m + 3) * alpha)
     # the linear leading block of E_0 is half the gap
-    e0_lead = 0.5 * _gap_one(m, sa, alpha)
     e0 = fsum(
-        [e0_front, e0_lead] + [-t for t in _sec_terms_one(m, 0, sa, alpha, s)]
+        [e0_front, 0.5 * gap] + [-t for t in _sec_terms_one(m, 0, sa, alpha, table, s)]
     )
     a2_front = 0.25 * (2 * m + 1) * (2 * m + 3) * op * op
-    coeffs = [fsum([a2_front] + _sec_terms_one(m, 1, sa, alpha, s))]
+    coeffs = [fsum([a2_front] + _sec_terms_one(m, 1, sa, alpha, table, s))]
     coeffs += [
-        fsum(_sec_terms_one(m, j, sa, alpha, s)) for j in range(2, 2 * m + 1)
+        fsum(_sec_terms_one(m, j, sa, alpha, table, s)) for j in range(2, 2 * m + 1)
     ]
     return e0, coeffs
 
 
+def _resummed(lam: tuple[float, ...]) -> tuple[float, ...]:
+    """r_q = sum_{k >= q} (-1)^(k-q) C(k, q) lam_k, q = 0..len(lam)-1: the
+    ladder sum_k lam_k tan^(2k) x in powers of sec^2 x, sum_q r_q sec^(2q) x
+    (and likewise cot^2 x in csc^2 x)."""
+    return tuple(
+        fsum((-1.0) ** (k - q) * binomial(k, q) * lam[k] for k in range(q, len(lam)))
+        for q in range(len(lam))
+    )
+
+
 def _c_odd_one(m: int, lam: tuple[float, ...], alpha: float) -> tuple[float, ...]:
     op = 1.0 + alpha
-    out = []
-    for kappa in range(m + 1):
-        terms = []
-        for p in range(m - kappa + 1):
-            inner = fsum(
-                (-1.0) ** l * binomial(l + m - p, l) * lam[l + m - p]
-                for l in range(p + 1)
-            )
-            terms.append(alpha ** (m - kappa - p) * op**p * inner)
-        out.append(op ** (kappa - m - 1) * fsum(terms))
-    return tuple(out)
+    r = _resummed(lam)
+    return tuple(
+        op ** (kappa - m - 1)
+        * fsum(alpha ** (m - kappa - p) * op**p * r[m - p] for p in range(m - kappa + 1))
+        for kappa in range(m + 1)
+    )
 
 
-def _psi1_poly_one(m: int, alpha: float) -> tuple[float, ...]:
+def _psi1_poly_one(m: int, alpha: float, table: _Table) -> tuple[float, ...]:
     """Coefficients of sum_k p_k sin^(2k+1) x in the first-excited prefactor;
     equals W_plus cos^(2m+1) x / (2 sqrt(A_top))."""
     op = 1.0 + alpha
-    top = double_factorial(2 * m + 1)
+    top, den = table
     return tuple(
         fsum(
-            (-1.0) ** (k - l)
-            * binomial(m - l, k - l)
-            * top
-            / (double_factorial(2 * l + 1) * double_factorial(2 * m - 2 * l))
-            * op ** (l - m)
+            (-1.0) ** (k - l) * binomial(m - l, k - l) * top / den[l] * op ** (l - m)
             for l in range(k + 1)
         )
         for k in range(m + 1)
@@ -401,7 +403,7 @@ def expand_and_resum_one_param(
     """Expansion-path (E_0, (A_2 ... A_{4m+2})): build W from the ladder
     coefficients, expand V_1 = W^2 - f W' in tan^2 x, resum in sec^2 x."""
     _validate_one(m, a_top, alpha)
-    lam = _ladders(*_w_pair_one(m, math.sqrt(a_top), alpha))[0]
+    lam = _ladders(*_w_pair_one(m, math.sqrt(a_top), alpha, ladder_table(m)))[0]
     w = TrigLaurentPoly(Family.ONE, lam)
     df = DeformingFunction.trig_one(alpha)
     const, sec, _csc = partner_potential(w, df, "V1").resummed()
@@ -415,6 +417,8 @@ def _validate_one(m: int, a_top: float, alpha: float) -> None:
         )
     if m < 0:
         raise ValueError(f"m must be a positive integer, got {m}")
+    if m > _MAX_DEPTH:
+        raise ValueError(f"m must be at most {_MAX_DEPTH}, got {m}")
     if not all(map(math.isfinite, (a_top, alpha))):
         raise ValueError(f"parameters must be finite, got {(a_top, alpha)}")
     if not a_top > 0.0:
@@ -436,10 +440,12 @@ def build_one_param(m: int, a_top: float, alpha: float) -> ExtendedOneParamSpec:
     _validate_one(m, a_top, alpha)
     sa = math.sqrt(a_top)
     op = 1.0 + alpha
-    wp, wm = _w_pair_one(m, sa, alpha)
+    table = ladder_table(m)
+    wp, wm = _w_pair_one(m, sa, alpha, table)
     lam, lam_p, _, _ = _ladders(wp, wm)
 
-    e0, coeffs = _closed_one(m, sa, alpha)
+    gap = _gap_one(m, sa, alpha, table)
+    e0, coeffs = _closed_one(m, sa, alpha, table, gap)
     coeffs.append(a_top)
 
     e0_exp, coeffs_exp = expand_and_resum_one_param(m, a_top, alpha)
@@ -448,7 +454,6 @@ def build_one_param(m: int, a_top: float, alpha: float) -> ExtendedOneParamSpec:
         _check_match("one-param coefficients", coeffs, coeffs_exp, 1e-9),
     )
 
-    gap = _gap_one(m, sa, alpha)
     e1 = _first_excited(e0, gap)
     df = DeformingFunction.trig_one(alpha)
     _check_match("one-param gap", gap, compatibility_gap(wp, wm, df), 1e-9)
@@ -456,7 +461,7 @@ def build_one_param(m: int, a_top: float, alpha: float) -> ExtendedOneParamSpec:
     c_odd = _c_odd_one(m, lam, alpha)
     _check_match("one-param top C", c_odd[-1], sa / op, 1e-9)
 
-    psi1_poly = _psi1_poly_one(m, alpha)
+    psi1_poly = _psi1_poly_one(m, alpha, table)
     dual = _poly_in_sin2(wp)
     _check_match(
         "one-param psi1 prefactor", tuple(c * 2.0 * sa for c in psi1_poly), dual, 1e-9
@@ -683,16 +688,14 @@ def _e0_two_closed(m1: int, m2: int, sa: float, sb: float, alpha: float) -> floa
 def _c_two(m1: int, lam: tuple[float, ...], alpha: float) -> tuple[float, ...]:
     """C_1..C_{m1+1}; D_1..D_{m2+1} are _c_two(m2, mu, -alpha)."""
     om = 1.0 - alpha
-    c = []
-    for p in range(1, m1 + 2):
-        terms = []
-        for q in range(p - 1, m1 + 1):
-            inner = fsum(
-                (-1.0) ** (k - q) * binomial(k, q) * lam[k] for k in range(q, m1 + 1)
-            )
-            terms.append(2.0**q * (-alpha) ** (q - p + 1) / om ** (q - p + 2) * inner)
-        c.append(fsum(terms))
-    return tuple(c)
+    r = _resummed(lam)
+    return tuple(
+        fsum(
+            2.0**q * (-alpha) ** (q - p + 1) / om ** (q - p + 2) * r[q]
+            for q in range(p - 1, m1 + 1)
+        )
+        for p in range(1, m1 + 2)
+    )
 
 
 def _psi1_poly_two(
@@ -718,6 +721,8 @@ def _psi1_poly_two(
 def _validate_two(m1: int, m2: int, a_top: float, b_top: float, alpha: float) -> None:
     if m1 < 0 or m2 < 0:
         raise ValueError(f"ladder depths must be nonnegative, got {(m1, m2)}")
+    if max(m1, m2) > _MAX_DEPTH:
+        raise ValueError(f"ladder depths must be at most {_MAX_DEPTH}, got {(m1, m2)}")
     if m1 == 0 and m2 == 0:
         raise ValueError(
             "m1 = m2 = 0 is the exactly solvable baseline; build it with tpt_exact"

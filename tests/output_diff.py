@@ -5,7 +5,7 @@
     python tests/output_diff.py table OUT.json
 
 `dump` runs `pdmtpt.cli.main` in-process, from whichever `pdmtpt` is on the
-path, on four input sets and writes {set: [{argv, rc, stdout, stderr}]}:
+path, on five input sets and writes {set: [{argv, rc, stdout, stderr}]}:
 
 * pool: the argv of perfbench/verify_pool.json, read-only;
 * census: ROADMAP item 1's census of deep two-parameter wells, one
@@ -13,7 +13,13 @@ path, on four input sets and writes {set: [{argv, rc, stdout, stderr}]}:
   at (m1, m2) = (2, 2), (3, 3), (4, 1), in that order;
 * defects: the known-defect inputs;
 * curves: `sample` at 100,001 rows on the three wells of `figures`, and
-  `figures` itself at 100,001 rows (its six files plot those three wells).
+  `figures` itself at 100,001 rows (its six files plot those three wells);
+* extend: `extend --check --json` on one-parameter ladders m = 1..16 at
+  three draws each and on every two-parameter (m1, m2) in 0..14 squared but
+  (0, 0) at one draw each, from one `random.Random(22)` stream over
+  perfbench build_ladder's ranges (top coefficients 0.25..4, alpha
+  -0.8..0.8), then perfbench's `PROBE_EXTEND` argv (read from
+  perfbench/workloads.py) and the depth probes around the ladder-depth bound.
 
 Each argv runs in a temporary directory of its own, and its record also
 holds {path: SHA-256} of every file it left there.
@@ -28,6 +34,7 @@ numbers in them when the rest of the text is the same, else they count as
 
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
 import math
@@ -37,8 +44,9 @@ import re
 import sys
 import tempfile
 
-_POOL = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                     "perfbench", "verify_pool.json")
+_PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "perfbench")
+_POOL = os.path.join(_PERFBENCH, "verify_pool.json")
 
 _CENSUS_DEPTHS = ((2, 2), (3, 3), (4, 1))
 
@@ -64,6 +72,14 @@ _CURVES = [
     )
 ] + [["figures", "--json", "--npoints", "100001"]]
 
+_DEPTH_PROBES = [
+    ["--one", "-m", "150", "--atop", "1", "--alpha", "0.3"],
+    ["--one", "-m", "1000", "--atop", "1", "--alpha", "0.3"],
+    ["--one", "-m", "1001", "--atop", "1", "--alpha", "0.3"],
+    ["--two", "--m1", "1000", "--m2", "1000", "--atop", "1", "--btop", "1", "--alpha", "0.3"],
+    ["--two", "--m1", "1001", "--m2", "0", "--atop", "1", "--btop", "1", "--alpha", "0.3"],
+]
+
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 
@@ -78,10 +94,33 @@ def census_argv() -> list[list[str]]:
     return out
 
 
+def extend_argv() -> list[list[str]]:
+    rng = random.Random(22)
+    wells = []
+    for m in range(1, 17):
+        for _ in range(3):
+            atop, alpha = rng.uniform(0.25, 4), rng.uniform(-0.8, 0.8)
+            wells.append(["--one", "-m", str(m), "--atop", repr(atop), "--alpha", repr(alpha)])
+    for m1 in range(15):
+        for m2 in range(15):
+            if m1 or m2:
+                atop, btop, alpha = rng.uniform(0.25, 4), rng.uniform(0.25, 4), rng.uniform(-0.8, 0.8)
+                wells.append(["--two", "--m1", str(m1), "--m2", str(m2), "--atop", repr(atop),
+                              "--btop", repr(btop), "--alpha", repr(alpha)])
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", os.path.join(_PERFBENCH, "workloads.py"))
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return ([["extend", "--check", "--json", *well] for well in wells]
+            + [list(argv) for argv in workloads.PROBE_EXTEND]
+            + [["extend", "--check", "--json", *well] for well in _DEPTH_PROBES])
+
+
 def input_sets() -> dict[str, list[list[str]]]:
     with open(_POOL, encoding="utf-8") as fh:
         pool = json.load(fh)["argv"]
-    return {"pool": pool, "census": census_argv(), "defects": _DEFECTS, "curves": _CURVES}
+    return {"pool": pool, "census": census_argv(), "defects": _DEFECTS, "curves": _CURVES,
+            "extend": extend_argv()}
 
 
 def record(argv: list[str]) -> dict:

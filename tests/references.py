@@ -7,6 +7,12 @@
   residual of `numeric_verify.residual`.
 * `s_sum_terms`: one double-factorial sum S_k, term by term in Fractions,
   the four-fold formula that `combinatorics.s_sum` takes as a convolution.
+* `ladder_table_terms`: the double factorials of a one-parameter ladder,
+  one `double_factorial` call per factor, which `combinatorics.ladder_table`
+  forms by running products.
+* `c_odd_nested` and `c_two_nested`: the wavefunction constants with the
+  alternating binomial sum of the ladder taken afresh inside the outer sum,
+  as `tpt_extended` took it before it read one resummation per ladder.
 * pointwise values of the superpotentials (`laurent_value`,
   `laurent_derivative`) and partner potentials (`even_value`), and the
   exactly solvable wells' superpotential pairs, which the library only ever
@@ -17,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from pdmtpt.combinatorics import double_factorial
+from pdmtpt.combinatorics import binomial, double_factorial, fsum
 from pdmtpt.dsusy_core import DeformingFunction, EvenTrigPoly, Family, TrigLaurentPoly, _sample
 from pdmtpt.tpt_exact import ExactOneParam, ExactTwoParam
 
@@ -66,6 +72,44 @@ def s_sum_terms(m: int, k: int) -> Fraction:
         )
         total += Fraction(top, den)
     return total
+
+
+def ladder_table_terms(m: int) -> tuple[int, tuple[int, ...]]:
+    """((2m+1)!!, ((2l+1)!! (2m-2l)!! for l = 0..m)), factor by factor."""
+    return double_factorial(2 * m + 1), tuple(
+        double_factorial(2 * l + 1) * double_factorial(2 * m - 2 * l) for l in range(m + 1)
+    )
+
+
+def c_odd_nested(m: int, lam, alpha: float) -> tuple[float, ...]:
+    """C_1, C_3, ..., C_{2m+1} of the one-parameter wavefunctions."""
+    op = 1.0 + alpha
+    out = []
+    for kappa in range(m + 1):
+        terms = []
+        for p in range(m - kappa + 1):
+            inner = fsum(
+                (-1.0) ** l * binomial(l + m - p, l) * lam[l + m - p]
+                for l in range(p + 1)
+            )
+            terms.append(alpha ** (m - kappa - p) * op**p * inner)
+        out.append(op ** (kappa - m - 1) * fsum(terms))
+    return tuple(out)
+
+
+def c_two_nested(m1: int, lam, alpha: float) -> tuple[float, ...]:
+    """C_1..C_{m1+1} of the two-parameter wavefunctions; D is (m2, mu, -alpha)."""
+    om = 1.0 - alpha
+    c = []
+    for p in range(1, m1 + 2):
+        terms = []
+        for q in range(p - 1, m1 + 1):
+            inner = fsum(
+                (-1.0) ** (k - q) * binomial(k, q) * lam[k] for k in range(q, m1 + 1)
+            )
+            terms.append(2.0**q * (-alpha) ** (q - p + 1) / om ** (q - p + 2) * inner)
+        c.append(fsum(terms))
+    return tuple(c)
 
 
 def laurent_value(w: TrigLaurentPoly, x):

@@ -21,6 +21,7 @@ from pdmtpt.numeric_verify import (
     residual,
     solve_spectrum,
 )
+from pdmtpt.combinatorics import ladder_table
 from pdmtpt.tpt_exact import (
     ExactOneParam,
     ExactTwoParam,
@@ -171,7 +172,7 @@ def _generating_pair(spec):
     """(W_plus, W_minus) of a built spec, canonical as the build makes it."""
     sa = math.sqrt(spec.a_top)
     if isinstance(spec, ExtendedOneParamSpec):
-        return _w_pair_one(spec.m, sa, spec.alpha)
+        return _w_pair_one(spec.m, sa, spec.alpha, ladder_table(spec.m))
     return _w_pair_two(spec.m1, spec.m2, sa, spec.sqrt_b_eff, spec.alpha)
 
 

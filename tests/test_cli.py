@@ -8,8 +8,10 @@ that each file takes its norms from one), the builds and writes of
 `figures`, counted so that each well is done once, the evaluators `verify`
 calls, counted so that each check samples once per grid, the build's generating
 pair, perturbed so that the build must refuse it, the expansion path,
-counted so that `extend --check` expands once, the closed-form gap that
-`extend` prints, and the parser, counted so that one process builds it once.
+counted so that `extend --check` expands once, the ladder builders, replaced
+so that a depth above the bound is refused before any ladder is formed, the
+closed-form gap that `extend` prints, and the parser, counted so that one
+process builds it once.
 The README's library quick start is run as written.
 """
 
@@ -19,6 +21,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -223,6 +226,43 @@ class TestExtend:
             "error: precision limit: a float value overflows double precision\n"
         )
 
+    @pytest.mark.parametrize(
+        "flags,err",
+        [
+            (["--one", "-m", "1001", "--atop", "1", "--alpha", "0.3"],
+             "error: m must be at most 1000, got 1001\n"),
+            (["--two", "--m1", "1001", "--m2", "0", "--atop", "1", "--btop", "1",
+              "--alpha", "0.3"],
+             "error: ladder depths must be at most 1000, got (1001, 0)\n"),
+            (["--two", "--m1", "0", "--m2", "1001", "--atop", "1", "--btop", "1",
+              "--alpha", "0.3"],
+             "error: ladder depths must be at most 1000, got (0, 1001)\n"),
+        ],
+        ids=["m", "m1", "m2"],
+    )
+    def test_depth_above_the_bound_is_one_error_line(self, flags, err, monkeypatch, capsys):
+        def no_ladder(*args):
+            raise AssertionError("a ladder was formed before the depth was checked")
+
+        monkeypatch.setattr(tpt_extended, "ladder_table", no_ladder)
+        monkeypatch.setattr(tpt_extended, "_w_pair_two", no_ladder)
+        assert main(["extend", "--check", *flags]) == 1
+        assert capsys.readouterr() == ("", err)
+
+    def test_deepest_one_param_ladder_fails_fast_as_a_precision_limit(self, capsys):
+        # (2m+1)!! overflows double precision from about m = 150; formed by
+        # running products, the table at the bound costs milliseconds
+        argv = ["extend", "--one", "-m", "1000", "--atop", "1", "--alpha", "0.3"]
+        best = math.inf
+        for _ in range(3):
+            start = time.perf_counter()
+            assert main(argv) == 1
+            best = min(best, time.perf_counter() - start)
+            assert capsys.readouterr() == (
+                "", "error: precision limit: a float value overflows double precision\n"
+            )
+        assert best < 0.1
+
     @pytest.mark.parametrize("m", ["8", "14"])
     def test_gap_line_is_the_closed_form(self, m, capsys):
         # not E1 - E0, which is off by 8.6e-3 relative at (14, 14)
@@ -234,10 +274,10 @@ class TestExtend:
     def test_incompatible_generating_pair_is_one_error_line(self, monkeypatch, capsys):
         w_pair = tpt_extended._w_pair_one
 
-        def perturbed(m, sa, alpha):
+        def perturbed(*args):
             # a tan^3 term in W_minus leaves the ladders, E0 and the
             # coefficients as they were
-            w_plus, w_minus = w_pair(m, sa, alpha)
+            w_plus, w_minus = w_pair(*args)
             return w_plus, TrigLaurentPoly(Family.ONE, w_minus.lam + (1e-6,))
 
         monkeypatch.setattr(tpt_extended, "_w_pair_one", perturbed)

@@ -15,9 +15,10 @@ from pdmtpt.combinatorics import (
     fsum,
     gegenbauer,
     jacobi,
+    ladder_table,
     s_sum,
 )
-from references import s_sum_terms
+from references import ladder_table_terms, s_sum_terms
 
 
 def test_double_factorial_small_values():
@@ -49,25 +50,33 @@ def test_binomial_values_and_truncation():
     assert binomial(4, -1) == 0
 
 
+def test_ladder_table_equals_the_per_entry_double_factorials():
+    assert ladder_table(0) == (1, (1,))
+    assert ladder_table(2) == (15, (8, 6, 15))
+    for m in range(41):
+        assert ladder_table(m) == ladder_table_terms(m), m
+    with pytest.raises(ValueError):
+        ladder_table(-1)
+
+
 def test_s_sum_frozen_values():
-    assert s_sum(1) == (Fraction(9, 4), Fraction(3), Fraction(1))
-    assert s_sum(2) == (
+    assert s_sum(ladder_table(1)) == (Fraction(9, 4), Fraction(3), Fraction(1))
+    assert s_sum(ladder_table(2)) == (
         Fraction(225, 64), Fraction(75, 8), Fraction(10), Fraction(5), Fraction(1)
     )
-    assert all(isinstance(v, Fraction) for v in s_sum(3))
-    with pytest.raises(ValueError):
-        s_sum(-1)
+    assert all(isinstance(v, Fraction) for v in s_sum(ladder_table(3)))
 
 
 def test_s_sum_equals_the_per_term_sum():
     for m in range(41):
-        assert s_sum(m) == tuple(s_sum_terms(m, k) for k in range(1, 2 * m + 2)), m
+        want = tuple(s_sum_terms(m, k) for k in range(1, 2 * m + 2))
+        assert s_sum(ladder_table(m)) == want, m
 
 
 @given(st.integers(min_value=1, max_value=6), st.data())
 def test_s_sum_positive_and_float_consistent(m, data):
     k = data.draw(st.integers(min_value=1, max_value=2 * m + 1))
-    exact = s_sum(m)[k - 1]
+    exact = s_sum(ladder_table(m))[k - 1]
     assert exact > 0
     top = double_factorial(2 * m + 1) ** 2
     terms = []

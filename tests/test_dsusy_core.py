@@ -17,6 +17,7 @@ from pdmtpt.dsusy_core import (
     hermiticity_boundary_check,
     partner_potential,
 )
+from pdmtpt.combinatorics import ladder_table
 from pdmtpt.tpt_exact import (
     ExactOneParam,
     ExactTwoParam,
@@ -147,7 +148,7 @@ def test_compatibility_gap_rejects_negative_constant():
 
 def test_gap_constant_on_sample_grid():
     # the build's pair for m = 1, A_top = 1, alpha = -1/2 is _m1_pair
-    w_plus, w_minus = _w_pair_one(1, 1.0, -0.5)
+    w_plus, w_minus = _w_pair_one(1, 1.0, -0.5, ladder_table(1))
     assert (w_plus, w_minus) == _m1_pair()
     gap = build_one_param(1, 1.0, -0.5).gap
     assert compatibility_gap(w_plus, w_minus, ONE_HALF) == pytest.approx(gap, rel=1e-14)

@@ -1,4 +1,5 @@
-"""The parent-against-change output comparison, on three inputs, a curve and the figures."""
+"""The parent-against-change output comparison, on three inputs, a curve, the
+figures and three `extend` builds."""
 
 import hashlib
 import json
@@ -104,3 +105,29 @@ def test_input_sets_follow_their_documented_draws():
         ["--npoints", "100001", "--out", "curve.csv"]
     ] * 3
     assert sets["curves"][3] == ["figures", "--json", "--npoints", "100001"]
+    extend = sets["extend"]
+    assert len(extend) == 16 * 3 + 15 * 15 - 1 + 4 + 5
+    assert all(argv[:3] == ["extend", "--check", "--json"] for argv in extend)
+    assert [argv[5] for argv in extend[:48:3]] == [str(m) for m in range(1, 17)]
+    assert [(int(argv[5]), int(argv[7])) for argv in extend[48:272]] == [
+        (m1, m2) for m1 in range(15) for m2 in range(15) if m1 or m2
+    ]
+    assert extend[272:276][-1][3:6] == ["--one", "-m", "12"]
+    assert [argv[4:8] for argv in extend[-5:]] == [
+        ["-m", "150", "--atop", "1"], ["-m", "1000", "--atop", "1"],
+        ["-m", "1001", "--atop", "1"], ["--m1", "1000", "--m2", "1000"],
+        ["--m1", "1001", "--m2", "0"],
+    ]
+
+
+def test_extend_builds_and_depth_probes_are_recorded():
+    extend = output_diff.input_sets()["extend"]
+    runs = [output_diff.record(argv) for argv in (extend[0], extend[-4], extend[-3])]
+    assert [r["rc"] for r in runs] == [0, 1, 1]
+    assert json.loads(runs[0]["stdout"])["family"] == "extended-one"
+    assert runs[1]["stderr"] == (
+        "error: precision limit: a float value overflows double precision\n"
+    )
+    assert runs[2]["stderr"] == "error: m must be at most 1000, got 1001\n"
+    same = json.loads(json.dumps(runs))
+    assert output_diff.diff_lines({"extend": runs}, {"extend": same}) == ["extend: 3 inputs"]

@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from pdmtpt import tpt_extended
-from pdmtpt.combinatorics import double_factorial
+from pdmtpt import combinatorics, tpt_extended
+from pdmtpt.combinatorics import double_factorial, ladder_table
 from pdmtpt.dsusy_core import (
     CompatibilityError,
     TrigLaurentPoly,
@@ -22,6 +22,7 @@ from pdmtpt.dsusy_core import (
     hermiticity_boundary_check,
 )
 from pdmtpt.numeric_verify import interior_samples
+from references import c_odd_nested, c_two_nested
 from pdmtpt.tpt_extended import (
     InternalConsistencyError,
     build_one_param,
@@ -206,15 +207,47 @@ class TestOneParamDualPath:
         calls = []
         s_sum = tpt_extended.s_sum
 
-        def counted(depth):
-            calls.append(s_sum(depth))
+        def counted(table):
+            calls.append(s_sum(table))
             return calls[-1]
 
         monkeypatch.setattr(tpt_extended, "s_sum", counted)
         build_one_param(m, 1.0, 0.5)
         assert [len(sums) for sums in calls] == [2 * m + 1]
 
+    @pytest.mark.parametrize("m", [1, 4, 7, 12])
+    def test_each_table_once_per_path(self, m, monkeypatch):
+        tables, read = [], []
+        table_of, s_sum = tpt_extended.ladder_table, tpt_extended.s_sum
+
+        def counted(depth):
+            tables.append(table_of(depth))
+            return tables[-1]
+
+        def reader(table):
+            read.append(table)
+            return s_sum(table)
+
+        def no_double_factorial(n):
+            raise AssertionError(f"double_factorial({n}) called outside the table")
+
+        monkeypatch.setattr(tpt_extended, "ladder_table", counted)
+        monkeypatch.setattr(tpt_extended, "s_sum", reader)
+        monkeypatch.setattr(combinatorics, "double_factorial", no_double_factorial)
+        assert not hasattr(tpt_extended, "double_factorial")
+        expand_and_resum_one_param(m, 1.0, 0.5)
+        assert len(tables) == 1 and read == []  # the expansion path forms its own
+        tables.clear()
+        build_one_param(m, 1.0, 0.5)
+        # one table for the closed forms, the other for the expansion path
+        assert len(tables) == 2
+        assert len(read) == 1 and read[0] is tables[0]
+
     def test_rejects_bad_parameters(self):
+        with pytest.raises(ValueError, match="at most 1000"):
+            build_one_param(1001, 1.0, 0.5)
+        with pytest.raises(ValueError, match="at most 1000"):
+            build_two_param(1, 1001, 1.0, 1.0, 0.5)
         with pytest.raises(ValueError, match="tpt_exact"):
             build_one_param(0, 1.0, 0.5)
         with pytest.raises(ValueError):
@@ -316,7 +349,7 @@ def test_stored_gap_is_the_closed_form(args):
     if len(args) == 3:
         m, a_top, alpha = args
         spec = build_one_param(*args)
-        want = tpt_extended._gap_one(m, math.sqrt(a_top), alpha)
+        want = tpt_extended._gap_one(m, math.sqrt(a_top), alpha, ladder_table(m))
     else:
         m1, m2, a_top, b_top, alpha = args
         spec = build_two_param(*args)
@@ -817,6 +850,50 @@ class TestReflection:
         )
 
 
+@pytest.mark.parametrize(
+    "build,args,lengths",
+    [
+        (build_one_param, (5, 1.3, 0.4), [6]),
+        (build_two_param, (4, 2, 1.3, 0.8, -0.3), [5, 3]),
+        (build_two_param, (1, 3, 1.3, 0.8, -0.3), [4, 2]),
+        (build_two_param, (3, 0, 1.3, 0.8, 0.3), [4, 1]),
+    ],
+    ids=["one", "two-4-2", "two-reflected", "two-3-0"],
+)
+def test_one_resummation_per_ladder(monkeypatch, build, args, lengths):
+    calls = []
+    resummed = tpt_extended._resummed
+
+    def counted(lam):
+        calls.append(len(lam))
+        return resummed(lam)
+
+    monkeypatch.setattr(tpt_extended, "_resummed", counted)
+    build(*args)
+    assert calls == lengths
+
+
+def test_resummation_equals_the_nested_sums():
+    # ladders spanning 12 decades, so the alternating sums cancel
+    rng = np.random.default_rng(22)
+    for m in range(1, 15):
+        for _ in range(6):
+            lam = rng.uniform(-1, 1, m + 1) * 10.0 ** rng.uniform(-6, 6, m + 1)
+            lam = tuple(float(v) for v in lam)
+            alpha = float(rng.uniform(-0.8, 0.8))
+            assert tpt_extended._c_odd_one(m, lam, alpha) == c_odd_nested(m, lam, alpha)
+            for al in (alpha, -alpha):
+                assert tpt_extended._c_two(m, lam, al) == c_two_nested(m, lam, al)
+    for m in range(1, 9):
+        for a_top, alpha in _draws(3, 40 + m):
+            spec = build_one_param(m, a_top, alpha)
+            assert spec.c_odd == c_odd_nested(m, spec.lam, alpha)
+    for m1, m2 in ((1, 0), (2, 2), (5, 3), (8, 8)):
+        spec = build_two_param(m1, m2, 1.3, 0.8, 0.35)
+        assert spec.c == c_two_nested(m1, spec.lam, 0.35)
+        assert spec.d == c_two_nested(m2, spec.mu, -0.35)
+
+
 class TestGeneratingPairs:
     @pytest.mark.parametrize(
         "spec",
@@ -831,7 +908,7 @@ class TestGeneratingPairs:
     def test_pair_gap_matches_spec(self, spec):
         sa = math.sqrt(spec.a_top)
         if isinstance(spec, tpt_extended.ExtendedOneParamSpec):
-            pair = tpt_extended._w_pair_one(spec.m, sa, spec.alpha)
+            pair = tpt_extended._w_pair_one(spec.m, sa, spec.alpha, ladder_table(spec.m))
         else:
             pair = tpt_extended._w_pair_two(
                 spec.m1, spec.m2, sa, spec.sqrt_b_eff, spec.alpha
