@@ -35,6 +35,7 @@ from .tpt_exact import (
 from .tpt_extended import (
     ExtendedOneParamSpec,
     InternalConsistencyError,
+    JointWavefunctions,
     build_one_param,
     build_two_param,
     closed_form_wavefunction,
@@ -210,16 +211,15 @@ def cmd_verify(args) -> int:
         checks.append(_below(f"spectral level{level}", "|dE|/|E|", rel, 1e-6))
         payload[f"spectral_rel_err{level}"] = rel
 
-    psi0 = closed_form_wavefunction(spec, 0)
-    psi1 = closed_form_wavefunction(spec, 1)
+    # each sample set below evaluates psi0 and psi1 together
+    psis = _joint_psis(spec)
     samples = interior_samples(df, 41)
-    for name, psi, energy in (("psi0", psi0, spec.e0), ("psi1", psi1, spec.e1)):
-        r = residual(psi, v, df, energy, samples)
+    for name, r in zip(("psi0", "psi1"), residual(psis, v, df, (spec.e0, spec.e1), samples)):
         checks.append(_below(f"residual {name}", "max", r, 1e-7))
         payload[f"residual_{name}"] = r
 
     # the nodes are counted on the samples of gram's last level
-    g, (y0, y1) = gram((psi0.value, psi1.value), df)
+    g, (y0, y1) = gram((psis.value,), df)
     n0 = count_nodes(y0)
     n1 = count_nodes(y1)
     checks.append(("nodes", n0 == 0 and n1 == 1, f"psi0={n0} psi1={n1} (want 0,1)"))
@@ -232,8 +232,7 @@ def cmd_verify(args) -> int:
     checks.append(_below("orthogonality", "|<0|1>|", overlap, 1e-8))
     payload["orthogonality"] = overlap
 
-    for name, psi in (("psi0", psi0), ("psi1", psi1)):
-        bc = hermiticity_boundary_check(psi.value, df)
+    for name, bc in zip(("psi0", "psi1"), hermiticity_boundary_check(psis.value, df)):
         checks.append(
             (
                 f"hermiticity {name}",
@@ -250,6 +249,11 @@ def cmd_verify(args) -> int:
     ]
     _emit(args, lines, payload)
     return 0 if all_pass else 1
+
+
+def _joint_psis(spec) -> JointWavefunctions:
+    """The spec's psi0 and psi1, evaluated together."""
+    return JointWavefunctions(tuple(closed_form_wavefunction(spec, level) for level in (0, 1)))
 
 
 def _below(name: str, shown: str, value: float, tol: float) -> tuple[str, bool, str]:
@@ -278,9 +282,8 @@ def _write_curve_file(path: str, spec, npoints: int) -> dict:
     inset = 1e-3 * (hi - lo)
     start, stop = lo + inset, hi - inset
     step = (stop - start) / (npoints - 1)
-    psi0 = closed_form_wavefunction(spec, 0)
-    psi1 = closed_form_wavefunction(spec, 1)
-    g, _ = gram((psi0.value, psi1.value), df)
+    psis = _joint_psis(spec)
+    g, _ = gram((psis.value,), df)
     norm0 = _norm(g[0, 0], "psi0")
     norm1 = _norm(g[1, 1], "psi1")
     fields = _spec_fields(spec)
@@ -299,9 +302,8 @@ def _write_curve_file(path: str, spec, npoints: int) -> dict:
             if end == npoints:
                 xs[-1] = stop
             v = potential_value(spec, xs)
-            p0 = psi0.value(xs) / norm0
-            p1 = psi1.value(xs) / norm1
-            cells = np.stack((xs, v, p0, p1), axis=1).ravel().tolist()
+            p0, p1 = psis.value(xs)
+            cells = np.stack((xs, v, p0 / norm0, p1 / norm1), axis=1).ravel().tolist()
             fh.write(_CSV_ROW * (end - first) % tuple(cells))
     return {
         "path": path,

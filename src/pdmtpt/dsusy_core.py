@@ -127,10 +127,12 @@ class DeformingFunction:
         return (1.0 + self.alpha, 1.0 - self.alpha)
 
 
-def _sample(fn, x: np.ndarray) -> np.ndarray:
-    """fn(x) for the array x; fn must return an array of the same shape."""
+def _sample(fn, x: np.ndarray, stack: bool = False) -> np.ndarray:
+    """fn(x) for the array x; fn must return an array of the same shape or,
+    with `stack`, of shape (k,) + x's shape: k wavefunctions evaluated
+    together."""
     out = np.asarray(fn(x), dtype=float)
-    if out.shape != x.shape:
+    if out.shape != x.shape and not (stack and out.shape[1:] == x.shape):
         raise ValueError(f"callable returned shape {out.shape} for input {x.shape}")
     return out
 
@@ -295,24 +297,29 @@ class BoundaryCheck:
     interior_max: float
 
 
-def hermiticity_boundary_check(psi, df: DeformingFunction) -> BoundaryCheck:
+def hermiticity_boundary_check(
+    psi, df: DeformingFunction
+) -> BoundaryCheck | tuple[BoundaryCheck, ...]:
     """Check |psi|^2 f -> 0 at both domain ends.
 
     The limit estimate at each end is the largest of the probes x_lo + 2^-j d
     and x_hi - 2^-j d, d = width/8, j = 18..20.  Passes iff both limits are
     below 1e-8 times the maximum of |psi|^2 f over 257 interior points.  psi
-    is called once per end and once on the interior grid: it must map an
-    array to an array of the same shape, or a ValueError is raised.
+    is called once, on the 257 interior points and the 6 probes together.
+    It must map an array to an array of the same shape, for one BoundaryCheck,
+    or to one of shape (k,) + its shape, k wavefunctions evaluated together
+    (`JointWavefunctions.value`), for a tuple of k; anything else raises a
+    ValueError.
     """
     lo, hi = df.domain
     d = (hi - lo) / 8.0
     probes = d * 2.0 ** -np.arange(18, 21)
-
-    def max_density(x: np.ndarray) -> float:
-        return float(np.max(np.abs(_sample(psi, x)) ** 2 * df.f(x)))
-
-    interior_max = max_density(np.linspace(lo + d, hi - d, 257))
-    lower = max_density(lo + probes)
-    upper = max_density(hi - probes)
-    ok = interior_max > 0.0 and lower < 1e-8 * interior_max and upper < 1e-8 * interior_max
-    return BoundaryCheck(ok, lower, upper, interior_max)
+    x = np.concatenate((np.linspace(lo + d, hi - d, 257), lo + probes, hi - probes))
+    y = _sample(psi, x, stack=True)
+    density = np.abs(y) ** 2 * df.f(x)
+    checks = []
+    for row in density.reshape(-1, len(x)):
+        interior_max, lower, upper = (float(np.max(part)) for part in np.split(row, (257, 260)))
+        ok = interior_max > 0.0 and lower < 1e-8 * interior_max and upper < 1e-8 * interior_max
+        checks.append(BoundaryCheck(ok, lower, upper, interior_max))
+    return tuple(checks) if y.ndim == 2 else checks[0]

@@ -13,8 +13,12 @@ step.  The coarser two are every fourth and every second point of the N
 grid, so the potential is sampled once.  The quarter grid is bisected by
 index with Sturm counts.  The finer two are refined from the coarser grids'
 levels by Rayleigh-quotient iteration, which converges cubically and carries
-no eps * 2/h^2 bisection floor.  Sturm counts and residual bounds certify
-each refined grid, and a well with a grid they do not certify is refused.
+no eps * 2/h^2 bisection floor.  Each refined grid is certified by its
+residuals and one Sturm count: every residual below its level's distance to
+the neighbouring slot points puts an eigenvalue in each slot (Weinstein),
+and a count of n up to the top slot point leaves no room for another, so
+each level's index is certain and Kato-Temple bounds its error.  A well with
+a grid they do not certify is refused.
 The oracle reads only the potential.  Its two LAPACK routines, dstebz for
 the Sturm-count bisection and dgtsv for the tridiagonal solves, come from
 SciPy's compiled LAPACK module alone (`_lazy.lapack`), loaded on the first
@@ -26,7 +30,10 @@ agree, and whose final samples also serve the node count.  The pointwise
 residual of the eigenequation (`residual`) takes psi's first two
 derivatives in closed form from `ClosedFormWavefunction.log_form`, with no
 step to choose, and works in log space, so it neither underflows with psi
-nor carries a finite-difference error floor.
+nor carries a finite-difference error floor.  Both, and the Hermiticity
+check, also take several wavefunctions evaluated together
+(`tpt_extended.JointWavefunctions`), which `verify` uses to evaluate psi0
+and psi1 once per sample set.
 """
 
 from __future__ import annotations
@@ -176,13 +183,17 @@ def _refined_levels(problem: FlattenedProblem, seeds: np.ndarray):
     level's gap.  The quotient never forms the 2/h^2 + V diagonal, so it
     keeps none of its eps * 2/h^2 rounding.
 
-    The levels are accepted only when the Sturm counts of the stored
-    operator from the Gershgorin bound up to each midpoint between them, and
-    up to half a gap above the top one, are 1, 2, ..., n, and every residual
-    meets r^2 <= tol * delta, delta being the level's distance to the
-    nearest of those count points.  Then each level lies alone in its counted
-    slot, which certifies its index, and the Kato-Temple bound r^2/delta
-    caps its error at tol = _RQI_TOL_OVER_KINETIC * 2/h^2.
+    The levels cut the line into slots: the count points are the midpoints
+    between successive levels and half a gap above the top one, and delta is
+    a level's distance to the nearest of them.  The levels are accepted only
+    when every residual meets r < delta and r^2 <= tol * delta, and one
+    Sturm count of the stored operator, from the Gershgorin bound to the top
+    count point, is n, the number of levels.  By Weinstein's bound each
+    interval rho +- r holds an eigenvalue, which r < delta puts strictly
+    inside its level's slot, and nothing lies below the Gershgorin bound;
+    so a count of n leaves exactly one eigenvalue per slot, which certifies
+    each level's index, and the Kato-Temple bound r^2/delta caps its error
+    at tol = _RQI_TOL_OVER_KINETIC * 2/h^2.
     """
     flapack = lapack()
     dgtsv, dstebz = flapack.dgtsv, flapack.dstebz
@@ -200,6 +211,7 @@ def _refined_levels(problem: FlattenedProblem, seeds: np.ndarray):
 
     _, delta = slots(seeds)
     ramp = np.linspace(1.0, 2.0, len(d))
+    du = np.empty(len(d) + 1)
     rho = np.empty(len(seeds))
     res = np.empty(len(seeds))
     found: list[np.ndarray] = []
@@ -213,11 +225,16 @@ def _refined_levels(problem: FlattenedProblem, seeds: np.ndarray):
             for w in found:
                 u = u - _dot(w, u) * w
             u = u / math.sqrt(_dot(u, u))
-            du = np.diff(u, prepend=0.0, append=0.0)
+            # the differences of u between Dirichlet zeros at both ends
+            np.subtract(u[1:], u[:-1], out=du[1:-1])
+            du[0], du[-1] = u[0], -u[-1]
             rho[k] = c * _dot(du, du) + _dot(vc * u, u)
-            r = (d - rho[k]) * u
-            r[1:] += e * u[:-1]
-            r[:-1] += e * u[1:]
+            # T u - rho u; e is constant, so e u is formed once
+            eu = e[0] * u
+            r = d - rho[k]
+            r *= u
+            r[1:] += eu[:-1]
+            r[:-1] += eu[1:]
             res[k] = math.sqrt(_dot(r, r))
             if res[k] ** 2 <= tol * delta[k]:
                 break
@@ -229,13 +246,13 @@ def _refined_levels(problem: FlattenedProblem, seeds: np.ndarray):
             return None
         found.append(u)
     tops, delta = slots(rho)
-    if not np.all(res**2 <= tol * delta):
+    if not (np.all(res < delta) and np.all(res**2 <= tol * delta)):
         return None
     lo = float(np.min(d)) - 2.0 * c
-    for k, top in enumerate(tops):
-        # a tolerance wider than the interval stops dstebz at its counts
-        if dstebz(d, e, 1, lo, top, 1, 1, 2.0 * (top - lo), "E")[0] != k + 1:
-            return None
+    top = tops[-1]
+    # a tolerance wider than the interval stops dstebz at its count
+    if dstebz(d, e, 1, lo, top, 1, 1, 2.0 * (top - lo), "E")[0] != len(rho):
+        return None
     return rho
 
 
@@ -284,9 +301,11 @@ def solve_spectrum(
     16x cap.  The half grid is seeded with the quarter levels and the full
     grid with their p = 2 prediction E_{N/2} + (E_{N/2} - E_{N/4})/4.  Both
     are refined by Rayleigh-quotient iteration, which has no eps * 2/h^2
-    floor, and accepted only when Sturm counts certify every level's index
-    and the residuals bound its error (see `_refined_levels`).  A grid they
-    do not certify, such as that of a cap-dominated well whose levels grow
+    floor, and accepted only when the residuals place an eigenvalue in each
+    slot between the count points and one Sturm count finds no other below
+    the top one, which certifies every level's index, and the residuals
+    bound each level's error (see `_refined_levels`).  A grid they do not
+    certify, such as that of a cap-dominated well whose levels grow
     with the kinetic scale, or extrapolated levels out of order, raise a
     ValueError "oracle cannot resolve ..." naming the grid.  A single level
     is solved together with the next one, whose gap the certificate needs.
@@ -345,7 +364,9 @@ def interior_samples(df: DeformingFunction, n: int) -> np.ndarray:
     return np.linspace(lo + inset, hi - inset, n)
 
 
-def residual(psi, v, df: DeformingFunction, energy: float, samples) -> float:
+def residual(
+    psi, v, df: DeformingFunction, energy, samples
+) -> float | tuple[float, ...]:
     """Max relative pointwise residual of the deformed eigenequation.
 
     The residual -sqrt(f) (f (sqrt(f) psi)')' + (V - E) psi is e^L R with
@@ -357,23 +378,38 @@ def residual(psi, v, df: DeformingFunction, energy: float, samples) -> float:
     (`ClosedFormWavefunction.log_form`).  Returns max |e^L R| / (|E| max|psi|)
     over the samples, with numerator and max|psi| both taken in log space,
     so a psi that under- or overflows double precision still gives a ratio.
-    v is called once on the samples and must map an array to an array of
-    the same shape, and psi must be built on df, or a ValueError is raised.
+
+    psi may also be several wavefunctions evaluated together
+    (`JointWavefunctions`), with energy one float per wavefunction; then
+    their log forms and V are taken once on the samples, and a tuple of
+    their residuals is returned, in order.  v is called once on the samples
+    and must map an array to an array of the same shape, and psi must be
+    built on df, or a ValueError is raised.
     """
     if psi.df != df:
         raise ValueError(f"psi is built on {psi.df}, not on {df}")
     xs = np.asarray(samples, dtype=float)
-    (q, q1, q2), (big_l, l1, l2) = psi.log_form(xs)
+    single = np.ndim(energy) == 0
+    forms = [psi.log_form(xs)] if single else psi.log_form(xs)
+    energies = [energy] if single else list(energy)
+    if len(forms) != len(energies):
+        raise ValueError(f"{len(forms)} wavefunctions but {len(energies)} energies")
     f = df.f(xs)
     root = np.sqrt(f)
-    r = -root * (
-        df.f_prime(xs) * (q1 + q * l1) + f * (q2 + 2.0 * q1 * l1 + q * (l2 + l1 * l1))
-    ) + (_sample(v, xs) - energy) * q / root
-    # log max|psi|, where |psi| = |q| e^L / sqrt(f)
-    top = float(np.max(_log_abs(q) + big_l - 0.5 * np.log(f)))
-    if energy == 0.0 or top == -math.inf:
-        raise ValueError("zero scale: psi vanishes on all samples or E = 0")
-    return math.exp(float(np.max(_log_abs(r) + big_l)) - top) / abs(energy)
+    fp = df.f_prime(xs)
+    vs = _sample(v, xs)
+    half_log_f = 0.5 * np.log(f)
+    out = []
+    for ((q, q1, q2), (big_l, l1, l2)), e in zip(forms, energies):
+        r = -root * (
+            fp * (q1 + q * l1) + f * (q2 + 2.0 * q1 * l1 + q * (l2 + l1 * l1))
+        ) + (vs - e) * q / root
+        # log max|psi|, where |psi| = |q| e^L / sqrt(f)
+        top = float(np.max(_log_abs(q) + big_l - half_log_f))
+        if e == 0.0 or top == -math.inf:
+            raise ValueError("zero scale: psi vanishes on all samples or E = 0")
+        out.append(math.exp(float(np.max(_log_abs(r) + big_l)) - top) / abs(e))
+    return out[0] if single else tuple(out)
 
 
 def _log_abs(a: np.ndarray) -> np.ndarray:
@@ -405,14 +441,14 @@ _SIMPSON_FIRST = 1025
 _SIMPSON_RTOL = 1e-12
 
 
-def gram(psis, df: DeformingFunction) -> tuple[np.ndarray, list[np.ndarray]]:
+def gram(psis, df: DeformingFunction) -> tuple[np.ndarray, np.ndarray]:
     """Matrix of int psi_i psi_j dx by nested composite Simpson, and its samples.
 
     The finest grid has _SIMPSON_POINTS points h apart, stopping 1e-9 of the
     width short of each boundary; every wavefunction here decays fast enough
     that the clipped tails are far below the quadrature error.  The levels
     are the grid's every 16th, 8th, ..., 1st point, from _SIMPSON_FIRST
-    points up, and each level samples each psi only at the midpoints it
+    points up, and each level samples the psis only at the midpoints it
     adds.  On y sampled at a level's points, s h apart, the rule is
     s h/3 (y_0 + 4 (y_1 + y_3 + ...) + 2 (y_2 + y_4 + ...) + y_last).
 
@@ -420,32 +456,36 @@ def gram(psis, df: DeformingFunction) -> tuple[np.ndarray, list[np.ndarray]]:
     _SIMPSON_RTOL * sqrt(g_ii g_jj); a level with a zero diagonal entry never
     counts as settled.  A matrix that does not settle is the finest level's,
     so it is no worse than plain Simpson on the whole grid.  Returns the
-    matrix and, per psi, its samples at the last level, in grid order.
-    Each psi must accept an array and return one of the same shape, or a
-    ValueError is raised.
+    matrix and the samples at the last level, one row per psi in grid order.
+
+    Each entry of psis is called once per level with an array and returns
+    an array of its shape, one psi, or of shape (k,) + its shape, k psis
+    evaluated together (`JointWavefunctions.value`); anything else raises
+    a ValueError.
     """
     lo, hi = df.domain
     width = hi - lo
     xs, h = np.linspace(lo + 1e-9 * width, hi - 1e-9 * width, _SIMPSON_POINTS, retstep=True)
     stride = (_SIMPSON_POINTS - 1) // (_SIMPSON_FIRST - 1)
-    ys = [_sample(psi, xs[::stride]) for psi in psis]
+    ys = _rows(psis, xs[::stride])
     prev = None
     while True:
         out = _simpson_gram(ys, stride * h)
         if stride == 1 or (prev is not None and _settled(prev, out)):
             return out, ys
         stride //= 2
-        mids = xs[stride :: 2 * stride]
-        finer = []
-        for psi, y in zip(psis, ys):
-            z = np.empty(2 * len(y) - 1)
-            z[::2] = y
-            z[1::2] = _sample(psi, mids)
-            finer.append(z)
+        finer = np.empty((len(ys), 2 * ys.shape[1] - 1))
+        finer[:, ::2] = ys
+        finer[:, 1::2] = _rows(psis, xs[stride :: 2 * stride])
         ys, prev = finer, out
 
 
-def _simpson_gram(ys: list[np.ndarray], h: float) -> np.ndarray:
+def _rows(psis, x: np.ndarray) -> np.ndarray:
+    """The psis at x, one row per wavefunction."""
+    return np.concatenate([_sample(psi, x, stack=True).reshape(-1, len(x)) for psi in psis])
+
+
+def _simpson_gram(ys: np.ndarray, h: float) -> np.ndarray:
     """Composite Simpson of every product ys[i] * ys[j] with spacing h."""
     out = np.empty((len(ys), len(ys)))
     for i, ya in enumerate(ys):

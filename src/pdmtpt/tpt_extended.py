@@ -26,7 +26,9 @@ Both spec classes store what their consumers read under the same names:
 the sec and csc ladders `a_coeffs` and `b_coeffs` (empty for the
 one-parameter family), the deforming function `deforming`, the closed-form
 wavefunctions `psi` and `dual_path`, the largest discrepancy of the build's
-E_0 and coefficient checks.
+E_0 and coefficient checks.  A spec's two wavefunctions share everything but
+their f exponent and prefactor, so `JointWavefunctions` evaluates them
+together.
 
 The one-parameter closed forms read one double-factorial table per build,
 `ladder_table(m)`: (2m+1)!! and the denominators (2l+1)!! (2m-2l)!! of
@@ -74,6 +76,7 @@ __all__ = [
     "ExtendedOneParamSpec",
     "ExtendedTwoParamSpec",
     "ClosedFormWavefunction",
+    "JointWavefunctions",
     "InternalConsistencyError",
     "build_one_param",
     "expand_and_resum_one_param",
@@ -159,7 +162,8 @@ class ClosedFormWavefunction:
     The leading sec (and csc, where present) coefficients are positive, so the
     exponential wins at the boundaries and the value decays to zero there.
     Evaluation is done in log space to stay finite arbitrarily close to the
-    ends; scalar or numpy-array x is accepted.
+    ends; scalar or numpy-array x is accepted.  `value` and `log_form` are
+    the one-psi case of `JointWavefunctions`.
     """
 
     df: DeformingFunction
@@ -173,8 +177,7 @@ class ClosedFormWavefunction:
 
     def value(self, x):
         self.df.check_interior(x)
-        (q,), (expo,) = self._log_form(np.asarray(x, dtype=float), self.f_exp, False)
-        out = q * np.exp(expo)
+        [out] = _values((self,), np.asarray(x, dtype=float))
         return float(out) if np.ndim(x) == 0 else out
 
     def log_form(self, x):
@@ -185,57 +188,120 @@ class ClosedFormWavefunction:
         being x-derivatives.
         """
         self.df.check_interior(x)
-        arr = np.asarray(x, dtype=float)
-        q, big_l = self._log_form(arr, self.f_exp + 0.5, True)
-        q[0] = np.broadcast_to(q[0], arr.shape)  # a scalar where q is constant
-        return q, big_l
+        [form] = _log_forms((self,), np.asarray(x, dtype=float), True)
+        return form
 
-    def _log_form(self, x, f_exp: float, derivatives: bool):
-        """log_form with f raised to f_exp: psi itself at self.f_exp.  Without
-        `derivatives`, only [q] and [L], as `value` needs them.
 
-        With y = sec^2 x and g = tan x, or y = csc^2 x and g = -cot x, a
-        ladder F(y) = sum_K c_K y^K has dF/dx = 2 g DF and d^2F/dx^2 =
-        2 y DF + 4 g^2 D^2F, where D = y d/dy; the log of cos x or sin x
-        has derivatives -g and -y.
-        """
-        f = self.df.f(x)
-        c = np.cos(x)
-        s = np.sin(x)
-        s2 = s * s
-        big_l = [f_exp * np.log(f) + self.cos_exp * np.log(c)]
-        if self.sin_exp != 0.0:
-            big_l[0] = big_l[0] + self.sin_exp * np.log(s)
-        q = [_horner(self.poly, s2)]
+@dataclass(frozen=True)
+class JointWavefunctions:
+    """Closed-form wavefunctions that share df, exponents of cos x and sin x
+    and ladders, evaluated together: they differ only in f_exp, poly and odd.
+
+    Each evaluation computes f, cos x, sin x, their logs and the sec/csc
+    ladder sums once for all of them; each psi then forms its own log from
+    these in the operand order of its lone evaluation, so every array is
+    bit-equal to that psi's `value` or `log_form`.  Wavefunctions that share
+    less raise ValueError.
+    """
+
+    psis: tuple[ClosedFormWavefunction, ...]
+
+    def __post_init__(self) -> None:
+        if not self.psis:
+            raise ValueError("need at least one wavefunction")
+        shared = lambda p: (p.df, p.cos_exp, p.sin_exp, p.sec_coeffs, p.csc_coeffs)
+        if any(shared(p) != shared(self.psis[0]) for p in self.psis[1:]):
+            raise ValueError(
+                "wavefunctions evaluated together must share df, the cos and sin "
+                "exponents and the sec and csc ladders"
+            )
+
+    @property
+    def df(self) -> DeformingFunction:
+        return self.psis[0].df
+
+    def value(self, x) -> np.ndarray:
+        """Each psi at x, stacked: shape (len(psis),) + x's shape."""
+        self.df.check_interior(x)
+        return np.stack(_values(self.psis, np.asarray(x, dtype=float)))
+
+    def log_form(self, x) -> list:
+        """Each psi's `log_form` at x, in order."""
+        self.df.check_interior(x)
+        return _log_forms(self.psis, np.asarray(x, dtype=float), True)
+
+
+def _values(psis, x) -> list:
+    """Each psi at the array x, q e^L, from one `_log_forms`."""
+    return [q * np.exp(expo) for (q,), (expo,) in _log_forms(psis, x, False)]
+
+
+def _log_forms(psis, x, derivatives: bool) -> list:
+    """[(q, L)] of `log_form` for each psi, the parts they share computed once.
+
+    With `derivatives`, f is raised to f_exp + 1/2, for sqrt(f) psi; without,
+    to f_exp, and only [q] and [L] are formed, as `value` needs them.
+
+    With y = sec^2 x and g = tan x, or y = csc^2 x and g = -cot x, a ladder
+    F(y) = sum_K c_K y^K has dF/dx = 2 g DF and d^2F/dx^2 = 2 y DF + 4 g^2
+    D^2F, where D = y d/dy; the log of cos x or sin x has derivatives -g and
+    -y.  The terms of L, L' and L'' that every psi subtracts are collected
+    in `terms`, in the order each psi subtracts them.
+    """
+    first = psis[0]
+    df = first.df
+    f = df.f(x)
+    c = np.cos(x)
+    s = np.sin(x)
+    s2 = s * s
+    log_f = np.log(f)
+    log_cos = first.cos_exp * np.log(c)
+    log_sin = first.sin_exp * np.log(s) if first.sin_exp != 0.0 else None
+    terms: list[list] = [[], [], []]
+    if derivatives:
+        fp = df.f_prime(x) / f
+        curvature = df.f_second(x) / f - fp * fp
+    for expo, coeffs, trig, co in (
+        (first.cos_exp, first.sec_coeffs, c, s),
+        (first.sin_exp, first.csc_coeffs, s, -c),
+    ):
+        if not (coeffs or (derivatives and expo != 0.0)):
+            continue  # so nothing divides by sin x unless this side needs it
+        y = 1.0 / (trig * trig)
+        ladder = (0.0,) + coeffs
+        terms[0].append(_horner(ladder, y))
         if derivatives:
-            fp = self.df.f_prime(x) / f
-            big_l += [f_exp * fp, f_exp * (self.df.f_second(x) / f - fp * fp)]
+            g = co / trig
+            slope = expo + 2.0 * _horner(_euler(ladder), y)  # L' gains -g slope
+            terms[1].append(g * slope)
+            terms[2] += [y * slope, 4.0 * g * g * _horner(_euler(_euler(ladder)), y)]
+    out = []
+    for psi in psis:
+        f_exp = psi.f_exp + 0.5 if derivatives else psi.f_exp
+        big_l = [f_exp * log_f + log_cos]
+        if log_sin is not None:
+            big_l[0] = big_l[0] + log_sin
+        q = [_horner(psi.poly, s2)]
+        if derivatives:
+            big_l += [f_exp * fp, f_exp * curvature]
             # P(u) at u = sin^2 x, where u' = 2 s c and u'' = 2 (c^2 - s^2)
-            pu = _euler(self.poly)[1:]
+            pu = _euler(psi.poly)[1:]
             p1 = _horner(pu, s2)
             q += [
                 p1 * 2.0 * s * c,
                 _horner(_euler(pu)[1:], s2) * 4.0 * s2 * c * c + p1 * 2.0 * (c * c - s2),
             ]
-        for expo, coeffs, trig, co in (
-            (self.cos_exp, self.sec_coeffs, c, s),
-            (self.sin_exp, self.csc_coeffs, s, -c),
-        ):
-            if not (coeffs or (derivatives and expo != 0.0)):
-                continue  # so nothing divides by sin x unless this side needs it
-            y = 1.0 / (trig * trig)
-            ladder = (0.0,) + coeffs
-            big_l[0] = big_l[0] - _horner(ladder, y)
-            if derivatives:
-                g = co / trig
-                slope = expo + 2.0 * _horner(_euler(ladder), y)  # L' gains -g slope
-                big_l[1] = big_l[1] - g * slope
-                big_l[2] = big_l[2] - y * slope - 4.0 * g * g * _horner(_euler(_euler(ladder)), y)
-        if self.odd:
+        for k in range(len(big_l)):
+            for term in terms[k]:
+                big_l[k] -= term  # each big_l[k] is this psi's own array
+        if psi.odd:
             if derivatives:
                 q[1:] = [q[1] * s + q[0] * c, q[2] * s + 2.0 * q[1] * c - q[0] * s]
             q[0] = q[0] * s
-        return q, big_l
+        if derivatives:
+            q[0] = np.broadcast_to(q[0], x.shape)  # a scalar where q is constant
+        out.append((q, big_l))
+    return out
 
 
 def _ladders(

@@ -13,6 +13,10 @@
 * `c_odd_nested` and `c_two_nested`: the wavefunction constants with the
   alternating binomial sum of the ladder taken afresh inside the outer sum,
   as `tpt_extended` took it before it read one resummation per ladder.
+* `lone_log_form`: one closed-form wavefunction's q and L (and, with
+  `derivatives`, their first two derivatives), evaluated alone, as
+  `ClosedFormWavefunction` evaluated each psi before psi0 and psi1 shared
+  one evaluation (`tpt_extended.JointWavefunctions`).
 * pointwise values of the superpotentials (`laurent_value`,
   `laurent_derivative`) and partner potentials (`even_value`), and the
   exactly solvable wells' superpotential pairs, which the library only ever
@@ -110,6 +114,61 @@ def c_two_nested(m1: int, lam, alpha: float) -> tuple[float, ...]:
             terms.append(2.0**q * (-alpha) ** (q - p + 1) / om ** (q - p + 2) * inner)
         c.append(fsum(terms))
     return tuple(c)
+
+
+def lone_log_form(psi, x, derivatives: bool):
+    """([q, ...], [L, ...]) of one psi at the array x: f raised to f_exp, or
+    to f_exp + 1/2 with `derivatives`, which adds q', q'', L' and L''."""
+    f_exp = psi.f_exp + 0.5 if derivatives else psi.f_exp
+    f = psi.df.f(x)
+    c = np.cos(x)
+    s = np.sin(x)
+    s2 = s * s
+    big_l = [f_exp * np.log(f) + psi.cos_exp * np.log(c)]
+    if psi.sin_exp != 0.0:
+        big_l[0] = big_l[0] + psi.sin_exp * np.log(s)
+    q = [_horner(psi.poly, s2)]
+    if derivatives:
+        fp = psi.df.f_prime(x) / f
+        big_l += [f_exp * fp, f_exp * (psi.df.f_second(x) / f - fp * fp)]
+        pu = _euler(psi.poly)[1:]
+        p1 = _horner(pu, s2)
+        q += [
+            p1 * 2.0 * s * c,
+            _horner(_euler(pu)[1:], s2) * 4.0 * s2 * c * c + p1 * 2.0 * (c * c - s2),
+        ]
+    for expo, coeffs, trig, co in (
+        (psi.cos_exp, psi.sec_coeffs, c, s),
+        (psi.sin_exp, psi.csc_coeffs, s, -c),
+    ):
+        if not (coeffs or (derivatives and expo != 0.0)):
+            continue
+        y = 1.0 / (trig * trig)
+        ladder = (0.0,) + coeffs
+        big_l[0] = big_l[0] - _horner(ladder, y)
+        if derivatives:
+            g = co / trig
+            slope = expo + 2.0 * _horner(_euler(ladder), y)
+            big_l[1] = big_l[1] - g * slope
+            big_l[2] = big_l[2] - y * slope - 4.0 * g * g * _horner(_euler(_euler(ladder)), y)
+    if psi.odd:
+        if derivatives:
+            q[1:] = [q[1] * s + q[0] * c, q[2] * s + 2.0 * q[1] * c - q[0] * s]
+        q[0] = q[0] * s
+    if derivatives:
+        q[0] = np.broadcast_to(q[0], x.shape)
+    return q, big_l
+
+
+def _horner(coeffs, y):
+    acc = coeffs[-1] if coeffs else 0.0
+    for coef in reversed(coeffs[:-1]):
+        acc = acc * y + coef
+    return acc
+
+
+def _euler(coeffs):
+    return tuple(j * coef for j, coef in enumerate(coeffs))
 
 
 def laurent_value(w: TrigLaurentPoly, x):

@@ -34,6 +34,7 @@ from pdmtpt.dsusy_core import Family, TrigLaurentPoly
 from pdmtpt.numeric_verify import gram, inner_product
 from pdmtpt.tpt_extended import (
     ClosedFormWavefunction,
+    JointWavefunctions,
     _gap_two,
     build_one_param,
     build_two_param,
@@ -476,36 +477,43 @@ class TestVerify:
         assert captured.err == "error: grid_size must be at most 1048576, got 1048577\n"
 
     def test_each_check_samples_once_per_grid(self, monkeypatch, capsys):
-        # psi points: 257 + 3 + 3 per hermiticity check, and gram's nested
-        # levels up to 8193 points (1025 + 1024 + 2048 + 4096), whose samples
-        # the node count reads; the residual reads psi's closed-form log form
-        # once on its 41 samples, not its values; V: one sampling for the
-        # oracle's three grids, 1 per residual
-        counts = {"psi_points": 0, "log_form_points": [], "v_calls": 0}
-        value = ClosedFormWavefunction.value
-        log_form = ClosedFormWavefunction.log_form
+        # psi0 and psi1 are evaluated together, once per sample set: gram's
+        # nested levels up to 8193 points (1025 + 1024 + 2048 + 4096), whose
+        # samples the node count reads, then the 263-point Hermiticity set
+        # (257 interior points and 6 probes); the residual reads their
+        # closed-form log forms once on its 41 samples.  No psi is evaluated
+        # alone.  V: one sampling for the oracle's three grids, one for the
+        # residual
+        calls = {"value": [], "log_form": [], "alone": 0, "v": 0}
+        value = JointWavefunctions.value
+        log_form = JointWavefunctions.log_form
 
-        def psi_value(self, x):
-            counts["psi_points"] += np.size(x)
-            return value(self, x)
+        def joint(name, method):
+            def counted(self, x):
+                calls[name].append((len(self.psis), np.size(x)))
+                return method(self, x)
+            return counted
 
-        def psi_log_form(self, x):
-            counts["log_form_points"].append(np.size(x))
-            return log_form(self, x)
+        def alone(self, x):
+            calls["alone"] += 1
+            raise AssertionError("a psi was evaluated alone")
 
         def v_value(spec, x):
-            counts["v_calls"] += 1
+            calls["v"] += 1
             return potential_value(spec, x)
 
-        monkeypatch.setattr(ClosedFormWavefunction, "value", psi_value)
-        monkeypatch.setattr(ClosedFormWavefunction, "log_form", psi_log_form)
+        monkeypatch.setattr(JointWavefunctions, "value", joint("value", value))
+        monkeypatch.setattr(JointWavefunctions, "log_form", joint("log_form", log_form))
+        monkeypatch.setattr(ClosedFormWavefunction, "value", alone)
+        monkeypatch.setattr(ClosedFormWavefunction, "log_form", alone)
         monkeypatch.setattr(cli, "potential_value", v_value)
         argv = ["--two", "--m1", "1", "--m2", "0", "--atop", "1", "--btop", "1"]
         assert main(["verify", *argv, "--alpha", "0.5", "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["pass"] is True
-        assert counts["psi_points"] == 2 * (257 + 3 + 3) + 2 * 8193
-        assert counts["log_form_points"] == [41, 41]
-        assert counts["v_calls"] <= 3
+        assert calls["value"] == [(2, 1025), (2, 1024), (2, 2048), (2, 4096), (2, 263)]
+        assert calls["log_form"] == [(2, 41)]
+        assert calls["alone"] == 0
+        assert calls["v"] == 2
 
     @pytest.mark.parametrize(
         "well",
@@ -609,7 +617,7 @@ class TestSample:
 
         def counted(psis, df):
             out = gram(psis, df)
-            calls.append((len(psis), out[0]))
+            calls.append((len(out[1]), out[0]))
             return out
 
         monkeypatch.setattr(cli, "gram", counted)

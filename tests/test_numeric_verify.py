@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from pdmtpt.numeric_verify import (
 )
 from pdmtpt.tpt_exact import ExactOneParam, ExactTwoParam, energy_one_param, energy_two_param, potential_one_param, potential_two_param, wavefn_one_param, wavefn_two_param
 from pdmtpt.tpt_extended import (
+    JointWavefunctions,
     build_one_param,
     build_two_param,
     closed_form_wavefunction,
@@ -423,6 +425,59 @@ def test_refinement_that_skips_a_level_is_not_certified():
     assert _refined_levels(problem, levels[[0, 2]]) is None
 
 
+def test_refinement_seeded_above_the_ground_state_is_not_certified():
+    # seeded at levels 1 and 2, the iteration converges to them with tiny
+    # residuals; the one count at the top slot point finds level 0 as a third
+    problem = _flatten(lambda x: potential_value(FIG1, x), FIG1.deforming, 1000)
+    levels = _lowest_levels(problem, 3)
+    assert _refined_levels(problem, levels[[1, 2]]) is None
+    assert _refined_levels(problem, levels) is not None
+
+
+def _lapack_with(dstebz):
+    """lapack() with its dstebz replaced; dgtsv is LAPACK's own."""
+    real = lapack()
+    return lambda: SimpleNamespace(dgtsv=real.dgtsv, dstebz=dstebz)
+
+
+def test_residual_not_below_its_slot_distance_is_not_certified(monkeypatch):
+    # an infinite Kato-Temple tolerance stops each level after one solve,
+    # and the count is made to read n: only r < delta is left to refuse.
+    # Seeded between levels 0 and 1, level 1 stops at a residual near 21
+    # with its slot distance near 6.5, so its interval may hold no level
+    real = lapack().dstebz
+
+    def counts_n(d, e, rng, *args):
+        out = real(d, e, rng, *args)
+        return (2,) + tuple(out[1:]) if rng == 1 else out
+
+    monkeypatch.setattr(numeric_verify, "_RQI_TOL_OVER_KINETIC", math.inf)
+    monkeypatch.setattr(numeric_verify, "_RQI_SOLVES", 1)
+    monkeypatch.setattr(numeric_verify, "lapack", _lapack_with(counts_n))
+    problem = _flatten(lambda x: potential_value(FIG1, x), FIG1.deforming, 1000)
+    levels = _lowest_levels(problem, 2)
+    assert _refined_levels(problem, levels) is not None
+    assert _refined_levels(problem, np.array([levels[0], 0.5 * (levels[0] + levels[1])])) is None
+
+
+@pytest.mark.parametrize("spec", REF_WELLS.values(), ids=REF_WELLS.keys())
+def test_one_sturm_count_per_refined_grid(spec, monkeypatch):
+    # the quarter grid's index solve (range 2), then one count (range 1) on
+    # each of the two refined grids, whatever the number of levels
+    real = lapack().dstebz
+    ranges = []
+
+    def counted(d, e, rng, *args):
+        ranges.append(rng)
+        return real(d, e, rng, *args)
+
+    monkeypatch.setattr(numeric_verify, "lapack", _lapack_with(counted))
+    for n_levels in (1, 2, 4):
+        ranges.clear()
+        solve_spectrum(lambda x: potential_value(spec, x), spec.deforming, n_levels, 4000)
+        assert ranges == [2, 1, 1]
+
+
 # --- residual ---------------------------------------------------------------
 
 
@@ -734,3 +789,29 @@ def test_narrow_bump_is_refined_not_an_underflowing_norm():
     assert ys[0].size == 16385
     assert g[0, 0] > 0.0
     assert np.array_equal(g, _plain_simpson_gram([bump], df))
+
+
+@pytest.mark.parametrize("spec", GRAM_WELLS.values(), ids=GRAM_WELLS.keys())
+def test_checks_read_the_joint_evaluation_as_the_lone_ones(spec):
+    # gram, the Hermiticity check and the residual give, from psi0 and psi1
+    # evaluated together, exactly what they give from each psi alone
+    df = spec.deforming
+    joint = JointWavefunctions(spec.psi)
+    lone = [psi.value for psi in spec.psi]
+    g, ys = gram((joint.value,), df)
+    g_lone, ys_lone = gram(lone, df)
+    assert np.array_equal(g, g_lone)
+    assert np.array_equal(ys, ys_lone)
+    checks = hermiticity_boundary_check(joint.value, df)
+    assert checks == tuple(hermiticity_boundary_check(psi, df) for psi in lone)
+    v = lambda x: potential_value(spec, x)
+    xs = interior_samples(df, 41)
+    energies = (spec.e0, spec.e1)
+    got = residual(joint, v, df, energies, xs)
+    assert got == tuple(residual(psi, v, df, e, xs) for psi, e in zip(spec.psi, energies))
+    with pytest.raises(ValueError, match="2 wavefunctions but 1 energies"):
+        residual(joint, v, df, energies[:1], xs)
+    with pytest.raises(ValueError, match="shape"):
+        hermiticity_boundary_check(lambda x: np.ones((2, x.size + 1)), df)
+    with pytest.raises(ValueError, match="shape"):
+        gram((lambda x: np.ones((2, 1, x.size)),), df)

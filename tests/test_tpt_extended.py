@@ -7,6 +7,7 @@ runs on.  Deeper cases are covered by the dual construction paths agreeing.
 """
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -17,14 +18,16 @@ from pdmtpt import combinatorics, tpt_extended
 from pdmtpt.combinatorics import double_factorial, ladder_table
 from pdmtpt.dsusy_core import (
     CompatibilityError,
+    Family,
     TrigLaurentPoly,
     compatibility_gap,
     hermiticity_boundary_check,
 )
 from pdmtpt.numeric_verify import interior_samples
-from references import c_odd_nested, c_two_nested
+from references import c_odd_nested, c_two_nested, lone_log_form
 from pdmtpt.tpt_extended import (
     InternalConsistencyError,
+    JointWavefunctions,
     build_one_param,
     build_two_param,
     closed_form_wavefunction,
@@ -601,6 +604,77 @@ def test_log_form_is_sqrt_f_psi_and_its_derivatives(spec):
                 np.testing.assert_allclose(
                     got, want, rtol=1e-5, atol=1e-8 * np.max(np.abs(want))
                 )
+
+
+# psi0 and psi1 evaluated together: the three wells of `figures`, a
+# reflected well (m1 < m2), an m2 = 0 well and `two 3,3,2,1,0.6`, whose
+# psis underflow on most of the domain
+JOINT_WELLS = {
+    "fig1": build_one_param(1, 1.0, -0.5),
+    "fig3": build_two_param(1, 1, 1.0, 1.0, 0.5),
+    "fig5": build_two_param(1, 0, 1.0, 1.0, 0.5),
+    "reflected": build_two_param(1, 3, 1.3, 0.7, -0.4),
+    "m2-0": build_two_param(3, 0, 0.8, 1.6, 0.2),
+    "3-3": build_two_param(3, 3, 2.0, 1.0, 0.6),
+}
+
+
+@pytest.mark.parametrize("spec", JOINT_WELLS.values(), ids=JOINT_WELLS.keys())
+def test_joint_evaluation_is_bit_identical(spec):
+    # gram's grid, the residual's 41 samples (x = 0 for the one-parameter
+    # family, where psi1 is 0) and the points next to each wall, where psi
+    # underflows to 0 and, beside a csc ladder, L to -inf; each array equals
+    # the psi's lone evaluation as it was, and its `value` and `log_form`
+    df = spec.deforming
+    lo, hi = df.domain
+    width = hi - lo
+    xs = np.concatenate((
+        np.linspace(lo + 1e-9 * width, hi - 1e-9 * width, 1025),
+        interior_samples(df, 41),
+        [np.nextafter(lo, hi), np.nextafter(hi, lo)],
+    ))
+    joint = JointWavefunctions(spec.psi)
+    # the wall points overflow sec^2 or csc^2 x on purpose
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        values = joint.value(xs)
+        forms = joint.log_form(xs)
+        assert values.shape == (2,) + xs.shape
+        for psi, value, (q, big_l) in zip(spec.psi, values, forms):
+            (q_lone,), (l_lone,) = lone_log_form(psi, xs, False)
+            assert np.array_equal(value, q_lone * np.exp(l_lone))
+            assert np.array_equal(value, psi.value(xs))
+            assert np.any(value == 0.0)
+            want_q, want_l = lone_log_form(psi, xs, True)
+            alone_q, alone_l = psi.log_form(xs)
+            for got, alone, want in zip(q + big_l, alone_q + alone_l, want_q + want_l):
+                assert np.array_equal(got, want, equal_nan=True)
+                assert np.array_equal(alone, want, equal_nan=True)
+            assert np.isneginf(big_l[0][-2]) == bool(psi.csc_coeffs)
+    if df.family is Family.ONE:
+        assert values[1][1025 + 20] == 0.0  # psi1 at x = 0
+    else:
+        assert spec.reflected == (spec is JOINT_WELLS["reflected"])
+    # a scalar x gives one value per psi
+    mid = 0.5 * (lo + hi)
+    assert np.array_equal(joint.value(mid), [psi.value(mid) for psi in spec.psi])
+
+
+def test_joint_evaluation_needs_shared_parts():
+    fig1, fig3 = JOINT_WELLS["fig1"], JOINT_WELLS["fig3"]
+    other_alpha = build_two_param(1, 1, 1.0, 1.0, 0.4)
+    for psis in (
+        (),
+        (fig1.psi[0], fig3.psi[0]),  # another df
+        (fig3.psi[0], other_alpha.psi[1]),  # another df of the same family
+        (fig3.psi[0], replace(fig3.psi[1], cos_exp=fig3.psi[1].cos_exp + 1.0)),
+        (fig3.psi[0], replace(fig3.psi[1], sin_exp=fig3.psi[1].sin_exp + 1.0)),
+        (fig3.psi[0], replace(fig3.psi[1], sec_coeffs=fig3.psi[1].sec_coeffs + (1.0,))),
+        (fig3.psi[0], replace(fig3.psi[1], csc_coeffs=())),
+    ):
+        with pytest.raises(ValueError):
+            JointWavefunctions(psis)
+    # f_exp, poly and odd may differ
+    JointWavefunctions((fig1.psi[0], replace(fig1.psi[1], f_exp=0.25, poly=(2.0, 1.0))))
 
 
 class TestTwoParamWavefunctions:
