@@ -38,8 +38,8 @@ from .tpt_extended import (
     JointWavefunctions,
     build_one_param,
     build_two_param,
-    closed_form_wavefunction,
     # not called here: perfbench/tracing.py TARGETS resolves them on pdmtpt.cli
+    closed_form_wavefunction,
     expand_and_resum_one_param,
     expand_and_resum_two_param,
     potential_value,
@@ -253,7 +253,7 @@ def cmd_verify(args) -> int:
 
 def _joint_psis(spec) -> JointWavefunctions:
     """The spec's psi0 and psi1, evaluated together."""
-    return JointWavefunctions(tuple(closed_form_wavefunction(spec, level) for level in (0, 1)))
+    return JointWavefunctions(spec.psi)
 
 
 def _below(name: str, shown: str, value: float, tol: float) -> tuple[str, bool, str]:

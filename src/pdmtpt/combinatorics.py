@@ -1,15 +1,16 @@
 """Integer and rational building blocks for the closed-form constructions.
 
 Everything downstream (superpotential coefficients, resummed potential
-coefficients, wavefunction prefactors) is assembled from double factorials,
-binomials, one family of four-fold double-factorial sums, a small alternating
-binomial polynomial, and classical orthogonal polynomials evaluated by their
-three-term recurrences.  A one-parameter ladder's double factorials are one
-table, (2m+1)!! and the m+1 denominators (2l+1)!! (2m-2l)!! of its ratios,
-formed by running products (`ladder_table`).  The double-factorial sums of
-the ladder are one integer self-convolution of its ratios, read from that
-table, divided exactly (fractions.Fraction) and converted to float only at
-the call boundary, so cancellation inside them is never a float problem.
+coefficients, wavefunction prefactors) is assembled from binomials, one
+table of double factorials per one-parameter ladder, one family of four-fold
+double-factorial sums, a small alternating binomial polynomial, and classical
+orthogonal polynomials evaluated by their three-term recurrences.  A
+one-parameter ladder's double factorials are (2m+1)!! and the m+1
+denominators (2l+1)!! (2m-2l)!! of its ratios, formed by running products
+(`ladder_table`).  The double-factorial sums of the ladder are one integer
+self-convolution of its ratios, read from that table, divided exactly
+(fractions.Fraction) and converted to float only at the call boundary, so
+cancellation inside them is never a float problem.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import math
 from fractions import Fraction
 
 __all__ = [
-    "double_factorial",
     "binomial",
     "ladder_table",
     "fsum",
@@ -27,24 +27,6 @@ __all__ = [
     "gegenbauer",
     "jacobi",
 ]
-
-
-def double_factorial(n: int) -> int:
-    """n!! with the empty-product convention 0!! = (-1)!! = 1.
-
-    Args:
-        n: integer >= -1.
-
-    Returns:
-        Product n*(n-2)*(n-4)*... down to 1 or 2.
-    """
-    if n < -1:
-        raise ValueError(f"double_factorial undefined for n = {n} < -1")
-    out = 1
-    while n > 1:
-        out *= n
-        n -= 2
-    return out
 
 
 def binomial(n: int, k: int) -> int:

@@ -181,20 +181,17 @@ class EvenTrigPoly:
         a, b = self.a, self.b
         const_terms = [(-1.0) ** k * a[k] for k in range(len(a))]
         const_terms += [(-1.0) ** l * b[l - 1] for l in range(1, len(b) + 1)]
-        sec = tuple(
-            fsum(
-                (-1.0) ** (l - k) * math.comb(l, k) * a[l] for l in range(k, len(a))
+
+        def powers(c):
+            # sum_l c[l] tan^(2l) x in powers sec^(2k) x, k >= 1 (cot in csc alike)
+            return tuple(
+                fsum(
+                    (-1.0) ** (l - k) * math.comb(l, k) * c[l] for l in range(k, len(c))
+                )
+                for k in range(1, len(c))
             )
-            for k in range(1, len(a))
-        )
-        csc = tuple(
-            fsum(
-                (-1.0) ** (j - l) * math.comb(j, l) * b[j - 1]
-                for j in range(l, len(b) + 1)
-            )
-            for l in range(1, len(b) + 1)
-        )
-        return (fsum(const_terms), sec, csc)
+
+        return (fsum(const_terms), powers(a), powers((0.0,) + b))
 
 
 # ---------------------------------------------------------------------------

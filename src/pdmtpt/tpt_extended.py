@@ -19,8 +19,10 @@ transcription errors in the long formulas.
 Both families split their generating pair the same way: W_plus and W_minus
 come from one `_w_pair_*` function each, and one `_ladders` gives the ladder
 coefficients of W = (W_plus - W_minus)/2 and W' = W + W_minus.  The gap
-E_1 - E_0 is stored as its closed form (`_gap_*`), and each build checks it
-against the constant f W_plus' - W_plus W_minus of the same pair.
+E_1 - E_0 is stored as its closed form, and each build checks it against the
+constant f W_plus' - W_plus W_minus of the same pair.  The two-parameter gap
+is `_gap_two`; the one-parameter gap, 2 sqrt(A) (2m+1)!!/(2m)!! (1+alpha)^-m,
+is W_plus's lam_0 and is read from it.
 
 Both spec classes store what their consumers read under the same names:
 the sec and csc ladders `a_coeffs` and `b_coeffs` (empty for the
@@ -32,12 +34,13 @@ together.
 
 The one-parameter closed forms read one double-factorial table per build,
 `ladder_table(m)`: (2m+1)!! and the denominators (2l+1)!! (2m-2l)!! of
-W_plus's ladder ratios.  W_plus, the gap, the psi_1 prefactor and the linear
-block of `_sec_terms_one` read their ratios from it, and one `s_sum` call
-takes the 2m+1 double-factorial sums S_l as the integer self-convolution of
-the same ratios.  `_sec_terms_one` gives the linear and quadratic sums
-weighted by (-1)^(l-j) C(l, j), which are A_2j (j >= 2), A_2 with a leading
-block (j = 1) and, subtracted from two leading blocks, E_0 (j = 0).
+W_plus's ladder ratios.  W_plus (and with it the gap), the psi_1 prefactor
+and the linear block of `_sec_terms_one` read their ratios from it, and one
+`s_sum` call takes the 2m+1 double-factorial sums S_l as the integer
+self-convolution of the same ratios.  `_sec_terms_one` gives the linear and
+quadratic sums weighted by (-1)^(l-j) C(l, j), which are A_2j (j >= 2), A_2
+with a leading block (j = 1) and, subtracted from two leading blocks, E_0
+(j = 0).
 
 The wavefunction constants of both families (C, and D for the csc ladder)
 read one resummation per ladder, `_resummed`: the coefficients of
@@ -48,8 +51,10 @@ with the sec and csc ladders swapped.  The closed-form path uses this: the
 csc coefficients B_2l and the wavefunction constants D_q are the sec-side
 formulas (A_2k and C_p) evaluated on the reflected well, and E_0 is its
 reflection-invariant terms plus one sec-side sum taken once as given and once
-reflected.  The expansion path is not reflected, so it still checks the csc
-side independently.
+reflected.  `_closed_two` takes each side's sums, `_sec_terms`, once per
+weight j and reads E_0 from j = 0 and the side's ladder from j >= 1, as
+`_closed_one` does.  The expansion path is not reflected, so it still checks
+the csc side independently.
 
 For m2 = 0 the closed forms are reused with sqrt(B_2) replaced by
 1 + alpha + Delta/2, Delta = sqrt((1+alpha)^2 + 4 B_2); the coefficient
@@ -369,11 +374,6 @@ def _first_excited(e0: float, gap: float) -> float:
     return e0 + gap
 
 
-def _gap_one(m: int, sa: float, alpha: float, table: _Table) -> float:
-    top, den = table  # den[0] = (2m)!!
-    return 2.0 * sa * top / den[0] * (1.0 + alpha) ** (-m)
-
-
 def _w_pair_one(
     m: int, sa: float, alpha: float, table: _Table
 ) -> tuple[TrigLaurentPoly, TrigLaurentPoly]:
@@ -510,7 +510,8 @@ def build_one_param(m: int, a_top: float, alpha: float) -> ExtendedOneParamSpec:
     wp, wm = _w_pair_one(m, sa, alpha, table)
     lam, lam_p, _, _ = _ladders(wp, wm)
 
-    gap = _gap_one(m, sa, alpha, table)
+    # the gap's closed form is W_plus's lam_0, bit for bit
+    gap = wp.lam[0]
     e0, coeffs = _closed_one(m, sa, alpha, table, gap)
     coeffs.append(a_top)
 
@@ -719,36 +720,35 @@ def _sec_terms(
     ]
 
 
-def _sec_coeffs_two(
+def _closed_two(
     m1: int, m2: int, sa: float, sb: float, alpha: float
-) -> list[float]:
-    """Closed-form (A_2, ..., A_{4 m1}); the top coefficient is the input."""
-    om = 1.0 - alpha
-    front = (m1 + 0.5) * (m1 + 1.5) * om * om
-    out = [fsum([front] + _sec_terms(m1, m2, 1, sa, sb, alpha))]
-    out += [
-        fsum(_sec_terms(m1, m2, k, sa, sb, alpha)) for k in range(2, 2 * m1 + 1)
-    ]
-    return out
+) -> tuple[float, list[float], list[float]]:
+    """Closed-form E_0, (A_2, ..., A_{4 m1}) and the csc side's closed sums.
 
-
-def _e0_two_closed(m1: int, m2: int, sa: float, sb: float, alpha: float) -> float:
+    Each wall side, the well and then its reflection, takes its `_sec_terms`
+    once for each j = 0..max(2 n1, 1): j = 0 goes into E_0 and j >= 1 into
+    that side's ladder, (B_2, ..., B_{4 m2}) on the reflected side, or B_2
+    alone for m2 = 0.  The top coefficients are the inputs.
+    """
     big = m1 + m2 + 1
     rp = (1.0 + alpha) / (1.0 - alpha)
     # the constant and the k = 0 cross term are invariant under reflection
-    terms = [
+    e0_terms = [
         float(big) ** 2
         - 2.0 * alpha * (m1 - m2) * (m1 + m2 + 2)
         + alpha * alpha * ((m1 - m2) ** 2 + 2 * big),
         2.0 * sa * sb * rp ** (m1 - m2) * _conv(big, m2, 0, 0, min(m2, m1)),
     ]
+    ladders = []
     for n1, n2, s1, s2, al in ((m1, m2, sa, sb, alpha), (m2, m1, sb, sa, -alpha)):
-        lead = (
-            2.0 * n2 * binomial(big, n2 + 1) * (1.0 + al) ** (n1 + 1) / (1.0 - al) ** n1
-        )
-        terms.append(-s1 * lead)
-        terms += [-t for t in _sec_terms(n1, n2, 0, s1, s2, al)]
-    return fsum(terms)
+        op, om = 1.0 + al, 1.0 - al
+        terms = [_sec_terms(n1, n2, j, s1, s2, al) for j in range(max(2 * n1, 1) + 1)]
+        lead = 2.0 * n2 * binomial(big, n2 + 1) * op ** (n1 + 1) / om**n1
+        e0_terms.append(-s1 * lead)
+        e0_terms += [-t for t in terms[0]]
+        front = (n1 + 0.5) * (n1 + 1.5) * om * om
+        ladders.append([fsum([front] + terms[1])] + [fsum(t) for t in terms[2:]])
+    return fsum(e0_terms), ladders[0], ladders[1]
 
 
 def _c_two(m1: int, lam: tuple[float, ...], alpha: float) -> tuple[float, ...]:
@@ -839,10 +839,8 @@ def build_two_param(
     wp, wm = _w_pair_two(m1, m2, sa, sb, alpha)
     lam, lam_p, mu, mu_p = _ladders(wp, wm)
 
-    e0 = _e0_two_closed(m1, m2, sa, sb, alpha)
-    a_coeffs = _sec_coeffs_two(m1, m2, sa, sb, alpha) + [a_top]
-    # the csc side is the sec side of the reflected well
-    b_closed = _sec_coeffs_two(m2, m1, sb, sa, -alpha)
+    e0, a_coeffs, b_closed = _closed_two(m1, m2, sa, sb, alpha)
+    a_coeffs.append(a_top)
     if m2 == 0:
         _check_match("m2=0 bottom csc coefficient", b_closed[0], b_top, 1e-9)
         b_coeffs = [b_top]

@@ -28,7 +28,9 @@ holds {path: SHA-256} of every file it left there.
 `--json` payload, how many inputs differ and the largest relative
 difference.  Numbers are compared by |a - b| / max(|a|, |b|); texts by the
 numbers in them when the rest of the text is the same, else they count as
-"text" differences, as differing sets of file hashes always do.
+"text" differences, as differing sets of file hashes always do.  It exits 1
+when any field of any set differs and 0 when none does, so one command
+gates a refactor that must leave every output bit-identical.
 `table` classifies the census outcomes per (m1, m2).
 """
 
@@ -261,8 +263,9 @@ def main(argv: list[str]) -> int:
         for path in argv[1:]:
             with open(path, encoding="utf-8") as fh:
                 runs.append(json.load(fh))
-        print("\n".join(diff_lines(*runs)))
-        return 0
+        lines = diff_lines(*runs)
+        print("\n".join(lines))
+        return 1 if any(line.startswith("  ") for line in lines) else 0  # a field differs
     if len(argv) == 2 and argv[0] == "table":
         with open(argv[1], encoding="utf-8") as fh:
             print("\n".join(table_lines(json.load(fh)["census"])))

@@ -7,9 +7,15 @@
   residual of `numeric_verify.residual`.
 * `s_sum_terms`: one double-factorial sum S_k, term by term in Fractions,
   the four-fold formula that `combinatorics.s_sum` takes as a convolution.
+* `double_factorial`: n!!, which no build forms alone since
+  `combinatorics.ladder_table` gives a ladder's double factorials as one
+  table.
 * `ladder_table_terms`: the double factorials of a one-parameter ladder,
   one `double_factorial` call per factor, which `combinatorics.ladder_table`
   forms by running products.
+* `sec_coeffs_two` and `e0_two_closed`: the two-parameter closed forms of
+  (A_2, ..., A_{4 m1}) and E_0 with each taking its own `_sec_terms`, as
+  `tpt_extended` took them before `_closed_two` read both from one list.
 * `c_odd_nested` and `c_two_nested`: the wavefunction constants with the
   alternating binomial sum of the ladder taken afresh inside the outer sum,
   as `tpt_extended` took it before it read one resummation per ladder.
@@ -27,9 +33,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from pdmtpt.combinatorics import binomial, double_factorial, fsum
+from pdmtpt.combinatorics import binomial, fsum
 from pdmtpt.dsusy_core import DeformingFunction, EvenTrigPoly, Family, TrigLaurentPoly, _sample
 from pdmtpt.tpt_exact import ExactOneParam, ExactTwoParam
+from pdmtpt.tpt_extended import _conv, _sec_terms
 
 
 def stencil_residual(psi, v, df: DeformingFunction, energy: float, samples) -> float:
@@ -62,6 +69,17 @@ def stencil_residual(psi, v, df: DeformingFunction, energy: float, samples) -> f
     return float(np.max(np.abs(r))) / scale
 
 
+def double_factorial(n: int) -> int:
+    """n!! with the empty-product convention 0!! = (-1)!! = 1; n >= -1."""
+    if n < -1:
+        raise ValueError(f"double_factorial undefined for n = {n} < -1")
+    out = 1
+    while n > 1:
+        out *= n
+        n -= 2
+    return out
+
+
 def s_sum_terms(m: int, k: int) -> Fraction:
     """S_k = sum_l [(2m+1)!!]^2 / [(2l+1)!! (2k-2l-1)!! (2m-2l)!! (2m-2k+2l+2)!!]
     over l = max(0, k-m-1) .. min(k-1, m), one Fraction per term."""
@@ -83,6 +101,36 @@ def ladder_table_terms(m: int) -> tuple[int, tuple[int, ...]]:
     return double_factorial(2 * m + 1), tuple(
         double_factorial(2 * l + 1) * double_factorial(2 * m - 2 * l) for l in range(m + 1)
     )
+
+
+def sec_coeffs_two(m1: int, m2: int, sa: float, sb: float, alpha: float) -> list[float]:
+    """Closed-form (A_2, ..., A_{4 m1}); the top coefficient is the input."""
+    om = 1.0 - alpha
+    front = (m1 + 0.5) * (m1 + 1.5) * om * om
+    out = [fsum([front] + _sec_terms(m1, m2, 1, sa, sb, alpha))]
+    out += [
+        fsum(_sec_terms(m1, m2, k, sa, sb, alpha)) for k in range(2, 2 * m1 + 1)
+    ]
+    return out
+
+
+def e0_two_closed(m1: int, m2: int, sa: float, sb: float, alpha: float) -> float:
+    big = m1 + m2 + 1
+    rp = (1.0 + alpha) / (1.0 - alpha)
+    # the constant and the k = 0 cross term are invariant under reflection
+    terms = [
+        float(big) ** 2
+        - 2.0 * alpha * (m1 - m2) * (m1 + m2 + 2)
+        + alpha * alpha * ((m1 - m2) ** 2 + 2 * big),
+        2.0 * sa * sb * rp ** (m1 - m2) * _conv(big, m2, 0, 0, min(m2, m1)),
+    ]
+    for n1, n2, s1, s2, al in ((m1, m2, sa, sb, alpha), (m2, m1, sb, sa, -alpha)):
+        lead = (
+            2.0 * n2 * binomial(big, n2 + 1) * (1.0 + al) ** (n1 + 1) / (1.0 - al) ** n1
+        )
+        terms.append(-s1 * lead)
+        terms += [-t for t in _sec_terms(n1, n2, 0, s1, s2, al)]
+    return fsum(terms)
 
 
 def c_odd_nested(m: int, lam, alpha: float) -> tuple[float, ...]:

@@ -16,6 +16,8 @@ The README's library quick start is run as written.
 """
 
 import argparse
+import contextlib
+import io
 import json
 import math
 import os
@@ -26,6 +28,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 import pdmtpt
 from pdmtpt import cli, tpt_extended
@@ -413,6 +416,51 @@ def test_overflowing_closed_forms_are_a_precision_limit(argv, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: precision limit")
     assert len(captured.err.splitlines()) == 1
+
+
+def _contract_floats(lo: float, hi: float):
+    """Parameter texts: half from [lo, hi], where builds succeed, half over
+    the whole double range, magnitudes from 5e-324 to 1e308 of either sign,
+    the non-finite values and -0.0.  They are passed as --opt=TEXT, so that
+    argparse reads a leading minus as part of the value, not as an option."""
+    return st.one_of(
+        st.floats(min_value=lo, max_value=hi),
+        st.one_of(
+            st.floats(min_value=5e-324, max_value=1e308),
+            st.floats(min_value=-1e308, max_value=-5e-324),
+            st.sampled_from([math.nan, math.inf, -math.inf, -0.0]),
+        ),
+    ).map(repr)
+
+
+@st.composite
+def _extend_check_argv(draw) -> list[str]:
+    top = _contract_floats(0.25, 4.0)
+    argv = ["extend", "--check"] + (["--json"] if draw(st.booleans()) else [])
+    if draw(st.booleans()):
+        argv += ["--one", "-m", str(draw(st.integers(0, 60)))]
+    else:
+        depths = st.integers(0, 20)
+        argv += ["--two", "--m1", str(draw(depths)), "--m2", str(draw(depths)),
+                 f"--btop={draw(top)}"]
+    return argv + [f"--atop={draw(top)}", f"--alpha={draw(_contract_floats(-0.8, 0.8))}"]
+
+
+@seed(2411)
+@settings(max_examples=300, deadline=None, database=None)
+@given(_extend_check_argv())
+def test_extend_check_keeps_the_cli_contract(argv):
+    # every input gets a verified answer or one typed line, with exit 0-3
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    assert rc in (0, 1, 2, 3)
+    if rc == 1 and not out.getvalue():
+        [line] = err.getvalue().splitlines()
+        assert line.startswith("error:")
+    if rc == 0 and "--json" in argv:
+        payload = json.loads(out.getvalue())
+        assert all(math.isfinite(v) for v in payload.values() if isinstance(v, float))
 
 
 class TestVerify:

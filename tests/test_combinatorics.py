@@ -10,7 +10,6 @@ from scipy.special import eval_gegenbauer, eval_jacobi
 
 from pdmtpt.combinatorics import (
     binomial,
-    double_factorial,
     f_poly,
     fsum,
     gegenbauer,
@@ -18,7 +17,7 @@ from pdmtpt.combinatorics import (
     ladder_table,
     s_sum,
 )
-from references import ladder_table_terms, s_sum_terms
+from references import double_factorial, ladder_table_terms, s_sum_terms
 
 
 def test_double_factorial_small_values():

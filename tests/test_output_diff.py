@@ -131,3 +131,17 @@ def test_extend_builds_and_depth_probes_are_recorded():
     assert runs[2]["stderr"] == "error: m must be at most 1000, got 1001\n"
     same = json.loads(json.dumps(runs))
     assert output_diff.diff_lines({"extend": runs}, {"extend": same}) == ["extend: 3 inputs"]
+
+
+def test_diff_exit_code_gates_a_bit_identical_change(tmp_path, capsys):
+    runs = {"smoke": [output_diff.record(argv) for argv in _ARGVS[1:]]}
+    parent, same, changed = (tmp_path / f"{name}.json" for name in ("parent", "same", "changed"))
+    for path in (parent, same):
+        path.write_text(json.dumps(runs), encoding="utf-8")
+    assert output_diff.main(["diff", str(parent), str(same)]) == 0
+    assert capsys.readouterr().out == "smoke: 2 inputs\n"
+
+    runs["smoke"][0]["stdout"] = runs["smoke"][0]["stdout"].replace("E0=", "E_0=")
+    changed.write_text(json.dumps(runs), encoding="utf-8")
+    assert output_diff.main(["diff", str(parent), str(changed)]) == 1
+    assert capsys.readouterr().out == "smoke: 2 inputs\n  stdout: 1 differ, max rel text\n"

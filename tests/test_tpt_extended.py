@@ -15,7 +15,7 @@ import pytest
 from scipy import integrate
 
 from pdmtpt import combinatorics, tpt_extended
-from pdmtpt.combinatorics import double_factorial, ladder_table
+from pdmtpt.combinatorics import ladder_table
 from pdmtpt.dsusy_core import (
     CompatibilityError,
     Family,
@@ -24,7 +24,14 @@ from pdmtpt.dsusy_core import (
     hermiticity_boundary_check,
 )
 from pdmtpt.numeric_verify import interior_samples
-from references import c_odd_nested, c_two_nested, lone_log_form
+from references import (
+    c_odd_nested,
+    c_two_nested,
+    double_factorial,
+    e0_two_closed,
+    lone_log_form,
+    sec_coeffs_two,
+)
 from pdmtpt.tpt_extended import (
     InternalConsistencyError,
     JointWavefunctions,
@@ -231,12 +238,10 @@ class TestOneParamDualPath:
             read.append(table)
             return s_sum(table)
 
-        def no_double_factorial(n):
-            raise AssertionError(f"double_factorial({n}) called outside the table")
-
         monkeypatch.setattr(tpt_extended, "ladder_table", counted)
         monkeypatch.setattr(tpt_extended, "s_sum", reader)
-        monkeypatch.setattr(combinatorics, "double_factorial", no_double_factorial)
+        # the table is the only source of double factorials
+        assert not hasattr(combinatorics, "double_factorial")
         assert not hasattr(tpt_extended, "double_factorial")
         expand_and_resum_one_param(m, 1.0, 0.5)
         assert len(tables) == 1 and read == []  # the expansion path forms its own
@@ -352,7 +357,8 @@ def test_stored_gap_is_the_closed_form(args):
     if len(args) == 3:
         m, a_top, alpha = args
         spec = build_one_param(*args)
-        want = tpt_extended._gap_one(m, math.sqrt(a_top), alpha, ladder_table(m))
+        top, den = ladder_table(m)  # (2m+1)!! and den[0] = (2m)!!
+        want = 2.0 * math.sqrt(a_top) * top / den[0] * (1.0 + alpha) ** (-m)
     else:
         m1, m2, a_top, b_top, alpha = args
         spec = build_two_param(*args)
@@ -966,6 +972,48 @@ def test_resummation_equals_the_nested_sums():
         spec = build_two_param(m1, m2, 1.3, 0.8, 0.35)
         assert spec.c == c_two_nested(m1, spec.lam, 0.35)
         assert spec.d == c_two_nested(m2, spec.mu, -0.35)
+
+
+@pytest.mark.parametrize(
+    "m1,m2",
+    [(1, 0), (4, 0), (9, 0), (1, 1), (5, 5), (3, 1), (8, 3), (1, 3), (2, 7), (14, 14)],
+)
+def test_closed_two_is_the_separate_sums(m1, m2):
+    # the reflected m1 < m2 wells are also taken as given, which no build does
+    rng = np.random.default_rng(2400 + 20 * m1 + m2)
+    for _ in range(4):
+        a_top, b_top = (float(v) for v in rng.uniform(0.25, 4.0, 2))
+        alpha = float(rng.uniform(-0.8, 0.8))
+        wells = [(m1, m2, math.sqrt(a_top), tpt_extended._sqrt_b_eff(m2, b_top, alpha), alpha)]
+        if m1 < m2:
+            wells.append(
+                (m2, m1, math.sqrt(b_top), tpt_extended._sqrt_b_eff(m1, a_top, -alpha), -alpha)
+            )
+        for n1, n2, sa, sb, al in wells:
+            e0, a_closed, b_closed = tpt_extended._closed_two(n1, n2, sa, sb, al)
+            assert e0 == e0_two_closed(n1, n2, sa, sb, al)
+            assert a_closed == sec_coeffs_two(n1, n2, sa, sb, al)
+            assert b_closed == sec_coeffs_two(n2, n1, sb, sa, -al)
+
+
+@pytest.mark.parametrize(
+    "m1,m2", [(1, 0), (3, 0), (1, 1), (4, 2), (6, 6), (2, 5), (14, 14)]
+)
+def test_sec_terms_once_per_side_and_weight(monkeypatch, m1, m2):
+    calls = []
+    sec_terms = tpt_extended._sec_terms
+
+    def counted(n1, n2, j, *rest):
+        calls.append((n1, n2, j))
+        return sec_terms(n1, n2, j, *rest)
+
+    monkeypatch.setattr(tpt_extended, "_sec_terms", counted)
+    build_two_param(m1, m2, 1.3, 0.8, 0.35)
+    big, small = max(m1, m2), min(m1, m2)  # the canonical well
+    assert len(calls) == 2 * big + max(2 * small, 1) + 2
+    assert calls == [(big, small, j) for j in range(2 * big + 1)] + [
+        (small, big, j) for j in range(max(2 * small, 1) + 1)
+    ]
 
 
 class TestGeneratingPairs:
