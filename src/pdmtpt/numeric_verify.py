@@ -11,14 +11,24 @@ spectra, so agreement is a genuine cross-check.
 The eigenvalues come from three grids, N/4, N/2 and N, and a Richardson
 step.  The coarser two are every fourth and every second point of the N
 grid, so the potential is sampled once.  The quarter grid is bisected by
-index with Sturm counts.  The finer two are refined from the coarser grids'
-levels by Rayleigh-quotient iteration, which converges cubically and carries
-no eps * 2/h^2 bisection floor.  Each refined grid is certified by its
-residuals and one Sturm count: every residual below its level's distance to
-the neighbouring slot points puts an eigenvalue in each slot (Weinstein),
-and a count of n up to the top slot point leaves no room for another, so
-each level's index is certain and Kato-Temple bounds its error.  A well with
-a grid they do not certify is refused.
+index with Sturm counts on the whole interval.  The finer two are refined
+from the coarser grids' levels by Rayleigh-quotient iteration, which
+converges cubically and carries no eps * 2/h^2 bisection floor, on a window
+of the interval: E_top = 2 lambda_top - lambda_(top-1), one quarter-grid gap
+above the top quarter level, drops every point whose WKB action
+int sqrt(min(V, cap) - E_top)_+ dg from the well's lowest sample exceeds 45.
+Each refined grid is still certified on the whole grid, by its residuals and
+one Sturm count: every residual below its level's distance to the
+neighbouring slot points puts an eigenvalue in each slot (Weinstein), and a
+count of n up to the top slot point leaves no room for another, so each
+level's index is certain and Kato-Temple bounds its error.  On a window the
+residual is that of the vector extended by zeros, which adds (u_end/h^2)^2
+at each cut end, and the count runs on the window's bands with each cut
+end's diagonal entry lowered by 1/h^2, which bounds the whole grid's count
+from above as long as every dropped point's capped V reaches the top slot
+point.  A window that fails any of this is solved again on the whole
+interval, and a well with a grid the whole interval does not certify is
+refused.
 The oracle reads only the potential.  Its two LAPACK routines, dstebz for
 the Sturm-count bisection and dgtsv for the tridiagonal solves, come from
 SciPy's compiled LAPACK module alone (`_lazy.lapack`), loaded on the first
@@ -131,6 +141,13 @@ _TOL_OVER_KINETIC = sys.float_info.epsilon / 16.0
 _RQI_TOL_OVER_KINETIC = 1e-4 * sys.float_info.epsilon
 _RQI_SOLVES = 4
 
+# The refined grids are solved on the window of points whose WKB action from
+# the well's bottom, above the top level, is at most this (see _window).  An
+# eigenvector decays like e^-action past its turning point, so at the cut its
+# amplitude is near e^-45 = 3e-20 of the peak, and the residual it adds at a
+# cut end, u_end/h^2, is far below what the Kato-Temple test allows.
+_WINDOW_ACTION = 45.0
+
 # The largest grid_size: the oracle holds several arrays of grid_size floats.
 _MAX_GRID_SIZE = 1 << 20
 
@@ -157,50 +174,89 @@ def _flatten(v, df: DeformingFunction, n: int) -> FlattenedProblem:
     return FlattenedProblem(g, vt, h)
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> float:
+def _dot(a: np.ndarray, b: np.ndarray, work: np.ndarray) -> float:
     """sum a_i b_i by NumPy's pairwise summation, never by BLAS.
 
     BLAS splits long dot products across its threads, so np.dot's last
     digits, and through them the refined levels, would depend on the
     thread count.  einsum does not call BLAS either, but its running sum
     is less accurate: levels refined with it stray further from long-double
-    Sturm-count levels.
+    Sturm-count levels.  The products go into work, an array of a's length.
     """
-    return float(np.sum(a * b))
+    return float(np.add.reduce(np.multiply(a, b, out=work)))
 
 
-def _refined_levels(problem: FlattenedProblem, seeds: np.ndarray):
+def _window(problem: FlattenedProblem, e_top: float) -> tuple[int, int]:
+    """The points [a, b) of the N grid within reach of the levels below e_top.
+
+    A point is dropped when the WKB action int sqrt(min(V, cap) - e_top)_+ dg
+    between it and the well's lowest sample exceeds _WINDOW_ACTION.  cap is
+    the N/2 grid's, the lower of the two refined grids' caps, which gives
+    the smaller action and so the wider window.  a and b are even, so the
+    N/2 grid's window, its points [a/2, b/2), is every second point of the
+    N grid's; b is the N grid's length where nothing on the right is
+    dropped.
+    """
+    v, h = problem.v, problem.spacing
+    action = np.cumsum(h * np.sqrt(np.maximum(_capped(v, 0.5 / h**2) - e_top, 0.0)))
+    mid = action[np.argmin(v)]
+    a = int(np.searchsorted(action, mid - _WINDOW_ACTION, "left"))
+    b = int(np.searchsorted(action, mid + _WINDOW_ACTION, "right"))
+    return a - a % 2, min(b + b % 2, len(v))
+
+
+def _refined_levels(
+    problem: FlattenedProblem, seeds: np.ndarray, lo: int = 0, hi: int | None = None
+):
     """The levels nearest `seeds` (at least two), or None if not certified.
 
     Rayleigh-quotient inverse iteration, one level at a time, with LAPACK's
-    tridiagonal solver.  Each level starts from a ramp, which has both
-    parities, and is kept orthogonal to the levels below it.  The first
-    shift is its seed; later ones are its Rayleigh quotient
+    tridiagonal solver, on the problem's points [lo, hi) (all of them by
+    default) with Dirichlet zeros on either side.  Each level starts from a
+    ramp over the whole grid, which has both parities, cut to the points,
+    so that a window follows the whole grid's iteration; it is kept
+    orthogonal to the levels below it.  The first shift is its seed; later
+    ones are its Rayleigh quotient
 
         rho = [sum (Delta u)^2 / h^2 + sum min(V, cap) u^2] / sum u^2,
 
     once the residual r = ||Tu - rho u|| of the unit vector u is below the
     level's gap.  The quotient never forms the 2/h^2 + V diagonal, so it
-    keeps none of its eps * 2/h^2 rounding.
+    keeps none of its eps * 2/h^2 rounding.  rho and r are those of u
+    extended by zeros over the whole grid: r takes (c u_end)^2, c = 1/h^2,
+    at each cut end, the residual of the first dropped point.
 
     The levels cut the line into slots: the count points are the midpoints
     between successive levels and half a gap above the top one, and delta is
     a level's distance to the nearest of them.  The levels are accepted only
     when every residual meets r < delta and r^2 <= tol * delta, and one
-    Sturm count of the stored operator, from the Gershgorin bound to the top
-    count point, is n, the number of levels.  By Weinstein's bound each
-    interval rho +- r holds an eigenvalue, which r < delta puts strictly
-    inside its level's slot, and nothing lies below the Gershgorin bound;
-    so a count of n leaves exactly one eigenvalue per slot, which certifies
-    each level's index, and the Kato-Temple bound r^2/delta caps its error
-    at tol = _RQI_TOL_OVER_KINETIC * 2/h^2.
+    Sturm count from the Gershgorin bound to the top count point is n, the
+    number of levels.  By Weinstein's bound each interval rho +- r holds an
+    eigenvalue of the whole grid, which r < delta puts strictly inside its
+    level's slot, and nothing lies below the Gershgorin bound; so a count of
+    n leaves exactly one eigenvalue per slot, which certifies each level's
+    index, and the Kato-Temple bound r^2/delta caps its error at
+    tol = _RQI_TOL_OVER_KINETIC * 2/h^2.
+
+    The count is the whole grid's on the whole grid; on a window it bounds
+    the whole grid's from above.  Every dropped point's capped V must reach
+    the top count point, so each dropped block of T - top has diagonal at
+    least 2c and off-diagonal -c, is positive definite with pivots at least
+    c, and its Schur complement lowers the adjacent window diagonal entry
+    by at most c.  The window's bands, each cut end's diagonal entry lowered
+    by c, then have at least as many eigenvalues below the top count point
+    as the whole grid, so a count of n there caps the whole grid's at n.
     """
     flapack = lapack()
     dgtsv, dstebz = flapack.dgtsv, flapack.dstebz
 
-    d, e = _fd_bands(problem.v, problem.spacing)
+    hi = len(problem.v) if hi is None else hi
+    cut_lo, cut_hi = lo > 0, hi < len(problem.v)
+    if hi - lo <= len(seeds):
+        return None  # a window too short to hold the levels
+    d, e = _fd_bands(problem.v[lo:hi], problem.spacing)
     c = -e[0]
-    vc = _capped(problem.v, 2.0 * c)
+    vc = _capped(problem.v[lo:hi], 2.0 * c)
     tol = _RQI_TOL_OVER_KINETIC * 2.0 * c
 
     def slots(levels):
@@ -210,32 +266,42 @@ def _refined_levels(problem: FlattenedProblem, seeds: np.ndarray):
         return tops, np.minimum(levels - np.append(-np.inf, tops[:-1]), tops - levels)
 
     _, delta = slots(seeds)
-    ramp = np.linspace(1.0, 2.0, len(d))
-    du = np.empty(len(d) + 1)
+    n = len(d)
+    ramp = np.linspace(1.0, 2.0, len(problem.v))[lo:hi]
+    # one iteration's work arrays: the differences of u between the
+    # Dirichlet zeros, products to sum, e u and the residual T u - rho u
+    du = np.empty(n + 1)
+    work = np.empty(n + 1)
+    eu = np.empty(n)
+    r = np.empty(n)
     rho = np.empty(len(seeds))
     res = np.empty(len(seeds))
     found: list[np.ndarray] = []
     for k, shift in enumerate(seeds):
         u = ramp
         for _ in range(_RQI_SOLVES):
-            *_, x, info = dgtsv(e, d - shift, e, u[:, None])
+            *_, x, info = dgtsv(e, d - shift, e, u[:, None], overwrite_d=1)
             if info != 0:
                 return None
             u = x[:, 0]
             for w in found:
-                u = u - _dot(w, u) * w
-            u = u / math.sqrt(_dot(u, u))
-            # the differences of u between Dirichlet zeros at both ends
+                u -= np.multiply(w, _dot(w, u, work[:n]), out=work[:n])
+            u /= math.sqrt(_dot(u, u, work[:n]))
             np.subtract(u[1:], u[:-1], out=du[1:-1])
             du[0], du[-1] = u[0], -u[-1]
-            rho[k] = c * _dot(du, du) + _dot(vc * u, u)
+            rho[k] = c * _dot(du, du, work) + _dot(np.multiply(vc, u, out=work[:n]), u, work[:n])
             # T u - rho u; e is constant, so e u is formed once
-            eu = e[0] * u
-            r = d - rho[k]
+            np.multiply(u, e[0], out=eu)
+            np.subtract(d, rho[k], out=r)
             r *= u
             r[1:] += eu[:-1]
             r[:-1] += eu[1:]
-            res[k] = math.sqrt(_dot(r, r))
+            rr = _dot(r, r, work[:n])
+            if cut_lo:
+                rr += (c * u[0]) ** 2
+            if cut_hi:
+                rr += (c * u[-1]) ** 2
+            res[k] = math.sqrt(rr)
             if res[k] ** 2 <= tol * delta[k]:
                 break
             # until its residual is below the gap, the quotient can still be
@@ -248,10 +314,16 @@ def _refined_levels(problem: FlattenedProblem, seeds: np.ndarray):
     tops, delta = slots(rho)
     if not (np.all(res < delta) and np.all(res**2 <= tol * delta)):
         return None
-    lo = float(np.min(d)) - 2.0 * c
     top = tops[-1]
+    if cut_lo or cut_hi:
+        dropped = np.concatenate((problem.v[:lo], problem.v[hi:]))
+        if min(float(np.min(dropped)), _CAP_OVER_KINETIC * 2.0 * c) < top:
+            return None
+        d[0] -= c * cut_lo
+        d[-1] -= c * cut_hi
+    lo_bound = float(np.min(d)) - 2.0 * c
     # a tolerance wider than the interval stops dstebz at its count
-    if dstebz(d, e, 1, lo, top, 1, 1, 2.0 * (top - lo), "E")[0] != len(rho):
+    if dstebz(d, e, 1, lo_bound, top, 1, 1, 2.0 * (top - lo_bound), "E")[0] != len(rho):
         return None
     return rho
 
@@ -304,11 +376,26 @@ def solve_spectrum(
     floor, and accepted only when the residuals place an eigenvalue in each
     slot between the count points and one Sturm count finds no other below
     the top one, which certifies every level's index, and the residuals
-    bound each level's error (see `_refined_levels`).  A grid they do not
-    certify, such as that of a cap-dominated well whose levels grow
-    with the kinetic scale, or extrapolated levels out of order, raise a
-    ValueError "oracle cannot resolve ..." naming the grid.  A single level
-    is solved together with the next one, whose gap the certificate needs.
+    bound each level's error (see `_refined_levels`).
+
+    The refinement runs on a window [a, b) of the N grid's points, a and b
+    even, and on every second point of it on the N/2 grid (`_window`):
+    E_top = 2 lambda_top - lambda_(top-1) from the quarter levels, and every
+    point whose action int sqrt(min(V, cap) - E_top)_+ dg, counted outward
+    from the lowest sample of V, exceeds _WINDOW_ACTION = 45 is dropped.
+    Both grids are still certified on the whole grid: each residual is that
+    of the level's vector extended by zeros, which adds (u_end/h^2)^2 at each
+    cut end, and the Sturm count runs on the window's bands with each cut
+    end's diagonal entry lowered by 1/h^2, valid when every dropped point's
+    capped V is at least the top count point.  A grid whose window fails
+    that condition, or is not certified for any other reason, is refined
+    again on the whole interval, so the window moves a level only within
+    its Kato-Temple tolerance and its rounding, and refuses no well that the
+    whole interval certifies.  A grid the whole interval does not certify, such as that of
+    a cap-dominated well whose levels grow with the kinetic scale, or
+    extrapolated levels out of order, raise a ValueError "oracle cannot
+    resolve ..." naming the grid.  A single level is solved together with
+    the next one, whose gap the certificate needs.
 
     v is called once, with the array of x values of the N grid, and must
     return an array of the same shape; anything else raises ValueError.
@@ -327,12 +414,16 @@ def solve_spectrum(
     full = _flatten(v, df, grid_size)
     g, vt, h = full.g, full.v, full.spacing
     solved = [_lowest_levels(FlattenedProblem(g[3::4], vt[3::4], 4.0 * h), width)]
-    for n, problem in (
-        (grid_size // 2, FlattenedProblem(g[1::2], vt[1::2], 2.0 * h)),
-        (grid_size, full),
+    # one quarter-grid gap above the top level
+    a, b = _window(full, 2.0 * solved[0][-1] - solved[0][-2])
+    for n, problem, lo, hi in (
+        (grid_size // 2, FlattenedProblem(g[1::2], vt[1::2], 2.0 * h), a // 2, b // 2),
+        (grid_size, full, a, b),
     ):
         seeds = solved[0] if len(solved) == 1 else solved[1] + (solved[1] - solved[0]) / 4.0
-        levels = _refined_levels(problem, seeds)
+        levels = _refined_levels(problem, seeds, lo, hi)
+        if levels is None and (lo > 0 or hi < len(problem.v)):
+            levels = _refined_levels(problem, seeds)
         if levels is None:
             raise ValueError(f"oracle cannot resolve: the N={n} grid is not certified")
         solved.append(levels)

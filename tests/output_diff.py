@@ -25,12 +25,16 @@ Each argv runs in a temporary directory of its own, and its record also
 holds {path: SHA-256} of every file it left there.
 
 `diff` prints, per set, for each stream, the file hash and each key of a
-`--json` payload, how many inputs differ and the largest relative
-difference.  Numbers are compared by |a - b| / max(|a|, |b|); texts by the
-numbers in them when the rest of the text is the same, else they count as
-"text" differences, as differing sets of file hashes always do.  It exits 1
-when any field of any set differs and 0 when none does, so one command
-gates a refactor that must leave every output bit-identical.
+`--json` payload that differs: how many inputs differ, and the largest
+relative and absolute differences.  Numbers are compared by
+|a - b| / max(|a|, |b|) and |a - b|; texts by the numbers in them when the
+rest of the text is the same, else they count as "text" differences, as
+differing sets of file hashes always do.  The absolute difference of a
+relative error such as `spectral_rel_err0` bounds from below how far the
+value it measures moved, relative to the reference, and equals it where the
+error keeps its sign.  It exits 1 when any field of any set differs and 0
+when none does, so one command gates a refactor that must leave every
+output bit-identical.
 `table` classifies the census outcomes per (m1, m2).
 """
 
@@ -163,20 +167,22 @@ def _record(argv: list[str]) -> dict:
     return {"argv": argv, "rc": rc, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
-def _rel(a, b) -> float:
-    """Relative difference of two values; inf where they are not comparable."""
+def _rel(a, b) -> tuple[float, float]:
+    """Relative and absolute difference of two values; inf where they are not
+    comparable."""
     if a == b:
-        return 0.0
+        return 0.0, 0.0
     if isinstance(a, str) and isinstance(b, str):
         xs, ys = _NUMBER.findall(a), _NUMBER.findall(b)
         if _NUMBER.sub("#", a) != _NUMBER.sub("#", b) or len(xs) != len(ys):
-            return math.inf
-        return max(_rel(float(x), float(y)) for x, y in zip(xs, ys))
+            return math.inf, math.inf
+        pairs = [_rel(float(x), float(y)) for x, y in zip(xs, ys)]
+        return max(rel for rel, _ in pairs), max(gap for _, gap in pairs)
     if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in (a, b)):
-        return math.inf
+        return math.inf, math.inf
     if not (math.isfinite(a) and math.isfinite(b)):
-        return math.inf
-    return abs(a - b) / max(abs(a), abs(b))
+        return math.inf, math.inf
+    return abs(a - b) / max(abs(a), abs(b)), abs(a - b)
 
 
 def _payload(stdout: str):
@@ -187,20 +193,22 @@ def _payload(stdout: str):
     return value if isinstance(value, dict) else None
 
 
-def compare(a: list[dict], b: list[dict]) -> dict[str, tuple[int, float]]:
-    """{field: (inputs that differ, largest relative difference)} of two runs."""
+def compare(a: list[dict], b: list[dict]) -> dict[str, tuple[int, float, float]]:
+    """{field: (inputs that differ, largest relative difference, largest
+    absolute difference)} of two runs."""
     if [r["argv"] for r in a] != [r["argv"] for r in b]:
         raise ValueError("the two runs have different inputs")
-    out: dict[str, tuple[int, float]] = {}
+    out: dict[str, tuple[int, float, float]] = {}
 
-    def note(field, rel):
-        n, worst = out.get(field, (0, 0.0))
-        out[field] = (n + (rel > 0.0), max(worst, rel))
+    def note(field, diff):
+        n, worst, widest = out.get(field, (0, 0.0, 0.0))
+        rel, gap = diff
+        out[field] = (n + (rel > 0.0), max(worst, rel), max(widest, gap))
 
     for ra, rb in zip(a, b):
         for stream in ("rc", "stdout", "stderr"):
             note(stream, _rel(ra[stream], rb[stream]))
-        note("sha256", 0.0 if ra["sha256"] == rb["sha256"] else math.inf)
+        note("sha256", (0.0, 0.0) if ra["sha256"] == rb["sha256"] else (math.inf, math.inf))
         pa, pb = _payload(ra["stdout"]), _payload(rb["stdout"])
         if pa is not None or pb is not None:
             pa, pb = pa or {}, pb or {}
@@ -209,17 +217,17 @@ def compare(a: list[dict], b: list[dict]) -> dict[str, tuple[int, float]]:
     return out
 
 
-def _fmt_rel(rel: float) -> str:
-    return "text" if rel == math.inf else f"{rel:.3g}"
-
-
 def diff_lines(a: dict, b: dict) -> list[str]:
     lines = []
     for name in a:
         lines.append(f"{name}: {len(a[name])} inputs")
-        for field, (n, worst) in compare(a[name], b[name]).items():
-            if n:
-                lines.append(f"  {field}: {n} differ, max rel {_fmt_rel(worst)}")
+        for field, (n, worst, widest) in compare(a[name], b[name]).items():
+            if not n:
+                continue
+            if worst == math.inf:
+                lines.append(f"  {field}: {n} differ, max rel text")
+            else:
+                lines.append(f"  {field}: {n} differ, max rel {worst:.3g}, max abs {widest:.3g}")
     return lines
 
 

@@ -446,11 +446,8 @@ def _extend_check_argv(draw) -> list[str]:
     return argv + [f"--atop={draw(top)}", f"--alpha={draw(_contract_floats(-0.8, 0.8))}"]
 
 
-@seed(2411)
-@settings(max_examples=300, deadline=None, database=None)
-@given(_extend_check_argv())
-def test_extend_check_keeps_the_cli_contract(argv):
-    # every input gets a verified answer or one typed line, with exit 0-3
+def _assert_cli_contract(argv):
+    """Every input gets a verified answer or one typed line, with exit 0-3."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = main(argv)
@@ -461,6 +458,37 @@ def test_extend_check_keeps_the_cli_contract(argv):
     if rc == 0 and "--json" in argv:
         payload = json.loads(out.getvalue())
         assert all(math.isfinite(v) for v in payload.values() if isinstance(v, float))
+
+
+@seed(2411)
+@settings(max_examples=300, deadline=None, database=None)
+@given(_extend_check_argv())
+def test_extend_check_keeps_the_cli_contract(argv):
+    _assert_cli_contract(argv)
+
+
+@st.composite
+def _verify_argv(draw) -> list[str]:
+    top = _contract_floats(0.25, 4.0)
+    argv = ["verify", "-N", str(draw(st.sampled_from([64, 128, 256, 512, 1024])))]
+    argv += ["--json"] if draw(st.booleans()) else []
+    if draw(st.booleans()):
+        argv += ["--one", "-m", str(draw(st.integers(0, 12)))]
+    else:
+        depths = st.integers(0, 8)
+        argv += ["--two", "--m1", str(draw(depths)), "--m2", str(draw(depths)),
+                 f"--btop={draw(top)}"]
+    return argv + [f"--atop={draw(top)}", f"--alpha={draw(_contract_floats(-0.8, 0.8))}"]
+
+
+@seed(2511)
+@settings(max_examples=200, deadline=None, database=None)
+@given(_verify_argv())
+def test_verify_keeps_the_cli_contract(argv):
+    # small grids give the oracle's refined-grid window, and its fallback to
+    # the whole interval, their edge cases: windows of a few dozen points,
+    # levels near the kinetic scale, wells the quarter grid cannot resolve
+    _assert_cli_contract(argv)
 
 
 class TestVerify:

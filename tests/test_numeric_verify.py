@@ -15,11 +15,13 @@ from pdmtpt._lazy import lapack
 from pdmtpt.dsusy_core import DeformingFunction, hermiticity_boundary_check
 from pdmtpt.numeric_verify import (
     _MAX_GRID_SIZE,
+    FlattenedProblem,
     _TOL_OVER_KINETIC,
     _fd_bands,
     _flatten,
     _lowest_levels,
     _refined_levels,
+    _window,
     count_nodes,
     g_domain,
     gram,
@@ -37,7 +39,7 @@ from pdmtpt.tpt_extended import (
     closed_form_wavefunction,
     potential_value,
 )
-from references import stencil_residual
+from references import refined_levels_fresh_arrays, stencil_residual
 
 FIG1 = build_one_param(1, 1.0, -0.5)
 FIG3 = build_two_param(1, 1, 1.0, 1.0, 0.5)
@@ -48,6 +50,11 @@ REF_WELLS = {
     "one-1": FIG1,
     "one-3": build_one_param(3, 2.0, 2.0),
 }
+# a deep (3,3) well of ROADMAP item 1's census (its 73rd draw): at N = 4000
+# the refined grids' window keeps 206 of the 3999 points
+DEEP = build_two_param(3, 3, 0.7263938773669912, 0.8168151264305867, 0.647763353173183)
+# the README's example well, two 2,1,1,1.3,0.3
+README_WELL = build_two_param(2, 1, 1.0, 1.3, 0.3)
 
 
 def _trapezoid(y, x):
@@ -282,7 +289,8 @@ def _sturm_levels_longdouble(problem, n_levels, sections=64):
     double, diagonal 2c + min(V, 16 * 2c).  Every level is multisected from
     the Gershgorin interval with long-double Sturm counts (the number of
     negative pivots of T - x), all levels and all section points at once,
-    until its bracket is below 1e-6 eps * 2c.
+    until its bracket is below 1e-6 eps * 2c, or below 2 long-double ulps of
+    the level where that is wider (a level near the kinetic scale).
     """
     ld = np.longdouble
     c = ld(1.0 / problem.spacing**2)
@@ -294,7 +302,7 @@ def _sturm_levels_longdouble(problem, n_levels, sections=64):
     lo = np.full(n_levels, d.min() - kin)
     hi = np.full(n_levels, d.max() + kin)
     frac = np.linspace(0, 1, sections + 1, dtype=ld)[None, :]
-    while np.max(hi - lo) > target:
+    while np.any(hi - lo > np.maximum(target, 2 * np.finfo(ld).eps * np.abs(hi))):
         xs = lo[:, None] + (hi - lo)[:, None] * frac
         q = d[0] - xs
         below = (q < 0).astype(int)
@@ -309,15 +317,24 @@ def _sturm_levels_longdouble(problem, n_levels, sections=64):
 
 
 @pytest.mark.parametrize("n_levels", [1, 2, 4])
-@pytest.mark.parametrize("spec", REF_WELLS.values(), ids=REF_WELLS.keys())
-def test_refined_levels_match_long_double_sturm(spec, n_levels):
+@pytest.mark.parametrize(
+    "spec, grid_size, ulps",
+    [*((spec, 1000, 0) for spec in REF_WELLS.values()), (DEEP, 4000, 4)],
+    ids=[*REF_WELLS, "deep-3-3"],
+)
+def test_refined_levels_match_long_double_sturm(spec, grid_size, ulps, n_levels):
     # the refined fine-grid levels sit far below the double Sturm floor of
-    # about 0.3 eps * 2/h^2 that bisection cannot pass
-    sp = solve_spectrum(lambda x: potential_value(spec, x), spec.deforming, n_levels, 1000)
+    # about 0.3 eps * 2/h^2 that bisection cannot pass.  The reference counts
+    # run on the whole grid, so on the deep well they also check the levels
+    # refined on its window.  Its levels are near the kinetic scale, where
+    # one ulp of a level is about half of eps * 2/h^2: there the bound is 4
+    # ulps (the whole-interval solve is 2.04 ulps off on its level 3)
+    sp = solve_spectrum(lambda x: potential_value(spec, x), spec.deforming, n_levels, grid_size)
     ref = _sturm_levels_longdouble(sp.problem, n_levels)
     kin = 2.0 / sp.problem.spacing**2
-    off = np.abs(sp.eigenvalues_raw - ref.astype(float)) / (np.finfo(float).eps * kin)
-    assert np.all(off <= 1e-3), off
+    bound = np.maximum(1e-3 * np.finfo(float).eps * kin, ulps * np.spacing(sp.eigenvalues_raw))
+    off = np.abs(sp.eigenvalues_raw - ref.astype(float))
+    assert np.all(off <= bound), off / bound
 
 
 @pytest.mark.parametrize("n_levels", [1, 2, 4])
@@ -355,9 +372,12 @@ def test_bracketed_levels_match_the_index_solve(spec, grid_size):
 def _three_flatten_spectrum(v, df, grid_size):
     """solve_spectrum at two levels with one V sampling per grid: the reference."""
     solved = [_lowest_levels(_flatten(v, df, grid_size // 4), 2)]
-    for n in (grid_size // 2, grid_size):
+    a, b = _window(_flatten(v, df, grid_size), 2.0 * solved[0][1] - solved[0][0])
+    for n, lo, hi in ((grid_size // 2, a // 2, b // 2), (grid_size, a, b)):
         seeds = solved[0] if len(solved) == 1 else solved[1] + (solved[1] - solved[0]) / 4.0
-        solved.append(_refined_levels(_flatten(v, df, n), seeds))
+        problem = _flatten(v, df, n)
+        levels = _refined_levels(problem, seeds, lo, hi)
+        solved.append(_refined_levels(problem, seeds) if levels is None else levels)
     quarter, half, fine = solved
     d1, d2 = fine - half, half - quarter
     vals, errors = fine.copy(), np.zeros(2)
@@ -411,7 +431,9 @@ def test_short_bracket_is_still_refined():
 def test_levels_out_of_order_are_refused(monkeypatch):
     # levels the extrapolation leaves out of order are refused like an
     # uncertified grid, as a ValueError that the CLI reports on one line
-    monkeypatch.setattr(numeric_verify, "_refined_levels", lambda problem, seeds: np.array([1.0, 0.5]))
+    monkeypatch.setattr(
+        numeric_verify, "_refined_levels", lambda problem, seeds, *window: np.array([1.0, 0.5])
+    )
     with pytest.raises(ValueError, match=r"^oracle cannot resolve: the N=256 levels are out of order$"):
         solve_spectrum(lambda x: 0.0 * x, DeformingFunction.trig_one(0.0), 2, 256)
 
@@ -432,6 +454,13 @@ def test_refinement_seeded_above_the_ground_state_is_not_certified():
     levels = _lowest_levels(problem, 3)
     assert _refined_levels(problem, levels[[1, 2]]) is None
     assert _refined_levels(problem, levels) is not None
+
+
+def _window_of(problem, n_levels=2):
+    """The window solve_spectrum cuts from the N-grid problem."""
+    quarter = FlattenedProblem(problem.g[3::4], problem.v[3::4], 4.0 * problem.spacing)
+    levels = _lowest_levels(quarter, max(2, n_levels))
+    return _window(problem, 2.0 * levels[-1] - levels[-2])
 
 
 def _lapack_with(dstebz):
@@ -460,23 +489,173 @@ def test_residual_not_below_its_slot_distance_is_not_certified(monkeypatch):
     assert _refined_levels(problem, np.array([levels[0], 0.5 * (levels[0] + levels[1])])) is None
 
 
-@pytest.mark.parametrize("spec", REF_WELLS.values(), ids=REF_WELLS.keys())
+@pytest.mark.parametrize("spec", [*REF_WELLS.values(), DEEP], ids=[*REF_WELLS, "deep-3-3"])
 def test_one_sturm_count_per_refined_grid(spec, monkeypatch):
     # the quarter grid's index solve (range 2), then one count (range 1) on
-    # each of the two refined grids, whatever the number of levels
+    # each of the two refined grids, whatever the number of levels.  The
+    # counts run on the window's bands: on the deep well under 6% of the N
+    # grid's 3999 points, and every second of them on the N/2 grid
     real = lapack().dstebz
-    ranges = []
+    calls = []
 
     def counted(d, e, rng, *args):
-        ranges.append(rng)
+        calls.append((rng, len(d), len(e)))
         return real(d, e, rng, *args)
 
     monkeypatch.setattr(numeric_verify, "lapack", _lapack_with(counted))
     for n_levels in (1, 2, 4):
-        ranges.clear()
-        solve_spectrum(lambda x: potential_value(spec, x), spec.deforming, n_levels, 4000)
-        assert ranges == [2, 1, 1]
+        calls.clear()
+        sp = solve_spectrum(lambda x: potential_value(spec, x), spec.deforming, n_levels, 4000)
+        counts = calls[1:]
+        assert [rng for rng, _, _ in calls] == [2, 1, 1]
+        a, b = _window_of(sp.problem, n_levels)
+        assert [n for _, n, _ in counts] == [b // 2 - a // 2, b - a]
+        assert all(m == n - 1 for _, n, m in counts)
+        assert spec is not DEEP or b - a < 0.06 * len(sp.problem.v)
 
+
+
+@pytest.mark.parametrize("grid_size", [2000, 4000])
+@pytest.mark.parametrize(
+    "spec", [*REF_WELLS.values(), FIG5, README_WELL, DEEP],
+    ids=[*REF_WELLS, "two-1-0", "readme", "deep-3-3"],
+)
+def test_refinement_work_arrays_are_bit_identical(spec, grid_size):
+    # the loop writes into preallocated arrays and reduces with
+    # np.add.reduce; on the whole grid its levels, and its refusals, are
+    # those of the loop that made a new array per pass
+    full = _flatten(lambda x: potential_value(spec, x), spec.deforming, grid_size)
+    half = FlattenedProblem(full.g[1::2], full.v[1::2], 2.0 * full.spacing)
+    for n_levels in (2, 4):
+        quarter = _lowest_levels(
+            FlattenedProblem(full.g[3::4], full.v[3::4], 4.0 * full.spacing), n_levels
+        )
+        exact = _lowest_levels(full, n_levels + 1)
+        for problem, seeds in (
+            (half, quarter), (full, quarter), (full, exact[:n_levels]), (full, exact[1:]),
+        ):
+            new, old = _refined_levels(problem, seeds), refined_levels_fresh_arrays(problem, seeds)
+            assert (new is None and old is None) or np.array_equal(new, old)
+
+
+def _kato_temple_bound(sp):
+    """Twice the refined grids' Kato-Temple tolerance, or 4 ulps of a level
+    where that is wider: two certified values of one level differ by less."""
+    tol = numeric_verify._RQI_TOL_OVER_KINETIC * 2.0 / sp.problem.spacing**2
+    return np.maximum(2.0 * tol, 4.0 * np.spacing(sp.eigenvalues_raw))
+
+
+def _whole_interval(monkeypatch):
+    """Make solve_spectrum refine on the whole interval, as before windows."""
+    monkeypatch.setattr(numeric_verify, "_window", lambda problem, e_top: (0, len(problem.v)))
+
+
+@pytest.mark.parametrize("grid_size", [4000, 16000])
+@pytest.mark.parametrize("spec", [README_WELL, DEEP], ids=["readme", "deep-3-3"])
+def test_window_moves_levels_only_within_kato_temple(spec, grid_size, monkeypatch):
+    # on the deep well the window keeps a few percent of the interval, and
+    # its levels are near the kinetic scale, where their ulp exceeds the
+    # Kato-Temple tolerance
+    v = lambda x: potential_value(spec, x)
+    windowed = solve_spectrum(v, spec.deforming, 2, grid_size)
+    _whole_interval(monkeypatch)
+    whole = solve_spectrum(v, spec.deforming, 2, grid_size)
+    off = np.abs(windowed.eigenvalues_raw - whole.eigenvalues_raw)
+    assert np.all(off <= _kato_temple_bound(whole)), off
+
+
+_HARMONIC = DeformingFunction.trig_one(0.0)
+
+
+def _pocket(lo, hi):
+    """A harmonic well 20000 x^2 on (-pi/2, pi/2), whose window ends near
+    x = 0.85, with a flat pocket at 50 on (lo, hi) behind its barrier."""
+    return lambda x: np.where((x > lo) & (x < hi), 50.0, 20000.0 * x * x)
+
+
+def test_pocket_behind_a_barrier_takes_the_whole_interval(monkeypatch):
+    # the pocket's own levels lie near 4000, far above the two wanted, but
+    # its floor is below the top count point: dropped points must not be
+    # below it, so each refined grid is solved again on the whole interval
+    v = _pocket(1.45, 1.5)
+    calls = []
+    real = numeric_verify._refined_levels
+
+    def spy(problem, seeds, *window):
+        out = real(problem, seeds, *window)
+        calls.append((len(problem.v), window, out is None))
+        return out
+
+    monkeypatch.setattr(numeric_verify, "_refined_levels", spy)
+    sp = solve_spectrum(v, _HARMONIC, 2, 2000)
+    a, b = _window_of(sp.problem)
+    assert calls == [(999, (a // 2, b // 2), True), (999, (), False),
+                     (1999, (a, b), True), (1999, (), False)]
+    assert 0 < a and b < 1999
+    # without the pocket the same window is certified
+    calls.clear()
+    solve_spectrum(lambda x: 20000.0 * x * x, _HARMONIC, 2, 2000)
+    assert [window for _, window, _ in calls] == [(a // 2, b // 2), (a, b)]
+    _whole_interval(monkeypatch)
+    whole = solve_spectrum(v, _HARMONIC, 2, 2000)
+    assert np.array_equal(sp.eigenvalues, whole.eigenvalues)
+    assert np.array_equal(sp.eigenvalues_raw, whole.eigenvalues_raw)
+
+
+@pytest.mark.parametrize(
+    "v, df, certifies",
+    [
+        (lambda x: potential_value(README_WELL, x), README_WELL.deforming, True),
+        (_pocket(1.2, 1.5), _HARMONIC, False),
+    ],
+    ids=["readme", "pocket-level"],
+)
+def test_window_forced_too_tight_certifies_no_level_the_whole_grid_lacks(v, df, certifies):
+    # solve_spectrum's window, cut by 0 to 512 points at either end or both,
+    # refined from the whole grid's levels 0 and 1 and from its levels 0 and
+    # 2: whatever a window certifies is one of the whole grid's levels, by
+    # index.  The pocket well's level 1 lives in a flat pocket at 50 behind
+    # the barrier, outside every window, so none is certified there
+    problem = _flatten(v, df, 2000)
+    whole = _lowest_levels(problem, 3)
+    kin = 2.0 / problem.spacing**2
+    a, b = _window_of(problem)
+    certified = 0
+    for cut in (0, 8, 32, 128, 512):
+        for lo, hi in ((a + cut, b), (a, b - cut), (a + cut, b - cut)):
+            for index in ([0, 1], [0, 2]):
+                levels = _refined_levels(problem, whole[index], lo, hi)
+                if levels is not None:
+                    certified += 1
+                    np.testing.assert_allclose(
+                        levels, whole[:2], rtol=0.0, atol=np.finfo(float).eps * kin
+                    )
+    assert (certified > 0) == certifies
+
+
+
+def test_window_count_sees_a_level_its_cut_lifts_above_the_top():
+    # a harmonic well behind a barrier, levels 141 and 424, and a shelf at
+    # 500 on (0.5, 0.85) before a floor at 566, just above the top count
+    # point 565.5.  The shelf's level, 540 on the whole grid, rises to 579
+    # when the window is cut where the floor starts, above the top count
+    # point.  Each cut end's lowered diagonal entry brings it back below,
+    # so the count sees the third level in slot 1 and refuses, as the whole
+    # grid's count does
+    def shelf(x):
+        return np.select(
+            [np.abs(x) <= 0.3, x < 0.5, x < 0.85], [20000.0 * x * x, 1e5, 500.0], 566.0
+        )
+
+    problem = _flatten(shelf, _HARMONIC, 2000)
+    whole = _lowest_levels(problem, 3)
+    hi = int(np.searchsorted(problem.g, 0.85))
+    cut = FlattenedProblem(problem.g[:hi], problem.v[:hi], problem.spacing)
+    top = 1.5 * whole[1] - 0.5 * whole[0]
+    assert whole[2] < top < _lowest_levels(cut, 3)[2]
+    assert min(problem.v[hi:]) >= top
+    assert _refined_levels(problem, whole[:2], 0, hi) is None
+    assert _refined_levels(problem, whole[:2]) is None
 
 # --- residual ---------------------------------------------------------------
 

@@ -5,6 +5,8 @@ import hashlib
 import json
 import os
 
+import pytest
+
 import output_diff
 
 _ARGVS = [
@@ -24,6 +26,7 @@ def test_record_and_diff_three_inputs(capsys):
 
     changed = json.loads(json.dumps(runs))
     payload = json.loads(changed[0]["stdout"])
+    residual = payload["residual_psi0"]
     payload["residual_psi0"] *= 4.0
     payload["pass"] = False
     changed[0]["stdout"] = json.dumps(payload) + "\n"
@@ -32,7 +35,28 @@ def test_record_and_diff_three_inputs(capsys):
         "smoke: 3 inputs",
         "  stdout: 2 differ, max rel text",
         "  json.pass: 1 differ, max rel text",
-        "  json.residual_psi0: 1 differ, max rel 0.75",
+        f"  json.residual_psi0: 1 differ, max rel 0.75, max abs {3.0 * residual:.3g}",
+    ]
+
+
+def test_diff_counts_inputs_and_reports_the_widest_moves():
+    # two of three relative errors move: the count is 2, the largest
+    # relative move is the second's 1/3 and the largest absolute move, how
+    # far the measured value moved relative to its reference, the first's
+    # 2e-14; numbers inside a text line compare the same way
+    def run(errors, line):
+        return [{"argv": [str(i)], "rc": 0, "stdout": json.dumps({"spectral_rel_err0": err}),
+                 "stderr": line, "sha256": {}} for i, err in enumerate(errors)]
+
+    parent = run([1e-8, 3e-14, 5e-9], "took 2.0 ms")
+    change = run([1e-8 + 2e-14, 2e-14, 5e-9], "took 2.5 ms")
+    assert output_diff.compare(parent, change)["json.spectral_rel_err0"] == (
+        2, pytest.approx(1.0 / 3.0), pytest.approx(2e-14, rel=1e-6))
+    assert output_diff.diff_lines({"pool": parent}, {"pool": change}) == [
+        "pool: 3 inputs",
+        "  stdout: 2 differ, max rel 0.333, max abs 2e-14",
+        "  stderr: 3 differ, max rel 0.2, max abs 0.5",
+        "  json.spectral_rel_err0: 2 differ, max rel 0.333, max abs 2e-14",
     ]
 
 
