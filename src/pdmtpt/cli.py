@@ -35,7 +35,6 @@ from .tpt_exact import (
 from .tpt_extended import (
     ExtendedOneParamSpec,
     InternalConsistencyError,
-    JointWavefunctions,
     build_one_param,
     build_two_param,
     # not called here: perfbench/tracing.py TARGETS resolves them on pdmtpt.cli
@@ -212,14 +211,14 @@ def cmd_verify(args) -> int:
         payload[f"spectral_rel_err{level}"] = rel
 
     # each sample set below evaluates psi0 and psi1 together
-    psis = _joint_psis(spec)
+    psi = spec.psi
     samples = interior_samples(df, 41)
-    for name, r in zip(("psi0", "psi1"), residual(psis, v, df, (spec.e0, spec.e1), samples)):
+    for name, r in zip(("psi0", "psi1"), residual(psi, v, df, (spec.e0, spec.e1), samples)):
         checks.append(_below(f"residual {name}", "max", r, 1e-7))
         payload[f"residual_{name}"] = r
 
     # the nodes are counted on the samples of gram's last level
-    g, (y0, y1) = gram((psis.value,), df)
+    g, (y0, y1) = gram((psi.value,), df)
     n0 = count_nodes(y0)
     n1 = count_nodes(y1)
     checks.append(("nodes", n0 == 0 and n1 == 1, f"psi0={n0} psi1={n1} (want 0,1)"))
@@ -232,7 +231,7 @@ def cmd_verify(args) -> int:
     checks.append(_below("orthogonality", "|<0|1>|", overlap, 1e-8))
     payload["orthogonality"] = overlap
 
-    for name, bc in zip(("psi0", "psi1"), hermiticity_boundary_check(psis.value, df)):
+    for name, bc in zip(("psi0", "psi1"), hermiticity_boundary_check(psi.value, df)):
         checks.append(
             (
                 f"hermiticity {name}",
@@ -249,11 +248,6 @@ def cmd_verify(args) -> int:
     ]
     _emit(args, lines, payload)
     return 0 if all_pass else 1
-
-
-def _joint_psis(spec) -> JointWavefunctions:
-    """The spec's psi0 and psi1, evaluated together."""
-    return JointWavefunctions(spec.psi)
 
 
 def _below(name: str, shown: str, value: float, tol: float) -> tuple[str, bool, str]:
@@ -282,8 +276,7 @@ def _write_curve_file(path: str, spec, npoints: int) -> dict:
     inset = 1e-3 * (hi - lo)
     start, stop = lo + inset, hi - inset
     step = (stop - start) / (npoints - 1)
-    psis = _joint_psis(spec)
-    g, _ = gram((psis.value,), df)
+    g, _ = gram((spec.psi.value,), df)
     norm0 = _norm(g[0, 0], "psi0")
     norm1 = _norm(g[1, 1], "psi1")
     fields = _spec_fields(spec)
@@ -302,7 +295,7 @@ def _write_curve_file(path: str, spec, npoints: int) -> dict:
             if end == npoints:
                 xs[-1] = stop
             v = potential_value(spec, xs)
-            p0, p1 = psis.value(xs)
+            p0, p1 = spec.psi.value(xs)
             cells = np.stack((xs, v, p0 / norm0, p1 / norm1), axis=1).ravel().tolist()
             fh.write(_CSV_ROW * (end - first) % tuple(cells))
     return {

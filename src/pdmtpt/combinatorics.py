@@ -20,6 +20,7 @@ from fractions import Fraction
 
 __all__ = [
     "binomial",
+    "binomial_transform",
     "ladder_table",
     "fsum",
     "s_sum",
@@ -34,6 +35,16 @@ def binomial(n: int, k: int) -> int:
     if k < 0 or k > n:
         return 0
     return math.comb(n, k)
+
+
+def binomial_transform(c) -> tuple[float, ...]:
+    """r_q = sum_{k >= q} (-1)^(k-q) C(k, q) c_k, q = 0..len(c)-1: the
+    ladder sum_k c_k tan^(2k) x in powers of sec^2 x, sum_q r_q sec^(2q) x
+    (and likewise cot^2 x in csc^2 x)."""
+    return tuple(
+        fsum((-1.0) ** (k - q) * binomial(k, q) * c[k] for k in range(q, len(c)))
+        for q in range(len(c))
+    )
 
 
 def ladder_table(m: int) -> tuple[int, tuple[int, ...]]:

@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 
 from ._lazy import np
-from .combinatorics import fsum
+from .combinatorics import binomial_transform, fsum
 
 __all__ = [
     "Family",
@@ -181,17 +181,8 @@ class EvenTrigPoly:
         a, b = self.a, self.b
         const_terms = [(-1.0) ** k * a[k] for k in range(len(a))]
         const_terms += [(-1.0) ** l * b[l - 1] for l in range(1, len(b) + 1)]
-
-        def powers(c):
-            # sum_l c[l] tan^(2l) x in powers sec^(2k) x, k >= 1 (cot in csc alike)
-            return tuple(
-                fsum(
-                    (-1.0) ** (l - k) * math.comb(l, k) * c[l] for l in range(k, len(c))
-                )
-                for k in range(1, len(c))
-            )
-
-        return (fsum(const_terms), powers(a), powers((0.0,) + b))
+        # the transforms' sec^0 and csc^0 terms are the constant's, summed as one
+        return (fsum(const_terms), binomial_transform(a)[1:], binomial_transform((0.0,) + b)[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -305,8 +296,8 @@ def hermiticity_boundary_check(
     is called once, on the 257 interior points and the 6 probes together.
     It must map an array to an array of the same shape, for one BoundaryCheck,
     or to one of shape (k,) + its shape, k wavefunctions evaluated together
-    (`JointWavefunctions.value`), for a tuple of k; anything else raises a
-    ValueError.
+    (`ClosedFormWavefunction.value`, one row per level), for a tuple of k;
+    anything else raises a ValueError.
     """
     lo, hi = df.domain
     d = (hi - lo) / 8.0

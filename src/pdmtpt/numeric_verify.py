@@ -37,13 +37,13 @@ solve; the `scipy.linalg` package is never imported.
 Norms and overlaps of the closed-form wavefunctions come from nested
 composite Simpson (`gram`), which refines only until two successive levels
 agree, and whose final samples also serve the node count.  The pointwise
-residual of the eigenequation (`residual`) takes psi's first two
+residual of the eigenequation (`residual`) takes each level's first two
 derivatives in closed form from `ClosedFormWavefunction.log_form`, with no
 step to choose, and works in log space, so it neither underflows with psi
-nor carries a finite-difference error floor.  Both, and the Hermiticity
-check, also take several wavefunctions evaluated together
-(`tpt_extended.JointWavefunctions`), which `verify` uses to evaluate psi0
-and psi1 once per sample set.
+nor carries a finite-difference error floor.  `gram` and the Hermiticity
+check take plain callables of one psi or a `ClosedFormWavefunction.value`,
+which evaluates psi0 and psi1 together, so `verify` evaluates both once per
+sample set.
 """
 
 from __future__ import annotations
@@ -111,11 +111,6 @@ class NumericSpectrum:
     eigenvalues: np.ndarray
     grid_size: int
     errors: np.ndarray
-    # fine-grid values before Richardson extrapolation; these carry the plain
-    # O(h^2) discretization error and are what the convergence law applies to
-    eigenvalues_raw: np.ndarray
-    # the fine grid and its potential samples
-    problem: FlattenedProblem
 
 
 # Sampled potentials blow up like sec^(4m+2) next to the walls; entries many
@@ -400,6 +395,32 @@ def solve_spectrum(
     v is called once, with the array of x values of the N grid, and must
     return an array of the same shape; anything else raises ValueError.
     """
+    quarter, half, fine = _grid_levels(v, df, n_levels, grid_size)[1]
+    d1 = fine - half
+    d2 = half - quarter
+    vals = fine.copy()
+    errors = np.zeros_like(fine)
+    for k in range(n_levels):
+        scale = max(1.0, abs(fine[k]))
+        if abs(d1[k]) < 1e3 * sys.float_info.epsilon * scale:
+            # already at the eigensolver's floor; extrapolation would only
+            # amplify rounding noise
+            errors[k] = abs(d1[k])
+            continue
+        ratio = d2[k] / d1[k]
+        p = min(4.0, max(1.0, math.log2(ratio))) if ratio > 0.0 else 2.0
+        vals[k] += d1[k] / (2.0**p - 1.0)
+        errors[k] = abs(d1[k]) / (2.0**p - 1.0)
+    if not np.all(np.diff(vals) > 0.0):
+        raise ValueError(f"oracle cannot resolve: the N={grid_size} levels are out of order")
+    return NumericSpectrum(vals, grid_size, errors)
+
+
+def _grid_levels(
+    v, df: DeformingFunction, n_levels: int, grid_size: int
+) -> tuple[FlattenedProblem, list[np.ndarray]]:
+    """The N grid and the lowest n_levels of the N/4, N/2 and N grids,
+    before Richardson extrapolation, as `solve_spectrum` describes them."""
     if grid_size > _MAX_GRID_SIZE:
         raise ValueError(f"grid_size must be at most {_MAX_GRID_SIZE}, got {grid_size}")
     if grid_size < 64 or grid_size % 4:
@@ -427,25 +448,7 @@ def solve_spectrum(
         if levels is None:
             raise ValueError(f"oracle cannot resolve: the N={n} grid is not certified")
         solved.append(levels)
-    quarter, half, fine = (grid[:n_levels] for grid in solved)
-    d1 = fine - half
-    d2 = half - quarter
-    vals = fine.copy()
-    errors = np.zeros_like(fine)
-    for k in range(n_levels):
-        scale = max(1.0, abs(fine[k]))
-        if abs(d1[k]) < 1e3 * sys.float_info.epsilon * scale:
-            # already at the eigensolver's floor; extrapolation would only
-            # amplify rounding noise
-            errors[k] = abs(d1[k])
-            continue
-        ratio = d2[k] / d1[k]
-        p = min(4.0, max(1.0, math.log2(ratio))) if ratio > 0.0 else 2.0
-        vals[k] += d1[k] / (2.0**p - 1.0)
-        errors[k] = abs(d1[k]) / (2.0**p - 1.0)
-    if not np.all(np.diff(vals) > 0.0):
-        raise ValueError(f"oracle cannot resolve: the N={grid_size} levels are out of order")
-    return NumericSpectrum(vals, grid_size, errors, fine, full)
+    return full, [grid[:n_levels] for grid in solved]
 
 
 def interior_samples(df: DeformingFunction, n: int) -> np.ndarray:
@@ -455,34 +458,28 @@ def interior_samples(df: DeformingFunction, n: int) -> np.ndarray:
     return np.linspace(lo + inset, hi - inset, n)
 
 
-def residual(
-    psi, v, df: DeformingFunction, energy, samples
-) -> float | tuple[float, ...]:
-    """Max relative pointwise residual of the deformed eigenequation.
+def residual(psi, v, df: DeformingFunction, energies, samples) -> tuple[float, ...]:
+    """Max relative pointwise residual of the deformed eigenequation, per level.
 
     The residual -sqrt(f) (f (sqrt(f) psi)')' + (V - E) psi is e^L R with
 
         R = -sqrt(f) [f' (q' + q L') + f (q'' + 2 q' L' + q (L'' + L'^2))]
             + (V - E) q / sqrt(f),
 
-    where sqrt(f) psi = q e^L and the derivatives are psi's closed forms
-    (`ClosedFormWavefunction.log_form`).  Returns max |e^L R| / (|E| max|psi|)
+    where sqrt(f) psi = q e^L and the derivatives are the closed forms of
+    psi, a `ClosedFormWavefunction` (`log_form`).  Returns, for each level
+    and its energy E in `energies`, in order, max |e^L R| / (|E| max|psi|)
     over the samples, with numerator and max|psi| both taken in log space,
     so a psi that under- or overflows double precision still gives a ratio.
-
-    psi may also be several wavefunctions evaluated together
-    (`JointWavefunctions`), with energy one float per wavefunction; then
-    their log forms and V are taken once on the samples, and a tuple of
-    their residuals is returned, in order.  v is called once on the samples
-    and must map an array to an array of the same shape, and psi must be
-    built on df, or a ValueError is raised.
+    The levels' log forms and V are taken once on the samples.  v is called
+    once on the samples and must map an array to an array of the same
+    shape, psi must be built on df, and there must be one energy per level,
+    or a ValueError is raised.
     """
     if psi.df != df:
         raise ValueError(f"psi is built on {psi.df}, not on {df}")
     xs = np.asarray(samples, dtype=float)
-    single = np.ndim(energy) == 0
-    forms = [psi.log_form(xs)] if single else psi.log_form(xs)
-    energies = [energy] if single else list(energy)
+    forms = psi.log_form(xs)
     if len(forms) != len(energies):
         raise ValueError(f"{len(forms)} wavefunctions but {len(energies)} energies")
     f = df.f(xs)
@@ -500,7 +497,7 @@ def residual(
         if e == 0.0 or top == -math.inf:
             raise ValueError("zero scale: psi vanishes on all samples or E = 0")
         out.append(math.exp(float(np.max(_log_abs(r) + big_l)) - top) / abs(e))
-    return out[0] if single else tuple(out)
+    return tuple(out)
 
 
 def _log_abs(a: np.ndarray) -> np.ndarray:
@@ -551,8 +548,8 @@ def gram(psis, df: DeformingFunction) -> tuple[np.ndarray, np.ndarray]:
 
     Each entry of psis is called once per level with an array and returns
     an array of its shape, one psi, or of shape (k,) + its shape, k psis
-    evaluated together (`JointWavefunctions.value`); anything else raises
-    a ValueError.
+    evaluated together (`ClosedFormWavefunction.value`, one row per level);
+    anything else raises a ValueError.
     """
     lo, hi = df.domain
     width = hi - lo

@@ -28,9 +28,9 @@ Both spec classes store what their consumers read under the same names:
 the sec and csc ladders `a_coeffs` and `b_coeffs` (empty for the
 one-parameter family), the deforming function `deforming`, the closed-form
 wavefunctions `psi` and `dual_path`, the largest discrepancy of the build's
-E_0 and coefficient checks.  A spec's two wavefunctions share everything but
-their f exponent and prefactor, so `JointWavefunctions` evaluates them
-together.
+E_0 and coefficient checks.  `psi` is one `ClosedFormWavefunction` holding
+psi_0 and psi_1: they share everything but their f exponent and prefactor,
+so it stores the shared parts once and evaluates both levels together.
 
 The one-parameter closed forms read one double-factorial table per build,
 `ladder_table(m)`: (2m+1)!! and the denominators (2l+1)!! (2m-2l)!! of
@@ -43,7 +43,7 @@ with a leading block (j = 1) and, subtracted from two leading blocks, E_0
 (j = 0).
 
 The wavefunction constants of both families (C, and D for the csc ladder)
-read one resummation per ladder, `_resummed`: the coefficients of
+read one resummation per ladder, `binomial_transform`: the coefficients of
 sum_k lam_k tan^(2k) x in powers of sec^2 x.
 
 The two-parameter well maps onto itself under x -> pi/2 - x, alpha -> -alpha
@@ -68,7 +68,7 @@ import math
 from dataclasses import dataclass, replace
 
 from ._lazy import np
-from .combinatorics import binomial, f_poly, fsum, ladder_table, s_sum
+from .combinatorics import binomial, binomial_transform, f_poly, fsum, ladder_table, s_sum
 from .dsusy_core import (
     DeformingFunction,
     Family,
@@ -81,7 +81,6 @@ __all__ = [
     "ExtendedOneParamSpec",
     "ExtendedTwoParamSpec",
     "ClosedFormWavefunction",
-    "JointWavefunctions",
     "InternalConsistencyError",
     "build_one_param",
     "expand_and_resum_one_param",
@@ -159,154 +158,120 @@ def _euler(coeffs) -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class ClosedFormWavefunction:
-    """Wavefunction of the form
-    f^f_exp (cos x)^cos_exp (sin x)^sin_exp
-      * P(sin^2 x) * (sin x if odd)
-      * exp(-sum_K sec_coeffs[K-1] sec^(2K) x - sum_K csc_coeffs[K-1] csc^(2K) x).
+    """The closed-form wavefunctions of one well, one per level k, each
+    f^f_exp[k] (cos x)^cos_exp (sin x)^sin_exp
+      * P_k(sin^2 x) * (sin x if odd[k])
+      * exp(-sum_K sec_coeffs[K-1] sec^(2K) x - sum_K csc_coeffs[K-1] csc^(2K) x),
+    P_k having the coefficients poly[k].
 
+    The levels share df, the exponents of cos x and sin x and the ladders,
+    which are stored once; f_exp, poly and odd hold one entry per level.
     The leading sec (and csc, where present) coefficients are positive, so the
-    exponential wins at the boundaries and the value decays to zero there.
+    exponential wins at the boundaries and each value decays to zero there.
     Evaluation is done in log space to stay finite arbitrarily close to the
-    ends; scalar or numpy-array x is accepted.  `value` and `log_form` are
-    the one-psi case of `JointWavefunctions`.
+    ends; scalar or numpy-array x is accepted.  Each evaluation computes f,
+    cos x, sin x, their logs and the ladder sums once for all levels.
     """
 
     df: DeformingFunction
-    f_exp: float
     cos_exp: float
     sin_exp: float
     sec_coeffs: tuple[float, ...]
     csc_coeffs: tuple[float, ...]
-    poly: tuple[float, ...] = (1.0,)
-    odd: bool = False
-
-    def value(self, x):
-        self.df.check_interior(x)
-        [out] = _values((self,), np.asarray(x, dtype=float))
-        return float(out) if np.ndim(x) == 0 else out
-
-    def log_form(self, x):
-        """sqrt(f) psi = q e^L at the interior points x, in closed form.
-
-        q = P(sin^2 x) (sin x if odd) is the prefactor and L the log of the
-        rest.  Returns the lists [q, q', q''] and [L, L', L''], the primes
-        being x-derivatives.
-        """
-        self.df.check_interior(x)
-        [form] = _log_forms((self,), np.asarray(x, dtype=float), True)
-        return form
-
-
-@dataclass(frozen=True)
-class JointWavefunctions:
-    """Closed-form wavefunctions that share df, exponents of cos x and sin x
-    and ladders, evaluated together: they differ only in f_exp, poly and odd.
-
-    Each evaluation computes f, cos x, sin x, their logs and the sec/csc
-    ladder sums once for all of them; each psi then forms its own log from
-    these in the operand order of its lone evaluation, so every array is
-    bit-equal to that psi's `value` or `log_form`.  Wavefunctions that share
-    less raise ValueError.
-    """
-
-    psis: tuple[ClosedFormWavefunction, ...]
-
-    def __post_init__(self) -> None:
-        if not self.psis:
-            raise ValueError("need at least one wavefunction")
-        shared = lambda p: (p.df, p.cos_exp, p.sin_exp, p.sec_coeffs, p.csc_coeffs)
-        if any(shared(p) != shared(self.psis[0]) for p in self.psis[1:]):
-            raise ValueError(
-                "wavefunctions evaluated together must share df, the cos and sin "
-                "exponents and the sec and csc ladders"
-            )
-
-    @property
-    def df(self) -> DeformingFunction:
-        return self.psis[0].df
+    f_exp: tuple[float, ...]
+    poly: tuple[tuple[float, ...], ...]
+    odd: tuple[bool, ...]
 
     def value(self, x) -> np.ndarray:
-        """Each psi at x, stacked: shape (len(psis),) + x's shape."""
+        """Each level at x, stacked: shape (levels,) + x's shape.
+
+        Next to a wall a ladder sum may pass the largest double.  Its
+        leading coefficient is positive, so it is then +inf and the value
+        its limit 0, and that overflow is not reported.
+        """
         self.df.check_interior(x)
-        return np.stack(_values(self.psis, np.asarray(x, dtype=float)))
+        with np.errstate(over="ignore"):
+            forms = self._log_forms(np.asarray(x, dtype=float), False)
+        return np.stack([q * np.exp(expo) for (q,), (expo,) in forms])
 
     def log_form(self, x) -> list:
-        """Each psi's `log_form` at x, in order."""
+        """sqrt(f) psi = q e^L of each level at the interior points x, in
+        closed form.
+
+        q = P(sin^2 x) (sin x if odd) is the prefactor and L the log of the
+        rest.  Returns, per level, the lists [q, q', q''] and [L, L', L''],
+        the primes being x-derivatives.
+        """
         self.df.check_interior(x)
-        return _log_forms(self.psis, np.asarray(x, dtype=float), True)
+        return self._log_forms(np.asarray(x, dtype=float), True)
 
+    def _log_forms(self, x, derivatives: bool) -> list:
+        """[(q, L)] of `log_form` for each level at the array x.
 
-def _values(psis, x) -> list:
-    """Each psi at the array x, q e^L, from one `_log_forms`."""
-    return [q * np.exp(expo) for (q,), (expo,) in _log_forms(psis, x, False)]
+        With `derivatives`, f is raised to f_exp + 1/2, for sqrt(f) psi;
+        without, to f_exp, and only [q] and [L] are formed, as `value` needs
+        them.
 
-
-def _log_forms(psis, x, derivatives: bool) -> list:
-    """[(q, L)] of `log_form` for each psi, the parts they share computed once.
-
-    With `derivatives`, f is raised to f_exp + 1/2, for sqrt(f) psi; without,
-    to f_exp, and only [q] and [L] are formed, as `value` needs them.
-
-    With y = sec^2 x and g = tan x, or y = csc^2 x and g = -cot x, a ladder
-    F(y) = sum_K c_K y^K has dF/dx = 2 g DF and d^2F/dx^2 = 2 y DF + 4 g^2
-    D^2F, where D = y d/dy; the log of cos x or sin x has derivatives -g and
-    -y.  The terms of L, L' and L'' that every psi subtracts are collected
-    in `terms`, in the order each psi subtracts them.
-    """
-    first = psis[0]
-    df = first.df
-    f = df.f(x)
-    c = np.cos(x)
-    s = np.sin(x)
-    s2 = s * s
-    log_f = np.log(f)
-    log_cos = first.cos_exp * np.log(c)
-    log_sin = first.sin_exp * np.log(s) if first.sin_exp != 0.0 else None
-    terms: list[list] = [[], [], []]
-    if derivatives:
-        fp = df.f_prime(x) / f
-        curvature = df.f_second(x) / f - fp * fp
-    for expo, coeffs, trig, co in (
-        (first.cos_exp, first.sec_coeffs, c, s),
-        (first.sin_exp, first.csc_coeffs, s, -c),
-    ):
-        if not (coeffs or (derivatives and expo != 0.0)):
-            continue  # so nothing divides by sin x unless this side needs it
-        y = 1.0 / (trig * trig)
-        ladder = (0.0,) + coeffs
-        terms[0].append(_horner(ladder, y))
+        With y = sec^2 x and g = tan x, or y = csc^2 x and g = -cot x, a
+        ladder F(y) = sum_K c_K y^K has dF/dx = 2 g DF and d^2F/dx^2 = 2 y DF
+        + 4 g^2 D^2F, where D = y d/dy; the log of cos x or sin x has
+        derivatives -g and -y.  The terms of L, L' and L'' that every level
+        subtracts are collected in `terms`, in the order each subtracts them.
+        """
+        df = self.df
+        f = df.f(x)
+        c = np.cos(x)
+        s = np.sin(x)
+        s2 = s * s
+        log_f = np.log(f)
+        log_cos = self.cos_exp * np.log(c)
+        log_sin = self.sin_exp * np.log(s) if self.sin_exp != 0.0 else None
+        terms: list[list] = [[], [], []]
         if derivatives:
-            g = co / trig
-            slope = expo + 2.0 * _horner(_euler(ladder), y)  # L' gains -g slope
-            terms[1].append(g * slope)
-            terms[2] += [y * slope, 4.0 * g * g * _horner(_euler(_euler(ladder)), y)]
-    out = []
-    for psi in psis:
-        f_exp = psi.f_exp + 0.5 if derivatives else psi.f_exp
-        big_l = [f_exp * log_f + log_cos]
-        if log_sin is not None:
-            big_l[0] = big_l[0] + log_sin
-        q = [_horner(psi.poly, s2)]
-        if derivatives:
-            big_l += [f_exp * fp, f_exp * curvature]
-            # P(u) at u = sin^2 x, where u' = 2 s c and u'' = 2 (c^2 - s^2)
-            pu = _euler(psi.poly)[1:]
-            p1 = _horner(pu, s2)
-            q += [
-                p1 * 2.0 * s * c,
-                _horner(_euler(pu)[1:], s2) * 4.0 * s2 * c * c + p1 * 2.0 * (c * c - s2),
-            ]
-        for k in range(len(big_l)):
-            for term in terms[k]:
-                big_l[k] -= term  # each big_l[k] is this psi's own array
-        if psi.odd:
+            fp = df.f_prime(x) / f
+            curvature = df.f_second(x) / f - fp * fp
+        for expo, coeffs, trig, co in (
+            (self.cos_exp, self.sec_coeffs, c, s),
+            (self.sin_exp, self.csc_coeffs, s, -c),
+        ):
+            if not (coeffs or (derivatives and expo != 0.0)):
+                continue  # so nothing divides by sin x unless this side needs it
+            y = 1.0 / (trig * trig)
+            ladder = (0.0,) + coeffs
+            terms[0].append(_horner(ladder, y))
             if derivatives:
-                q[1:] = [q[1] * s + q[0] * c, q[2] * s + 2.0 * q[1] * c - q[0] * s]
-            q[0] = q[0] * s
-        if derivatives:
-            q[0] = np.broadcast_to(q[0], x.shape)  # a scalar where q is constant
-        out.append((q, big_l))
-    return out
+                g = co / trig
+                slope = expo + 2.0 * _horner(_euler(ladder), y)  # L' gains -g slope
+                terms[1].append(g * slope)
+                terms[2] += [y * slope, 4.0 * g * g * _horner(_euler(_euler(ladder)), y)]
+        out = []
+        for f_exp, poly, odd in zip(self.f_exp, self.poly, self.odd):
+            if derivatives:
+                f_exp += 0.5
+            big_l = [f_exp * log_f + log_cos]
+            if log_sin is not None:
+                big_l[0] = big_l[0] + log_sin
+            q = [_horner(poly, s2)]
+            if derivatives:
+                big_l += [f_exp * fp, f_exp * curvature]
+                # P(u) at u = sin^2 x, where u' = 2 s c and u'' = 2 (c^2 - s^2)
+                pu = _euler(poly)[1:]
+                p1 = _horner(pu, s2)
+                q += [
+                    p1 * 2.0 * s * c,
+                    _horner(_euler(pu)[1:], s2) * 4.0 * s2 * c * c + p1 * 2.0 * (c * c - s2),
+                ]
+            for k in range(len(big_l)):
+                for term in terms[k]:
+                    big_l[k] -= term  # each big_l[k] is this level's own array
+            if odd:
+                if derivatives:
+                    q[1:] = [q[1] * s + q[0] * c, q[2] * s + 2.0 * q[1] * c - q[0] * s]
+                q[0] = q[0] * s
+            if derivatives:
+                q[0] = np.broadcast_to(q[0], x.shape)  # a scalar where q is constant
+            out.append((q, big_l))
+        return out
 
 
 def _ladders(
@@ -337,7 +302,7 @@ class ExtendedOneParamSpec:
 
     The fields both families share: a_coeffs holds (A_2, A_4, ...,
     A_{4m+2}) and b_coeffs the csc ladder, empty here; deforming is f;
-    psi is the closed-form (psi_0, psi_1); dual_path is the largest
+    psi holds the closed-form psi_0 and psi_1; dual_path is the largest
     |closed form - expansion| the build measured over E_0 and the
     coefficients.  gap is the closed-form E_1 - E_0, and e1 is e0 + gap
     rounded once.  c_odd holds (C_1, C_3, ..., C_{2m+1}), the
@@ -355,7 +320,7 @@ class ExtendedOneParamSpec:
     gap: float
     c_odd: tuple[float, ...]
     deforming: DeformingFunction
-    psi: tuple[ClosedFormWavefunction, ClosedFormWavefunction]
+    psi: ClosedFormWavefunction
     dual_path: float
     b_coeffs: tuple[float, ...] = ()
 
@@ -429,19 +394,9 @@ def _closed_one(
     return e0, coeffs
 
 
-def _resummed(lam: tuple[float, ...]) -> tuple[float, ...]:
-    """r_q = sum_{k >= q} (-1)^(k-q) C(k, q) lam_k, q = 0..len(lam)-1: the
-    ladder sum_k lam_k tan^(2k) x in powers of sec^2 x, sum_q r_q sec^(2q) x
-    (and likewise cot^2 x in csc^2 x)."""
-    return tuple(
-        fsum((-1.0) ** (k - q) * binomial(k, q) * lam[k] for k in range(q, len(lam)))
-        for q in range(len(lam))
-    )
-
-
 def _c_odd_one(m: int, lam: tuple[float, ...], alpha: float) -> tuple[float, ...]:
     op = 1.0 + alpha
-    r = _resummed(lam)
+    r = binomial_transform(lam)
     return tuple(
         op ** (kappa - m - 1)
         * fsum(alpha ** (m - kappa - p) * op**p * r[m - p] for p in range(m - kappa + 1))
@@ -536,11 +491,11 @@ def build_one_param(m: int, a_top: float, alpha: float) -> ExtendedOneParamSpec:
 
     c1 = c_odd[0]
     sec = tuple(c_odd[kappa] / (2.0 * kappa) for kappa in range(1, m + 1))
-    psi = (
-        ClosedFormWavefunction(df, -0.5 * (c1 + 1.0), c1, 0.0, sec, ()),
-        ClosedFormWavefunction(
-            df, -0.5 * (c1 + 2.0 * m + 2.0), c1, 0.0, sec, (), poly=psi1_poly, odd=True
-        ),
+    psi = ClosedFormWavefunction(
+        df, c1, 0.0, sec, (),
+        f_exp=(-0.5 * (c1 + 1.0), -0.5 * (c1 + 2.0 * m + 2.0)),
+        poly=((1.0,), psi1_poly),
+        odd=(False, True),
     )
     return ExtendedOneParamSpec(
         m=m,
@@ -595,8 +550,8 @@ class ExtendedTwoParamSpec:
     spec by x -> pi/2 - x, alpha -> -alpha, with the two coefficient ladders
     swapped; evaluate this spec at pi/2 - x to recover the original system.
     The fields both families share: a_coeffs holds (A_2, ..., A_{4 m1 + 2})
-    and b_coeffs the csc ladder (B_2, ...); deforming is f; psi is the
-    closed-form (psi_0, psi_1); dual_path is the largest |closed form -
+    and b_coeffs the csc ladder (B_2, ...); deforming is f; psi holds the
+    closed-form psi_0 and psi_1; dual_path is the largest |closed form -
     expansion| the build measured over E_0 and both ladders.  gap is the
     closed-form E_1 - E_0, and e1 is e0 + gap rounded once.  c and d hold
     the partial-fraction constants C_p and D_q of the wavefunctions.
@@ -620,7 +575,7 @@ class ExtendedTwoParamSpec:
     c: tuple[float, ...]
     d: tuple[float, ...]
     deforming: DeformingFunction
-    psi: tuple[ClosedFormWavefunction, ClosedFormWavefunction]
+    psi: ClosedFormWavefunction
     dual_path: float
     reflected: bool = False
 
@@ -754,7 +709,7 @@ def _closed_two(
 def _c_two(m1: int, lam: tuple[float, ...], alpha: float) -> tuple[float, ...]:
     """C_1..C_{m1+1}; D_1..D_{m2+1} are _c_two(m2, mu, -alpha)."""
     om = 1.0 - alpha
-    r = _resummed(lam)
+    r = binomial_transform(lam)
     return tuple(
         fsum(
             2.0**q * (-alpha) ** (q - p + 1) / om ** (q - p + 2) * r[q]
@@ -873,12 +828,11 @@ def build_two_param(
     c1, d1 = c[0], d[0]
     sec = tuple(c[p - 1] / (2.0**p * (p - 1)) for p in range(2, m1 + 2))
     csc = tuple(d[q - 1] / (2.0**q * (q - 1)) for q in range(2, m2 + 2))
-    psi = (
-        ClosedFormWavefunction(df, -0.5 * (c1 + d1 + 1.0), c1, d1, sec, csc),
-        ClosedFormWavefunction(
-            df, -0.5 * (c1 + d1 + 2.0 * m1 + 2.0 * m2 + 3.0), c1, d1, sec, csc,
-            poly=psi1_poly,
-        ),
+    psi = ClosedFormWavefunction(
+        df, c1, d1, sec, csc,
+        f_exp=(-0.5 * (c1 + d1 + 1.0), -0.5 * (c1 + d1 + 2.0 * m1 + 2.0 * m2 + 3.0)),
+        poly=((1.0,), psi1_poly),
+        odd=(False, False),
     )
     return ExtendedTwoParamSpec(
         m1=m1,
@@ -909,10 +863,12 @@ def build_two_param(
 
 
 def closed_form_wavefunction(spec, level: int) -> ClosedFormWavefunction:
-    """The level-0 or level-1 closed-form wavefunction of a built spec."""
+    """The level-0 or level-1 closed-form wavefunction of a built spec: the
+    one-level view of `spec.psi`, whose rows are that level's."""
     if level not in (0, 1):
         raise ValueError(f"only levels 0 and 1 exist in closed form, got {level}")
-    return spec.psi[level]
+    psi, k = spec.psi, slice(level, level + 1)
+    return replace(psi, f_exp=psi.f_exp[k], poly=psi.poly[k], odd=psi.odd[k])
 
 
 def potential_value(spec, x):

@@ -19,10 +19,9 @@
 * `c_odd_nested` and `c_two_nested`: the wavefunction constants with the
   alternating binomial sum of the ladder taken afresh inside the outer sum,
   as `tpt_extended` took it before it read one resummation per ladder.
-* `lone_log_form`: one closed-form wavefunction's q and L (and, with
-  `derivatives`, their first two derivatives), evaluated alone, as
-  `ClosedFormWavefunction` evaluated each psi before psi0 and psi1 shared
-  one evaluation (`tpt_extended.JointWavefunctions`).
+* `lone_log_form`: one level's q and L (and, with `derivatives`, their
+  first two derivatives), evaluated alone, as each psi was evaluated before
+  psi0 and psi1 shared one evaluation of f, cos x, sin x and the ladders.
 * `refined_levels_fresh_arrays`: the oracle's Rayleigh-quotient refinement
   on a whole grid with a new array for each pass and `np.sum` dot
   products, as `numeric_verify._refined_levels` ran it before its work
@@ -170,10 +169,12 @@ def c_two_nested(m1: int, lam, alpha: float) -> tuple[float, ...]:
     return tuple(c)
 
 
-def lone_log_form(psi, x, derivatives: bool):
-    """([q, ...], [L, ...]) of one psi at the array x: f raised to f_exp, or
-    to f_exp + 1/2 with `derivatives`, which adds q', q'', L' and L''."""
-    f_exp = psi.f_exp + 0.5 if derivatives else psi.f_exp
+def lone_log_form(psi, level: int, x, derivatives: bool):
+    """([q, ...], [L, ...]) of one level of psi at the array x: f raised to
+    f_exp, or to f_exp + 1/2 with `derivatives`, which adds q', q'', L' and
+    L''."""
+    f_exp = psi.f_exp[level] + 0.5 if derivatives else psi.f_exp[level]
+    poly = psi.poly[level]
     f = psi.df.f(x)
     c = np.cos(x)
     s = np.sin(x)
@@ -181,11 +182,11 @@ def lone_log_form(psi, x, derivatives: bool):
     big_l = [f_exp * np.log(f) + psi.cos_exp * np.log(c)]
     if psi.sin_exp != 0.0:
         big_l[0] = big_l[0] + psi.sin_exp * np.log(s)
-    q = [_horner(psi.poly, s2)]
+    q = [_horner(poly, s2)]
     if derivatives:
         fp = psi.df.f_prime(x) / f
         big_l += [f_exp * fp, f_exp * (psi.df.f_second(x) / f - fp * fp)]
-        pu = _euler(psi.poly)[1:]
+        pu = _euler(poly)[1:]
         p1 = _horner(pu, s2)
         q += [
             p1 * 2.0 * s * c,
@@ -205,7 +206,7 @@ def lone_log_form(psi, x, derivatives: bool):
             slope = expo + 2.0 * _horner(_euler(ladder), y)
             big_l[1] = big_l[1] - g * slope
             big_l[2] = big_l[2] - y * slope - 4.0 * g * g * _horner(_euler(_euler(ladder)), y)
-    if psi.odd:
+    if psi.odd[level]:
         if derivatives:
             q[1:] = [q[1] * s + q[0] * c, q[2] * s + 2.0 * q[1] * c - q[0] * s]
         q[0] = q[0] * s

@@ -208,9 +208,7 @@ def test_criterion_5_wavefunction_correctness():
         df = spec.deforming
         v = lambda x: potential_value(spec, x)
         samples = interior_samples(df, 41)
-        for level, energy in ((0, spec.e0), (1, spec.e1)):
-            psi = closed_form_wavefunction(spec, level)
-            worst_res = max(worst_res, residual(psi, v, df, energy, samples))
+        worst_res = max(worst_res, *residual(spec.psi, v, df, (spec.e0, spec.e1), samples))
     for p, energy_fn, pot_fn, wavefn in _es_baselines():
         df = p.deforming
         v = lambda x: pot_fn(p, x)
@@ -230,18 +228,17 @@ def test_criterion_5_wavefunction_correctness():
         lo, hi = df.domain
         inset = 1e-6 * (hi - lo)
         xs = np.linspace(lo + inset, hi - inset, 4001)
-        psi0 = closed_form_wavefunction(spec, 0)
-        psi1 = closed_form_wavefunction(spec, 1)
-        nodes_ok = nodes_ok and count_nodes(psi0.value(xs)) == 0
-        nodes_ok = nodes_ok and count_nodes(psi1.value(xs)) == 1
-        norm0 = math.sqrt(inner_product(psi0.value, psi0.value, df))
-        norm1 = math.sqrt(inner_product(psi1.value, psi1.value, df))
-        overlap = abs(inner_product(psi0.value, psi1.value, df)) / (norm0 * norm1)
+        y0, y1 = spec.psi.value(xs)
+        nodes_ok = nodes_ok and count_nodes(y0) == 0
+        nodes_ok = nodes_ok and count_nodes(y1) == 1
+        psi0 = closed_form_wavefunction(spec, 0).value
+        psi1 = closed_form_wavefunction(spec, 1).value
+        norm0 = math.sqrt(inner_product(psi0, psi0, df))
+        norm1 = math.sqrt(inner_product(psi1, psi1, df))
+        overlap = abs(inner_product(psi0, psi1, df)) / (norm0 * norm1)
         worst_overlap = max(worst_overlap, overlap)
-        for psi in (psi0, psi1):
-            hermiticity_ok = (
-                hermiticity_ok and hermiticity_boundary_check(psi.value, df).passed
-            )
+        for check in hermiticity_boundary_check(spec.psi.value, df):
+            hermiticity_ok = hermiticity_ok and check.passed
     for p, _, _, wavefn in _es_baselines():
         df = p.deforming
         for n in range(4):

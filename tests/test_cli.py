@@ -23,12 +23,13 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings, strategies as st
+from hypothesis import HealthCheck, given, seed, settings, strategies as st
 
 import pdmtpt
 from pdmtpt import cli, tpt_extended
@@ -37,7 +38,6 @@ from pdmtpt.dsusy_core import Family, TrigLaurentPoly
 from pdmtpt.numeric_verify import gram, inner_product
 from pdmtpt.tpt_extended import (
     ClosedFormWavefunction,
-    JointWavefunctions,
     _gap_two,
     build_one_param,
     build_two_param,
@@ -81,8 +81,8 @@ def _per_row_curve(path, spec, npoints):
     norm0 = math.sqrt(inner_product(psi0.value, psi0.value, df))
     norm1 = math.sqrt(inner_product(psi1.value, psi1.value, df))
     v = potential_value(spec, xs)
-    p0 = psi0.value(xs) / norm0
-    p1 = psi1.value(xs) / norm1
+    p0 = psi0.value(xs)[0] / norm0
+    p1 = psi1.value(xs)[0] / norm1
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(
             f"# family=extended-two, params=m1={spec.m1};m2={spec.m2};"
@@ -447,10 +447,17 @@ def _extend_check_argv(draw) -> list[str]:
 
 
 def _assert_cli_contract(argv):
-    """Every input gets a verified answer or one typed line, with exit 0-3."""
+    """Every input gets a verified answer or one typed line, with exit 0-3.
+
+    A usage error exits 2 through argparse's SystemExit, as the process
+    does.  Returns the exit code and stdout.
+    """
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        rc = main(argv)
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
     assert rc in (0, 1, 2, 3)
     if rc == 1 and not out.getvalue():
         [line] = err.getvalue().splitlines()
@@ -458,6 +465,7 @@ def _assert_cli_contract(argv):
     if rc == 0 and "--json" in argv:
         payload = json.loads(out.getvalue())
         assert all(math.isfinite(v) for v in payload.values() if isinstance(v, float))
+    return rc, out.getvalue()
 
 
 @seed(2411)
@@ -489,6 +497,91 @@ def test_verify_keeps_the_cli_contract(argv):
     # the whole interval, their edge cases: windows of a few dozen points,
     # levels near the kinetic scale, wells the quarter grid cannot resolve
     _assert_cli_contract(argv)
+
+
+@st.composite
+def _output_argv(draw) -> list[str]:
+    """argv of `sample`, `figures` or `exact`; "{out}" stands for the
+    directory an example writes under.  --npoints is small or above its
+    bound, and --nmax is small or near its bound."""
+    # half of the examples draw every parameter where builds succeed
+    in_range = draw(st.booleans())
+    floats = lambda lo, hi: st.floats(lo, hi).map(repr) if in_range else _contract_floats(lo, hi)
+    top = floats(0.25, 4.0)
+    alpha = f"--alpha={draw(floats(-0.8, 0.8))}"
+    command = draw(st.sampled_from(["sample", "figures", "exact"]))
+    argv = [command] + (["--json"] if draw(st.booleans()) else [])
+    # one in ten out of range
+    npoints = f"--npoints={draw(st.sampled_from([*range(2, 41), -1, 0, 1, _MAX_NPOINTS + 1]))}"
+    if command == "figures":
+        return argv + [f"--outdir={{out}}/{draw(st.sampled_from(['figs', 'a/b']))}", npoints]
+    if command == "exact":
+        family = draw(st.sampled_from(["--one", "--two"]))
+        argv += [family, f"-A={draw(floats(1.25, 4.0))}"]
+        # -B belongs to --two; one in eight gets it wrong
+        if (family == "--two") != (draw(st.integers(0, 7)) == 0):
+            argv.append(f"-B={draw(floats(1.25, 4.0))}")
+        nmax = draw(st.one_of(st.integers(-1, 12), st.integers(9_990, 10_001)))
+        return argv + [alpha, f"--nmax={nmax}"]
+    if draw(st.booleans()):
+        argv += ["--one", "-m", str(draw(st.integers(0, 20)))]
+    else:
+        depths = st.integers(0, 20)
+        argv += ["--two", "--m1", str(draw(depths)), "--m2", str(draw(depths)),
+                 f"--btop={draw(top)}"]
+    # a missing directory and a directory itself are unwritable
+    out = draw(st.sampled_from(["curve.csv", "missing/curve.csv", ""]))
+    return argv + [f"--atop={draw(top)}", alpha, npoints, f"--out={{out}}/{out}"]
+
+
+def _files_under(root) -> list[str]:
+    return sorted(os.path.join(d, f) for d, _, files in os.walk(root) for f in files)
+
+
+def _data_rows(path) -> list[list[float]]:
+    """The CSV rows of a curve file below its two comments and header."""
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    assert lines[0].startswith("# ") and lines[1].startswith("# ")
+    assert lines[2] == "x,V,psi0,psi1"
+    return [[float(cell) for cell in line.split(",")] for line in lines[3:]]
+
+
+@seed(2611)
+@settings(
+    max_examples=300, deadline=None, database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(_output_argv())
+def test_sample_figures_and_exact_keep_the_cli_contract(tmp_path, argv):
+    # each example writes under a directory of its own; a command that does
+    # not exit 0 leaves no file, and every curve file it writes holds the
+    # rows it reports, all finite
+    root = tempfile.mkdtemp(dir=tmp_path)
+    argv = [arg.replace("{out}", root) for arg in argv]
+    rc, out = _assert_cli_contract(argv)
+    files = _files_under(root)
+    if rc != 0:
+        assert files == []
+        return
+    if argv[0] == "exact":
+        nmax = int(argv[-1].partition("=")[2])
+        report = json.loads(out) if "--json" in argv else _kv(out)
+        assert [k for k in report if k[:1] == "E"] == [f"E{n}" for n in range(nmax + 1)]
+        assert all(math.isfinite(float(v)) for k, v in report.items() if k != "family")
+        assert files == []
+        return
+    npoints = int(next(a for a in argv if a.startswith("--npoints=")).partition("=")[2])
+    if argv[0] == "figures":
+        assert len(files) == 6
+    else:
+        [path] = files
+        rows = json.loads(out)["rows"] if "--json" in argv else int(out.split("(")[1].split()[0])
+        assert rows == npoints
+    for path in files:
+        data = np.array(_data_rows(path))
+        assert data.shape == (npoints, 4)
+        assert np.all(np.isfinite(data))
 
 
 class TestVerify:
@@ -557,38 +650,31 @@ class TestVerify:
         # nested levels up to 8193 points (1025 + 1024 + 2048 + 4096), whose
         # samples the node count reads, then the 263-point Hermiticity set
         # (257 interior points and 6 probes); the residual reads their
-        # closed-form log forms once on its 41 samples.  No psi is evaluated
-        # alone.  V: one sampling for the oracle's three grids, one for the
-        # residual
-        calls = {"value": [], "log_form": [], "alone": 0, "v": 0}
-        value = JointWavefunctions.value
-        log_form = JointWavefunctions.log_form
+        # closed-form log forms once on its 41 samples.  No level is
+        # evaluated alone.  V: one sampling for the oracle's three grids,
+        # one for the residual
+        calls = {"value": [], "log_form": [], "v": 0}
 
-        def joint(name, method):
-            def counted(self, x):
-                calls[name].append((len(self.psis), np.size(x)))
+        def counted(name):
+            method = getattr(ClosedFormWavefunction, name)
+
+            def wrapped(self, x):
+                calls[name].append((len(self.f_exp), np.size(x)))
                 return method(self, x)
-            return counted
-
-        def alone(self, x):
-            calls["alone"] += 1
-            raise AssertionError("a psi was evaluated alone")
+            return wrapped
 
         def v_value(spec, x):
             calls["v"] += 1
             return potential_value(spec, x)
 
-        monkeypatch.setattr(JointWavefunctions, "value", joint("value", value))
-        monkeypatch.setattr(JointWavefunctions, "log_form", joint("log_form", log_form))
-        monkeypatch.setattr(ClosedFormWavefunction, "value", alone)
-        monkeypatch.setattr(ClosedFormWavefunction, "log_form", alone)
+        monkeypatch.setattr(ClosedFormWavefunction, "value", counted("value"))
+        monkeypatch.setattr(ClosedFormWavefunction, "log_form", counted("log_form"))
         monkeypatch.setattr(cli, "potential_value", v_value)
         argv = ["--two", "--m1", "1", "--m2", "0", "--atop", "1", "--btop", "1"]
         assert main(["verify", *argv, "--alpha", "0.5", "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["pass"] is True
         assert calls["value"] == [(2, 1025), (2, 1024), (2, 2048), (2, 4096), (2, 263)]
         assert calls["log_form"] == [(2, 41)]
-        assert calls["alone"] == 0
         assert calls["v"] == 2
 
     @pytest.mark.parametrize(
@@ -679,10 +765,10 @@ class TestSample:
         scale0 = float(np.max(np.abs(data[:, 2])))
         scale1 = float(np.max(np.abs(data[:, 3])))
         np.testing.assert_allclose(
-            data[:, 2], psi0.value(xs) / norm0, rtol=1e-9, atol=1e-9 * scale0
+            data[:, 2], psi0.value(xs)[0] / norm0, rtol=1e-9, atol=1e-9 * scale0
         )
         np.testing.assert_allclose(
-            data[:, 3], psi1.value(xs) / norm1, rtol=1e-9, atol=1e-9 * scale1
+            data[:, 3], psi1.value(xs)[0] / norm1, rtol=1e-9, atol=1e-9 * scale1
         )
         # the recorded norms really are the closed forms' L2 norms
         g, _ = gram((psi0.value, psi1.value), spec.deforming)
@@ -757,6 +843,21 @@ class TestSample:
         assert captured.err.startswith("error: precision limit")
         assert len(captured.err.splitlines()) == 1
         assert not out.exists()
+
+    def test_ladder_sum_past_the_largest_double_is_not_reported(self, tmp_path, capsys):
+        # next to the wall the sec ladder of the reflected (18, 0) well passes
+        # the largest double on gram's grid: psi's exponent is -inf there and
+        # psi its limit 0.  NumPy's overflow warning went to stderr beside a
+        # correct file, and under this suite's warning filter it raised
+        out = tmp_path / "curve.csv"
+        argv = ["--two", "--m1", "0", "--m2", "18", "--atop", "1", "--btop", "1", "--alpha", "0.5"]
+        assert main(["sample", *argv, "--npoints", "5", "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out == f"wrote {out} (5 rows)\n"
+        data = np.array(_data_rows(out))
+        assert data.shape == (5, 4) and np.all(np.isfinite(data))
+        assert np.all(data[-2:, 2:] == 0.0)
 
     def test_unwritable_path_exits_3(self, tmp_path, capsys):
         out = tmp_path / "missing" / "curve.csv"

@@ -10,6 +10,7 @@ from scipy.special import eval_gegenbauer, eval_jacobi
 
 from pdmtpt.combinatorics import (
     binomial,
+    binomial_transform,
     f_poly,
     fsum,
     gegenbauer,
@@ -88,6 +89,18 @@ def test_s_sum_positive_and_float_consistent(m, data):
         )
         terms.append(top / den)
     assert math.fsum(terms) == pytest.approx(float(exact), rel=1e-14)
+
+
+def test_binomial_transform_rewrites_tan_powers_in_sec_powers():
+    assert binomial_transform(()) == ()
+    assert binomial_transform((3.0, 5.0, 7.0)) == (3.0 - 5.0 + 7.0, 5.0 - 14.0, 7.0)
+    # sum_k c_k tan^(2k) x = sum_q r_q sec^(2q) x at a few points
+    c = (0.5, -2.0, 1.25, 3.0)
+    r = binomial_transform(c)
+    for x in (0.1, 0.7, 1.3):
+        tan_side = sum(ck * math.tan(x) ** (2 * k) for k, ck in enumerate(c))
+        sec_side = sum(rq / math.cos(x) ** (2 * q) for q, rq in enumerate(r))
+        assert sec_side == pytest.approx(tan_side, rel=1e-12)
 
 
 def test_f_poly_values():

@@ -10,6 +10,7 @@ from scipy import integrate
 from pdmtpt.dsusy_core import (
     CompatibilityError,
     DeformingFunction,
+    EvenTrigPoly,
     Family,
     GapSignError,
     TrigLaurentPoly,
@@ -17,7 +18,7 @@ from pdmtpt.dsusy_core import (
     hermiticity_boundary_check,
     partner_potential,
 )
-from pdmtpt.combinatorics import ladder_table
+from pdmtpt.combinatorics import fsum, ladder_table
 from pdmtpt.tpt_exact import (
     ExactOneParam,
     ExactTwoParam,
@@ -188,6 +189,32 @@ def test_partner_potential_at_origin():
     assert const == pytest.approx(-lam * (lam - 1.0) - lam)
 
 
+def _powers_inline(c):
+    # sum_l c[l] tan^(2l) x in powers sec^(2k) x, k >= 1, as `resummed`
+    # formed it before it read `binomial_transform`
+    return tuple(
+        fsum((-1.0) ** (l - k) * math.comb(l, k) * c[l] for l in range(k, len(c)))
+        for k in range(1, len(c))
+    )
+
+
+def test_resummed_reads_the_one_binomial_transform():
+    # ladders spanning 12 decades, so the alternating sums cancel; the
+    # constant stays one sum over both ladders
+    rng = np.random.default_rng(26)
+    for _ in range(1000):
+        a, b = (
+            tuple(float(v) for v in rng.uniform(-1, 1, n) * 10.0 ** rng.uniform(-6, 6, n))
+            for n in rng.integers((1, 0), 18)
+        )
+        const, sec, csc = EvenTrigPoly(Family.TWO, a, b).resummed()
+        assert sec == _powers_inline(a)
+        assert csc == _powers_inline((0.0,) + b)
+        terms = [(-1.0) ** k * a[k] for k in range(len(a))]
+        terms += [(-1.0) ** l * b[l - 1] for l in range(1, len(b) + 1)]
+        assert const == fsum(terms)
+
+
 def test_partner_potential_which_flag():
     w = TrigLaurentPoly(Family.ONE, (2.0,))
     with pytest.raises(ValueError):
@@ -296,7 +323,7 @@ def test_numeric_matches_closed_form_ratios():
             [_psi1_numeric(w_plus, w_prime, df, float(x)) for x in xs],
         )
         for level, num in enumerate(numeric):
-            closed = closed_form_wavefunction(spec, level).value(xs)
+            [closed] = closed_form_wavefunction(spec, level).value(xs)
             k = np.argmax(np.abs(closed))
             np.testing.assert_allclose(
                 np.array(num) / num[k], closed / closed[k], rtol=1e-9, err_msg=f"{name} psi{level}"
@@ -309,7 +336,7 @@ def test_numeric_matches_closed_form_ratios():
 def test_hermiticity_check_passes_for_bound_state():
     spec = build_one_param(1, 1.0, -0.5)
     psi0 = closed_form_wavefunction(spec, 0)
-    check = hermiticity_boundary_check(psi0.value, ONE_HALF)
+    [check] = hermiticity_boundary_check(psi0.value, ONE_HALF)
     assert check.passed
     assert check.lower_limit < 1e-8 * check.interior_max
     assert check.upper_limit < 1e-8 * check.interior_max

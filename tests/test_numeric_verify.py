@@ -19,6 +19,7 @@ from pdmtpt.numeric_verify import (
     _TOL_OVER_KINETIC,
     _fd_bands,
     _flatten,
+    _grid_levels,
     _lowest_levels,
     _refined_levels,
     _window,
@@ -33,7 +34,6 @@ from pdmtpt.numeric_verify import (
 )
 from pdmtpt.tpt_exact import ExactOneParam, ExactTwoParam, energy_one_param, energy_two_param, potential_one_param, potential_two_param, wavefn_one_param, wavefn_two_param
 from pdmtpt.tpt_extended import (
-    JointWavefunctions,
     build_one_param,
     build_two_param,
     closed_form_wavefunction,
@@ -55,6 +55,12 @@ REF_WELLS = {
 DEEP = build_two_param(3, 3, 0.7263938773669912, 0.8168151264305867, 0.647763353173183)
 # the README's example well, two 2,1,1,1.3,0.3
 README_WELL = build_two_param(2, 1, 1.0, 1.3, 0.3)
+
+
+def _level_value(spec, level):
+    """One level of spec's closed forms, as a callable of one psi."""
+    view = closed_form_wavefunction(spec, level)
+    return lambda x: view.value(x)[0]
 
 
 def _trapezoid(y, x):
@@ -175,7 +181,7 @@ def test_callables_must_map_arrays_to_arrays():
     with pytest.raises(ValueError, match="shape"):
         stencil_residual(np.cos, scalar, df, 1.0, xs)
     with pytest.raises(ValueError, match="shape"):
-        residual(FIG1.psi[0], scalar, FIG1.deforming, FIG1.e0, xs)
+        residual(FIG1.psi, scalar, FIG1.deforming, (FIG1.e0, FIG1.e1), xs)
     with pytest.raises(ValueError, match="shape"):
         hermiticity_boundary_check(scalar, df)
 
@@ -226,44 +232,44 @@ def test_raw_eigenvalues_second_order_at_smooth_walls():
     for spec in (FIG1, FIG3):
         closed = np.array([spec.e0, spec.e1])
         v = lambda x, s=spec: potential_value(s, x)
-        c = np.abs(solve_spectrum(v, spec.deforming, 2, 512).eigenvalues_raw - closed)
-        f = np.abs(solve_spectrum(v, spec.deforming, 2, 1024).eigenvalues_raw - closed)
+        c = np.abs(_grid_levels(v, spec.deforming, 2, 512)[1][2] - closed)
+        f = np.abs(_grid_levels(v, spec.deforming, 2, 1024)[1][2] - closed)
         np.testing.assert_allclose(c / f, 4.0, rtol=0.05)
 
 
-# Reference eigenvectors, computed here from the fine-grid problem that
-# solve_spectrum returns; the oracle itself computes eigenvalues only.
+# Reference eigenvectors, computed here from the fine-grid problem of
+# solve_spectrum; the oracle itself computes eigenvalues only.
 
 
-def _reference_eigenvectors(sp, n_levels):
-    """Fine-grid eigenvectors behind sp: unit L2 norm in g, largest entry > 0."""
-    p = sp.problem
+def _reference_eigenvectors(v, df, n_levels, grid_size):
+    """The oracle's fine grid and its eigenvectors: unit L2 norm in g,
+    largest entry > 0."""
+    p, (_, _, raw) = _grid_levels(v, df, n_levels, grid_size)
     kin = 2.0 / p.spacing**2
     vals, vecs = eigh_tridiagonal(
         *_fd_bands(p.v, p.spacing), select="i", select_range=(0, n_levels - 1),
         tol=_TOL_OVER_KINETIC * kin,
     )
     # the same operator as the oracle's fine grid
-    np.testing.assert_allclose(vals, sp.eigenvalues_raw, rtol=0.0, atol=np.finfo(float).eps * kin)
+    np.testing.assert_allclose(vals, raw, rtol=0.0, atol=np.finfo(float).eps * kin)
     u = vecs.T / np.sqrt(p.spacing * np.sum(vecs.T**2, axis=1, keepdims=True))
     anchors = np.argmax(np.abs(u), axis=1)
-    return u * np.sign(u[np.arange(n_levels), anchors])[:, None]
+    return p, u * np.sign(u[np.arange(n_levels), anchors])[:, None]
 
 
 def test_sturm_node_counts():
     p = ExactOneParam(2.0, 0.0)
-    sp = solve_spectrum(lambda x: potential_one_param(p, x), p.deforming, 4, 4000)
-    u = _reference_eigenvectors(sp, 4)
+    _, u = _reference_eigenvectors(lambda x: potential_one_param(p, x), p.deforming, 4, 4000)
     for k in range(4):
         assert count_nodes(u[k]) == k
 
 
 def test_eigenvector_matches_closed_ground_state():
-    sp = solve_spectrum(lambda x: potential_value(FIG1, x), FIG1.deforming, 1, 4000)
+    p, u = _reference_eigenvectors(lambda x: potential_value(FIG1, x), FIG1.deforming, 1, 4000)
     # psi = u/sqrt(f) is unit L2(dx) when u is unit L2(dg)
-    x = np.asarray(mass_unflatten(FIG1.deforming, sp.problem.g))
-    psi_num = _reference_eigenvectors(sp, 1)[0] / np.sqrt(FIG1.deforming.f(x))
-    psi0 = closed_form_wavefunction(FIG1, 0).value
+    x = np.asarray(mass_unflatten(FIG1.deforming, p.g))
+    psi_num = u[0] / np.sqrt(FIG1.deforming.f(x))
+    psi0 = _level_value(FIG1, 0)
     closed = psi0(x) / math.sqrt(inner_product(psi0, psi0, FIG1.deforming))
     if _trapezoid(psi_num * closed, x) < 0.0:
         closed = -closed
@@ -329,11 +335,13 @@ def test_refined_levels_match_long_double_sturm(spec, grid_size, ulps, n_levels)
     # refined on its window.  Its levels are near the kinetic scale, where
     # one ulp of a level is about half of eps * 2/h^2: there the bound is 4
     # ulps (the whole-interval solve is 2.04 ulps off on its level 3)
-    sp = solve_spectrum(lambda x: potential_value(spec, x), spec.deforming, n_levels, grid_size)
-    ref = _sturm_levels_longdouble(sp.problem, n_levels)
-    kin = 2.0 / sp.problem.spacing**2
-    bound = np.maximum(1e-3 * np.finfo(float).eps * kin, ulps * np.spacing(sp.eigenvalues_raw))
-    off = np.abs(sp.eigenvalues_raw - ref.astype(float))
+    problem, (_, _, raw) = _grid_levels(
+        lambda x: potential_value(spec, x), spec.deforming, n_levels, grid_size
+    )
+    ref = _sturm_levels_longdouble(problem, n_levels)
+    kin = 2.0 / problem.spacing**2
+    bound = np.maximum(1e-3 * np.finfo(float).eps * kin, ulps * np.spacing(raw))
+    off = np.abs(raw - ref.astype(float))
     assert np.all(off <= bound), off / bound
 
 
@@ -362,10 +370,12 @@ def test_bracketed_levels_match_the_index_solve(spec, grid_size):
     # the refined fine-grid levels are the index solve's to within its own
     # Sturm floor.  How much closer they come is
     # test_refined_levels_match_long_double_sturm's
-    sp = solve_spectrum(lambda x: potential_value(spec, x), spec.deforming, 2, grid_size)
-    kin = 2.0 / sp.problem.spacing**2
+    problem, (_, _, raw) = _grid_levels(
+        lambda x: potential_value(spec, x), spec.deforming, 2, grid_size
+    )
+    kin = 2.0 / problem.spacing**2
     np.testing.assert_allclose(
-        sp.eigenvalues_raw, _lowest_levels(sp.problem, 2), rtol=0.0, atol=np.finfo(float).eps * kin
+        raw, _lowest_levels(problem, 2), rtol=0.0, atol=np.finfo(float).eps * kin
     )
 
 
@@ -401,12 +411,11 @@ def test_spectrum_samples_v_once(spec, grid_size):
     v = lambda x: sizes.append(x.size) or potential_value(spec, x)
     sp = solve_spectrum(v, spec.deforming, 2, grid_size)
     assert sizes == [grid_size - 1]
-    vals, errors, raw = _three_flatten_spectrum(
-        lambda x: potential_value(spec, x), spec.deforming, grid_size
-    )
+    v = lambda x: potential_value(spec, x)
+    vals, errors, raw = _three_flatten_spectrum(v, spec.deforming, grid_size)
     assert np.array_equal(sp.eigenvalues, vals)
     assert np.array_equal(sp.errors, errors)
-    assert np.array_equal(sp.eigenvalues_raw, raw)
+    assert np.array_equal(_grid_levels(v, spec.deforming, 2, grid_size)[1][2], raw)
 
 
 def test_empty_bracket_is_refused():
@@ -503,15 +512,17 @@ def test_one_sturm_count_per_refined_grid(spec, monkeypatch):
         return real(d, e, rng, *args)
 
     monkeypatch.setattr(numeric_verify, "lapack", _lapack_with(counted))
+    v = lambda x: potential_value(spec, x)
+    problem = _flatten(v, spec.deforming, 4000)
     for n_levels in (1, 2, 4):
         calls.clear()
-        sp = solve_spectrum(lambda x: potential_value(spec, x), spec.deforming, n_levels, 4000)
+        solve_spectrum(v, spec.deforming, n_levels, 4000)
         counts = calls[1:]
         assert [rng for rng, _, _ in calls] == [2, 1, 1]
-        a, b = _window_of(sp.problem, n_levels)
+        a, b = _window_of(problem, n_levels)
         assert [n for _, n, _ in counts] == [b // 2 - a // 2, b - a]
         assert all(m == n - 1 for _, n, m in counts)
-        assert spec is not DEEP or b - a < 0.06 * len(sp.problem.v)
+        assert spec is not DEEP or b - a < 0.06 * len(problem.v)
 
 
 
@@ -538,11 +549,12 @@ def test_refinement_work_arrays_are_bit_identical(spec, grid_size):
             assert (new is None and old is None) or np.array_equal(new, old)
 
 
-def _kato_temple_bound(sp):
-    """Twice the refined grids' Kato-Temple tolerance, or 4 ulps of a level
-    where that is wider: two certified values of one level differ by less."""
-    tol = numeric_verify._RQI_TOL_OVER_KINETIC * 2.0 / sp.problem.spacing**2
-    return np.maximum(2.0 * tol, 4.0 * np.spacing(sp.eigenvalues_raw))
+def _kato_temple_bound(problem, levels):
+    """Twice the refined grids' Kato-Temple tolerance on problem, or 4 ulps
+    of a level where that is wider: two certified values of one level
+    differ by less."""
+    tol = numeric_verify._RQI_TOL_OVER_KINETIC * 2.0 / problem.spacing**2
+    return np.maximum(2.0 * tol, 4.0 * np.spacing(levels))
 
 
 def _whole_interval(monkeypatch):
@@ -557,11 +569,11 @@ def test_window_moves_levels_only_within_kato_temple(spec, grid_size, monkeypatc
     # its levels are near the kinetic scale, where their ulp exceeds the
     # Kato-Temple tolerance
     v = lambda x: potential_value(spec, x)
-    windowed = solve_spectrum(v, spec.deforming, 2, grid_size)
+    _, (_, _, windowed) = _grid_levels(v, spec.deforming, 2, grid_size)
     _whole_interval(monkeypatch)
-    whole = solve_spectrum(v, spec.deforming, 2, grid_size)
-    off = np.abs(windowed.eigenvalues_raw - whole.eigenvalues_raw)
-    assert np.all(off <= _kato_temple_bound(whole)), off
+    problem, (_, _, whole) = _grid_levels(v, spec.deforming, 2, grid_size)
+    off = np.abs(windowed - whole)
+    assert np.all(off <= _kato_temple_bound(problem, whole)), off
 
 
 _HARMONIC = DeformingFunction.trig_one(0.0)
@@ -588,7 +600,7 @@ def test_pocket_behind_a_barrier_takes_the_whole_interval(monkeypatch):
 
     monkeypatch.setattr(numeric_verify, "_refined_levels", spy)
     sp = solve_spectrum(v, _HARMONIC, 2, 2000)
-    a, b = _window_of(sp.problem)
+    a, b = _window_of(_flatten(v, _HARMONIC, 2000))
     assert calls == [(999, (a // 2, b // 2), True), (999, (), False),
                      (1999, (a, b), True), (1999, (), False)]
     assert 0 < a and b < 1999
@@ -596,10 +608,11 @@ def test_pocket_behind_a_barrier_takes_the_whole_interval(monkeypatch):
     calls.clear()
     solve_spectrum(lambda x: 20000.0 * x * x, _HARMONIC, 2, 2000)
     assert [window for _, window, _ in calls] == [(a // 2, b // 2), (a, b)]
+    windowed_raw = _grid_levels(v, _HARMONIC, 2, 2000)[1]
     _whole_interval(monkeypatch)
     whole = solve_spectrum(v, _HARMONIC, 2, 2000)
     assert np.array_equal(sp.eigenvalues, whole.eigenvalues)
-    assert np.array_equal(sp.eigenvalues_raw, whole.eigenvalues_raw)
+    assert np.array_equal(windowed_raw[2], _grid_levels(v, _HARMONIC, 2, 2000)[1][2])
 
 
 @pytest.mark.parametrize(
@@ -664,8 +677,8 @@ def test_residual_flags_wrong_energy():
     xs = interior_samples(FIG3.deforming, 41)
     psi1 = closed_form_wavefunction(FIG3, 1)
     v = lambda x: potential_value(FIG3, x)
-    good = residual(psi1, v, FIG3.deforming, FIG3.e1, xs)
-    bad = residual(psi1, v, FIG3.deforming, FIG3.e1 + 1.0, xs)
+    [good] = residual(psi1, v, FIG3.deforming, (FIG3.e1,), xs)
+    [bad] = residual(psi1, v, FIG3.deforming, (FIG3.e1 + 1.0,), xs)
     assert good < 1e-7
     assert bad > 1e-3
 
@@ -673,12 +686,13 @@ def test_residual_flags_wrong_energy():
 def test_residual_rejects_zero_scale():
     df = FIG1.deforming
     xs = interior_samples(df, 11)
+    psi0 = closed_form_wavefunction(FIG1, 0)
     with pytest.raises(ValueError, match="zero scale"):
-        residual(FIG1.psi[0], np.ones_like, df, 0.0, xs)
+        residual(psi0, np.ones_like, df, (0.0,), xs)
     # a zero prefactor: psi vanishes on every sample, log max|psi| is -inf
-    vanishing = replace(FIG1.psi[0], poly=(0.0,))
+    vanishing = replace(psi0, poly=((0.0,),))
     with pytest.raises(ValueError, match="zero scale"):
-        residual(vanishing, np.ones_like, df, FIG1.e0, xs)
+        residual(vanishing, np.ones_like, df, (FIG1.e0,), xs)
     with pytest.raises(ValueError, match="zero scale"):
         stencil_residual(np.zeros_like, np.ones_like, df, 1.0, xs)
 
@@ -689,7 +703,7 @@ def test_residual_rejects_psi_of_another_deforming_function():
     assert FIG1.deforming != df
     xs = interior_samples(df, 11)
     with pytest.raises(ValueError, match="built on"):
-        residual(FIG1.psi[0], lambda x: potential_value(FIG1, x), df, FIG1.e0, xs)
+        residual(FIG1.psi, lambda x: potential_value(FIG1, x), df, (FIG1.e0, FIG1.e1), xs)
 
 
 # Wells of the fault-injection tests: (m1, m2, atop, btop, alpha).
@@ -706,26 +720,26 @@ def _residuals(spec, v_spec=None, energy_factor=1.0):
     v_spec = spec if v_spec is None else v_spec
     v = lambda x: potential_value(v_spec, x)
     xs = interior_samples(spec.deforming, 41)
-    return [
-        residual(psi, v, spec.deforming, energy * energy_factor, xs)
-        for psi, energy in zip(spec.psi, (spec.e0, spec.e1))
-    ]
+    energies = (spec.e0 * energy_factor, spec.e1 * energy_factor)
+    return residual(spec.psi, v, spec.deforming, energies, xs)
 
 
 def test_closed_form_residual_against_the_stencil():
     for spec in (FIG1, FIG3, FIG5):
         v = lambda x, s=spec: potential_value(s, x)
         xs = interior_samples(spec.deforming, 41)
-        for psi, energy in zip(spec.psi, (spec.e0, spec.e1)):
-            assert residual(psi, v, spec.deforming, energy, xs) <= 1e-12
-            assert stencil_residual(psi.value, v, spec.deforming, energy, xs) < 1e-7
+        energies = (spec.e0, spec.e1)
+        for level, r in enumerate(residual(spec.psi, v, spec.deforming, energies, xs)):
+            assert r <= 1e-12
+            psi = _level_value(spec, level)
+            assert stencil_residual(psi, v, spec.deforming, energies[level], xs) < 1e-7
     # a fault far above the stencil's floor reads the same on both
     spec = build_two_param(*_FAULT_WELLS[0])
     faulty = _with_a2(spec, 1.0 + 1e-6)
     v = lambda x: potential_value(faulty, x)
     xs = interior_samples(spec.deforming, 41)
-    for psi, energy, got in zip(spec.psi, (spec.e0, spec.e1), _residuals(spec, faulty)):
-        want = stencil_residual(psi.value, v, spec.deforming, energy, xs)
+    for level, (energy, got) in enumerate(zip((spec.e0, spec.e1), _residuals(spec, faulty))):
+        want = stencil_residual(_level_value(spec, level), v, spec.deforming, energy, xs)
         assert abs(got - want) <= 0.05 * want
 
 
@@ -734,9 +748,8 @@ def test_residual_fails_injected_faults(well):
     spec = build_two_param(*well)
     assert all(r >= 1e-7 for r in _residuals(spec, _with_a2(spec, 1.0 + 1e-5)))
     assert all(r >= 1e-7 for r in _residuals(spec, energy_factor=1.0 + 1e-6))
-    psi0 = spec.psi[0]
-    sec = (psi0.sec_coeffs[0] * (1.0 + 1e-4),) + psi0.sec_coeffs[1:]
-    bad = replace(spec, psi=(replace(psi0, sec_coeffs=sec), spec.psi[1]))
+    sec = (spec.psi.sec_coeffs[0] * (1.0 + 1e-4),) + spec.psi.sec_coeffs[1:]
+    bad = replace(spec, psi=replace(spec.psi, sec_coeffs=sec))
     assert _residuals(bad)[0] >= 1e-7
     # a fault below the tolerance still shows far above the floor
     clean = _residuals(spec)
@@ -794,8 +807,7 @@ def _check_cases():
     for spec in (FIG1, FIG3, FIG5):
         v = lambda x, s=spec: potential_value(s, x)
         for level, energy in ((0, spec.e0), (1, spec.e1)):
-            psi = closed_form_wavefunction(spec, level).value
-            yield psi, v, spec.deforming, energy, 0
+            yield _level_value(spec, level), v, spec.deforming, energy, 0
     baselines = (
         (ExactOneParam(2.0, -0.5), energy_one_param, potential_one_param, wavefn_one_param),
         (ExactOneParam(2.0, 0.0), energy_one_param, potential_one_param, wavefn_one_param),
@@ -840,15 +852,15 @@ def test_count_nodes_threshold_and_resolution():
 def test_inner_product_parity_cancellation():
     # even ground state against odd first excited state: Simpson on the
     # symmetric grid cancels exactly, not merely to quadrature accuracy
-    psi0 = closed_form_wavefunction(FIG1, 0).value
-    psi1 = closed_form_wavefunction(FIG1, 1).value
+    psi0 = _level_value(FIG1, 0)
+    psi1 = _level_value(FIG1, 1)
     ip = inner_product(psi0, psi1, FIG1.deforming)
     assert abs(ip) < 1e-12
 
 
 def test_inner_product_orthogonality_without_parity():
-    psi0 = closed_form_wavefunction(FIG3, 0).value
-    psi1 = closed_form_wavefunction(FIG3, 1).value
+    psi0 = _level_value(FIG3, 0)
+    psi1 = _level_value(FIG3, 1)
     n0 = math.sqrt(inner_product(psi0, psi0, FIG3.deforming))
     n1 = math.sqrt(inner_product(psi1, psi1, FIG3.deforming))
     assert abs(inner_product(psi0, psi1, FIG3.deforming)) / (n0 * n1) < 1e-8
@@ -883,7 +895,7 @@ def test_inner_product_matches_scipy_simpson(spec):
     df = spec.deforming
     lo, hi = df.domain
     xs = np.linspace(lo + 1e-9 * (hi - lo), hi - 1e-9 * (hi - lo), 16385)
-    psi = [closed_form_wavefunction(spec, k).value for k in (0, 1)]
+    psi = [_level_value(spec, k) for k in (0, 1)]
     ours = {}
     for i, j in ((0, 0), (1, 1), (0, 1)):
         ref = float(integrate.simpson(psi[i](xs) * psi[j](xs), x=xs))
@@ -896,7 +908,7 @@ def test_inner_product_matches_scipy_simpson(spec):
 @pytest.mark.parametrize("spec", REF_WELLS.values(), ids=REF_WELLS.keys())
 def test_gram_is_the_pairwise_inner_products(spec):
     calls = []
-    psi = [closed_form_wavefunction(spec, k).value for k in (0, 1)]
+    psi = [_level_value(spec, k) for k in (0, 1)]
     counted = [lambda x, p=p: calls.append(x.size) or p(x) for p in psi]
     g, ys = gram(counted, spec.deforming)
     assert calls == [1025, 1025, 1024, 1024]
@@ -935,7 +947,7 @@ GRAM_WELLS = {**REF_WELLS, "two-1-0": FIG5}
 def test_gram_forced_to_stride_1_is_the_plain_rule(spec, monkeypatch):
     monkeypatch.setattr(numeric_verify, "_SIMPSON_FIRST", numeric_verify._SIMPSON_POINTS)
     calls = []
-    psi = [closed_form_wavefunction(spec, k).value for k in (0, 1)]
+    psi = [_level_value(spec, k) for k in (0, 1)]
     counted = [lambda x, p=p: calls.append(x.size) or p(x) for p in psi]
     g, _ = gram(counted, spec.deforming)
     assert calls == [16385, 16385]
@@ -944,7 +956,7 @@ def test_gram_forced_to_stride_1_is_the_plain_rule(spec, monkeypatch):
 
 @pytest.mark.parametrize("spec", GRAM_WELLS.values(), ids=GRAM_WELLS.keys())
 def test_gram_lands_on_the_full_grid_value(spec):
-    psi = [closed_form_wavefunction(spec, k).value for k in (0, 1)]
+    psi = [_level_value(spec, k) for k in (0, 1)]
     g, _ = gram(psi, spec.deforming)
     ref = _plain_simpson_gram(psi, spec.deforming)
     scale = np.sqrt(np.outer(np.diag(ref), np.diag(ref)))
@@ -973,23 +985,25 @@ def test_narrow_bump_is_refined_not_an_underflowing_norm():
 @pytest.mark.parametrize("spec", GRAM_WELLS.values(), ids=GRAM_WELLS.keys())
 def test_checks_read_the_joint_evaluation_as_the_lone_ones(spec):
     # gram, the Hermiticity check and the residual give, from psi0 and psi1
-    # evaluated together, exactly what they give from each psi alone
+    # evaluated together, exactly what they give from each level alone
     df = spec.deforming
-    joint = JointWavefunctions(spec.psi)
-    lone = [psi.value for psi in spec.psi]
-    g, ys = gram((joint.value,), df)
+    lone = [_level_value(spec, k) for k in (0, 1)]
+    g, ys = gram((spec.psi.value,), df)
     g_lone, ys_lone = gram(lone, df)
     assert np.array_equal(g, g_lone)
     assert np.array_equal(ys, ys_lone)
-    checks = hermiticity_boundary_check(joint.value, df)
+    checks = hermiticity_boundary_check(spec.psi.value, df)
     assert checks == tuple(hermiticity_boundary_check(psi, df) for psi in lone)
     v = lambda x: potential_value(spec, x)
     xs = interior_samples(df, 41)
     energies = (spec.e0, spec.e1)
-    got = residual(joint, v, df, energies, xs)
-    assert got == tuple(residual(psi, v, df, e, xs) for psi, e in zip(spec.psi, energies))
+    got = residual(spec.psi, v, df, energies, xs)
+    assert got == tuple(
+        residual(closed_form_wavefunction(spec, k), v, df, (e,), xs)[0]
+        for k, e in enumerate(energies)
+    )
     with pytest.raises(ValueError, match="2 wavefunctions but 1 energies"):
-        residual(joint, v, df, energies[:1], xs)
+        residual(spec.psi, v, df, energies[:1], xs)
     with pytest.raises(ValueError, match="shape"):
         hermiticity_boundary_check(lambda x: np.ones((2, x.size + 1)), df)
     with pytest.raises(ValueError, match="shape"):

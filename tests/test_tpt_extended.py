@@ -7,7 +7,6 @@ runs on.  Deeper cases are covered by the dual construction paths agreeing.
 """
 
 import math
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -34,7 +33,6 @@ from references import (
 )
 from pdmtpt.tpt_extended import (
     InternalConsistencyError,
-    JointWavefunctions,
     build_one_param,
     build_two_param,
     closed_form_wavefunction,
@@ -143,12 +141,12 @@ class TestOneParamLonghandForms:
         sa = math.sqrt(a_top)
         op = 1.0 + alpha
         w0 = closed_form_wavefunction(spec, 0)
-        assert w0.f_exp == pytest.approx(0.25 - sa / (4.0 * op**2), rel=1e-12)
+        assert w0.f_exp == pytest.approx((0.25 - sa / (4.0 * op**2),), rel=1e-12)
         assert w0.cos_exp == pytest.approx(sa / (2.0 * op**2) - 1.5, rel=1e-12)
         assert w0.sec_coeffs == pytest.approx((sa / (2.0 * op),), rel=1e-12)
         assert w0.csc_coeffs == ()
-        assert w0.poly == (1.0,)
-        assert not w0.odd
+        assert w0.poly == ((1.0,),)
+        assert w0.odd == (False,)
 
     @pytest.mark.parametrize("a_top,alpha", CASES)
     def test_excited_state_factors(self, a_top, alpha):
@@ -156,10 +154,10 @@ class TestOneParamLonghandForms:
         sa = math.sqrt(a_top)
         op = 1.0 + alpha
         w1 = closed_form_wavefunction(spec, 1)
-        assert w1.f_exp == pytest.approx(-1.25 - sa / (4.0 * op**2), rel=1e-12)
+        assert w1.f_exp == pytest.approx((-1.25 - sa / (4.0 * op**2),), rel=1e-12)
         assert w1.cos_exp == pytest.approx(sa / (2.0 * op**2) - 1.5, rel=1e-12)
-        assert w1.odd
-        _assert_proportional(w1.poly, (3.0, -(1.0 - 2.0 * alpha)))
+        assert w1.odd == (True,)
+        _assert_proportional(w1.poly[0], (3.0, -(1.0 - 2.0 * alpha)))
 
     @pytest.mark.parametrize("a_top,alpha", CASES)
     def test_ground_state_pointwise(self, a_top, alpha):
@@ -174,7 +172,7 @@ class TestOneParamLonghandForms:
             * np.exp(-sa / (2.0 * op) / np.cos(xs) ** 2)
         )
         np.testing.assert_allclose(
-            closed_form_wavefunction(spec, 0).value(xs), want, rtol=1e-12
+            closed_form_wavefunction(spec, 0).value(xs)[0], want, rtol=1e-12
         )
 
 
@@ -593,13 +591,14 @@ def test_log_form_is_sqrt_f_psi_and_its_derivatives(spec):
     xs = interior_samples(df, 41)
     h = 1e-3
     stencil = xs[:, None] + h * np.arange(-2.0, 3.0)
-    for psi in spec.psi:
-        (q, q1, q2), (big_l, l1, l2) = psi.log_form(xs)
+    psi = spec.psi
+    for ((q, q1, q2), (big_l, l1, l2)), value, ((qs, *_), (ls, *_)) in zip(
+        psi.log_form(xs), psi.value(xs), psi.log_form(stencil), strict=True
+    ):
         assert all(np.shape(a) == xs.shape for a in (q, q1, q2, big_l, l1, l2))
         np.testing.assert_allclose(
-            q * np.exp(big_l), np.sqrt(df.f(xs)) * psi.value(xs), rtol=1e-12, atol=0.0
+            q * np.exp(big_l), np.sqrt(df.f(xs)) * value, rtol=1e-12, atol=0.0
         )
-        (qs, *_), (ls, *_) = psi.log_form(stencil)
         for derivatives, y in (((q1, q2), qs), ((l1, l2), ls)):
             d1 = (y[:, 0] - 8.0 * y[:, 1] + 8.0 * y[:, 3] - y[:, 4]) / (12.0 * h)
             d2 = (-y[:, 0] + 16.0 * y[:, 1] - 30.0 * y[:, 2] + 16.0 * y[:, 3] - y[:, 4]) / (
@@ -612,9 +611,9 @@ def test_log_form_is_sqrt_f_psi_and_its_derivatives(spec):
                 )
 
 
-# psi0 and psi1 evaluated together: the three wells of `figures`, a
-# reflected well (m1 < m2), an m2 = 0 well and `two 3,3,2,1,0.6`, whose
-# psis underflow on most of the domain
+# psi0 and psi1 of one well: the three wells of `figures`, a reflected well
+# (m1 < m2), an m2 = 0 well and `two 3,3,2,1,0.6`, whose psis underflow on
+# most of the domain
 JOINT_WELLS = {
     "fig1": build_one_param(1, 1.0, -0.5),
     "fig3": build_two_param(1, 1, 1.0, 1.0, 0.5),
@@ -625,62 +624,62 @@ JOINT_WELLS = {
 }
 
 
-@pytest.mark.parametrize("spec", JOINT_WELLS.values(), ids=JOINT_WELLS.keys())
-def test_joint_evaluation_is_bit_identical(spec):
+def _joint_samples(df):
     # gram's grid, the residual's 41 samples (x = 0 for the one-parameter
     # family, where psi1 is 0) and the points next to each wall, where psi
-    # underflows to 0 and, beside a csc ladder, L to -inf; each array equals
-    # the psi's lone evaluation as it was, and its `value` and `log_form`
-    df = spec.deforming
+    # underflows to 0 and, beside a csc ladder, L to -inf
     lo, hi = df.domain
     width = hi - lo
-    xs = np.concatenate((
+    return np.concatenate((
         np.linspace(lo + 1e-9 * width, hi - 1e-9 * width, 1025),
         interior_samples(df, 41),
         [np.nextafter(lo, hi), np.nextafter(hi, lo)],
     ))
-    joint = JointWavefunctions(spec.psi)
+
+
+@pytest.mark.parametrize("spec", JOINT_WELLS.values(), ids=JOINT_WELLS.keys())
+def test_joint_evaluation_is_bit_identical(spec):
+    # each level's row equals that level evaluated alone
+    df = spec.deforming
+    xs = _joint_samples(df)
+    psi = spec.psi
     # the wall points overflow sec^2 or csc^2 x on purpose
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        values = joint.value(xs)
-        forms = joint.log_form(xs)
+        values = psi.value(xs)
+        forms = psi.log_form(xs)
         assert values.shape == (2,) + xs.shape
-        for psi, value, (q, big_l) in zip(spec.psi, values, forms):
-            (q_lone,), (l_lone,) = lone_log_form(psi, xs, False)
+        for level, (value, (q, big_l)) in enumerate(zip(values, forms, strict=True)):
+            (q_lone,), (l_lone,) = lone_log_form(psi, level, xs, False)
             assert np.array_equal(value, q_lone * np.exp(l_lone))
-            assert np.array_equal(value, psi.value(xs))
             assert np.any(value == 0.0)
-            want_q, want_l = lone_log_form(psi, xs, True)
-            alone_q, alone_l = psi.log_form(xs)
-            for got, alone, want in zip(q + big_l, alone_q + alone_l, want_q + want_l):
+            want_q, want_l = lone_log_form(psi, level, xs, True)
+            for got, want in zip(q + big_l, want_q + want_l, strict=True):
                 assert np.array_equal(got, want, equal_nan=True)
-                assert np.array_equal(alone, want, equal_nan=True)
             assert np.isneginf(big_l[0][-2]) == bool(psi.csc_coeffs)
     if df.family is Family.ONE:
         assert values[1][1025 + 20] == 0.0  # psi1 at x = 0
     else:
         assert spec.reflected == (spec is JOINT_WELLS["reflected"])
-    # a scalar x gives one value per psi
-    mid = 0.5 * (lo + hi)
-    assert np.array_equal(joint.value(mid), [psi.value(mid) for psi in spec.psi])
+    # a scalar x gives one value per level
+    mid = np.float64(0.5 * sum(df.domain))
+    lone = [lone_log_form(psi, level, mid, False) for level in (0, 1)]
+    assert np.array_equal(psi.value(mid), [q * np.exp(big_l) for (q,), (big_l,) in lone])
 
 
-def test_joint_evaluation_needs_shared_parts():
-    fig1, fig3 = JOINT_WELLS["fig1"], JOINT_WELLS["fig3"]
-    other_alpha = build_two_param(1, 1, 1.0, 1.0, 0.4)
-    for psis in (
-        (),
-        (fig1.psi[0], fig3.psi[0]),  # another df
-        (fig3.psi[0], other_alpha.psi[1]),  # another df of the same family
-        (fig3.psi[0], replace(fig3.psi[1], cos_exp=fig3.psi[1].cos_exp + 1.0)),
-        (fig3.psi[0], replace(fig3.psi[1], sin_exp=fig3.psi[1].sin_exp + 1.0)),
-        (fig3.psi[0], replace(fig3.psi[1], sec_coeffs=fig3.psi[1].sec_coeffs + (1.0,))),
-        (fig3.psi[0], replace(fig3.psi[1], csc_coeffs=())),
-    ):
-        with pytest.raises(ValueError):
-            JointWavefunctions(psis)
-    # f_exp, poly and odd may differ
-    JointWavefunctions((fig1.psi[0], replace(fig1.psi[1], f_exp=0.25, poly=(2.0, 1.0))))
+@pytest.mark.parametrize("spec", JOINT_WELLS.values(), ids=JOINT_WELLS.keys())
+def test_level_view_is_the_levels_row(spec):
+    xs = _joint_samples(spec.deforming)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        values = spec.psi.value(xs)
+        forms = spec.psi.log_form(xs)
+        for level in (0, 1):
+            view = closed_form_wavefunction(spec, level)
+            [value] = view.value(xs)
+            [(q, big_l)] = view.log_form(xs)
+            assert np.array_equal(value, values[level])
+            want_q, want_l = forms[level]
+            for got, want in zip(q + big_l, want_q + want_l, strict=True):
+                assert np.array_equal(got, want, equal_nan=True)
 
 
 class TestTwoParamWavefunctions:
@@ -698,16 +697,16 @@ class TestTwoParamWavefunctions:
         op, om = 1.0 + alpha, 1.0 - alpha
         w0 = closed_form_wavefunction(spec, 0)
         assert w0.f_exp == pytest.approx(
-            -op * sa / om**2 - om * sb / op**2 + 1.0, rel=1e-12
+            (-op * sa / om**2 - om * sb / op**2 + 1.0,), rel=1e-12
         )
         assert w0.cos_exp == pytest.approx(2.0 * op * sa / om**2 - 1.5, rel=1e-12)
         assert w0.sin_exp == pytest.approx(2.0 * om * sb / op**2 - 1.5, rel=1e-12)
         assert w0.sec_coeffs == pytest.approx((sa / (2.0 * om),), rel=1e-12)
         assert w0.csc_coeffs == pytest.approx((sb / (2.0 * op),), rel=1e-12)
         w1 = closed_form_wavefunction(spec, 1)
-        assert w1.f_exp == pytest.approx(w0.f_exp - 3.0, rel=1e-12)
+        assert w1.f_exp[0] == pytest.approx(w0.f_exp[0] - 3.0, rel=1e-12)
         _assert_proportional(
-            w1.poly,
+            w1.poly[0],
             (
                 -2.0 * sb,
                 12.0 * alpha * sb / op,
@@ -725,17 +724,17 @@ class TestTwoParamWavefunctions:
         delta = math.sqrt(op**2 + 4.0 * b2)
         w0 = closed_form_wavefunction(spec, 0)
         assert w0.f_exp == pytest.approx(
-            -op * sa / (2.0 * om**2) - delta / (4.0 * op), rel=1e-12
+            (-op * sa / (2.0 * om**2) - delta / (4.0 * op),), rel=1e-12
         )
         assert w0.cos_exp == pytest.approx(op * sa / om**2 - 1.5, rel=1e-12)
         assert w0.sin_exp == pytest.approx(delta / (2.0 * op) + 0.5, rel=1e-12)
         assert w0.sec_coeffs == pytest.approx((sa / (2.0 * om),), rel=1e-12)
         assert w0.csc_coeffs == ()
         w1 = closed_form_wavefunction(spec, 1)
-        assert w1.f_exp == pytest.approx(w0.f_exp - 2.0, rel=1e-12)
+        assert w1.f_exp[0] == pytest.approx(w0.f_exp[0] - 2.0, rel=1e-12)
         top = 2.0 + 2.0 * alpha + delta
         _assert_proportional(
-            w1.poly,
+            w1.poly[0],
             (
                 top,
                 -2.0 * (2.0 * op * sa / om + top),
@@ -754,7 +753,7 @@ class TestTwoParamWavefunctions:
             * np.exp(-1.0 / np.cos(xs) ** 2 - 1.0 / (3.0 * np.sin(xs) ** 2))
         )
         np.testing.assert_allclose(
-            closed_form_wavefunction(spec, 0).value(xs), want, rtol=1e-12
+            closed_form_wavefunction(spec, 0).value(xs)[0], want, rtol=1e-12
         )
 
     @pytest.mark.parametrize("m1,m2", [(1, 1), (2, 1), (2, 2), (3, 1), (1, 0), (2, 0)])
@@ -775,12 +774,12 @@ class TestTwoParamWavefunctions:
         spec = build_two_param(1, 1, 1.0, 5.0625, 0.5)
         w0 = closed_form_wavefunction(spec, 0)
         assert w0.sin_exp == pytest.approx(-0.5, abs=1e-12)
-        check = hermiticity_boundary_check(w0.value, spec.deforming)
+        [check] = hermiticity_boundary_check(w0.value, spec.deforming)
         assert check.passed
         # the squared norm must not pick anything up as the insets close in
         norms = [
             integrate.quad(
-                lambda x: w0.value(x) ** 2,
+                lambda x: w0.value(x)[0] ** 2,
                 inset,
                 math.pi / 2.0 - inset,
                 epsabs=0.0,
@@ -804,25 +803,26 @@ class TestTwoParamWavefunctions:
     def test_excited_states_have_one_interior_zero(self):
         one = build_one_param(1, 1.0, -0.5)
         xs = np.linspace(-math.pi / 2.0, math.pi / 2.0, 4003)[1:-1]
-        assert self._sign_changes(closed_form_wavefunction(one, 1).value(xs)) == 1
+        assert self._sign_changes(closed_form_wavefunction(one, 1).value(xs)[0]) == 1
         for spec in (
             build_two_param(1, 1, 1.0, 1.0, 0.5),
             build_two_param(1, 0, 1.0, 1.0, 0.5),
         ):
             xs = np.linspace(0.0, math.pi / 2.0, 4003)[1:-1]
-            assert self._sign_changes(closed_form_wavefunction(spec, 1).value(xs)) == 1
+            assert self._sign_changes(closed_form_wavefunction(spec, 1).value(xs)[0]) == 1
 
     def test_ground_state_parity(self):
         spec = build_one_param(2, 1.8, 0.35)
         xs = np.linspace(0.05, 1.45, 12)
         psi0 = closed_form_wavefunction(spec, 0)
-        np.testing.assert_allclose(psi0.value(xs), psi0.value(-xs), rtol=1e-12)
+        np.testing.assert_allclose(psi0.value(xs)[0], psi0.value(-xs)[0], rtol=1e-12)
 
     def test_hermiticity_boundary_decay(self):
         spec = build_two_param(1, 1, 1.0, 1.0, 0.5)
         for level in (0, 1):
             psi = closed_form_wavefunction(spec, level)
-            assert hermiticity_boundary_check(psi.value, spec.deforming).passed
+            [check] = hermiticity_boundary_check(psi.value, spec.deforming)
+            assert check.passed
 
     def test_level_out_of_range(self):
         spec = build_one_param(1, 1.0, 0.0)
@@ -924,8 +924,8 @@ class TestReflection:
             rtol=1e-10,
         )
         np.testing.assert_allclose(
-            closed_form_wavefunction(swapped, 0).value(math.pi / 2.0 - xs),
-            closed_form_wavefunction(spec, 0).value(xs),
+            closed_form_wavefunction(swapped, 0).value(math.pi / 2.0 - xs)[0],
+            closed_form_wavefunction(spec, 0).value(xs)[0],
             rtol=1e-10,
         )
 
@@ -942,13 +942,13 @@ class TestReflection:
 )
 def test_one_resummation_per_ladder(monkeypatch, build, args, lengths):
     calls = []
-    resummed = tpt_extended._resummed
+    transform = tpt_extended.binomial_transform
 
     def counted(lam):
         calls.append(len(lam))
-        return resummed(lam)
+        return transform(lam)
 
-    monkeypatch.setattr(tpt_extended, "_resummed", counted)
+    monkeypatch.setattr(tpt_extended, "binomial_transform", counted)
     build(*args)
     assert calls == lengths
 
