@@ -10,25 +10,27 @@ spectra, so agreement is a genuine cross-check.
 
 The eigenvalues come from three grids, N/4, N/2 and N, and a Richardson
 step.  The coarser two are every fourth and every second point of the N
-grid, so the potential is sampled once.  The quarter grid is bisected by
-index with Sturm counts on the whole interval.  The finer two are refined
-from the coarser grids' levels by Rayleigh-quotient iteration, which
-converges cubically and carries no eps * 2/h^2 bisection floor, on a window
-of the interval: E_top = 2 lambda_top - lambda_(top-1), one quarter-grid gap
-above the top quarter level, drops every point whose WKB action
-int sqrt(min(V, cap) - E_top)_+ dg from the well's lowest sample exceeds 45.
-Each refined grid is still certified on the whole grid, by its residuals and
-one Sturm count: every residual below its level's distance to the
-neighbouring slot points puts an eigenvalue in each slot (Weinstein), and a
-count of n up to the top slot point leaves no room for another, so each
-level's index is certain and Kato-Temple bounds its error.  On a window the
-residual is that of the vector extended by zeros, which adds (u_end/h^2)^2
-at each cut end, and the count runs on the window's bands with each cut
-end's diagonal entry lowered by 1/h^2, which bounds the whole grid's count
-from above as long as every dropped point's capped V reaches the top slot
-point.  A window that fails any of this is solved again on the whole
-interval, and a well with a grid the whole interval does not certify is
-refused.
+grid, so the potential is sampled once.  Every grid's levels are refined by
+Rayleigh-quotient iteration, which converges cubically and carries no
+eps * 2/h^2 bisection floor: the quarter grid's on the whole interval from
+the levels of its every fourth point (the seed grid, every sixteenth point
+of the N grid), bisected by index with Sturm counts; the finer two from the
+coarser grids' levels, on a window of the interval: E_top =
+2 lambda_top - lambda_(top-1), one quarter-grid gap above the top quarter
+level, drops every point whose WKB action int sqrt(min(V, cap) - E_top)_+ dg
+from the well's lowest sample exceeds 45.  Each refined grid is certified on
+the whole grid, by its residuals and one Sturm count: every residual below
+its level's distance to the neighbouring slot points puts an eigenvalue in
+each slot (Weinstein), and a count of n up to the top slot point leaves no
+room for another, so each level's index is certain and Kato-Temple bounds
+its error.  On a window the residual is that of the vector extended by
+zeros, which adds (u_end/h^2)^2 at each cut end, and the count runs on the
+window's bands with each cut end's diagonal entry lowered by 1/h^2, which
+bounds the whole grid's count from above as long as every dropped point's
+capped V reaches the top slot point.  A window that fails any of this is
+solved again on the whole interval, and a well with a finer grid the whole
+interval does not certify is refused.  A quarter grid that is not
+certified is bisected by index instead, so it never refuses.
 The oracle reads only the potential.  Its two LAPACK routines, dstebz for
 the Sturm-count bisection and dgtsv for the tridiagonal solves, come from
 SciPy's compiled LAPACK module alone (`_lazy.lapack`), loaded on the first
@@ -121,18 +123,20 @@ class NumericSpectrum:
 # engages, so the induced eigenvalue shift is far below discretization error.
 _CAP_OVER_KINETIC = 16.0
 
-# Bisection tolerance of the quarter grid over its kinetic scale 2/h^2.  The
-# double-precision Sturm counts of the capped operator place a level to about
-# 0.3 eps * 2/h^2 (measured against long-double counts on the reference
-# wells); a tolerance of eps * 2/h^2 would add up to half its width as
-# midpoint noise on top, which Richardson then amplifies.  A sixteenth costs
-# four more bisection steps.
+# Bisection tolerance of the index solve over its grid's kinetic scale 2/h^2:
+# the seed grid's, and the quarter grid's where its refinement from the seeds
+# is not certified.  The double-precision Sturm counts of the capped operator
+# place a level to about 0.3 eps * 2/h^2 (measured against long-double counts
+# on the reference wells); a tolerance of eps * 2/h^2 would add up to half
+# its width as midpoint noise on top, which Richardson then amplifies.  A
+# sixteenth costs four more bisection steps.
 _TOL_OVER_KINETIC = sys.float_info.epsilon / 16.0
 
-# Refinement of the half and full grids (see _refined_levels): a level is
-# converged once its Kato-Temple bound r^2/delta is below this fraction of
-# eps * 2/h^2.  A level still short of it after _RQI_SOLVES tridiagonal
-# solves leaves its grid uncertified, and solve_spectrum refuses the well.
+# Refinement of the quarter, half and full grids (see _refined_levels): a
+# level is converged once its Kato-Temple bound r^2/delta is below this
+# fraction of eps * 2/h^2.  A level still short of it after _RQI_SOLVES
+# tridiagonal solves leaves its grid uncertified: solve_spectrum bisects a
+# quarter grid by index instead, and refuses the well on a finer grid.
 _RQI_TOL_OVER_KINETIC = 1e-4 * sys.float_info.epsilon
 _RQI_SOLVES = 4
 
@@ -347,8 +351,9 @@ def solve_spectrum(
     walls), symmetric tridiagonal eigensolve by bisection and Rayleigh-quotient
     iteration, eigenvalues only.  grid_size must be a multiple of 4, at least
     64, so that the spacing halves exactly from N/4 to N/2 to N, and at most
-    _MAX_GRID_SIZE = 2^20.  V is sampled once, on the N grid; the N/2 and N/4
-    grids are its every second and fourth point.  Companion runs at half and
+    _MAX_GRID_SIZE = 2^20; the N/4 grid's N/4 - 1 points must number at
+    least n_levels.  V is sampled once, on the N grid; the N/2 and N/4 grids
+    are its every second and fourth point.  Companion runs at half and
     quarter resolution measure the observed convergence order p per level,
     and the returned eigenvalues are Richardson-extrapolated with that order:
 
@@ -361,20 +366,26 @@ def solve_spectrum(
     observed order cancels that term just as cleanly as the smooth-wall
     O(h^2) one.
 
-    The quarter grid is bisected by index to the absolute tolerance
-    eps/16 * 2/h^2, a sixteenth of its kinetic scale; the double-precision
-    Sturm counts stop resolving a level near 0.3 eps * 2/h^2, and LAPACK's
-    default, eps * ||T||, is about 18 times the kinetic scale because of the
-    16x cap.  The half grid is seeded with the quarter levels and the full
-    grid with their p = 2 prediction E_{N/2} + (E_{N/2} - E_{N/4})/4.  Both
-    are refined by Rayleigh-quotient iteration, which has no eps * 2/h^2
-    floor, and accepted only when the residuals place an eigenvalue in each
-    slot between the count points and one Sturm count finds no other below
-    the top one, which certifies every level's index, and the residuals
-    bound each level's error (see `_refined_levels`).
+    The seed grid, every fourth point of the quarter grid (spacing 16h, its
+    last cell shorter when 16 does not divide N), is bisected by index to
+    the absolute tolerance eps/16 * 2/h^2, a sixteenth of its kinetic scale;
+    the double-precision Sturm counts stop resolving a level near
+    0.3 eps * 2/h^2, and LAPACK's default, eps * ||T||, is about 18 times the
+    kinetic scale because of the 16x cap.  The quarter grid is seeded with
+    the seed grid's levels, the half grid with the quarter levels and the
+    full grid with their p = 2 prediction E_{N/2} + (E_{N/2} - E_{N/4})/4.
+    All three are refined by Rayleigh-quotient iteration, which has no
+    eps * 2/h^2 floor, and accepted only when the residuals place an
+    eigenvalue in each slot between the count points and one Sturm count
+    finds no other below the top one, which certifies every level's index,
+    and the residuals bound each level's error (see `_refined_levels`).
+    The seeds only steer the iteration: the quarter grid's own certificate
+    decides.  A quarter grid that it does not certify, or whose seed grid
+    has no more points than the levels wanted, is bisected by index like
+    the seed grid, so the quarter grid never refuses a well.
 
-    The refinement runs on a window [a, b) of the N grid's points, a and b
-    even, and on every second point of it on the N/2 grid (`_window`):
+    The N grid is refined on a window [a, b) of its points, a and b even,
+    and the N/2 grid on every second point of it (`_window`):
     E_top = 2 lambda_top - lambda_(top-1) from the quarter levels, and every
     point whose action int sqrt(min(V, cap) - E_top)_+ dg, counted outward
     from the lowest sample of V, exceeds _WINDOW_ACTION = 45 is dropped.
@@ -386,11 +397,11 @@ def solve_spectrum(
     that condition, or is not certified for any other reason, is refined
     again on the whole interval, so the window moves a level only within
     its Kato-Temple tolerance and its rounding, and refuses no well that the
-    whole interval certifies.  A grid the whole interval does not certify, such as that of
-    a cap-dominated well whose levels grow with the kinetic scale, or
-    extrapolated levels out of order, raise a ValueError "oracle cannot
-    resolve ..." naming the grid.  A single level is solved together with
-    the next one, whose gap the certificate needs.
+    whole interval certifies.  An N/2 or N grid the whole interval does not
+    certify, such as that of a cap-dominated well whose levels grow with the
+    kinetic scale, or extrapolated levels out of order, raise a ValueError
+    "oracle cannot resolve ..." naming the grid.  A single level is solved
+    together with the next one, whose gap the certificate needs.
 
     v is called once, with the array of x values of the N grid, and must
     return an array of the same shape; anything else raises ValueError.
@@ -430,11 +441,21 @@ def _grid_levels(
     if n_levels < 1:
         raise ValueError("n_levels must be >= 1")
     width = max(2, n_levels)
-    # the N/2 and N/4 grids are every second and fourth point of the N grid:
-    # 2 (W/N) == W/(N/2) in floating point, so their points are the same
+    if width > grid_size // 4 - 1:
+        raise ValueError(
+            f"n_levels={n_levels} exceeds the {grid_size // 4 - 1} points of the "
+            f"N={grid_size // 4} grid"
+        )
+    # the N/2, N/4 and seed grids are every second, fourth and sixteenth
+    # point of the N grid: 2 (W/N) == W/(N/2) in floating point, so their
+    # points are the same.  When 16 does not divide N the seed grid's last
+    # cell is shorter, which only perturbs the seeds
     full = _flatten(v, df, grid_size)
     g, vt, h = full.g, full.v, full.spacing
-    solved = [_lowest_levels(FlattenedProblem(g[3::4], vt[3::4], 4.0 * h), width)]
+    quarter = FlattenedProblem(g[3::4], vt[3::4], 4.0 * h)
+    seed = FlattenedProblem(g[15::16], vt[15::16], 16.0 * h)
+    levels = _refined_levels(quarter, _lowest_levels(seed, width)) if len(seed.v) > width else None
+    solved = [_lowest_levels(quarter, width) if levels is None else levels]
     # one quarter-grid gap above the top level
     a, b = _window(full, 2.0 * solved[0][-1] - solved[0][-2])
     for n, problem, lo, hi in (

@@ -279,13 +279,17 @@ def test_eigenvector_matches_closed_ground_state():
     assert dist < 1e-4
 
 
-@pytest.mark.parametrize("spec", REF_WELLS.values(), ids=REF_WELLS.keys())
-def test_oracle_reference_wells_at_n16000(spec):
-    # the refined levels carry no eps * 2/h^2 floor, whose noise Richardson
-    # would amplify
+@pytest.mark.parametrize(
+    "spec, rtol", zip(REF_WELLS.values(), (1e-12, 1e-12, 1e-10)), ids=REF_WELLS.keys()
+)
+def test_oracle_reference_wells_at_n16000(spec, rtol):
+    # the refined levels, the quarter grid's included, carry no eps * 2/h^2
+    # floor, whose noise Richardson would amplify: bisected quarter levels
+    # left two-1-1 and one-1 near 3e-12 and 6e-12.  one-3 is still limited
+    # by its discretization, near 4e-11
     sp = solve_spectrum(lambda x: potential_value(spec, x), spec.deforming, 2, 16000)
     closed = np.array([spec.e0, spec.e1])
-    assert np.all(np.abs(sp.eigenvalues - closed) <= 1e-10 * closed)
+    assert np.all(np.abs(sp.eigenvalues - closed) <= rtol * closed)
 
 
 def _sturm_levels_longdouble(problem, n_levels, sections=64):
@@ -346,6 +350,54 @@ def test_refined_levels_match_long_double_sturm(spec, grid_size, ulps, n_levels)
 
 
 @pytest.mark.parametrize("n_levels", [1, 2, 4])
+@pytest.mark.parametrize(
+    "spec", [*REF_WELLS.values(), DEEP], ids=[*REF_WELLS, "deep-3-3"]
+)
+def test_quarter_levels_match_long_double_sturm(spec, n_levels):
+    # the N/4 levels, refined from the seed grid's, are held to the fine
+    # grid's bound; levels bisected to eps/16 * 2/h^2 miss it by far on the
+    # reference wells.  The deep well's seed levels are refused, and its
+    # bisected levels, near the kinetic scale, fall within 4 ulps
+    fine, (quarter_levels, _, _) = _grid_levels(
+        lambda x: potential_value(spec, x), spec.deforming, n_levels, 4000
+    )
+    quarter = FlattenedProblem(fine.g[3::4], fine.v[3::4], 4.0 * fine.spacing)
+    ref = _sturm_levels_longdouble(quarter, n_levels)
+    kin = 2.0 / quarter.spacing**2
+    bound = np.maximum(1e-3 * np.finfo(float).eps * kin, 4 * np.spacing(quarter_levels))
+    off = np.abs(quarter_levels - ref.astype(float))
+    assert np.all(off <= bound), off / bound
+
+
+def test_quarter_grid_falls_back_to_the_index_solve():
+    # a pool well whose seeds, from the seed grid's 249 points, are not
+    # certified on the N/4 grid: its levels are the index solve's, bit for bit
+    spec = build_one_param(4, 0.589975, -0.755680)
+    v = lambda x: potential_value(spec, x)
+    fine, (quarter_levels, _, _) = _grid_levels(v, spec.deforming, 2, 4000)
+    quarter = FlattenedProblem(fine.g[3::4], fine.v[3::4], 4.0 * fine.spacing)
+    seed = FlattenedProblem(fine.g[15::16], fine.v[15::16], 16.0 * fine.spacing)
+    assert _refined_levels(quarter, _lowest_levels(seed, 2)) is None
+    assert np.array_equal(quarter_levels, _lowest_levels(quarter, 2))
+
+
+@pytest.mark.parametrize(
+    "n_levels, message",
+    [
+        (16, r"^n_levels=16 exceeds the 15 points of the N=16 grid$"),
+        # the seed grid's 3 points hold no 4 levels: the N/4 grid is solved
+        # by index, and the N/2 grid refuses
+        (4, r"^oracle cannot resolve: the N=32 grid is not certified$"),
+    ],
+)
+def test_levels_beyond_the_quarter_grid_are_refused_before_lapack(n_levels, message, capfd):
+    # LAPACK's own complaint about an illegal argument goes to stderr
+    with pytest.raises(ValueError, match=message):
+        solve_spectrum(lambda x: potential_value(FIG1, x), FIG1.deforming, n_levels, 64)
+    assert capfd.readouterr().err == ""
+
+
+@pytest.mark.parametrize("n_levels", [1, 2, 4])
 @pytest.mark.parametrize("grid_size", [2000, 4000, 8000, 16000])
 @pytest.mark.parametrize("spec", REF_WELLS.values(), ids=REF_WELLS.keys())
 def test_quarter_solve_is_scipys_index_solve(spec, grid_size, n_levels):
@@ -381,7 +433,9 @@ def test_bracketed_levels_match_the_index_solve(spec, grid_size):
 
 def _three_flatten_spectrum(v, df, grid_size):
     """solve_spectrum at two levels with one V sampling per grid: the reference."""
-    solved = [_lowest_levels(_flatten(v, df, grid_size // 4), 2)]
+    quarter = _flatten(v, df, grid_size // 4)
+    levels = _refined_levels(quarter, _lowest_levels(_flatten(v, df, grid_size // 16), 2))
+    solved = [_lowest_levels(quarter, 2) if levels is None else levels]
     a, b = _window(_flatten(v, df, grid_size), 2.0 * solved[0][1] - solved[0][0])
     for n, lo, hi in ((grid_size // 2, a // 2, b // 2), (grid_size, a, b)):
         seeds = solved[0] if len(solved) == 1 else solved[1] + (solved[1] - solved[0]) / 4.0
@@ -405,8 +459,9 @@ def _three_flatten_spectrum(v, df, grid_size):
 @pytest.mark.parametrize("grid_size", [2000, 4000, 8000, 16000])
 @pytest.mark.parametrize("spec", [*REF_WELLS.values(), FIG5], ids=[*REF_WELLS, "two-1-0"])
 def test_spectrum_samples_v_once(spec, grid_size):
-    # the N/2 and N/4 grids are strided views of the N grid, whose points
-    # and potential samples are bit-identical to their own flattening
+    # the N/2, N/4 and N/16 grids are strided views of the N grid, whose
+    # points and potential samples are bit-identical to their own flattening
+    # (every grid size here is a multiple of 16)
     sizes = []
     v = lambda x: sizes.append(x.size) or potential_value(spec, x)
     sp = solve_spectrum(v, spec.deforming, 2, grid_size)
@@ -465,11 +520,11 @@ def test_refinement_seeded_above_the_ground_state_is_not_certified():
     assert _refined_levels(problem, levels) is not None
 
 
-def _window_of(problem, n_levels=2):
-    """The window solve_spectrum cuts from the N-grid problem."""
-    quarter = FlattenedProblem(problem.g[3::4], problem.v[3::4], 4.0 * problem.spacing)
-    levels = _lowest_levels(quarter, max(2, n_levels))
-    return _window(problem, 2.0 * levels[-1] - levels[-2])
+def _window_of(v, df, grid_size, n_levels=2):
+    """The N-grid problem and the window solve_spectrum cuts from it, placed
+    by the quarter levels that _grid_levels returns."""
+    problem, (levels, _, _) = _grid_levels(v, df, max(2, n_levels), grid_size)
+    return problem, _window(problem, 2.0 * levels[-1] - levels[-2])
 
 
 def _lapack_with(dstebz):
@@ -500,10 +555,13 @@ def test_residual_not_below_its_slot_distance_is_not_certified(monkeypatch):
 
 @pytest.mark.parametrize("spec", [*REF_WELLS.values(), DEEP], ids=[*REF_WELLS, "deep-3-3"])
 def test_one_sturm_count_per_refined_grid(spec, monkeypatch):
-    # the quarter grid's index solve (range 2), then one count (range 1) on
-    # each of the two refined grids, whatever the number of levels.  The
-    # counts run on the window's bands: on the deep well under 6% of the N
-    # grid's 3999 points, and every second of them on the N/2 grid
+    # the seed grid's index solve (range 2) on its 249 points, then one count
+    # (range 1) on each of the three refined grids, whatever the number of
+    # levels: the whole N/4 grid's 999 points, then the window's bands, on
+    # the deep well under 6% of the N grid's 3999 points, and every second
+    # of them on the N/2 grid.  The deep well's seed levels sit on the seed
+    # grid's cap, far below its quarter levels, so their refinement is
+    # refused before its count and the N/4 grid is solved by index instead
     real = lapack().dstebz
     calls = []
 
@@ -511,17 +569,17 @@ def test_one_sturm_count_per_refined_grid(spec, monkeypatch):
         calls.append((rng, len(d), len(e)))
         return real(d, e, rng, *args)
 
-    monkeypatch.setattr(numeric_verify, "lapack", _lapack_with(counted))
     v = lambda x: potential_value(spec, x)
-    problem = _flatten(v, spec.deforming, 4000)
-    for n_levels in (1, 2, 4):
+    windows = {n_levels: _window_of(v, spec.deforming, 4000, n_levels) for n_levels in (1, 2, 4)}
+    monkeypatch.setattr(numeric_verify, "lapack", _lapack_with(counted))
+    for n_levels, (problem, (a, b)) in windows.items():
         calls.clear()
         solve_spectrum(v, spec.deforming, n_levels, 4000)
-        counts = calls[1:]
-        assert [rng for rng, _, _ in calls] == [2, 1, 1]
-        a, b = _window_of(problem, n_levels)
-        assert [n for _, n, _ in counts] == [b // 2 - a // 2, b - a]
-        assert all(m == n - 1 for _, n, m in counts)
+        quarter = (2, 999) if spec is DEEP else (1, 999)
+        assert [(rng, n) for rng, n, _ in calls] == [
+            (2, 249), quarter, (1, b // 2 - a // 2), (1, b - a)
+        ]
+        assert all(m == n - 1 for _, n, m in calls)
         assert spec is not DEEP or b - a < 0.06 * len(problem.v)
 
 
@@ -590,6 +648,7 @@ def test_pocket_behind_a_barrier_takes_the_whole_interval(monkeypatch):
     # its floor is below the top count point: dropped points must not be
     # below it, so each refined grid is solved again on the whole interval
     v = _pocket(1.45, 1.5)
+    _, (a, b) = _window_of(v, _HARMONIC, 2000)
     calls = []
     real = numeric_verify._refined_levels
 
@@ -600,14 +659,15 @@ def test_pocket_behind_a_barrier_takes_the_whole_interval(monkeypatch):
 
     monkeypatch.setattr(numeric_verify, "_refined_levels", spy)
     sp = solve_spectrum(v, _HARMONIC, 2, 2000)
-    a, b = _window_of(_flatten(v, _HARMONIC, 2000))
-    assert calls == [(999, (a // 2, b // 2), True), (999, (), False),
+    # the quarter grid is refined on the whole interval, and certified
+    assert calls == [(499, (), False),
+                     (999, (a // 2, b // 2), True), (999, (), False),
                      (1999, (a, b), True), (1999, (), False)]
     assert 0 < a and b < 1999
     # without the pocket the same window is certified
     calls.clear()
     solve_spectrum(lambda x: 20000.0 * x * x, _HARMONIC, 2, 2000)
-    assert [window for _, window, _ in calls] == [(a // 2, b // 2), (a, b)]
+    assert [window for _, window, _ in calls] == [(), (a // 2, b // 2), (a, b)]
     windowed_raw = _grid_levels(v, _HARMONIC, 2, 2000)[1]
     _whole_interval(monkeypatch)
     whole = solve_spectrum(v, _HARMONIC, 2, 2000)
@@ -629,10 +689,9 @@ def test_window_forced_too_tight_certifies_no_level_the_whole_grid_lacks(v, df, 
     # 2: whatever a window certifies is one of the whole grid's levels, by
     # index.  The pocket well's level 1 lives in a flat pocket at 50 behind
     # the barrier, outside every window, so none is certified there
-    problem = _flatten(v, df, 2000)
+    problem, (a, b) = _window_of(v, df, 2000)
     whole = _lowest_levels(problem, 3)
     kin = 2.0 / problem.spacing**2
-    a, b = _window_of(problem)
     certified = 0
     for cut in (0, 8, 32, 128, 512):
         for lo, hi in ((a + cut, b), (a, b - cut), (a + cut, b - cut)):
