@@ -16,10 +16,10 @@ import sys
 from dataclasses import replace
 
 from ._lazy import np
-from .dsusy_core import hermiticity_boundary_check
 from .numeric_verify import (
     count_nodes,
     gram,
+    hermiticity_boundary_check,
     # not called here: perfbench/tracing.py TARGETS resolves it on pdmtpt.cli
     inner_product,
     interior_samples,

@@ -36,8 +36,6 @@ __all__ = [
     "GapSignError",
     "partner_potential",
     "compatibility_gap",
-    "hermiticity_boundary_check",
-    "BoundaryCheck",
 ]
 
 # Interval endpoints are never evaluable (tan/cot and the potentials blow up).
@@ -125,16 +123,6 @@ class DeformingFunction:
         if self.family is Family.ONE:
             return (1.0, 1.0 + self.alpha)
         return (1.0 + self.alpha, 1.0 - self.alpha)
-
-
-def _sample(fn, x: np.ndarray, stack: bool = False) -> np.ndarray:
-    """fn(x) for the array x; fn must return an array of the same shape or,
-    with `stack`, of shape (k,) + x's shape: k wavefunctions evaluated
-    together."""
-    out = np.asarray(fn(x), dtype=float)
-    if out.shape != x.shape and not (stack and out.shape[1:] == x.shape):
-        raise ValueError(f"callable returned shape {out.shape} for input {x.shape}")
-    return out
 
 
 @dataclass(frozen=True)
@@ -274,40 +262,3 @@ def compatibility_gap(
         raise GapSignError(f"compatibility constant must be positive, got {c0}")
     return c0
 
-
-@dataclass(frozen=True)
-class BoundaryCheck:
-    """Result of the Hermiticity boundary test |psi|^2 f -> 0."""
-
-    passed: bool
-    lower_limit: float
-    upper_limit: float
-    interior_max: float
-
-
-def hermiticity_boundary_check(
-    psi, df: DeformingFunction
-) -> BoundaryCheck | tuple[BoundaryCheck, ...]:
-    """Check |psi|^2 f -> 0 at both domain ends.
-
-    The limit estimate at each end is the largest of the probes x_lo + 2^-j d
-    and x_hi - 2^-j d, d = width/8, j = 18..20.  Passes iff both limits are
-    below 1e-8 times the maximum of |psi|^2 f over 257 interior points.  psi
-    is called once, on the 257 interior points and the 6 probes together.
-    It must map an array to an array of the same shape, for one BoundaryCheck,
-    or to one of shape (k,) + its shape, k wavefunctions evaluated together
-    (`ClosedFormWavefunction.value`, one row per level), for a tuple of k;
-    anything else raises a ValueError.
-    """
-    lo, hi = df.domain
-    d = (hi - lo) / 8.0
-    probes = d * 2.0 ** -np.arange(18, 21)
-    x = np.concatenate((np.linspace(lo + d, hi - d, 257), lo + probes, hi - probes))
-    y = _sample(psi, x, stack=True)
-    density = np.abs(y) ** 2 * df.f(x)
-    checks = []
-    for row in density.reshape(-1, len(x)):
-        interior_max, lower, upper = (float(np.max(part)) for part in np.split(row, (257, 260)))
-        ok = interior_max > 0.0 and lower < 1e-8 * interior_max and upper < 1e-8 * interior_max
-        checks.append(BoundaryCheck(ok, lower, upper, interior_max))
-    return tuple(checks) if y.ndim == 2 else checks[0]

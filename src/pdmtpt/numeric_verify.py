@@ -1,4 +1,5 @@
-"""Independent numeric oracle for the deformed eigenproblems.
+"""Independent numeric oracle for the deformed eigenproblems, and the checks
+`verify` runs on the closed-form wavefunctions.
 
 The deformed operator -sqrt(f) d/dx f d/dx sqrt(f) + V turns into a
 constant-mass Sturm-Liouville problem -u'' + V(x(g)) u = E u for
@@ -8,29 +9,31 @@ the transformed problem is discretized by standard second-order central
 differences with Dirichlet ends.  Nothing here reuses the closed-form
 spectra, so agreement is a genuine cross-check.
 
-The eigenvalues come from three grids, N/4, N/2 and N, and a Richardson
-step.  The coarser two are every fourth and every second point of the N
-grid, so the potential is sampled once.  Every grid's levels are refined by
-Rayleigh-quotient iteration, which converges cubically and carries no
-eps * 2/h^2 bisection floor: the quarter grid's on the whole interval from
-the levels of its every fourth point (the seed grid, every sixteenth point
-of the N grid), bisected by index with Sturm counts; the finer two from the
-coarser grids' levels, on a window of the interval: E_top =
-2 lambda_top - lambda_(top-1), one quarter-grid gap above the top quarter
-level, drops every point whose WKB action int sqrt(min(V, cap) - E_top)_+ dg
-from the well's lowest sample exceeds 45.  Each refined grid is certified on
-the whole grid, by its residuals and one Sturm count: every residual below
-its level's distance to the neighbouring slot points puts an eigenvalue in
-each slot (Weinstein), and a count of n up to the top slot point leaves no
-room for another, so each level's index is certain and Kato-Temple bounds
-its error.  On a window the residual is that of the vector extended by
-zeros, which adds (u_end/h^2)^2 at each cut end, and the count runs on the
-window's bands with each cut end's diagonal entry lowered by 1/h^2, which
-bounds the whole grid's count from above as long as every dropped point's
-capped V reaches the top slot point.  A window that fails any of this is
-solved again on the whole interval, and a well with a finer grid the whole
-interval does not certify is refused.  A quarter grid that is not
-certified is bisected by index instead, so it never refuses.
+`solve_spectrum` extrapolates the levels of three grids, N/4, N/2 and N.
+V is sampled once, on the N grid; the N/2 and N/4 grids, and the seed grid
+that starts them, are its every second, fourth and sixteenth point (when 16
+does not divide N the seed grid's last cell is shorter, which only perturbs
+the seeds).  Each grid is solved from the one before it:
+
+* the seed grid is bisected by index with Sturm counts (`_lowest_levels`),
+  cheap on N/16 points;
+* the quarter grid is refined from the seed levels on the whole interval;
+* the half grid is refined from the quarter levels and the N grid from
+  their p = 2 prediction E_{N/2} + (E_{N/2} - E_{N/4})/4, both on the
+  window of the interval where those levels live (`_window`).
+
+Refinement is Rayleigh-quotient iteration (`_refined_levels`).  It converges
+cubically and, unlike bisection, carries no eps * 2/h^2 floor for
+Richardson to amplify.  The seeds only steer it: a grid's levels stand only
+when its own certificate accepts them, which fixes each level's index and
+bounds its error.  Where the certificate fails:
+
+* the quarter grid is bisected by index instead, as it is when its seed
+  grid has no more points than the levels wanted, so it never refuses;
+* a half or N grid is refined again on the whole interval, so the window
+  refuses no well the whole interval certifies, and the well is refused if
+  that is not certified either.
+
 The oracle reads only the potential.  Its two LAPACK routines, dstebz for
 the Sturm-count bisection and dgtsv for the tridiagonal solves, come from
 SciPy's compiled LAPACK module alone (`_lazy.lapack`), loaded on the first
@@ -43,9 +46,10 @@ residual of the eigenequation (`residual`) takes each level's first two
 derivatives in closed form from `ClosedFormWavefunction.log_form`, with no
 step to choose, and works in log space, so it neither underflows with psi
 nor carries a finite-difference error floor.  `gram` and the Hermiticity
-check take plain callables of one psi or a `ClosedFormWavefunction.value`,
-which evaluates psi0 and psi1 together, so `verify` evaluates both once per
-sample set.
+check (`hermiticity_boundary_check`) take plain callables of one psi or a
+`ClosedFormWavefunction.value`, which evaluates psi0 and psi1 together, so
+`verify` evaluates both once per sample set.  Every callable goes through
+`_sample`, which rejects a result of the wrong shape.
 """
 
 from __future__ import annotations
@@ -55,11 +59,12 @@ import sys
 from dataclasses import dataclass
 
 from ._lazy import lapack, np
-from .dsusy_core import DeformingFunction, Family, _sample
+from .dsusy_core import DeformingFunction, Family
 
 __all__ = [
     "FlattenedProblem",
     "NumericSpectrum",
+    "BoundaryCheck",
     "g_domain",
     "mass_unflatten",
     "solve_spectrum",
@@ -68,6 +73,7 @@ __all__ = [
     "gram",
     "inner_product",
     "interior_samples",
+    "hermiticity_boundary_check",
 ]
 
 
@@ -111,7 +117,6 @@ class NumericSpectrum:
     """Lowest eigenvalues of the flattened finite-difference operator."""
 
     eigenvalues: np.ndarray
-    grid_size: int
     errors: np.ndarray
 
 
@@ -123,31 +128,25 @@ class NumericSpectrum:
 # engages, so the induced eigenvalue shift is far below discretization error.
 _CAP_OVER_KINETIC = 16.0
 
-# Bisection tolerance of the index solve over its grid's kinetic scale 2/h^2:
-# the seed grid's, and the quarter grid's where its refinement from the seeds
-# is not certified.  The double-precision Sturm counts of the capped operator
-# place a level to about 0.3 eps * 2/h^2 (measured against long-double counts
-# on the reference wells); a tolerance of eps * 2/h^2 would add up to half
-# its width as midpoint noise on top, which Richardson then amplifies.  A
-# sixteenth costs four more bisection steps.
+# The index solve's bisection tolerance over 2/h^2.  LAPACK's default,
+# eps * ||T||, is about 18 times 2/h^2 under the cap.  The double-precision
+# Sturm counts place a level to about 0.3 eps * 2/h^2 (measured against
+# long-double counts on the reference wells); a tolerance of eps * 2/h^2
+# would add up to half its width as midpoint noise on top, which Richardson
+# then amplifies.  A sixteenth costs four more bisection steps.
 _TOL_OVER_KINETIC = sys.float_info.epsilon / 16.0
 
-# Refinement of the quarter, half and full grids (see _refined_levels): a
-# level is converged once its Kato-Temple bound r^2/delta is below this
-# fraction of eps * 2/h^2.  A level still short of it after _RQI_SOLVES
-# tridiagonal solves leaves its grid uncertified: solve_spectrum bisects a
-# quarter grid by index instead, and refuses the well on a finer grid.
+# A refined level's Kato-Temple tolerance over 2/h^2, and the tridiagonal
+# solves it may take to meet it.
 _RQI_TOL_OVER_KINETIC = 1e-4 * sys.float_info.epsilon
 _RQI_SOLVES = 4
 
-# The refined grids are solved on the window of points whose WKB action from
-# the well's bottom, above the top level, is at most this (see _window).  An
-# eigenvector decays like e^-action past its turning point, so at the cut its
-# amplitude is near e^-45 = 3e-20 of the peak, and the residual it adds at a
-# cut end, u_end/h^2, is far below what the Kato-Temple test allows.
+# An eigenvector decays like e^-action past its turning point, so at a
+# window's cut its amplitude is near e^-45 = 3e-20 of the peak, and the
+# residual it adds there, u_end/h^2, is far below what Kato-Temple allows.
 _WINDOW_ACTION = 45.0
 
-# The largest grid_size: the oracle holds several arrays of grid_size floats.
+# The oracle holds several arrays of grid_size floats.
 _MAX_GRID_SIZE = 1 << 20
 
 
@@ -160,6 +159,16 @@ def _fd_bands(vt: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal and off-diagonal of the capped finite-difference operator."""
     kin = 2.0 / h**2
     return kin + _capped(vt, kin), np.full(len(vt) - 1, -1.0 / h**2)
+
+
+def _sample(fn, x: np.ndarray, stack: bool = False) -> np.ndarray:
+    """fn(x) for the array x; fn must return an array of the same shape or,
+    with `stack`, of shape (k,) + x's shape: k wavefunctions evaluated
+    together."""
+    out = np.asarray(fn(x), dtype=float)
+    if out.shape != x.shape and not (stack and out.shape[1:] == x.shape):
+        raise ValueError(f"callable returned shape {out.shape} for input {x.shape}")
+    return out
 
 
 def _flatten(v, df: DeformingFunction, n: int) -> FlattenedProblem:
@@ -191,10 +200,8 @@ def _window(problem: FlattenedProblem, e_top: float) -> tuple[int, int]:
     A point is dropped when the WKB action int sqrt(min(V, cap) - e_top)_+ dg
     between it and the well's lowest sample exceeds _WINDOW_ACTION.  cap is
     the N/2 grid's, the lower of the two refined grids' caps, which gives
-    the smaller action and so the wider window.  a and b are even, so the
-    N/2 grid's window, its points [a/2, b/2), is every second point of the
-    N grid's; b is the N grid's length where nothing on the right is
-    dropped.
+    the wider window.  a and b are even, so that the N/2 grid's window, its
+    points [a/2, b/2), is every second point of the N grid's.
     """
     v, h = problem.v, problem.spacing
     action = np.cumsum(h * np.sqrt(np.maximum(_capped(v, 0.5 / h**2) - e_top, 0.0)))
@@ -345,66 +352,39 @@ def _lowest_levels(problem: FlattenedProblem, n_levels: int) -> np.ndarray:
 def solve_spectrum(
     v, df: DeformingFunction, n_levels: int = 2, grid_size: int = 4000
 ) -> NumericSpectrum:
-    """Lowest n_levels eigenvalues of -u'' + V(x(g))u = Eu.
+    """Lowest n_levels eigenvalues of -u'' + V(x(g))u = Eu, extrapolated.
 
-    Interior uniform grid of grid_size-1 points (Dirichlet zero at both
-    walls), symmetric tridiagonal eigensolve by bisection and Rayleigh-quotient
-    iteration, eigenvalues only.  grid_size must be a multiple of 4, at least
-    64, so that the spacing halves exactly from N/4 to N/2 to N, and at most
-    _MAX_GRID_SIZE = 2^20; the N/4 grid's N/4 - 1 points must number at
-    least n_levels.  V is sampled once, on the N grid; the N/2 and N/4 grids
-    are its every second and fourth point.  Companion runs at half and
-    quarter resolution measure the observed convergence order p per level,
-    and the returned eigenvalues are Richardson-extrapolated with that order:
+    The N = grid_size grid has N - 1 interior points, with Dirichlet zeros
+    at both walls.  grid_size must be a multiple of 4, so that the spacing
+    halves exactly from N/4 to N/2 to N, at least 64 and at most
+    _MAX_GRID_SIZE = 2^20, and the N/4 grid's N/4 - 1 points must number at
+    least n_levels.  v is called once, with the array of x values of the N
+    grid, and must return a finite array of the same shape.  Anything else
+    raises a ValueError.
 
-        E = E_N + (E_N - E_{N/2}) / (2^p - 1),   p clamped to [1, 4]
+    The levels of the N/4, N/2 and N grids (see the module docstring) give
+    each level's observed convergence order p = log2 of
+    (E_{N/2} - E_{N/4}) / (E_N - E_{N/2}), clamped to [1, 4] (2 where that
+    ratio is not positive), and the level is Richardson-extrapolated with it:
 
-    with error estimate |E_N - E_{N/2}|/(2^p - 1).  Measuring p instead of
-    assuming 2 matters at a power-law wall: a potential with c/d^2 behaviour
-    and regular exponent s = 1/2 + sqrt(c + 1/4) < 3/2 drags the plain
-    inset-Dirichlet scheme down to O(h^(2s-1)), and extrapolating with the
-    observed order cancels that term just as cleanly as the smooth-wall
-    O(h^2) one.
+        E = E_N + (E_N - E_{N/2}) / (2^p - 1).
 
-    The seed grid, every fourth point of the quarter grid (spacing 16h, its
-    last cell shorter when 16 does not divide N), is bisected by index to
-    the absolute tolerance eps/16 * 2/h^2, a sixteenth of its kinetic scale;
-    the double-precision Sturm counts stop resolving a level near
-    0.3 eps * 2/h^2, and LAPACK's default, eps * ||T||, is about 18 times the
-    kinetic scale because of the 16x cap.  The quarter grid is seeded with
-    the seed grid's levels, the half grid with the quarter levels and the
-    full grid with their p = 2 prediction E_{N/2} + (E_{N/2} - E_{N/4})/4.
-    All three are refined by Rayleigh-quotient iteration, which has no
-    eps * 2/h^2 floor, and accepted only when the residuals place an
-    eigenvalue in each slot between the count points and one Sturm count
-    finds no other below the top one, which certifies every level's index,
-    and the residuals bound each level's error (see `_refined_levels`).
-    The seeds only steer the iteration: the quarter grid's own certificate
-    decides.  A quarter grid that it does not certify, or whose seed grid
-    has no more points than the levels wanted, is bisected by index like
-    the seed grid, so the quarter grid never refuses a well.
+    Measuring p instead of assuming 2 matters at a power-law wall: a
+    potential with c/d^2 behaviour and regular exponent
+    s = 1/2 + sqrt(c + 1/4) < 3/2 drags the plain inset-Dirichlet scheme
+    down to O(h^(2s-1)), and extrapolating with the observed order cancels
+    that term just as cleanly as the smooth-wall O(h^2) one.
 
-    The N grid is refined on a window [a, b) of its points, a and b even,
-    and the N/2 grid on every second point of it (`_window`):
-    E_top = 2 lambda_top - lambda_(top-1) from the quarter levels, and every
-    point whose action int sqrt(min(V, cap) - E_top)_+ dg, counted outward
-    from the lowest sample of V, exceeds _WINDOW_ACTION = 45 is dropped.
-    Both grids are still certified on the whole grid: each residual is that
-    of the level's vector extended by zeros, which adds (u_end/h^2)^2 at each
-    cut end, and the Sturm count runs on the window's bands with each cut
-    end's diagonal entry lowered by 1/h^2, valid when every dropped point's
-    capped V is at least the top count point.  A grid whose window fails
-    that condition, or is not certified for any other reason, is refined
-    again on the whole interval, so the window moves a level only within
-    its Kato-Temple tolerance and its rounding, and refuses no well that the
-    whole interval certifies.  An N/2 or N grid the whole interval does not
-    certify, such as that of a cap-dominated well whose levels grow with the
-    kinetic scale, or extrapolated levels out of order, raise a ValueError
-    "oracle cannot resolve ..." naming the grid.  A single level is solved
-    together with the next one, whose gap the certificate needs.
+    Returns the extrapolated `eigenvalues` and, per level, `errors`, the
+    size of the Richardson correction |E_N - E_{N/2}|/(2^p - 1), or
+    |E_N - E_{N/2}| for a level left at E_N because it already sits at the
+    eigensolver's floor.  That is an estimate, not a bound on the error
+    left after the correction.
 
-    v is called once, with the array of x values of the N grid, and must
-    return an array of the same shape; anything else raises ValueError.
+    An N/2 or N grid that is not certified, or extrapolated levels out of
+    order, raise a ValueError "oracle cannot resolve: ..." naming the grid.
+    A single level is solved together with the next one, whose gap the
+    certificate needs.
     """
     quarter, half, fine = _grid_levels(v, df, n_levels, grid_size)[1]
     d1 = fine - half
@@ -424,14 +404,14 @@ def solve_spectrum(
         errors[k] = abs(d1[k]) / (2.0**p - 1.0)
     if not np.all(np.diff(vals) > 0.0):
         raise ValueError(f"oracle cannot resolve: the N={grid_size} levels are out of order")
-    return NumericSpectrum(vals, grid_size, errors)
+    return NumericSpectrum(vals, errors)
 
 
 def _grid_levels(
     v, df: DeformingFunction, n_levels: int, grid_size: int
 ) -> tuple[FlattenedProblem, list[np.ndarray]]:
     """The N grid and the lowest n_levels of the N/4, N/2 and N grids,
-    before Richardson extrapolation, as `solve_spectrum` describes them."""
+    before Richardson extrapolation, solved as the module docstring says."""
     if grid_size > _MAX_GRID_SIZE:
         raise ValueError(f"grid_size must be at most {_MAX_GRID_SIZE}, got {grid_size}")
     if grid_size < 64 or grid_size % 4:
@@ -446,20 +426,19 @@ def _grid_levels(
             f"n_levels={n_levels} exceeds the {grid_size // 4 - 1} points of the "
             f"N={grid_size // 4} grid"
         )
-    # the N/2, N/4 and seed grids are every second, fourth and sixteenth
-    # point of the N grid: 2 (W/N) == W/(N/2) in floating point, so their
-    # points are the same.  When 16 does not divide N the seed grid's last
-    # cell is shorter, which only perturbs the seeds
     full = _flatten(v, df, grid_size)
     g, vt, h = full.g, full.v, full.spacing
-    quarter = FlattenedProblem(g[3::4], vt[3::4], 4.0 * h)
-    seed = FlattenedProblem(g[15::16], vt[15::16], 16.0 * h)
+    # k (W/N) == W/(N/k) in floating point, so the N/2 and N/4 grids are
+    # the ones _flatten builds at N/2 and N/4
+    seed, quarter, half = (
+        FlattenedProblem(g[k - 1 :: k], vt[k - 1 :: k], k * h) for k in (16, 4, 2)
+    )
     levels = _refined_levels(quarter, _lowest_levels(seed, width)) if len(seed.v) > width else None
     solved = [_lowest_levels(quarter, width) if levels is None else levels]
     # one quarter-grid gap above the top level
     a, b = _window(full, 2.0 * solved[0][-1] - solved[0][-2])
     for n, problem, lo, hi in (
-        (grid_size // 2, FlattenedProblem(g[1::2], vt[1::2], 2.0 * h), a // 2, b // 2),
+        (grid_size // 2, half, a // 2, b // 2),
         (grid_size, full, a, b),
     ):
         seeds = solved[0] if len(solved) == 1 else solved[1] + (solved[1] - solved[0]) / 4.0
@@ -622,3 +601,41 @@ def inner_product(psi_a, psi_b, df: DeformingFunction) -> float:
     called again.
     """
     return float(gram((psi_a,) if psi_b == psi_a else (psi_a, psi_b), df)[0][0, -1])
+
+
+@dataclass(frozen=True)
+class BoundaryCheck:
+    """Result of the Hermiticity boundary test |psi|^2 f -> 0."""
+
+    passed: bool
+    lower_limit: float
+    upper_limit: float
+    interior_max: float
+
+
+def hermiticity_boundary_check(
+    psi, df: DeformingFunction
+) -> BoundaryCheck | tuple[BoundaryCheck, ...]:
+    """Check |psi|^2 f -> 0 at both domain ends.
+
+    The limit estimate at each end is the largest of the probes x_lo + 2^-j d
+    and x_hi - 2^-j d, d = width/8, j = 18..20.  Passes iff both limits are
+    below 1e-8 times the maximum of |psi|^2 f over 257 interior points.  psi
+    is called once, on the 257 interior points and the 6 probes together.
+    It must map an array to an array of the same shape, for one BoundaryCheck,
+    or to one of shape (k,) + its shape, k wavefunctions evaluated together
+    (`ClosedFormWavefunction.value`, one row per level), for a tuple of k;
+    anything else raises a ValueError.
+    """
+    lo, hi = df.domain
+    d = (hi - lo) / 8.0
+    probes = d * 2.0 ** -np.arange(18, 21)
+    x = np.concatenate((np.linspace(lo + d, hi - d, 257), lo + probes, hi - probes))
+    y = _sample(psi, x, stack=True)
+    density = np.abs(y) ** 2 * df.f(x)
+    checks = []
+    for row in density.reshape(-1, len(x)):
+        interior_max, lower, upper = (float(np.max(part)) for part in np.split(row, (257, 260)))
+        ok = interior_max > 0.0 and lower < 1e-8 * interior_max and upper < 1e-8 * interior_max
+        checks.append(BoundaryCheck(ok, lower, upper, interior_max))
+    return tuple(checks) if y.ndim == 2 else checks[0]

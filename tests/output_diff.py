@@ -3,6 +3,7 @@
     PYTHONPATH=<checkout>/src python tests/output_diff.py dump OUT.json
     python tests/output_diff.py diff A.json B.json
     python tests/output_diff.py table OUT.json
+    python tests/output_diff.py outcomes OUT.json tests/data/outcomes.json
 
 `dump` runs `pdmtpt.cli.main` in-process, from whichever `pdmtpt` is on the
 path, on five input sets and writes {set: [{argv, rc, stdout, stderr}]}:
@@ -36,6 +37,13 @@ error keeps its sign.  It exits 1 when any field of any set differs and 0
 when none does, so one command gates a refactor that must leave every
 output bit-identical.
 `table` classifies the census outcomes per (m1, m2).
+`outcomes` writes the outcome record of a dump's census, defects and extend
+sets: per input, in input order, its rc, its last stderr line with every
+number masked as "#" (names such as psi0 keep their digit), and for
+`verify` each check's PASS or FAIL and the node counts.  It holds no
+measured number, so a change that moves digits but no verdict leaves it as
+it is; tests/data/outcomes.json is the record tier-1 compares a fresh run
+with.
 """
 
 import contextlib
@@ -86,7 +94,25 @@ _DEPTH_PROBES = [
     ["--two", "--m1", "1001", "--m2", "0", "--atop", "1", "--btop", "1", "--alpha", "0.3"],
 ]
 
+# verify's checks in the order `cli.cmd_verify` prints them, each read from
+# its --json payload with cli's tolerance
+_VERIFY_CHECKS = (
+    ("spectral level0", lambda p: p["spectral_rel_err0"] < 1e-6),
+    ("spectral level1", lambda p: p["spectral_rel_err1"] < 1e-6),
+    ("residual psi0", lambda p: p["residual_psi0"] < 1e-7),
+    ("residual psi1", lambda p: p["residual_psi1"] < 1e-7),
+    ("nodes", lambda p: (p["nodes_psi0"], p["nodes_psi1"]) == (0, 1)),
+    ("orthogonality", lambda p: p["orthogonality"] < 1e-8),
+    ("hermiticity psi0", lambda p: p["hermiticity_psi0"]),
+    ("hermiticity psi1", lambda p: p["hermiticity_psi1"]),
+)
+
+# the sets of the outcome record
+_RECORDED = ("census", "defects", "extend")
+
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+# a number that is not the tail of a name such as psi0 or m1
+_MASKED = re.compile(r"(?<![\w.])" + _NUMBER.pattern)
 
 
 def census_argv() -> list[list[str]]:
@@ -231,13 +257,32 @@ def diff_lines(a: dict, b: dict) -> list[str]:
     return lines
 
 
+def outcome(rec: dict) -> dict:
+    """One record's outcome without its digits: rc, the last stderr line with
+    its numbers masked, and for `verify` each check's PASS/FAIL and the node
+    counts."""
+    rc = rec["rc"]
+    out = {"rc": rc if isinstance(rc, int) else _MASKED.sub("#", rc)}
+    lines = rec["stderr"].strip().splitlines()
+    if lines:
+        out["error"] = _MASKED.sub("#", lines[-1])
+    payload = _payload(rec["stdout"])
+    if rec["argv"][0] == "verify" and payload is not None:
+        checks = {name: "PASS" if passes(payload) else "FAIL" for name, passes in _VERIFY_CHECKS}
+        if (rc == 0) != all(state == "PASS" for state in checks.values()):
+            raise ValueError(f"the checks {checks} disagree with rc {rc} of {rec['argv']}")
+        out["checks"] = checks
+        out["nodes"] = [payload["nodes_psi0"], payload["nodes_psi1"]]
+    return out
+
+
 def classify(rec: dict) -> str:
     """One census outcome: pass, a failed check, or the kind of error."""
-    payload = _payload(rec["stdout"])
-    if rec["rc"] == 0:
+    out = outcome(rec)
+    if out["rc"] == 0:
         return "pass"
-    if payload is not None:
-        if max(payload["residual_psi0"], payload["residual_psi1"]) >= 1e-7:
+    if "checks" in out:
+        if "FAIL" in (out["checks"]["residual psi0"], out["checks"]["residual psi1"]):
             return "residual verdict"
         return "other verdict"
     err = rec["stderr"]
@@ -247,6 +292,19 @@ def classify(rec: dict) -> str:
         if marker in err:
             return kind
     return err.strip()[:60] or str(rec["rc"])
+
+
+def outcome_record(runs: dict) -> dict:
+    """{set: [outcome]} of the recorded sets of a dump."""
+    return {name: [outcome(rec) for rec in runs[name]] for name in _RECORDED}
+
+
+def write_outcomes(record: dict, path: str) -> None:
+    """The record as JSON, one input per line."""
+    sets = [f"{json.dumps(name)}: [\n" + ",\n".join("  " + json.dumps(row) for row in rows)
+            + "\n]" for name, rows in record.items()]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("{\n" + ",\n".join(sets) + "\n}\n")
 
 
 def table_lines(census: list[dict]) -> list[str]:
@@ -277,6 +335,10 @@ def main(argv: list[str]) -> int:
     if len(argv) == 2 and argv[0] == "table":
         with open(argv[1], encoding="utf-8") as fh:
             print("\n".join(table_lines(json.load(fh)["census"])))
+        return 0
+    if len(argv) == 3 and argv[0] == "outcomes":
+        with open(argv[1], encoding="utf-8") as fh:
+            write_outcomes(outcome_record(json.load(fh)), argv[2])
         return 0
     print(__doc__, file=sys.stderr)
     return 2

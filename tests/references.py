@@ -39,7 +39,8 @@ import numpy as np
 
 from pdmtpt import numeric_verify as nv
 from pdmtpt.combinatorics import binomial, fsum
-from pdmtpt.dsusy_core import DeformingFunction, EvenTrigPoly, Family, TrigLaurentPoly, _sample
+from pdmtpt.dsusy_core import DeformingFunction, EvenTrigPoly, Family, TrigLaurentPoly
+from pdmtpt.numeric_verify import _sample
 from pdmtpt.tpt_exact import ExactOneParam, ExactTwoParam
 from pdmtpt.tpt_extended import _conv, _sec_terms
 

@@ -13,9 +13,10 @@ from time import perf_counter
 import numpy as np
 
 from pdmtpt.cli import main as cli_main
-from pdmtpt.dsusy_core import compatibility_gap, hermiticity_boundary_check
+from pdmtpt.dsusy_core import compatibility_gap
 from pdmtpt.numeric_verify import (
     count_nodes,
+    hermiticity_boundary_check,
     inner_product,
     interior_samples,
     residual,

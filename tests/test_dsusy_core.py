@@ -15,7 +15,6 @@ from pdmtpt.dsusy_core import (
     GapSignError,
     TrigLaurentPoly,
     compatibility_gap,
-    hermiticity_boundary_check,
     partner_potential,
 )
 from pdmtpt.combinatorics import fsum, ladder_table
@@ -328,20 +327,3 @@ def test_numeric_matches_closed_form_ratios():
             np.testing.assert_allclose(
                 np.array(num) / num[k], closed / closed[k], rtol=1e-9, err_msg=f"{name} psi{level}"
             )
-
-
-# --- hermiticity boundary check --------------------------------------------
-
-
-def test_hermiticity_check_passes_for_bound_state():
-    spec = build_one_param(1, 1.0, -0.5)
-    psi0 = closed_form_wavefunction(spec, 0)
-    [check] = hermiticity_boundary_check(psi0.value, ONE_HALF)
-    assert check.passed
-    assert check.lower_limit < 1e-8 * check.interior_max
-    assert check.upper_limit < 1e-8 * check.interior_max
-
-
-def test_hermiticity_check_fails_for_constant():
-    check = hermiticity_boundary_check(np.ones_like, ONE_HALF)
-    assert not check.passed

@@ -12,7 +12,7 @@ from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
 from pdmtpt import numeric_verify
 from pdmtpt._lazy import lapack
-from pdmtpt.dsusy_core import DeformingFunction, hermiticity_boundary_check
+from pdmtpt.dsusy_core import DeformingFunction
 from pdmtpt.numeric_verify import (
     _MAX_GRID_SIZE,
     FlattenedProblem,
@@ -26,6 +26,7 @@ from pdmtpt.numeric_verify import (
     count_nodes,
     g_domain,
     gram,
+    hermiticity_boundary_check,
     inner_product,
     interior_samples,
     mass_unflatten,
@@ -729,6 +730,34 @@ def test_window_count_sees_a_level_its_cut_lifts_above_the_top():
     assert _refined_levels(problem, whole[:2], 0, hi) is None
     assert _refined_levels(problem, whole[:2]) is None
 
+
+# Two wells the oracle certifies at one N and refuses at about twice that N
+# (ROADMAP item 16).  A refined residual stalls near 13 eps * 2/h^2, which
+# grows like N^2, while the Kato-Temple acceptance r <= sqrt(tol * delta)
+# grows like N, so a grid is refused once 2/h^2 exceeds about 2.7e9 delta.
+_FINER_REFUSED = [
+    (build_one_param(1, 0.01, 0.0), 32000, 65536),
+    (README_WELL, 1 << 19, 1 << 20),
+]
+
+
+@pytest.mark.parametrize(
+    "spec, grid_size", [(spec, n) for spec, n, _ in _FINER_REFUSED], ids=["one-1-0.01", "readme"]
+)
+def test_the_finer_refused_wells_are_certified_on_a_coarser_grid(spec, grid_size):
+    sp = solve_spectrum(lambda x: potential_value(spec, x), spec.deforming, 2, grid_size)
+    np.testing.assert_allclose(sp.eigenvalues, (spec.e0, spec.e1), rtol=1e-9)
+
+
+@pytest.mark.xfail(strict=True, raises=ValueError, reason="rounding floor (ROADMAP item 16)")
+@pytest.mark.parametrize(
+    "spec, grid_size", [(spec, n) for spec, _, n in _FINER_REFUSED], ids=["one-1-0.01", "readme"]
+)
+def test_a_finer_grid_certifies_what_a_coarser_one_does(spec, grid_size):
+    sp = solve_spectrum(lambda x: potential_value(spec, x), spec.deforming, 2, grid_size)
+    np.testing.assert_allclose(sp.eigenvalues, (spec.e0, spec.e1), rtol=1e-9)
+
+
 # --- residual ---------------------------------------------------------------
 
 
@@ -1067,3 +1096,22 @@ def test_checks_read_the_joint_evaluation_as_the_lone_ones(spec):
         hermiticity_boundary_check(lambda x: np.ones((2, x.size + 1)), df)
     with pytest.raises(ValueError, match="shape"):
         gram((lambda x: np.ones((2, 1, x.size)),), df)
+
+
+# --- hermiticity boundary check --------------------------------------------
+
+ONE_HALF = DeformingFunction.trig_one(-0.5)
+
+
+def test_hermiticity_check_passes_for_bound_state():
+    spec = build_one_param(1, 1.0, -0.5)
+    psi0 = closed_form_wavefunction(spec, 0)
+    [check] = hermiticity_boundary_check(psi0.value, ONE_HALF)
+    assert check.passed
+    assert check.lower_limit < 1e-8 * check.interior_max
+    assert check.upper_limit < 1e-8 * check.interior_max
+
+
+def test_hermiticity_check_fails_for_constant():
+    check = hermiticity_boundary_check(np.ones_like, ONE_HALF)
+    assert not check.passed

@@ -119,6 +119,45 @@ def test_census_outcomes_are_classified():
     assert output_diff.classify(refused) == "oracle refused"
 
 
+def test_outcome_keeps_classes_not_digits():
+    passed = output_diff.outcome(output_diff.record(_ARGVS[0]))
+    assert passed == {"rc": 0, "checks": dict.fromkeys(
+        ["spectral level0", "spectral level1", "residual psi0", "residual psi1", "nodes",
+         "orthogonality", "hermiticity psi0", "hermiticity psi1"], "PASS"), "nodes": [0, 1]}
+    assert output_diff.outcome(output_diff.record(_ARGVS[2])) == {
+        "rc": 2, "error": "pdmtpt verify: error: the following arguments are required: --alpha"}
+    refused = {"argv": ["verify"], "rc": 1, "stdout": "",
+               "stderr": "error: oracle cannot resolve: the N=2000 grid is not certified\n"}
+    assert output_diff.outcome(refused) == {
+        "rc": 1, "error": "error: oracle cannot resolve: the N=# grid is not certified"}
+    underflow = dict(refused, stderr="error: the squared norm of psi1 is 1.5e-320\n")
+    assert output_diff.outcome(underflow)["error"] == "error: the squared norm of psi1 is #"
+    # a verdict whose checks all pass disagrees with its rc
+    record = output_diff.record(_ARGVS[0])
+    with pytest.raises(ValueError, match="disagree"):
+        output_diff.outcome(dict(record, rc=1))
+
+
+_OUTCOMES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "outcomes.json")
+
+
+def test_census_defects_and_extend_keep_their_recorded_outcomes():
+    # a change that moves a class regenerates the record (`dump`, then
+    # `outcomes`) and names the inputs it moved
+    with open(_OUTCOMES, encoding="utf-8") as fh:
+        recorded = json.load(fh)
+    sets = output_diff.input_sets()
+    fresh = output_diff.outcome_record(
+        {name: [output_diff.record(argv) for argv in sets[name]] for name in recorded})
+    assert {name: len(rows) for name, rows in fresh.items()} == {
+        "census": 180, "defects": 7, "extend": 281}
+    assert {name: len(rows) for name, rows in recorded.items()} == {
+        name: len(rows) for name, rows in fresh.items()}
+    moved = [(name, sets[name][i], was, now) for name in recorded
+             for i, (was, now) in enumerate(zip(recorded[name], fresh[name])) if was != now]
+    assert moved == []
+
+
 def test_input_sets_follow_their_documented_draws():
     sets = output_diff.input_sets()
     assert len(sets["pool"]) == 912

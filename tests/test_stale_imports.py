@@ -6,6 +6,11 @@ perfbench/tracing.py `TARGETS` resolves on that module: the benchmark wraps
 the attribute there, so the module keeps it bound even where its own code no
 longer calls it.  The exemption is read from that file, so a name stops being
 exempt as soon as the benchmark stops tracing it.
+
+No module imports an underscore-prefixed name, or any name of an
+underscore-prefixed module, from a sibling either: what a module keeps
+private stays its own.  The public names of `_lazy`, the lazy NumPy and
+LAPACK loader every array module imports, are the one exemption.
 """
 
 import ast
@@ -62,3 +67,37 @@ def test_every_module_level_import_is_read_or_exported(path):
     kept = read | set(_assigned(tree, "__all__") or ()) | TRACED.get(module, set())
     stale = [f"{name} (line {line})" for name, line in _imported(tree) if name not in kept]
     assert stale == [], f"{path.name} imports names it never reads: {stale}"
+
+
+def _public(path: pathlib.Path) -> set[str]:
+    """The names a module defines at its top level without a leading underscore."""
+    names = set()
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    return {name for name in names if not name.startswith("_")}
+
+
+LAZY = _public(SRC / "_lazy.py")
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_a_private_name_of_a_sibling(path):
+    private = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level == 1:
+            module = node.module or ""
+        elif node.level == 0 and (node.module or "").startswith("pdmtpt."):
+            module = node.module[len("pdmtpt."):]
+        else:
+            continue
+        for alias in node.names:
+            if module == "_lazy" and alias.name in LAZY:
+                continue
+            if alias.name.startswith("_") or module.startswith("_"):
+                private.append(f"{module}.{alias.name} (line {node.lineno})")
+    assert private == [], f"{path.name} imports private names of siblings: {private}"

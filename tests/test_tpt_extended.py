@@ -20,9 +20,8 @@ from pdmtpt.dsusy_core import (
     Family,
     TrigLaurentPoly,
     compatibility_gap,
-    hermiticity_boundary_check,
 )
-from pdmtpt.numeric_verify import interior_samples
+from pdmtpt.numeric_verify import hermiticity_boundary_check, interior_samples
 from references import (
     c_odd_nested,
     c_two_nested,
