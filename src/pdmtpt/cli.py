@@ -11,6 +11,7 @@ import functools
 import json
 import math
 import os
+import re
 import shutil
 import sys
 from dataclasses import replace
@@ -440,6 +441,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig.add_argument("--json", action="store_true")
     p_fig.set_defaults(parser=p_fig)
 
+    # argparse reads an argument that starts with "-" as an option unless it
+    # looks like a negative number, and Python 3.11's pattern has no exponent,
+    # inf or nan: `--alpha -1e-3` was a usage error while `--alpha=-1e-3`
+    # was read.  No option here looks like a number, so any such argument
+    # is a value, for float() to read or refuse.
+    number = re.compile(r"-\.?\d|-inf|-nan", re.IGNORECASE)
+    for command in sub.choices.values():
+        command._negative_number_matcher = number
     return parser
 
 

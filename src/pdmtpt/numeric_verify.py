@@ -105,9 +105,9 @@ def mass_unflatten(df: DeformingFunction, g):
 
 @dataclass(frozen=True)
 class FlattenedProblem:
-    """Uniform Dirichlet grid in g with potential samples V(x(g))."""
+    """Potential samples V(x(g)) on the interior points of a uniform
+    Dirichlet grid in g, and the grid's spacing."""
 
-    g: np.ndarray
     v: np.ndarray
     spacing: float
 
@@ -179,19 +179,19 @@ def _flatten(v, df: DeformingFunction, n: int) -> FlattenedProblem:
     vt = _sample(v, np.asarray(mass_unflatten(df, g)))
     if not np.all(np.isfinite(vt)):
         raise ValueError("potential is not finite on the inset grid")
-    return FlattenedProblem(g, vt, h)
+    return FlattenedProblem(vt, h)
 
 
-def _dot(a: np.ndarray, b: np.ndarray, work: np.ndarray) -> float:
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
     """sum a_i b_i by NumPy's pairwise summation, never by BLAS.
 
     BLAS splits long dot products across its threads, so np.dot's last
     digits, and through them the refined levels, would depend on the
     thread count.  einsum does not call BLAS either, but its running sum
     is less accurate: levels refined with it stray further from long-double
-    Sturm-count levels.  The products go into work, an array of a's length.
+    Sturm-count levels.
     """
-    return float(np.add.reduce(np.multiply(a, b, out=work)))
+    return float(np.add.reduce(a * b))
 
 
 def _window(problem: FlattenedProblem, e_top: float) -> tuple[int, int]:
@@ -272,14 +272,7 @@ def _refined_levels(
         return tops, np.minimum(levels - np.append(-np.inf, tops[:-1]), tops - levels)
 
     _, delta = slots(seeds)
-    n = len(d)
     ramp = np.linspace(1.0, 2.0, len(problem.v))[lo:hi]
-    # one iteration's work arrays: the differences of u between the
-    # Dirichlet zeros, products to sum, e u and the residual T u - rho u
-    du = np.empty(n + 1)
-    work = np.empty(n + 1)
-    eu = np.empty(n)
-    r = np.empty(n)
     rho = np.empty(len(seeds))
     res = np.empty(len(seeds))
     found: list[np.ndarray] = []
@@ -291,18 +284,18 @@ def _refined_levels(
                 return None
             u = x[:, 0]
             for w in found:
-                u -= np.multiply(w, _dot(w, u, work[:n]), out=work[:n])
-            u /= math.sqrt(_dot(u, u, work[:n]))
-            np.subtract(u[1:], u[:-1], out=du[1:-1])
-            du[0], du[-1] = u[0], -u[-1]
-            rho[k] = c * _dot(du, du, work) + _dot(np.multiply(vc, u, out=work[:n]), u, work[:n])
+                u -= _dot(w, u) * w
+            u /= math.sqrt(_dot(u, u))
+            # the differences of u between the Dirichlet zeros (np.diff's
+            # prepend and append would cost more than the rest of the pass)
+            du = np.concatenate(((u[0],), u[1:] - u[:-1], (-u[-1],)))
+            rho[k] = c * _dot(du, du) + _dot(vc * u, u)
             # T u - rho u; e is constant, so e u is formed once
-            np.multiply(u, e[0], out=eu)
-            np.subtract(d, rho[k], out=r)
-            r *= u
+            eu = e[0] * u
+            r = (d - rho[k]) * u
             r[1:] += eu[:-1]
             r[:-1] += eu[1:]
-            rr = _dot(r, r, work[:n])
+            rr = _dot(r, r)
             if cut_lo:
                 rr += (c * u[0]) ** 2
             if cut_hi:
@@ -427,11 +420,10 @@ def _grid_levels(
             f"N={grid_size // 4} grid"
         )
     full = _flatten(v, df, grid_size)
-    g, vt, h = full.g, full.v, full.spacing
     # k (W/N) == W/(N/k) in floating point, so the N/2 and N/4 grids are
     # the ones _flatten builds at N/2 and N/4
     seed, quarter, half = (
-        FlattenedProblem(g[k - 1 :: k], vt[k - 1 :: k], k * h) for k in (16, 4, 2)
+        FlattenedProblem(full.v[k - 1 :: k], k * full.spacing) for k in (16, 4, 2)
     )
     levels = _refined_levels(quarter, _lowest_levels(seed, width)) if len(seed.v) > width else None
     solved = [_lowest_levels(quarter, width) if levels is None else levels]
@@ -613,19 +605,17 @@ class BoundaryCheck:
     interior_max: float
 
 
-def hermiticity_boundary_check(
-    psi, df: DeformingFunction
-) -> BoundaryCheck | tuple[BoundaryCheck, ...]:
+def hermiticity_boundary_check(psi, df: DeformingFunction) -> tuple[BoundaryCheck, ...]:
     """Check |psi|^2 f -> 0 at both domain ends.
 
     The limit estimate at each end is the largest of the probes x_lo + 2^-j d
     and x_hi - 2^-j d, d = width/8, j = 18..20.  Passes iff both limits are
     below 1e-8 times the maximum of |psi|^2 f over 257 interior points.  psi
     is called once, on the 257 interior points and the 6 probes together.
-    It must map an array to an array of the same shape, for one BoundaryCheck,
-    or to one of shape (k,) + its shape, k wavefunctions evaluated together
-    (`ClosedFormWavefunction.value`, one row per level), for a tuple of k;
-    anything else raises a ValueError.
+    It must map an array to an array of the same shape, one psi, or to one
+    of shape (k,) + its shape, k wavefunctions evaluated together
+    (`ClosedFormWavefunction.value`, one row per level); anything else
+    raises a ValueError.  Returns one BoundaryCheck per psi, in order.
     """
     lo, hi = df.domain
     d = (hi - lo) / 8.0
@@ -638,4 +628,4 @@ def hermiticity_boundary_check(
         interior_max, lower, upper = (float(np.max(part)) for part in np.split(row, (257, 260)))
         ok = interior_max > 0.0 and lower < 1e-8 * interior_max and upper < 1e-8 * interior_max
         checks.append(BoundaryCheck(ok, lower, upper, interior_max))
-    return tuple(checks) if y.ndim == 2 else checks[0]
+    return tuple(checks)

@@ -22,22 +22,16 @@
 * `lone_log_form`: one level's q and L (and, with `derivatives`, their
   first two derivatives), evaluated alone, as each psi was evaluated before
   psi0 and psi1 shared one evaluation of f, cos x, sin x and the ladders.
-* `refined_levels_fresh_arrays`: the oracle's Rayleigh-quotient refinement
-  on a whole grid with a new array for each pass and `np.sum` dot
-  products, as `numeric_verify._refined_levels` ran it before its work
-  arrays were preallocated.
 * pointwise values of the superpotentials (`laurent_value`,
   `laurent_derivative`) and partner potentials (`even_value`), and the
   exactly solvable wells' superpotential pairs, which the library only ever
   handles as coefficient algebra.
 """
 
-import math
 from fractions import Fraction
 
 import numpy as np
 
-from pdmtpt import numeric_verify as nv
 from pdmtpt.combinatorics import binomial, fsum
 from pdmtpt.dsusy_core import DeformingFunction, EvenTrigPoly, Family, TrigLaurentPoly
 from pdmtpt.numeric_verify import _sample
@@ -214,70 +208,6 @@ def lone_log_form(psi, level: int, x, derivatives: bool):
     if derivatives:
         q[0] = np.broadcast_to(q[0], x.shape)
     return q, big_l
-
-
-def refined_levels_fresh_arrays(problem, seeds):
-    """The levels nearest `seeds` on the whole grid, or None if not certified.
-
-    The same Rayleigh-quotient iteration, certificate and arithmetic as
-    `numeric_verify._refined_levels` on the whole grid, each pass writing
-    a new array.
-    """
-    flapack = nv.lapack()
-    dgtsv, dstebz = flapack.dgtsv, flapack.dstebz
-
-    def dot(a, b):
-        return float(np.sum(a * b))
-
-    d, e = nv._fd_bands(problem.v, problem.spacing)
-    c = -e[0]
-    vc = nv._capped(problem.v, 2.0 * c)
-    tol = nv._RQI_TOL_OVER_KINETIC * 2.0 * c
-
-    def slots(levels):
-        tops = np.append(0.5 * (levels[:-1] + levels[1:]), 1.5 * levels[-1] - 0.5 * levels[-2])
-        return tops, np.minimum(levels - np.append(-np.inf, tops[:-1]), tops - levels)
-
-    _, delta = slots(seeds)
-    ramp = np.linspace(1.0, 2.0, len(d))
-    du = np.empty(len(d) + 1)
-    rho = np.empty(len(seeds))
-    res = np.empty(len(seeds))
-    found = []
-    for k, shift in enumerate(seeds):
-        u = ramp
-        for _ in range(nv._RQI_SOLVES):
-            *_, x, info = dgtsv(e, d - shift, e, u[:, None])
-            if info != 0:
-                return None
-            u = x[:, 0]
-            for w in found:
-                u = u - dot(w, u) * w
-            u = u / math.sqrt(dot(u, u))
-            np.subtract(u[1:], u[:-1], out=du[1:-1])
-            du[0], du[-1] = u[0], -u[-1]
-            rho[k] = c * dot(du, du) + dot(vc * u, u)
-            eu = e[0] * u
-            r = d - rho[k]
-            r *= u
-            r[1:] += eu[:-1]
-            r[:-1] += eu[1:]
-            res[k] = math.sqrt(dot(r, r))
-            if res[k] ** 2 <= tol * delta[k]:
-                break
-            if res[k] < delta[k]:
-                shift = rho[k]
-        else:
-            return None
-        found.append(u)
-    tops, delta = slots(rho)
-    if not (np.all(res < delta) and np.all(res**2 <= tol * delta)):
-        return None
-    lo = float(np.min(d)) - 2.0 * c
-    top = tops[-1]
-    if dstebz(d, e, 1, lo, top, 1, 1, 2.0 * (top - lo), "E")[0] != len(rho):
-        return None
-    return rho
 
 
 def _horner(coeffs, y):

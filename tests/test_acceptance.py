@@ -244,9 +244,8 @@ def test_criterion_5_wavefunction_correctness():
         df = p.deforming
         for n in range(4):
             psi = lambda x, n=n: wavefn(p, n, x)
-            hermiticity_ok = (
-                hermiticity_ok and hermiticity_boundary_check(psi, df).passed
-            )
+            [check] = hermiticity_boundary_check(psi, df)
+            hermiticity_ok = hermiticity_ok and check.passed
     overlap_ok = worst_overlap < 1e-8
     _report(
         5,

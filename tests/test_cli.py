@@ -396,6 +396,33 @@ def test_non_finite_parameters_exit_1(argv, capsys):
     assert len(captured.err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("value", ["-1e-3", "-5E-1", "-inf"])
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["exact", "--one", "--alpha", "0.5"], "-A"),
+        (["exact", "--two", "-A", "2", "--alpha", "0.5"], "-B"),
+        (["exact", "--one", "-A", "2"], "--alpha"),
+        (["extend", "--one", "-m", "1", "--alpha", "0.3"], "--atop"),
+        (["extend", "--two", "--m1", "1", "--m2", "1", "--atop", "1", "--alpha", "0.3"],
+         "--btop"),
+        (["verify", "--one", "-m", "1", "--atop", "1", "-N", "256"], "--alpha"),
+        (["verify", "--one", "-m", "1", "--atop", "1", "--alpha", "0.3", "-N", "256"],
+         "--override-a2"),
+    ],
+    ids=["exact-A", "exact-B", "exact-alpha", "extend-atop", "extend-btop", "verify-alpha",
+         "verify-override-a2"],
+)
+def test_negative_float_is_a_value_in_either_form(argv, flag, value):
+    # argparse's own negative-number pattern has no exponent, inf or nan, so
+    # it took such a value for an option: "expected one argument", exit 2
+    apart = _assert_cli_contract(argv + [flag, value])
+    assert apart == _assert_cli_contract(argv + [f"{flag}={value}"])
+    assert apart[0] != 2
+    if flag == "--atop" and value == "-1e-3":
+        assert apart == (1, "", "error: top coefficient must be positive, got -0.001\n")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -421,8 +448,8 @@ def test_overflowing_closed_forms_are_a_precision_limit(argv, capsys):
 def _contract_floats(lo: float, hi: float):
     """Parameter texts: half from [lo, hi], where builds succeed, half over
     the whole double range, magnitudes from 5e-324 to 1e308 of either sign,
-    the non-finite values and -0.0.  They are passed as --opt=TEXT, so that
-    argparse reads a leading minus as part of the value, not as an option."""
+    the non-finite values and -0.0.  `_flag` passes them as one argument,
+    --opt=TEXT, or as two, --opt TEXT."""
     return st.one_of(
         st.floats(min_value=lo, max_value=hi),
         st.one_of(
@@ -431,6 +458,12 @@ def _contract_floats(lo: float, hi: float):
             st.sampled_from([math.nan, math.inf, -math.inf, -0.0]),
         ),
     ).map(repr)
+
+
+def _flag(draw, name: str, texts) -> list[str]:
+    """name and a drawn value, as one argument name=TEXT or as two."""
+    text = draw(texts)
+    return [f"{name}={text}"] if draw(st.booleans()) else [name, text]
 
 
 @st.composite
@@ -442,15 +475,17 @@ def _extend_check_argv(draw) -> list[str]:
     else:
         depths = st.integers(0, 20)
         argv += ["--two", "--m1", str(draw(depths)), "--m2", str(draw(depths)),
-                 f"--btop={draw(top)}"]
-    return argv + [f"--atop={draw(top)}", f"--alpha={draw(_contract_floats(-0.8, 0.8))}"]
+                 *_flag(draw, "--btop", top)]
+    argv += _flag(draw, "--atop", top)
+    return argv + _flag(draw, "--alpha", _contract_floats(-0.8, 0.8))
 
 
 def _assert_cli_contract(argv):
     """Every input gets a verified answer or one typed line, with exit 0-3.
 
     A usage error exits 2 through argparse's SystemExit, as the process
-    does.  Returns the exit code and stdout.
+    does; every flag drawn carries its value, so none is a missing value.
+    Returns the exit code, stdout and stderr.
     """
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -459,13 +494,14 @@ def _assert_cli_contract(argv):
         except SystemExit as exc:
             rc = exc.code
     assert rc in (0, 1, 2, 3)
+    assert "expected one argument" not in err.getvalue()
     if rc == 1 and not out.getvalue():
         [line] = err.getvalue().splitlines()
         assert line.startswith("error:")
     if rc == 0 and "--json" in argv:
         payload = json.loads(out.getvalue())
         assert all(math.isfinite(v) for v in payload.values() if isinstance(v, float))
-    return rc, out.getvalue()
+    return rc, out.getvalue(), err.getvalue()
 
 
 @seed(2411)
@@ -485,8 +521,9 @@ def _verify_argv(draw) -> list[str]:
     else:
         depths = st.integers(0, 8)
         argv += ["--two", "--m1", str(draw(depths)), "--m2", str(draw(depths)),
-                 f"--btop={draw(top)}"]
-    return argv + [f"--atop={draw(top)}", f"--alpha={draw(_contract_floats(-0.8, 0.8))}"]
+                 *_flag(draw, "--btop", top)]
+    argv += _flag(draw, "--atop", top)
+    return argv + _flag(draw, "--alpha", _contract_floats(-0.8, 0.8))
 
 
 @seed(2511)
@@ -508,7 +545,7 @@ def _output_argv(draw) -> list[str]:
     in_range = draw(st.booleans())
     floats = lambda lo, hi: st.floats(lo, hi).map(repr) if in_range else _contract_floats(lo, hi)
     top = floats(0.25, 4.0)
-    alpha = f"--alpha={draw(floats(-0.8, 0.8))}"
+    alpha = _flag(draw, "--alpha", floats(-0.8, 0.8))
     command = draw(st.sampled_from(["sample", "figures", "exact"]))
     argv = [command] + (["--json"] if draw(st.booleans()) else [])
     # one in ten out of range
@@ -517,21 +554,21 @@ def _output_argv(draw) -> list[str]:
         return argv + [f"--outdir={{out}}/{draw(st.sampled_from(['figs', 'a/b']))}", npoints]
     if command == "exact":
         family = draw(st.sampled_from(["--one", "--two"]))
-        argv += [family, f"-A={draw(floats(1.25, 4.0))}"]
+        argv += [family, *_flag(draw, "-A", floats(1.25, 4.0))]
         # -B belongs to --two; one in eight gets it wrong
         if (family == "--two") != (draw(st.integers(0, 7)) == 0):
-            argv.append(f"-B={draw(floats(1.25, 4.0))}")
+            argv += _flag(draw, "-B", floats(1.25, 4.0))
         nmax = draw(st.one_of(st.integers(-1, 12), st.integers(9_990, 10_001)))
-        return argv + [alpha, f"--nmax={nmax}"]
+        return argv + alpha + [f"--nmax={nmax}"]
     if draw(st.booleans()):
         argv += ["--one", "-m", str(draw(st.integers(0, 20)))]
     else:
         depths = st.integers(0, 20)
         argv += ["--two", "--m1", str(draw(depths)), "--m2", str(draw(depths)),
-                 f"--btop={draw(top)}"]
+                 *_flag(draw, "--btop", top)]
     # a missing directory and a directory itself are unwritable
     out = draw(st.sampled_from(["curve.csv", "missing/curve.csv", ""]))
-    return argv + [f"--atop={draw(top)}", alpha, npoints, f"--out={{out}}/{out}"]
+    return argv + _flag(draw, "--atop", top) + alpha + [npoints, f"--out={{out}}/{out}"]
 
 
 def _files_under(root) -> list[str]:
@@ -559,7 +596,7 @@ def test_sample_figures_and_exact_keep_the_cli_contract(tmp_path, argv):
     # rows it reports, all finite
     root = tempfile.mkdtemp(dir=tmp_path)
     argv = [arg.replace("{out}", root) for arg in argv]
-    rc, out = _assert_cli_contract(argv)
+    rc, out, _ = _assert_cli_contract(argv)
     files = _files_under(root)
     if rc != 0:
         assert files == []

@@ -40,7 +40,7 @@ from pdmtpt.tpt_extended import (
     closed_form_wavefunction,
     potential_value,
 )
-from references import refined_levels_fresh_arrays, stencil_residual
+from references import stencil_residual
 
 FIG1 = build_one_param(1, 1.0, -0.5)
 FIG3 = build_two_param(1, 1, 1.0, 1.0, 0.5)
@@ -258,6 +258,11 @@ def _reference_eigenvectors(v, df, n_levels, grid_size):
     return p, u * np.sign(u[np.arange(n_levels), anchors])[:, None]
 
 
+def _g_points(problem, df):
+    """The g points of a problem that _flatten built on df, as it forms them."""
+    return g_domain(df)[0] + problem.spacing * np.arange(1, len(problem.v) + 1)
+
+
 def test_sturm_node_counts():
     p = ExactOneParam(2.0, 0.0)
     _, u = _reference_eigenvectors(lambda x: potential_one_param(p, x), p.deforming, 4, 4000)
@@ -268,7 +273,7 @@ def test_sturm_node_counts():
 def test_eigenvector_matches_closed_ground_state():
     p, u = _reference_eigenvectors(lambda x: potential_value(FIG1, x), FIG1.deforming, 1, 4000)
     # psi = u/sqrt(f) is unit L2(dx) when u is unit L2(dg)
-    x = np.asarray(mass_unflatten(FIG1.deforming, p.g))
+    x = np.asarray(mass_unflatten(FIG1.deforming, _g_points(p, FIG1.deforming)))
     psi_num = u[0] / np.sqrt(FIG1.deforming.f(x))
     psi0 = _level_value(FIG1, 0)
     closed = psi0(x) / math.sqrt(inner_product(psi0, psi0, FIG1.deforming))
@@ -362,7 +367,7 @@ def test_quarter_levels_match_long_double_sturm(spec, n_levels):
     fine, (quarter_levels, _, _) = _grid_levels(
         lambda x: potential_value(spec, x), spec.deforming, n_levels, 4000
     )
-    quarter = FlattenedProblem(fine.g[3::4], fine.v[3::4], 4.0 * fine.spacing)
+    quarter = FlattenedProblem(fine.v[3::4], 4.0 * fine.spacing)
     ref = _sturm_levels_longdouble(quarter, n_levels)
     kin = 2.0 / quarter.spacing**2
     bound = np.maximum(1e-3 * np.finfo(float).eps * kin, 4 * np.spacing(quarter_levels))
@@ -376,8 +381,8 @@ def test_quarter_grid_falls_back_to_the_index_solve():
     spec = build_one_param(4, 0.589975, -0.755680)
     v = lambda x: potential_value(spec, x)
     fine, (quarter_levels, _, _) = _grid_levels(v, spec.deforming, 2, 4000)
-    quarter = FlattenedProblem(fine.g[3::4], fine.v[3::4], 4.0 * fine.spacing)
-    seed = FlattenedProblem(fine.g[15::16], fine.v[15::16], 16.0 * fine.spacing)
+    quarter = FlattenedProblem(fine.v[3::4], 4.0 * fine.spacing)
+    seed = FlattenedProblem(fine.v[15::16], 16.0 * fine.spacing)
     assert _refined_levels(quarter, _lowest_levels(seed, 2)) is None
     assert np.array_equal(quarter_levels, _lowest_levels(quarter, 2))
 
@@ -584,30 +589,6 @@ def test_one_sturm_count_per_refined_grid(spec, monkeypatch):
         assert spec is not DEEP or b - a < 0.06 * len(problem.v)
 
 
-
-@pytest.mark.parametrize("grid_size", [2000, 4000])
-@pytest.mark.parametrize(
-    "spec", [*REF_WELLS.values(), FIG5, README_WELL, DEEP],
-    ids=[*REF_WELLS, "two-1-0", "readme", "deep-3-3"],
-)
-def test_refinement_work_arrays_are_bit_identical(spec, grid_size):
-    # the loop writes into preallocated arrays and reduces with
-    # np.add.reduce; on the whole grid its levels, and its refusals, are
-    # those of the loop that made a new array per pass
-    full = _flatten(lambda x: potential_value(spec, x), spec.deforming, grid_size)
-    half = FlattenedProblem(full.g[1::2], full.v[1::2], 2.0 * full.spacing)
-    for n_levels in (2, 4):
-        quarter = _lowest_levels(
-            FlattenedProblem(full.g[3::4], full.v[3::4], 4.0 * full.spacing), n_levels
-        )
-        exact = _lowest_levels(full, n_levels + 1)
-        for problem, seeds in (
-            (half, quarter), (full, quarter), (full, exact[:n_levels]), (full, exact[1:]),
-        ):
-            new, old = _refined_levels(problem, seeds), refined_levels_fresh_arrays(problem, seeds)
-            assert (new is None and old is None) or np.array_equal(new, old)
-
-
 def _kato_temple_bound(problem, levels):
     """Twice the refined grids' Kato-Temple tolerance on problem, or 4 ulps
     of a level where that is wider: two certified values of one level
@@ -722,8 +703,8 @@ def test_window_count_sees_a_level_its_cut_lifts_above_the_top():
 
     problem = _flatten(shelf, _HARMONIC, 2000)
     whole = _lowest_levels(problem, 3)
-    hi = int(np.searchsorted(problem.g, 0.85))
-    cut = FlattenedProblem(problem.g[:hi], problem.v[:hi], problem.spacing)
+    hi = int(np.searchsorted(_g_points(problem, _HARMONIC), 0.85))
+    cut = FlattenedProblem(problem.v[:hi], problem.spacing)
     top = 1.5 * whole[1] - 0.5 * whole[0]
     assert whole[2] < top < _lowest_levels(cut, 3)[2]
     assert min(problem.v[hi:]) >= top
@@ -918,7 +899,7 @@ def test_checks_match_the_per_point_loops():
         want = _residual_per_point(psi, v, df, energy, xs)
         # 1% of the verify tolerance 1e-7
         assert abs(got - want) <= 1e-9
-        check = hermiticity_boundary_check(psi, df)
+        [check] = hermiticity_boundary_check(psi, df)
         passed, want = _hermiticity_per_point(psi, df)
         got = (check.lower_limit, check.upper_limit, check.interior_max)
         np.testing.assert_allclose(got, want, rtol=ulps * np.finfo(float).eps, atol=0.0)
@@ -1081,7 +1062,7 @@ def test_checks_read_the_joint_evaluation_as_the_lone_ones(spec):
     assert np.array_equal(g, g_lone)
     assert np.array_equal(ys, ys_lone)
     checks = hermiticity_boundary_check(spec.psi.value, df)
-    assert checks == tuple(hermiticity_boundary_check(psi, df) for psi in lone)
+    assert checks == tuple(check for psi in lone for check in hermiticity_boundary_check(psi, df))
     v = lambda x: potential_value(spec, x)
     xs = interior_samples(df, 41)
     energies = (spec.e0, spec.e1)
@@ -1113,5 +1094,5 @@ def test_hermiticity_check_passes_for_bound_state():
 
 
 def test_hermiticity_check_fails_for_constant():
-    check = hermiticity_boundary_check(np.ones_like, ONE_HALF)
+    [check] = hermiticity_boundary_check(np.ones_like, ONE_HALF)
     assert not check.passed

@@ -1,4 +1,4 @@
-"""No stale imports in the library.
+"""No stale imports or unreached definitions in the library.
 
 Every name a module-level import in src/pdmtpt binds must be read in its
 module or listed in its `__all__`.  The only exemption is a name that
@@ -6,6 +6,12 @@ perfbench/tracing.py `TARGETS` resolves on that module: the benchmark wraps
 the attribute there, so the module keeps it bound even where its own code no
 longer calls it.  The exemption is read from that file, so a name stops being
 exempt as soon as the benchmark stops tracing it.
+
+Every top-level function and class in src/pdmtpt is reached: src code reads
+it outside its own definition, the package exports it, it is a `cli.cmd_*`
+command, `TARGETS` resolves it, or `UNREAD` lists it with its reason.  Once
+the benchmark stops tracing a name that nothing else reaches, this names it
+for deletion; a listed name that gains a caller leaves the list.
 
 No module imports an underscore-prefixed name, or any name of an
 underscore-prefixed module, from a sibling either: what a module keeps
@@ -101,3 +107,63 @@ def test_no_module_imports_a_private_name_of_a_sibling(path):
             if alias.name.startswith("_") or module.startswith("_"):
                 private.append(f"{module}.{alias.name} (line {node.lineno})")
     assert private == [], f"{path.name} imports private names of siblings: {private}"
+
+
+
+MODULES = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py")}
+
+# (module, name) -> why a top-level function or class that nothing above
+# reaches stays.
+UNREAD = {
+    ("tpt_exact", f"{kind}_{family}_param"): "an exactly solvable baseline's closed form, "
+    "which tests hold the oracle and the residuals against (ROADMAP item 7)"
+    for kind in ("potential", "wavefn")
+    for family in ("one", "two")
+}
+
+
+def _origin(stem: str, name: str) -> str:
+    """The module whose top level defines `name` as module `stem` binds it."""
+    for node in MODULES[stem].body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if any((alias.asname or alias.name) == name for alias in node.names):
+                return node.module
+    return stem
+
+
+def _reached() -> set[tuple[str, str]]:
+    """(module, name) of each `cli.cmd_*` command, each name the package
+    exports or `TARGETS` resolves, and each top-level name src code reads
+    outside its own definition."""
+    out = {
+        ("cli", node.name)
+        for node in MODULES["cli"].body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("cmd_")
+    }
+    out.update((_origin("__init__", n), n) for n in _assigned(MODULES["__init__"], "__all__"))
+    for module, attrs in TRACED.items():
+        for attr in attrs:
+            # a row on a class wraps its method, and reaches the class
+            _, stem, name, *_ = f"{module}.{attr}".split(".")
+            out.add((_origin(stem, name), name))
+    for stem, tree in MODULES.items():
+        for node in tree.body:
+            own = getattr(node, "name", None)
+            out.update(
+                (_origin(stem, n.id), n.id)
+                for n in ast.walk(node)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load) and n.id != own
+            )
+    return out
+
+
+def test_every_function_and_class_is_reached():
+    defined = {
+        (stem, node.name)
+        for stem, tree in MODULES.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    unread = defined - _reached()
+    assert sorted(unread - UNREAD.keys()) == [], "nothing reaches these: delete or list them"
+    assert sorted(UNREAD.keys() - unread) == [], "these listed names are reached now"
