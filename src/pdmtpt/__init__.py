@@ -3,8 +3,9 @@
 The package builds two kinds of objects and keeps them honest against each
 other:
 
-* exactly solvable deformed wells (full spectrum and all bound states in
-  closed form), in :mod:`pdmtpt.tpt_exact`;
+* exactly solvable deformed wells (the full spectrum in closed form), in
+  :mod:`pdmtpt.tpt_exact`; their Gegenbauer and Jacobi eigenfunctions are
+  test references, in tests/references.py;
 * quasi-exactly solvable extensions (lowest two states in closed form, the
   potential fixed by its top coefficients), in :mod:`pdmtpt.tpt_extended`;
 

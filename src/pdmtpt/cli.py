@@ -382,6 +382,26 @@ def _add_extended_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--alpha", type=float, required=True, help="deformation strength")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument that looks like a number is a value.
+
+    argparse reads an argument that starts with "-" as an option unless it
+    looks like a negative number, its pattern (Python 3.11) has no exponent,
+    inf or nan, and it tries option prefixes first: alone, it takes
+    `--alpha -1e-3` for a missing value and `--alpha -NaN` for verify's `-N`
+    with the value "aN", while `--alpha=-1e-3` is read.  No option here
+    looks like a number, so such an argument goes to float() to read or
+    refuse; `-N256` is still `-N 256`.  Subparsers are built from this class
+    too."""
+
+    _NUMBER = re.compile(r"-\.?\d|-inf|-nan", re.IGNORECASE)
+
+    def _parse_optional(self, arg_string):
+        if self._NUMBER.match(arg_string):
+            return None
+        return super()._parse_optional(arg_string)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI parser, built once per process.
@@ -391,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     for the commands' own usage errors; the command itself is not stored
     but looked up as `cmd_<command>` when `main` calls it.
     """
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pdmtpt",
         description="Closed-form deformed trigonometric wells and their verification.",
     )
@@ -441,14 +461,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig.add_argument("--json", action="store_true")
     p_fig.set_defaults(parser=p_fig)
 
-    # argparse reads an argument that starts with "-" as an option unless it
-    # looks like a negative number, and Python 3.11's pattern has no exponent,
-    # inf or nan: `--alpha -1e-3` was a usage error while `--alpha=-1e-3`
-    # was read.  No option here looks like a number, so any such argument
-    # is a value, for float() to read or refuse.
-    number = re.compile(r"-\.?\d|-inf|-nan", re.IGNORECASE)
-    for command in sub.choices.values():
-        command._negative_number_matcher = number
     return parser
 
 

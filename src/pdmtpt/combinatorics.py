@@ -3,8 +3,7 @@
 Everything downstream (superpotential coefficients, resummed potential
 coefficients, wavefunction prefactors) is assembled from binomials, one
 table of double factorials per one-parameter ladder, one family of four-fold
-double-factorial sums, a small alternating binomial polynomial, and classical
-orthogonal polynomials evaluated by their three-term recurrences.  A
+double-factorial sums and a small alternating binomial polynomial.  A
 one-parameter ladder's double factorials are (2m+1)!! and the m+1
 denominators (2l+1)!! (2m-2l)!! of its ratios, formed by running products
 (`ladder_table`).  The double-factorial sums of the ladder are one integer
@@ -25,8 +24,6 @@ __all__ = [
     "fsum",
     "s_sum",
     "f_poly",
-    "gegenbauer",
-    "jacobi",
 ]
 
 
@@ -107,50 +104,3 @@ def f_poly(n: int, k: int, z: float) -> float:
     if k <= n:
         raise ValueError(f"f_poly requires k > n, got n={n}, k={k}")
     return fsum((-1.0) ** p * binomial(k, p) * z**p for p in range(n + 1))
-
-
-def gegenbauer(n: int, lam: float, t):
-    """Gegenbauer polynomial C_n^(lam)(t) by the three-term recurrence.
-
-    Accepts scalar or numpy-array t.  Requires lam > 0 (the degenerate
-    lam = 0 case never appears in these potentials).
-    """
-    if n < 0:
-        raise ValueError("polynomial degree must be >= 0")
-    if lam <= 0.0:
-        raise ValueError(f"gegenbauer order must be > 0, got {lam}")
-    c_prev = 1.0
-    if n == 0:
-        return c_prev + 0.0 * t
-    c_cur = 2.0 * lam * t
-    for j in range(2, n + 1):
-        c_prev, c_cur = c_cur, (
-            2.0 * (j - 1 + lam) * t * c_cur - (j - 2 + 2.0 * lam) * c_prev
-        ) / j
-    return c_cur
-
-
-def jacobi(n: int, a: float, b: float, t):
-    """Jacobi polynomial P_n^(a,b)(t) by the three-term recurrence.
-
-    Accepts scalar or numpy-array t.  Requires a > -1 and b > -1.
-    """
-    if n < 0:
-        raise ValueError("polynomial degree must be >= 0")
-    if a <= -1.0 or b <= -1.0:
-        raise ValueError(f"jacobi parameters out of range: a={a}, b={b}")
-    p_prev = 1.0 + 0.0 * t
-    if n == 0:
-        return p_prev
-    p_cur = (a + 1.0) + (a + b + 2.0) * (t - 1.0) / 2.0
-    for j in range(2, n + 1):
-        c1 = 2.0 * j * (j + a + b) * (2.0 * j + a + b - 2.0)
-        c2 = (2.0 * j + a + b - 1.0) * (a * a - b * b)
-        c3 = (
-            (2.0 * j + a + b - 1.0)
-            * (2.0 * j + a + b)
-            * (2.0 * j + a + b - 2.0)
-        )
-        c4 = 2.0 * (j + a - 1.0) * (j + b - 1.0) * (2.0 * j + a + b)
-        p_prev, p_cur = p_cur, ((c2 + c3 * t) * p_cur - c4 * p_prev) / c1
-    return p_cur

@@ -3,14 +3,16 @@
 Two families, both with every bound state in closed form:
 
 * one-parameter: V = A(A-1) sec^2 x on (-pi/2, pi/2) with mass profile
-  f = 1 + alpha sin^2 x; spectrum E_n = (lam+n)^2 - alpha(lam - n^2) and
-  Gegenbauer wavefunctions;
+  f = 1 + alpha sin^2 x; spectrum E_n = (lam+n)^2 - alpha(lam - n^2);
 * two-parameter: V = A(A-1) sec^2 x + B(B-1) csc^2 x on (0, pi/2) with
   f = 1 + alpha cos 2x; spectrum E_n = (lam+mu+2n)^2 + 2 alpha(lam-mu)(2n+1)
-  - 4 alpha^2 n^2 and Jacobi wavefunctions.
+  - 4 alpha^2 n^2.
 
-These serve both as physics results in their own right and as the trusted
-reference layer for the quasi-exactly-solvable extensions.
+This module holds the wells' parameters and spectra, which `exact` prints.
+The potentials and the Gegenbauer and Jacobi eigenfunctions are test
+references (tests/references.py): the tests hold the oracle's levels on
+those potentials, and the residuals of those eigenfunctions, against these
+spectra.
 """
 
 from __future__ import annotations
@@ -18,19 +20,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._lazy import np
-from .combinatorics import gegenbauer, jacobi
 from .dsusy_core import DeformingFunction
 
 __all__ = [
     "ExactOneParam",
     "ExactTwoParam",
     "energy_one_param",
-    "wavefn_one_param",
     "energy_two_param",
-    "wavefn_two_param",
-    "potential_one_param",
-    "potential_two_param",
 ]
 
 
@@ -74,24 +70,6 @@ def energy_one_param(p: ExactOneParam, n: int) -> float:
     """E_n = (lam + n)^2 - alpha (lam - n^2)."""
     lam = p.lam
     return (lam + n) ** 2 - p.alpha * (lam - n * n)
-
-
-def potential_one_param(p: ExactOneParam, x):
-    """V(x) = A(A-1) sec^2 x."""
-    return p.big_a * (p.big_a - 1.0) / np.cos(x) ** 2
-
-
-def wavefn_one_param(p: ExactOneParam, n: int, x):
-    """Un-normalized psi_n, Gegenbauer form.
-
-    psi_n = f^(-(L+1)/2) (cos x)^L C_n^(L)(t) with L = lam/(1+alpha) and
-    t = sqrt((1+alpha)/f) sin x.
-    """
-    p.deforming.check_interior(x)
-    f = p.deforming.f(x)
-    big_l = p.lam / (1.0 + p.alpha)
-    t = np.sqrt((1.0 + p.alpha) / f) * np.sin(x)
-    return f ** (-0.5 * (big_l + 1.0)) * np.cos(x) ** big_l * gegenbauer(n, big_l, t)
 
 
 @dataclass(frozen=True)
@@ -150,31 +128,3 @@ def energy_two_param(p: ExactTwoParam, n: int) -> float:
     """E_n = (lam + mu + 2n)^2 + 2 alpha (lam - mu)(2n + 1) - 4 alpha^2 n^2."""
     lam, mu, al = p.lam, p.mu, p.alpha
     return (lam + mu + 2 * n) ** 2 + 2.0 * al * (lam - mu) * (2 * n + 1) - 4.0 * al * al * n * n
-
-
-def potential_two_param(p: ExactTwoParam, x):
-    """V(x) = A(A-1) sec^2 x + B(B-1) csc^2 x."""
-    return (
-        p.big_a * (p.big_a - 1.0) / np.cos(x) ** 2
-        + p.big_b * (p.big_b - 1.0) / np.sin(x) ** 2
-    )
-
-
-def wavefn_two_param(p: ExactTwoParam, n: int, x):
-    """Un-normalized psi_n, Jacobi form.
-
-    psi_n = f^(-(1+L+M)/2) (cos x)^L (sin x)^M P_n^(M-1/2, L-1/2)(t) with
-    L = lam/(1-alpha), M = mu/(1+alpha), t = (cos 2x + alpha)/(1 + alpha cos 2x).
-    """
-    p.deforming.check_interior(x)
-    f = p.deforming.f(x)
-    big_l = p.lam / (1.0 - p.alpha)
-    big_m = p.mu / (1.0 + p.alpha)
-    c2 = np.cos(2.0 * x)
-    t = (c2 + p.alpha) / (1.0 + p.alpha * c2)
-    return (
-        f ** (-0.5 * (1.0 + big_l + big_m))
-        * np.cos(x) ** big_l
-        * np.sin(x) ** big_m
-        * jacobi(n, big_m - 0.5, big_l - 0.5, t)
-    )

@@ -74,6 +74,17 @@ _DEFECTS = [
     ["sample", "--json", "--one", "-m", "1", "--atop", "1", "--alpha", "-0.999",
      "--out", "curve.csv"],
     ["extend", "--json", "--check", "--one", "-m", "40", "--atop", "1", "--alpha", "0.3"],
+    # FAIL verdicts on correct closed forms: E0 = 0 at alpha = 1/sqrt(3) - 1
+    # and at the other zero crossing, a spectral FAIL, and FAILs from psi
+    # underflow (Hermiticity; nodes and Hermiticity)
+    ["verify", "--json", "--one", "-m", "1", "--atop", "1", "--alpha", "-0.4226497308103744"],
+    ["verify", "--json", "--one", "-m", "1", "--atop", "1", "--alpha", "-0.13030615433009324"],
+    ["verify", "--json", "--two", "--m1", "3", "--m2", "0", "--atop", "0.894846",
+     "--btop", "0.428308", "--alpha", "0.138057"],
+    ["verify", "--json", "--one", "-m", "4", "--atop", "0.527388", "--alpha", "-0.795030",
+     "-N", "8000"],
+    ["verify", "--json", "--two", "--m1", "2", "--m2", "3", "--atop", "0.416934",
+     "--btop", "0.728148", "--alpha", "-0.566869", "-N", "8000"],
 ]
 
 # the wells of `figures`: fig1/fig2, fig3/fig4 and fig5/fig6

@@ -26,17 +26,24 @@
   `laurent_derivative`) and partner potentials (`even_value`), and the
   exactly solvable wells' superpotential pairs, which the library only ever
   handles as coefficient algebra.
+* the exactly solvable wells' potentials (`potential_one_param`,
+  `potential_two_param`) and eigenfunctions (`wavefn_one_param`,
+  `wavefn_two_param`), whose polynomial factors SciPy's `eval_gegenbauer`
+  and `eval_jacobi` evaluate.  `tpt_exact` keeps the wells' parameters and
+  closed-form spectra; the tests hold the oracle's levels on these
+  potentials, and the residuals of these eigenfunctions, against them.
 """
 
 from fractions import Fraction
 
 import numpy as np
+from scipy.special import eval_gegenbauer, eval_jacobi
 
 from pdmtpt.combinatorics import binomial, fsum
 from pdmtpt.dsusy_core import DeformingFunction, EvenTrigPoly, Family, TrigLaurentPoly
 from pdmtpt.numeric_verify import _sample
 from pdmtpt.tpt_exact import ExactOneParam, ExactTwoParam
-from pdmtpt.tpt_extended import _conv, _sec_terms
+from pdmtpt.tpt_extended import _conv, _euler, _horner, _sec_terms
 
 
 def stencil_residual(psi, v, df: DeformingFunction, energy: float, samples) -> float:
@@ -210,17 +217,6 @@ def lone_log_form(psi, level: int, x, derivatives: bool):
     return q, big_l
 
 
-def _horner(coeffs, y):
-    acc = coeffs[-1] if coeffs else 0.0
-    for coef in reversed(coeffs[:-1]):
-        acc = acc * y + coef
-    return acc
-
-
-def _euler(coeffs):
-    return tuple(j * coef for j, coef in enumerate(coeffs))
-
-
 def laurent_value(w: TrigLaurentPoly, x):
     """W(x) = sum_k lam[k] tan^(2k+1) x - sum_l mu[l] cot^(2l+1) x."""
     # Horner in u^2 for the tan block, then the cot block.
@@ -268,6 +264,52 @@ def even_value(p: EvenTrigPoly, x):
             acc = (acc + c) * cot2
         out = out + acc
     return out
+
+
+def potential_one_param(p: ExactOneParam, x):
+    """V(x) = A(A-1) sec^2 x."""
+    return p.big_a * (p.big_a - 1.0) / np.cos(x) ** 2
+
+
+def wavefn_one_param(p: ExactOneParam, n: int, x):
+    """Un-normalized psi_n, Gegenbauer form.
+
+    psi_n = f^(-(L+1)/2) (cos x)^L C_n^(L)(t) with L = lam/(1+alpha) and
+    t = sqrt((1+alpha)/f) sin x.
+    """
+    p.deforming.check_interior(x)
+    f = p.deforming.f(x)
+    big_l = p.lam / (1.0 + p.alpha)
+    t = np.sqrt((1.0 + p.alpha) / f) * np.sin(x)
+    return f ** (-0.5 * (big_l + 1.0)) * np.cos(x) ** big_l * eval_gegenbauer(n, big_l, t)
+
+
+def potential_two_param(p: ExactTwoParam, x):
+    """V(x) = A(A-1) sec^2 x + B(B-1) csc^2 x."""
+    return (
+        p.big_a * (p.big_a - 1.0) / np.cos(x) ** 2
+        + p.big_b * (p.big_b - 1.0) / np.sin(x) ** 2
+    )
+
+
+def wavefn_two_param(p: ExactTwoParam, n: int, x):
+    """Un-normalized psi_n, Jacobi form.
+
+    psi_n = f^(-(1+L+M)/2) (cos x)^L (sin x)^M P_n^(M-1/2, L-1/2)(t) with
+    L = lam/(1-alpha), M = mu/(1+alpha), t = (cos 2x + alpha)/(1 + alpha cos 2x).
+    """
+    p.deforming.check_interior(x)
+    f = p.deforming.f(x)
+    big_l = p.lam / (1.0 - p.alpha)
+    big_m = p.mu / (1.0 + p.alpha)
+    c2 = np.cos(2.0 * x)
+    t = (c2 + p.alpha) / (1.0 + p.alpha * c2)
+    return (
+        f ** (-0.5 * (1.0 + big_l + big_m))
+        * np.cos(x) ** big_l
+        * np.sin(x) ** big_m
+        * eval_jacobi(n, big_m - 0.5, big_l - 0.5, t)
+    )
 
 
 def superpotentials_one_param(p: ExactOneParam) -> tuple[TrigLaurentPoly, TrigLaurentPoly]:

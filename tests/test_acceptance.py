@@ -28,10 +28,6 @@ from pdmtpt.tpt_exact import (
     ExactTwoParam,
     energy_one_param,
     energy_two_param,
-    potential_one_param,
-    potential_two_param,
-    wavefn_one_param,
-    wavefn_two_param,
 )
 from pdmtpt.tpt_extended import (
     ExtendedOneParamSpec,
@@ -44,7 +40,15 @@ from pdmtpt.tpt_extended import (
     expand_and_resum_two_param,
     potential_value,
 )
-from references import laurent_derivative, laurent_value, stencil_residual
+from references import (
+    laurent_derivative,
+    laurent_value,
+    potential_one_param,
+    potential_two_param,
+    stencil_residual,
+    wavefn_one_param,
+    wavefn_two_param,
+)
 
 _ANCHORS = (
     (Fraction(19, 16), Fraction(115, 16)),

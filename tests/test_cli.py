@@ -396,7 +396,7 @@ def test_non_finite_parameters_exit_1(argv, capsys):
     assert len(captured.err.splitlines()) == 1
 
 
-@pytest.mark.parametrize("value", ["-1e-3", "-5E-1", "-inf"])
+@pytest.mark.parametrize("value", ["-1e-3", "-5E-1", "-inf", "-NaN"])
 @pytest.mark.parametrize(
     "argv, flag",
     [
@@ -415,12 +415,22 @@ def test_non_finite_parameters_exit_1(argv, capsys):
 )
 def test_negative_float_is_a_value_in_either_form(argv, flag, value):
     # argparse's own negative-number pattern has no exponent, inf or nan, so
-    # it took such a value for an option: "expected one argument", exit 2
+    # it took such a value for an option: "expected one argument", exit 2;
+    # verify read -NaN as its -N option with the value "aN"
     apart = _assert_cli_contract(argv + [flag, value])
     assert apart == _assert_cli_contract(argv + [f"{flag}={value}"])
     assert apart[0] != 2
     if flag == "--atop" and value == "-1e-3":
         assert apart == (1, "", "error: top coefficient must be positive, got -0.001\n")
+
+
+@pytest.mark.parametrize("grid", [["-N", "256"], ["-N256"], ["--grid-size=256"]])
+def test_grid_size_reads_in_every_spelling_next_to_a_nan_value(grid):
+    well = ["verify", "--one", "-m", "1", "--atop", "-Inf"]
+    for alpha in (["--alpha", "-NaN"], ["--alpha=-nan"]):
+        args = build_parser().parse_args(well + alpha + grid)
+        assert args.grid_size == 256
+        assert args.atop == -math.inf and math.isnan(args.alpha)
 
 
 @pytest.mark.parametrize(
@@ -448,16 +458,16 @@ def test_overflowing_closed_forms_are_a_precision_limit(argv, capsys):
 def _contract_floats(lo: float, hi: float):
     """Parameter texts: half from [lo, hi], where builds succeed, half over
     the whole double range, magnitudes from 5e-324 to 1e308 of either sign,
-    the non-finite values and -0.0.  `_flag` passes them as one argument,
-    --opt=TEXT, or as two, --opt TEXT."""
+    the non-finite values, also spelled -NaN, -nan and -Inf, and -0.0.
+    `_flag` passes them as one argument, --opt=TEXT, or as two, --opt TEXT."""
     return st.one_of(
-        st.floats(min_value=lo, max_value=hi),
+        st.floats(min_value=lo, max_value=hi).map(repr),
         st.one_of(
-            st.floats(min_value=5e-324, max_value=1e308),
-            st.floats(min_value=-1e308, max_value=-5e-324),
-            st.sampled_from([math.nan, math.inf, -math.inf, -0.0]),
+            st.floats(min_value=5e-324, max_value=1e308).map(repr),
+            st.floats(min_value=-1e308, max_value=-5e-324).map(repr),
+            st.sampled_from(["nan", "inf", "-inf", "-0.0", "-NaN", "-nan", "-Inf"]),
         ),
-    ).map(repr)
+    )
 
 
 def _flag(draw, name: str, texts) -> list[str]:

@@ -3,18 +3,14 @@
 import math
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from scipy.special import eval_gegenbauer, eval_jacobi
 
 from pdmtpt.combinatorics import (
     binomial,
     binomial_transform,
     f_poly,
     fsum,
-    gegenbauer,
-    jacobi,
     ladder_table,
     s_sum,
 )
@@ -128,69 +124,3 @@ def test_fsum_is_math_fsum_until_both_infinities_meet():
     # products past the largest double: a precision limit, not a ValueError
     with pytest.raises(OverflowError):
         fsum([-2.0 * 1e308, 3.0 * 1e308])
-
-
-def test_gegenbauer_low_orders():
-    t = np.linspace(-1.0, 1.0, 9)
-    np.testing.assert_allclose(gegenbauer(0, 0.75, t), np.ones_like(t))
-    np.testing.assert_allclose(gegenbauer(1, 0.75, t), 1.5 * t)
-    # C_2^(1)(t) = 4t^2 - 1 vanishes at t = 1/2
-    assert gegenbauer(2, 1.0, 0.5) == pytest.approx(0.0, abs=1e-15)
-
-
-def test_gegenbauer_rejects_bad_order():
-    with pytest.raises(ValueError):
-        gegenbauer(2, 0.0, 0.5)
-    with pytest.raises(ValueError):
-        gegenbauer(2, -1.0, 0.5)
-    with pytest.raises(ValueError):
-        gegenbauer(-1, 1.0, 0.5)
-
-
-def test_gegenbauer_against_scipy():
-    t = np.linspace(-0.95, 0.95, 33)
-    for n in range(5):
-        for lam in (0.5, 1.0, 2.25):
-            np.testing.assert_allclose(
-                gegenbauer(n, lam, t), eval_gegenbauer(n, lam, t),
-                rtol=1e-12, atol=1e-12,
-            )
-
-
-def test_jacobi_low_orders():
-    t = np.linspace(-1.0, 1.0, 9)
-    np.testing.assert_allclose(jacobi(0, 0.3, -0.2, t), np.ones_like(t))
-    assert jacobi(1, 1.7, 0.4, 1.0) == pytest.approx(1.7 + 1.0)
-    a, b = 0.8, -0.3
-    p2 = (
-        (a + b + 3.0) * (a + b + 4.0) * 0.25**2
-        + 2.0 * (a - b) * (a + b + 3.0) * 0.25
-        + (a - b) ** 2
-        - (a + b + 4.0)
-    ) / 8.0
-    assert jacobi(2, a, b, 0.25) == pytest.approx(p2, rel=1e-13)
-
-
-def test_jacobi_rejects_bad_parameters():
-    with pytest.raises(ValueError):
-        jacobi(2, -1.0, 0.5, 0.1)
-    with pytest.raises(ValueError):
-        jacobi(2, 0.5, -1.5, 0.1)
-
-
-def test_jacobi_against_scipy():
-    t = np.linspace(-0.95, 0.95, 33)
-    for n in range(5):
-        for a, b in ((0.5, 0.5), (1.25, -0.4), (3.0, 2.0)):
-            np.testing.assert_allclose(
-                jacobi(n, a, b, t), eval_jacobi(n, a, b, t),
-                rtol=1e-12, atol=1e-12,
-            )
-
-
-def test_polynomials_accept_scalars_and_arrays():
-    t = np.array([0.1, 0.2])
-    assert np.shape(gegenbauer(3, 1.2, t)) == (2,)
-    assert np.shape(jacobi(3, 0.4, 0.6, t)) == (2,)
-    assert np.ndim(gegenbauer(3, 1.2, 0.1)) == 0
-    assert np.ndim(jacobi(3, 0.4, 0.6, 0.1)) == 0

@@ -33,14 +33,20 @@ from pdmtpt.numeric_verify import (
     residual,
     solve_spectrum,
 )
-from pdmtpt.tpt_exact import ExactOneParam, ExactTwoParam, energy_one_param, energy_two_param, potential_one_param, potential_two_param, wavefn_one_param, wavefn_two_param
+from pdmtpt.tpt_exact import ExactOneParam, ExactTwoParam, energy_one_param, energy_two_param
 from pdmtpt.tpt_extended import (
     build_one_param,
     build_two_param,
     closed_form_wavefunction,
     potential_value,
 )
-from references import stencil_residual
+from references import (
+    potential_one_param,
+    potential_two_param,
+    stencil_residual,
+    wavefn_one_param,
+    wavefn_two_param,
+)
 
 FIG1 = build_one_param(1, 1.0, -0.5)
 FIG3 = build_two_param(1, 1, 1.0, 1.0, 0.5)

@@ -150,7 +150,7 @@ def test_census_defects_and_extend_keep_their_recorded_outcomes():
     fresh = output_diff.outcome_record(
         {name: [output_diff.record(argv) for argv in sets[name]] for name in recorded})
     assert {name: len(rows) for name, rows in fresh.items()} == {
-        "census": 180, "defects": 7, "extend": 281}
+        "census": 180, "defects": 12, "extend": 281}
     assert {name: len(rows) for name, rows in recorded.items()} == {
         name: len(rows) for name, rows in fresh.items()}
     moved = [(name, sets[name][i], was, now) for name in recorded

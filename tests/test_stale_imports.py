@@ -9,9 +9,11 @@ exempt as soon as the benchmark stops tracing it.
 
 Every top-level function and class in src/pdmtpt is reached: src code reads
 it outside its own definition, the package exports it, it is a `cli.cmd_*`
-command, `TARGETS` resolves it, or `UNREAD` lists it with its reason.  Once
-the benchmark stops tracing a name that nothing else reaches, this names it
-for deletion; a listed name that gains a caller leaves the list.
+command, or `TARGETS` resolves it.  Once the benchmark stops tracing a name
+that nothing else reaches, this names it for deletion.  Every top-level
+function of tests/references.py is read too: by a test module or by
+tests/output_diff.py that imports it from `references`, or by another
+reference.
 
 No module imports an underscore-prefixed name, or any name of an
 underscore-prefixed module, from a sibling either: what a module keeps
@@ -112,16 +114,6 @@ def test_no_module_imports_a_private_name_of_a_sibling(path):
 
 MODULES = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py")}
 
-# (module, name) -> why a top-level function or class that nothing above
-# reaches stays.
-UNREAD = {
-    ("tpt_exact", f"{kind}_{family}_param"): "an exactly solvable baseline's closed form, "
-    "which tests hold the oracle and the residuals against (ROADMAP item 7)"
-    for kind in ("potential", "wavefn")
-    for family in ("one", "two")
-}
-
-
 def _origin(stem: str, name: str) -> str:
     """The module whose top level defines `name` as module `stem` binds it."""
     for node in MODULES[stem].body:
@@ -164,6 +156,35 @@ def test_every_function_and_class_is_reached():
         for node in tree.body
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
     }
-    unread = defined - _reached()
-    assert sorted(unread - UNREAD.keys()) == [], "nothing reaches these: delete or list them"
-    assert sorted(UNREAD.keys() - unread) == [], "these listed names are reached now"
+    assert sorted(defined - _reached()) == [], "nothing reaches these: delete them"
+
+
+TESTS = ROOT / "tests"
+
+
+def _read_names(tree: ast.Module, skip: str = "") -> set[str]:
+    """The names read in `tree` outside its top-level definition `skip`."""
+    return {
+        n.id
+        for node in tree.body
+        if getattr(node, "name", None) != skip
+        for n in ast.walk(node)
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+    }
+
+
+def test_every_reference_is_read():
+    refs = ast.parse((TESTS / "references.py").read_text(encoding="utf-8"))
+    defined = {node.name for node in refs.body if isinstance(node, ast.FunctionDef)}
+    read = {name for name in defined if name in _read_names(refs, skip=name)}
+    for path in [*TESTS.glob("test_*.py"), TESTS / "output_diff.py"]:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        loaded = _read_names(tree)
+        read.update(
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "references"
+            for alias in node.names
+            if (alias.asname or alias.name) in loaded
+        )
+    assert sorted(defined - read) == [], "no test reads these references: delete them"

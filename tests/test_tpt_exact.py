@@ -1,6 +1,7 @@
 """Exactly solvable baselines: spectra, wavefunctions, oracle agreement."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -16,12 +17,16 @@ from pdmtpt.tpt_exact import (
     ExactTwoParam,
     energy_one_param,
     energy_two_param,
+)
+from references import (
     potential_one_param,
     potential_two_param,
+    stencil_residual,
+    superpotentials_one_param,
+    superpotentials_two_param,
     wavefn_one_param,
     wavefn_two_param,
 )
-from references import stencil_residual, superpotentials_one_param, superpotentials_two_param
 
 
 def test_constant_mass_spectrum_one_param():
@@ -143,6 +148,38 @@ def test_oracle_agreement_two_param():
     )
     closed = np.array([energy_two_param(p, n) for n in range(5)])
     np.testing.assert_allclose(spectrum.eigenvalues, closed, rtol=1e-6)
+
+
+def test_oracle_error_bar_bounds_its_true_error_on_the_baselines():
+    """The calibration set: one random.Random(11) stream draws 40 wells per
+    family, `one` first: A (and B) from [1.0001, 1.5] for the first 8, at
+    the weak power-law wall, and from [1.5, 8] for the rest, then alpha from
+    [-0.8, 0.8].  Four levels each at N = 1000 and N = 4000 give 640 levels,
+    whose closed-form energies are exact.
+
+    Observed: no under-claim; the claimed error is 3.4 to 5.4e7 times the
+    true one (median 2.1e4), and the worst true error is 1.3e-5 relative
+    (level 3 of a two-parameter well with A, B about 1.04, at N = 1000).
+    """
+    rng = random.Random(11)
+    under = []
+    for family in ("one", "two"):
+        for i in range(40):
+            box = (1.0001, 1.5) if i < 8 else (1.5, 8.0)
+            if family == "one":
+                p = ExactOneParam(rng.uniform(*box), rng.uniform(-0.8, 0.8))
+                potential, energy = potential_one_param, energy_one_param
+            else:
+                p = ExactTwoParam(rng.uniform(*box), rng.uniform(*box), rng.uniform(-0.8, 0.8))
+                potential, energy = potential_two_param, energy_two_param
+            for grid_size in (1000, 4000):
+                spectrum = solve_spectrum(lambda x: potential(p, x), p.deforming, 4, grid_size)
+                under += [
+                    (p, grid_size, k)
+                    for k in range(4)
+                    if spectrum.errors[k] < abs(spectrum.eigenvalues[k] - energy(p, k))
+                ]
+    assert under == []
 
 
 @pytest.mark.parametrize("n", range(4))
