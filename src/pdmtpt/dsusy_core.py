@@ -16,6 +16,9 @@ Superpotentials here are odd Laurent polynomials in tan x (and cot x for the
 half-domain family).  All algebra is done exactly on {power of tan x ->
 coefficient} maps, using that f * d/dx acts on such polynomials as
 multiplication by a quadratic in u = tan x after d/du.
+`DeformingFunction` holds everything family-specific, the alpha range and
+the flattening map included; a superpotential is two-parameter exactly when
+it has a cot ladder.
 """
 
 from __future__ import annotations
@@ -63,25 +66,24 @@ class GapSignError(ValueError):
 
 @dataclass(frozen=True)
 class DeformingFunction:
-    """Mass-deforming profile f(x) for one of the two trigonometric families.
+    """Mass-deforming profile f(x) and everything else family-specific.
 
     TrigOne: f = 1 + alpha sin^2 x on (-pi/2, pi/2), requires alpha > -1.
     TrigTwo: f = 1 + alpha cos 2x on (0, pi/2), requires |alpha| < 1.
     Both keep f > 0 on the open domain; alpha = 0, the constant-mass limit,
-    is allowed.
+    is allowed.  Only here is the alpha range checked.  The flattening map
+    g = int dx/f takes the open x domain onto `g_domain`; `unflatten`
+    inverts it.
     """
 
     family: Family
     alpha: float
 
     def __post_init__(self) -> None:
-        a = self.alpha
-        if self.family is Family.ONE:
-            if not a > -1.0:
-                raise ValueError(f"one-parameter family needs alpha > -1, got {a}")
-        else:
-            if not abs(a) < 1.0:
-                raise ValueError(f"two-parameter family needs |alpha| < 1, got {a}")
+        if self.family is Family.ONE and not self.alpha > -1.0:
+            raise ValueError(f"need alpha > -1, got {self.alpha}")
+        if self.family is Family.TWO and not abs(self.alpha) < 1.0:
+            raise ValueError(f"need |alpha| < 1, got {self.alpha}")
 
     @classmethod
     def trig_one(cls, alpha: float) -> "DeformingFunction":
@@ -124,6 +126,28 @@ class DeformingFunction:
             return (1.0, 1.0 + self.alpha)
         return (1.0 + self.alpha, 1.0 - self.alpha)
 
+    @property
+    def g_domain(self) -> tuple[float, float]:
+        """Endpoints of the flattened coordinate g = int dx/f."""
+        a = self.alpha
+        if self.family is Family.ONE:
+            half = math.pi / (2.0 * math.sqrt(1.0 + a))
+            return (-half, half)
+        return (0.0, math.pi / (2.0 * math.sqrt(1.0 - a * a)))
+
+    def unflatten(self, g):
+        """Closed-form x(g), strictly increasing, with dx/dg = f: for one
+        parameter x = arctan(tan(sqrt(1+alpha) g)/sqrt(1+alpha)), for two
+        x = arctan(tan(sqrt(1-alpha^2) g)/sqrt((1-alpha)/(1+alpha)))."""
+        a = self.alpha
+        if self.family is Family.ONE:
+            r = math.sqrt(1.0 + a)
+            return np.arctan(np.tan(r * g) / r)
+        c = math.sqrt((1.0 - a) / (1.0 + a))
+        # tan(sqrt(1-a^2) g) > 0 for g in the open domain, so arctan stays on
+        # the principal branch and lands in (0, pi/2) directly
+        return np.arctan(np.tan(math.sqrt(1.0 - a * a) * g) / c)
+
 
 @dataclass(frozen=True)
 class TrigLaurentPoly:
@@ -134,15 +158,12 @@ class TrigLaurentPoly:
     symmetric about 0, where cot diverges).
     """
 
-    family: Family
     lam: tuple[float, ...]
     mu: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "lam", tuple(float(c) for c in self.lam))
         object.__setattr__(self, "mu", tuple(float(c) for c in self.mu))
-        if self.family is Family.ONE and self.mu:
-            raise ValueError("one-parameter superpotentials carry no cot powers")
 
 
 @dataclass(frozen=True)
@@ -151,7 +172,6 @@ class EvenTrigPoly:
     P(x) = sum_{k>=0} a[k] tan^(2k) x + sum_{l>=1} b[l-1] cot^(2l) x,
     the form taken by every partner potential built here."""
 
-    family: Family
     a: tuple[float, ...]
     b: tuple[float, ...] = ()
 
@@ -229,7 +249,7 @@ def partner_potential(
     lmax = -min((j for j in total if j < 0), default=0) // 2
     a = tuple(total.get(2 * k, 0.0) for k in range(kmax + 1))
     b = tuple(total.get(-2 * l, 0.0) for l in range(1, lmax + 1))
-    return EvenTrigPoly(w.family, a, b)
+    return EvenTrigPoly(a, b)
 
 
 def compatibility_gap(
@@ -240,10 +260,12 @@ def compatibility_gap(
     Checked symbolically: every nonconstant coefficient of the Laurent
     expansion must cancel to 1e-10 times the largest term, so the rounding of
     deep ladders passes.  Raises CompatibilityError if the expression is not
-    constant, GapSignError if the constant is not positive.
+    constant, GapSignError if the constant is not positive, and ValueError
+    unless the pair has cot ladders exactly when f is two-parameter.
     """
-    if w_plus.family is not w_minus.family or w_plus.family is not df.family:
-        raise ValueError("pair and deforming function families disagree")
+    two = df.family is Family.TWO
+    if bool(w_plus.mu) is not two or bool(w_minus.mu) is not two:
+        raise ValueError("the pair has cot ladders exactly when f is two-parameter")
     lhs = _f_dw_dx_map(w_plus, df)
     rhs = _map_mul(_w_to_map(w_plus), _w_to_map(w_minus))
     resid = dict(lhs)

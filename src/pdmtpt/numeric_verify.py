@@ -3,11 +3,12 @@
 
 The deformed operator -sqrt(f) d/dx f d/dx sqrt(f) + V turns into a
 constant-mass Sturm-Liouville problem -u'' + V(x(g)) u = E u for
-u = sqrt(f) psi under the coordinate change dg = dx/f.  Both deforming
-functions admit a closed-form flattening map, the g-interval is finite, and
-the transformed problem is discretized by standard second-order central
-differences with Dirichlet ends.  Nothing here reuses the closed-form
-spectra, so agreement is a genuine cross-check.
+u = sqrt(f) psi under the coordinate change dg = dx/f.  The oracle asks the
+deforming function for the finite g-interval (`DeformingFunction.g_domain`)
+and for the closed-form x(g) (`DeformingFunction.unflatten`), and knows
+nothing else of the family.  The transformed problem is discretized by
+standard second-order central differences with Dirichlet ends.  Nothing
+here reuses the closed-form spectra, so agreement is a genuine cross-check.
 
 `solve_spectrum` extrapolates the levels of three grids, N/4, N/2 and N.
 V is sampled once, on the N grid; the N/2 and N/4 grids, and the seed grid
@@ -59,14 +60,12 @@ import sys
 from dataclasses import dataclass
 
 from ._lazy import lapack, np
-from .dsusy_core import DeformingFunction, Family
+from .dsusy_core import DeformingFunction
 
 __all__ = [
     "FlattenedProblem",
     "NumericSpectrum",
     "BoundaryCheck",
-    "g_domain",
-    "mass_unflatten",
     "solve_spectrum",
     "residual",
     "count_nodes",
@@ -75,32 +74,6 @@ __all__ = [
     "interior_samples",
     "hermiticity_boundary_check",
 ]
-
-
-def g_domain(df: DeformingFunction) -> tuple[float, float]:
-    """Endpoints of the flattened coordinate g = int dx/f."""
-    a = df.alpha
-    if df.family is Family.ONE:
-        half = math.pi / (2.0 * math.sqrt(1.0 + a))
-        return (-half, half)
-    return (0.0, math.pi / (2.0 * math.sqrt(1.0 - a * a)))
-
-
-def mass_unflatten(df: DeformingFunction, g):
-    """Closed-form x(g), strictly increasing, with dx/dg = f.
-
-    One-parameter: x = arctan(tan(sqrt(1+alpha) g)/sqrt(1+alpha)).
-    Two-parameter: x = arctan(tan(sqrt(1-alpha^2) g)/sqrt((1-alpha)/(1+alpha))).
-    It inverts g = int dx/f, which maps the open x domain onto g_domain.
-    """
-    a = df.alpha
-    if df.family is Family.ONE:
-        r = math.sqrt(1.0 + a)
-        return np.arctan(np.tan(r * g) / r)
-    c = math.sqrt((1.0 - a) / (1.0 + a))
-    # tan(sqrt(1-a^2) g) > 0 for g in the open domain, so arctan stays on
-    # the principal branch and lands in (0, pi/2) directly
-    return np.arctan(np.tan(math.sqrt(1.0 - a * a) * g) / c)
 
 
 @dataclass(frozen=True)
@@ -173,10 +146,10 @@ def _sample(fn, x: np.ndarray, stack: bool = False) -> np.ndarray:
 
 def _flatten(v, df: DeformingFunction, n: int) -> FlattenedProblem:
     """Finite V(x(g)) on the n-1 interior points of the uniform n-interval g grid."""
-    g_lo, g_hi = g_domain(df)
+    g_lo, g_hi = df.g_domain
     h = (g_hi - g_lo) / n
     g = g_lo + h * np.arange(1, n)
-    vt = _sample(v, np.asarray(mass_unflatten(df, g)))
+    vt = _sample(v, np.asarray(df.unflatten(g)))
     if not np.all(np.isfinite(vt)):
         raise ValueError("potential is not finite on the inset grid")
     return FlattenedProblem(vt, h)
@@ -276,40 +249,45 @@ def _refined_levels(
     rho = np.empty(len(seeds))
     res = np.empty(len(seeds))
     found: list[np.ndarray] = []
-    for k, shift in enumerate(seeds):
-        u = ramp
-        for _ in range(_RQI_SOLVES):
-            *_, x, info = dgtsv(e, d - shift, e, u[:, None], overwrite_d=1)
-            if info != 0:
+    # a V far below -2/h^2 overflows a solve or a residual, which refuses it
+    with np.errstate(over="ignore"):
+        for k, shift in enumerate(seeds):
+            u = ramp
+            for _ in range(_RQI_SOLVES):
+                *_, x, info = dgtsv(e, d - shift, e, u[:, None], overwrite_d=1)
+                if info != 0:
+                    return None
+                u = x[:, 0]
+                for w in found:
+                    u -= _dot(w, u) * w
+                norm_sq = _dot(u, u)
+                if not 0.0 < norm_sq < math.inf:
+                    return None  # the solve overflowed or lost u
+                u /= math.sqrt(norm_sq)
+                # u's differences between the Dirichlet zeros (np.diff's
+                # prepend and append would cost more than the rest of the pass)
+                du = np.concatenate(((u[0],), u[1:] - u[:-1], (-u[-1],)))
+                rho[k] = c * _dot(du, du) + _dot(vc * u, u)
+                # T u - rho u; e is constant, so e u is formed once
+                eu = e[0] * u
+                r = (d - rho[k]) * u
+                r[1:] += eu[:-1]
+                r[:-1] += eu[1:]
+                rr = _dot(r, r)
+                if cut_lo:
+                    rr += (c * u[0]) ** 2
+                if cut_hi:
+                    rr += (c * u[-1]) ** 2
+                res[k] = math.sqrt(rr)
+                if res[k] ** 2 <= tol * delta[k]:
+                    break
+                # until its residual is below the gap, the quotient can still
+                # be drawn to another level, so the seed stays the shift
+                if res[k] < delta[k]:
+                    shift = rho[k]
+            else:
                 return None
-            u = x[:, 0]
-            for w in found:
-                u -= _dot(w, u) * w
-            u /= math.sqrt(_dot(u, u))
-            # the differences of u between the Dirichlet zeros (np.diff's
-            # prepend and append would cost more than the rest of the pass)
-            du = np.concatenate(((u[0],), u[1:] - u[:-1], (-u[-1],)))
-            rho[k] = c * _dot(du, du) + _dot(vc * u, u)
-            # T u - rho u; e is constant, so e u is formed once
-            eu = e[0] * u
-            r = (d - rho[k]) * u
-            r[1:] += eu[:-1]
-            r[:-1] += eu[1:]
-            rr = _dot(r, r)
-            if cut_lo:
-                rr += (c * u[0]) ** 2
-            if cut_hi:
-                rr += (c * u[-1]) ** 2
-            res[k] = math.sqrt(rr)
-            if res[k] ** 2 <= tol * delta[k]:
-                break
-            # until its residual is below the gap, the quotient can still be
-            # drawn to another level, so the seed stays the shift
-            if res[k] < delta[k]:
-                shift = rho[k]
-        else:
-            return None
-        found.append(u)
+            found.append(u)
     tops, delta = slots(rho)
     if not (np.all(res < delta) and np.all(res**2 <= tol * delta)):
         return None

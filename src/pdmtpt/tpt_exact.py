@@ -45,8 +45,7 @@ class ExactOneParam:
             )
         if not self.big_a > 1.0:
             raise ValueError(f"need A > 1, got {self.big_a}")
-        if not self.alpha > -1.0:
-            raise ValueError(f"need alpha > -1, got {self.alpha}")
+        DeformingFunction.trig_one(self.alpha)  # checks the alpha range
 
     @property
     def deforming(self) -> DeformingFunction:
@@ -90,8 +89,7 @@ class ExactTwoParam:
             raise ValueError(f"need A > 1, got {self.big_a}")
         if not self.big_b > 1.0:
             raise ValueError(f"need B > 1, got {self.big_b}")
-        if not abs(self.alpha) < 1.0:
-            raise ValueError(f"need |alpha| < 1, got {self.alpha}")
+        DeformingFunction.trig_two(self.alpha)  # checks the alpha range
 
     @property
     def deforming(self) -> DeformingFunction:

@@ -71,7 +71,6 @@ from ._lazy import np
 from .combinatorics import binomial, binomial_transform, f_poly, fsum, ladder_table, s_sum
 from .dsusy_core import (
     DeformingFunction,
-    Family,
     TrigLaurentPoly,
     compatibility_gap,
     partner_potential,
@@ -346,8 +345,8 @@ def _w_pair_one(
     lam = tuple(
         2.0 * sa * top / den[k] * (1.0 + alpha) ** (k - m) for k in range(m + 1)
     )
-    w_plus = TrigLaurentPoly(Family.ONE, lam)
-    w_minus = TrigLaurentPoly(Family.ONE, ((2 * m + 1) * (1.0 + alpha),))
+    w_plus = TrigLaurentPoly(lam)
+    w_minus = TrigLaurentPoly(((2 * m + 1) * (1.0 + alpha),))
     return w_plus, w_minus
 
 
@@ -423,15 +422,13 @@ def expand_and_resum_one_param(
 ) -> tuple[float, tuple[float, ...]]:
     """Expansion-path (E_0, (A_2 ... A_{4m+2})): build W from the ladder
     coefficients, expand V_1 = W^2 - f W' in tan^2 x, resum in sec^2 x."""
-    _validate_one(m, a_top, alpha)
+    df = _validate_one(m, a_top, alpha)
     lam = _ladders(*_w_pair_one(m, math.sqrt(a_top), alpha, ladder_table(m)))[0]
-    w = TrigLaurentPoly(Family.ONE, lam)
-    df = DeformingFunction.trig_one(alpha)
-    const, sec, _csc = partner_potential(w, df, "V1").resummed()
+    const, sec, _csc = partner_potential(TrigLaurentPoly(lam), df, "V1").resummed()
     return (-const, sec)
 
 
-def _validate_one(m: int, a_top: float, alpha: float) -> None:
+def _validate_one(m: int, a_top: float, alpha: float) -> DeformingFunction:
     if m == 0:
         raise ValueError(
             "m = 0 is the exactly solvable baseline; build it with tpt_exact"
@@ -444,8 +441,7 @@ def _validate_one(m: int, a_top: float, alpha: float) -> None:
         raise ValueError(f"parameters must be finite, got {(a_top, alpha)}")
     if not a_top > 0.0:
         raise ValueError(f"top coefficient must be positive, got {a_top}")
-    if not alpha > -1.0:
-        raise ValueError(f"need alpha > -1, got {alpha}")
+    return DeformingFunction.trig_one(alpha)
 
 
 def build_one_param(m: int, a_top: float, alpha: float) -> ExtendedOneParamSpec:
@@ -458,7 +454,7 @@ def build_one_param(m: int, a_top: float, alpha: float) -> ExtendedOneParamSpec:
     of the generating pair the same way, and a pair whose f W_plus' -
     W_plus W_minus is not constant raises CompatibilityError.
     """
-    _validate_one(m, a_top, alpha)
+    df = _validate_one(m, a_top, alpha)
     sa = math.sqrt(a_top)
     op = 1.0 + alpha
     table = ladder_table(m)
@@ -477,7 +473,6 @@ def build_one_param(m: int, a_top: float, alpha: float) -> ExtendedOneParamSpec:
     )
 
     e1 = _first_excited(e0, gap)
-    df = DeformingFunction.trig_one(alpha)
     _check_match("one-param gap", gap, compatibility_gap(wp, wm, df), 1e-9)
 
     c_odd = _c_odd_one(m, lam, alpha)
@@ -520,7 +515,6 @@ def _poly_in_sin2(wp: TrigLaurentPoly) -> tuple[float, ...]:
     m1 = len(wp.lam) - 1
     m2 = len(wp.mu) - 1 if wp.mu else -1
     deg = m1 + m2 + 1
-    out = [0.0] * (deg + 1)
     acc: list[list[float]] = [[] for _ in range(deg + 1)]
     for k, lamc in enumerate(wp.lam):
         # tan^(2k+1) -> s^(k+m2+1) (1-s)^(m1-k)
@@ -530,9 +524,7 @@ def _poly_in_sin2(wp: TrigLaurentPoly) -> tuple[float, ...]:
         # -cot^(2l+1) -> -(1-s)^(l+m1+1) s^(m2-l)
         for j in range(l + m1 + 2):
             acc[m2 - l + j].append(-muc * (-1.0) ** j * binomial(l + m1 + 1, j))
-    for j in range(deg + 1):
-        out[j] = fsum(acc[j])
-    return tuple(out)
+    return tuple(fsum(terms) for terms in acc)
 
 
 # ---------------------------------------------------------------------------
@@ -608,9 +600,8 @@ def _w_pair_two(
     mu = tuple(
         2.0 * sb * binomial(big, m1 + l + 1) * rm ** (m2 - l) for l in range(m2 + 1)
     )
-    w_plus = TrigLaurentPoly(Family.TWO, lam, mu)
+    w_plus = TrigLaurentPoly(lam, mu)
     w_minus = TrigLaurentPoly(
-        Family.TWO,
         ((2 * m1 + 1) * (1.0 - alpha),),
         ((2 * m2 + 1) * (1.0 + alpha),),
     )
@@ -739,7 +730,9 @@ def _psi1_poly_two(
     return tuple(out)
 
 
-def _validate_two(m1: int, m2: int, a_top: float, b_top: float, alpha: float) -> None:
+def _validate_two(
+    m1: int, m2: int, a_top: float, b_top: float, alpha: float
+) -> DeformingFunction:
     if m1 < 0 or m2 < 0:
         raise ValueError(f"ladder depths must be nonnegative, got {(m1, m2)}")
     if max(m1, m2) > _MAX_DEPTH:
@@ -752,23 +745,20 @@ def _validate_two(m1: int, m2: int, a_top: float, b_top: float, alpha: float) ->
         raise ValueError(f"parameters must be finite, got {(a_top, b_top, alpha)}")
     if not (a_top > 0.0 and b_top > 0.0):
         raise ValueError(f"top coefficients must be positive, got {(a_top, b_top)}")
-    if not abs(alpha) < 1.0:
-        raise ValueError(f"need |alpha| < 1, got {alpha}")
+    return DeformingFunction.trig_two(alpha)
 
 
 def expand_and_resum_two_param(
     m1: int, m2: int, a_top: float, b_top: float, alpha: float
 ) -> tuple[float, tuple[float, ...], tuple[float, ...]]:
     """Expansion-path (E_0, A-array, B-array) for canonical m1 >= m2 input."""
-    _validate_two(m1, m2, a_top, b_top, alpha)
+    df = _validate_two(m1, m2, a_top, b_top, alpha)
     if m1 < m2:
         raise ValueError("expansion path expects the canonical ordering m1 >= m2")
     sa = math.sqrt(a_top)
     sb = _sqrt_b_eff(m2, b_top, alpha)
     lam, _, mu, _ = _ladders(*_w_pair_two(m1, m2, sa, sb, alpha))
-    w = TrigLaurentPoly(Family.TWO, lam, mu)
-    df = DeformingFunction.trig_two(alpha)
-    const, sec, csc = partner_potential(w, df, "V1").resummed()
+    const, sec, csc = partner_potential(TrigLaurentPoly(lam, mu), df, "V1").resummed()
     return (-const, sec, csc)
 
 
@@ -782,7 +772,7 @@ def build_two_param(
     Closed-form and expansion-path results, and the gap and the generating
     pair's compatibility constant, must agree to 1e-8 relative.
     """
-    _validate_two(m1, m2, a_top, b_top, alpha)
+    df = _validate_two(m1, m2, a_top, b_top, alpha)
     if m1 < m2:
         canonical = build_two_param(m2, m1, b_top, a_top, -alpha)
         return replace(canonical, reflected=True)
@@ -811,7 +801,6 @@ def build_two_param(
 
     gap = _gap_two(m1, m2, sa, sb, alpha)
     e1 = _first_excited(e0, gap)
-    df = DeformingFunction.trig_two(alpha)
     _check_match("two-param gap", gap, compatibility_gap(wp, wm, df), 1e-8)
 
     c, d = _c_two(m1, lam, alpha), _c_two(m2, mu, -alpha)

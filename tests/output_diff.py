@@ -105,18 +105,6 @@ _DEPTH_PROBES = [
     ["--two", "--m1", "1001", "--m2", "0", "--atop", "1", "--btop", "1", "--alpha", "0.3"],
 ]
 
-# verify's checks in the order `cli.cmd_verify` prints them, each read from
-# its --json payload with cli's tolerance
-_VERIFY_CHECKS = (
-    ("spectral level0", lambda p: p["spectral_rel_err0"] < 1e-6),
-    ("spectral level1", lambda p: p["spectral_rel_err1"] < 1e-6),
-    ("residual psi0", lambda p: p["residual_psi0"] < 1e-7),
-    ("residual psi1", lambda p: p["residual_psi1"] < 1e-7),
-    ("nodes", lambda p: (p["nodes_psi0"], p["nodes_psi1"]) == (0, 1)),
-    ("orthogonality", lambda p: p["orthogonality"] < 1e-8),
-    ("hermiticity psi0", lambda p: p["hermiticity_psi0"]),
-    ("hermiticity psi1", lambda p: p["hermiticity_psi1"]),
-)
 
 # the sets of the outcome record
 _RECORDED = ("census", "defects", "extend")
@@ -268,6 +256,28 @@ def diff_lines(a: dict, b: dict) -> list[str]:
     return lines
 
 
+def _verify_checks() -> tuple:
+    """verify's checks in the order `cli.cmd_verify` prints them, each read
+    from its --json payload.  A value check compares its key with
+    `cli.VERIFY_TOLERANCES`, imported here rather than at the top, so that
+    `dump` also runs on a checkout without it."""
+    from pdmtpt.cli import VERIFY_TOLERANCES
+
+    def below(key):
+        return lambda p: p[key] < VERIFY_TOLERANCES[key]
+
+    return (
+        ("spectral level0", below("spectral_rel_err0")),
+        ("spectral level1", below("spectral_rel_err1")),
+        ("residual psi0", below("residual_psi0")),
+        ("residual psi1", below("residual_psi1")),
+        ("nodes", lambda p: (p["nodes_psi0"], p["nodes_psi1"]) == (0, 1)),
+        ("orthogonality", below("orthogonality")),
+        ("hermiticity psi0", lambda p: p["hermiticity_psi0"]),
+        ("hermiticity psi1", lambda p: p["hermiticity_psi1"]),
+    )
+
+
 def outcome(rec: dict) -> dict:
     """One record's outcome without its digits: rc, the last stderr line with
     its numbers masked, and for `verify` each check's PASS/FAIL and the node
@@ -279,7 +289,8 @@ def outcome(rec: dict) -> dict:
         out["error"] = _MASKED.sub("#", lines[-1])
     payload = _payload(rec["stdout"])
     if rec["argv"][0] == "verify" and payload is not None:
-        checks = {name: "PASS" if passes(payload) else "FAIL" for name, passes in _VERIFY_CHECKS}
+        checks = {name: "PASS" if passes(payload) else "FAIL"
+                  for name, passes in _verify_checks()}
         if (rc == 0) != all(state == "PASS" for state in checks.values()):
             raise ValueError(f"the checks {checks} disagree with rc {rc} of {rec['argv']}")
         out["checks"] = checks

@@ -40,7 +40,7 @@ import numpy as np
 from scipy.special import eval_gegenbauer, eval_jacobi
 
 from pdmtpt.combinatorics import binomial, fsum
-from pdmtpt.dsusy_core import DeformingFunction, EvenTrigPoly, Family, TrigLaurentPoly
+from pdmtpt.dsusy_core import DeformingFunction, EvenTrigPoly, TrigLaurentPoly
 from pdmtpt.numeric_verify import _sample
 from pdmtpt.tpt_exact import ExactOneParam, ExactTwoParam
 from pdmtpt.tpt_extended import _conv, _euler, _horner, _sec_terms
@@ -315,14 +315,14 @@ def wavefn_two_param(p: ExactTwoParam, n: int, x):
 def superpotentials_one_param(p: ExactOneParam) -> tuple[TrigLaurentPoly, TrigLaurentPoly]:
     """(W, W') = (lam tan x, lam' tan x)."""
     return (
-        TrigLaurentPoly(Family.ONE, (p.lam,)),
-        TrigLaurentPoly(Family.ONE, (p.lam_prime,)),
+        TrigLaurentPoly((p.lam,)),
+        TrigLaurentPoly((p.lam_prime,)),
     )
 
 
 def superpotentials_two_param(p: ExactTwoParam) -> tuple[TrigLaurentPoly, TrigLaurentPoly]:
     """(W, W') = (lam tan x - mu cot x, lam' tan x - mu' cot x)."""
     return (
-        TrigLaurentPoly(Family.TWO, (p.lam,), (p.mu,)),
-        TrigLaurentPoly(Family.TWO, (p.lam_prime,), (p.mu_prime,)),
+        TrigLaurentPoly((p.lam,), (p.mu,)),
+        TrigLaurentPoly((p.lam_prime,), (p.mu_prime,)),
     )

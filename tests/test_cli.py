@@ -16,6 +16,7 @@ The README's library quick start is run as written.
 """
 
 import argparse
+import ast
 import contextlib
 import io
 import json
@@ -34,7 +35,7 @@ from hypothesis import HealthCheck, given, seed, settings, strategies as st
 import pdmtpt
 from pdmtpt import cli, tpt_extended
 from pdmtpt.cli import _CURVE_BLOCK_ROWS, _MAX_NMAX, _MAX_NPOINTS, build_parser, main
-from pdmtpt.dsusy_core import Family, TrigLaurentPoly
+from pdmtpt.dsusy_core import TrigLaurentPoly
 from pdmtpt.numeric_verify import gram, inner_product
 from pdmtpt.tpt_extended import (
     ClosedFormWavefunction,
@@ -282,7 +283,7 @@ class TestExtend:
             # a tan^3 term in W_minus leaves the ladders, E0 and the
             # coefficients as they were
             w_plus, w_minus = w_pair(*args)
-            return w_plus, TrigLaurentPoly(Family.ONE, w_minus.lam + (1e-6,))
+            return w_plus, TrigLaurentPoly(w_minus.lam + (1e-6,))
 
         monkeypatch.setattr(tpt_extended, "_w_pair_one", perturbed)
         rc = main(["extend", "--one", "-m", "2", "--atop", "1.3", "--alpha", "0.4"])
@@ -651,8 +652,8 @@ class TestVerify:
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["pass"] is True
-        assert payload["spectral_rel_err0"] < 1e-6
-        assert payload["spectral_rel_err1"] < 1e-6
+        for key in ("spectral_rel_err0", "spectral_rel_err1"):
+            assert payload[key] < cli.VERIFY_TOLERANCES[key]
         assert payload["nodes_psi0"] == 0 and payload["nodes_psi1"] == 1
 
     @pytest.mark.parametrize(
@@ -669,6 +670,30 @@ class TestVerify:
         out = capsys.readouterr().out
         assert rc == 1
         assert any(ln.startswith("FAIL spectral") for ln in out.splitlines())
+
+    @pytest.mark.parametrize("a2", ["-1e300", "-1e200", "-1e160"])
+    def test_overflowing_oracle_solve_is_one_error_line(self, a2, capsys):
+        # an A_2 this far below the kinetic scale overflows the refinement's
+        # solves; the grid is refused without a NumPy warning
+        argv = ["--one", "-m", "1", "--atop", "1", "--alpha", "0.3", "--override-a2", a2]
+        rc = main(["verify", *argv])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err == "error: oracle cannot resolve: the N=2000 grid is not certified\n"
+
+    def test_tolerances_are_the_benchmarks(self):
+        # perfbench/make_pool.py keeps its own copy of verify's tolerances
+        path = os.path.join(os.path.dirname(_README), "perfbench", "make_pool.py")
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        [tolerances] = [
+            ast.literal_eval(node.value)
+            for node in tree.body
+            if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "TOLERANCES" for t in node.targets)
+        ]
+        assert tolerances == cli.VERIFY_TOLERANCES
 
     @pytest.mark.parametrize("grid", ["255", "1002"])
     def test_grid_not_a_multiple_of_4_is_refused(self, grid, capsys):
@@ -1234,6 +1259,24 @@ def test_verify_output_does_not_depend_on_blas_threads():
         outs.append(run.stdout)
     assert json.loads(outs[0])["pass"] is True
     assert outs[0] == outs[1]
+
+
+def test_closed_standard_output_is_one_error_line():
+    # about 300 KB, more than a pipe holds, so the writer is still printing
+    # when the reader closes the pipe
+    argv = ["exact", "--one", "-A", "2", "--alpha", "-0.5", "--nmax", "10000"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "pdmtpt.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=_SRC),
+    )
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 3
+    assert err.startswith("error: cannot write standard output: ")
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err and "Exception ignored" not in err
 
 
 _IMPORT_PATH_PROBE = """

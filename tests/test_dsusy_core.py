@@ -11,7 +11,6 @@ from pdmtpt.dsusy_core import (
     CompatibilityError,
     DeformingFunction,
     EvenTrigPoly,
-    Family,
     GapSignError,
     TrigLaurentPoly,
     compatibility_gap,
@@ -46,8 +45,8 @@ ONE_HALF = DeformingFunction.trig_one(-0.5)
 def _m1_pair():
     # lowest nontrivial tan-ladder: W+ = 6 tan x + 2 tan^3 x at alpha = -1/2
     # pairs with W- = (3/2) tan x at gap 6
-    w_plus = TrigLaurentPoly(Family.ONE, (6.0, 2.0))
-    w_minus = TrigLaurentPoly(Family.ONE, (1.5,))
+    w_plus = TrigLaurentPoly((6.0, 2.0))
+    w_minus = TrigLaurentPoly((1.5,))
     return w_plus, w_minus
 
 
@@ -74,18 +73,17 @@ def test_f_value_rejects_boundary():
 
 
 def test_deforming_function_parameter_ranges():
-    with pytest.raises(ValueError):
-        DeformingFunction.trig_one(-1.0)
-    with pytest.raises(ValueError):
+    # the messages every caller's invalid alpha ends in
+    with pytest.raises(ValueError, match=r"^need alpha > -1, got -1\.0$"):
+        DeformingFunction.trig_one(-1)
+    with pytest.raises(ValueError, match=r"^need \|alpha\| < 1, got 1\.0$"):
         DeformingFunction.trig_two(1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^need \|alpha\| < 1, got -1\.3$"):
         DeformingFunction.trig_two(-1.3)
 
 
-def test_trig_laurent_poly_family_consistency():
-    with pytest.raises(ValueError):
-        TrigLaurentPoly(Family.ONE, (1.0,), (2.0,))  # cot blocks need family TWO
-    w = TrigLaurentPoly(Family.TWO, (2.0,), (3.0,))
+def test_trig_laurent_poly_values():
+    w = TrigLaurentPoly((2.0,), (3.0,))
     x = 0.7
     assert laurent_value(w, x) == pytest.approx(2.0 * math.tan(x) - 3.0 / math.tan(x))
     assert laurent_derivative(w, x) == pytest.approx(
@@ -100,8 +98,8 @@ def test_companion_recovers_es_one_param():
     # the exactly solvable companion (1 + alpha) tan x of W+ = 2 sqrt(A2) tan x,
     # A2 = 4, closes the identity at the gap 2 sqrt(A2) = 4
     df = DeformingFunction.trig_one(0.3)
-    w_plus = TrigLaurentPoly(Family.ONE, (4.0,))
-    w_minus = TrigLaurentPoly(Family.ONE, (1.3,))
+    w_plus = TrigLaurentPoly((4.0,))
+    w_minus = TrigLaurentPoly((1.3,))
     assert compatibility_gap(w_plus, w_minus, df) == pytest.approx(4.0, rel=1e-14)
 
 
@@ -112,7 +110,7 @@ def test_compatibility_gap_constant_value():
 
 def test_compatibility_gap_rejects_perturbed_companion():
     w_plus, w_minus = _m1_pair()
-    bad = TrigLaurentPoly(Family.ONE, (w_minus.lam[0], 0.1))
+    bad = TrigLaurentPoly((w_minus.lam[0], 0.1))
     with pytest.raises(CompatibilityError) as err:
         compatibility_gap(w_plus, bad, ONE_HALF)
     assert err.value.max_residual > 0.0
@@ -133,15 +131,30 @@ def test_compatibility_gap_rejects_perturbed_deep_pair():
     w_plus, w_minus = _w_pair_two(8, 1, 1.0, 1.0, 0.0)
     lam = list(w_minus.lam)
     lam[0] *= 1.0 + 1e-6
-    bad = TrigLaurentPoly(Family.TWO, tuple(lam), w_minus.mu)
+    bad = TrigLaurentPoly(tuple(lam), w_minus.mu)
     with pytest.raises(CompatibilityError):
         compatibility_gap(w_plus, bad, DeformingFunction.trig_two(0.0))
 
 
+def test_compatibility_gap_refuses_a_pair_of_the_other_family():
+    # cot ladders on the one-parameter f, and none on the two-parameter f
+    w_plus, w_minus = _m1_pair()
+    with_cot = TrigLaurentPoly(w_plus.lam, (1.0,))
+    for pair in ((with_cot, w_minus), (w_plus, TrigLaurentPoly(w_minus.lam, (1.0,)))):
+        with pytest.raises(ValueError, match="cot ladders exactly when"):
+            compatibility_gap(*pair, ONE_HALF)
+    two = DeformingFunction.trig_two(0.0)
+    w_plus, w_minus = _w_pair_two(8, 1, 1.0, 1.0, 0.0)
+    assert compatibility_gap(w_plus, w_minus, two) > 0.0
+    for pair in ((TrigLaurentPoly(w_plus.lam), w_minus), (w_plus, TrigLaurentPoly(w_minus.lam))):
+        with pytest.raises(ValueError, match="cot ladders exactly when"):
+            compatibility_gap(*pair, two)
+
+
 def test_compatibility_gap_rejects_negative_constant():
     df = DeformingFunction.trig_one(0.2)
-    w_plus = TrigLaurentPoly(Family.ONE, (-2.0,))
-    w_minus = TrigLaurentPoly(Family.ONE, (1.2,))
+    w_plus = TrigLaurentPoly((-2.0,))
+    w_minus = TrigLaurentPoly((1.2,))
     with pytest.raises(GapSignError):
         compatibility_gap(w_plus, w_minus, df)
 
@@ -164,8 +177,8 @@ def test_gap_constant_on_sample_grid():
 def test_split_superpotentials():
     # W = (W+ - W-)/2 and W' = (W+ + W-)/2 of a compatible pair
     df = DeformingFunction.trig_one(0.0)
-    w_plus = TrigLaurentPoly(Family.ONE, (5.0,))
-    w_minus = TrigLaurentPoly(Family.ONE, (1.0,))
+    w_plus = TrigLaurentPoly((5.0,))
+    w_minus = TrigLaurentPoly((1.0,))
     assert compatibility_gap(w_plus, w_minus, df) == pytest.approx(5.0, rel=1e-15)
     lam, lam_prime, mu, mu_prime = _ladders(w_plus, w_minus)
     np.testing.assert_allclose(lam, (2.0,))
@@ -179,7 +192,7 @@ def test_split_superpotentials():
 def test_partner_potential_at_origin():
     lam = 2.0
     df = DeformingFunction.trig_one(0.0)
-    w = TrigLaurentPoly(Family.ONE, (lam,))
+    w = TrigLaurentPoly((lam,))
     v1 = partner_potential(w, df, "V1")
     assert even_value(v1, 0.0) == pytest.approx(-lam, rel=1e-15)
     const, sec, csc = v1.resummed()
@@ -206,7 +219,7 @@ def test_resummed_reads_the_one_binomial_transform():
             tuple(float(v) for v in rng.uniform(-1, 1, n) * 10.0 ** rng.uniform(-6, 6, n))
             for n in rng.integers((1, 0), 18)
         )
-        const, sec, csc = EvenTrigPoly(Family.TWO, a, b).resummed()
+        const, sec, csc = EvenTrigPoly(a, b).resummed()
         assert sec == _powers_inline(a)
         assert csc == _powers_inline((0.0,) + b)
         terms = [(-1.0) ** k * a[k] for k in range(len(a))]
@@ -215,7 +228,7 @@ def test_resummed_reads_the_one_binomial_transform():
 
 
 def test_partner_potential_which_flag():
-    w = TrigLaurentPoly(Family.ONE, (2.0,))
+    w = TrigLaurentPoly((2.0,))
     with pytest.raises(ValueError):
         partner_potential(w, ONE_HALF, "V3")
 
@@ -270,13 +283,12 @@ def _psi1_numeric(w_plus, w_prime, df, x):
 
 def _spec_superpotentials(spec):
     """(W, W', W+ = W + W') from the ladders of a built spec."""
-    family = spec.deforming.family
-    mu, mu_prime = (spec.mu, spec.mu_prime) if family is Family.TWO else ((), ())
+    mu, mu_prime = getattr(spec, "mu", ()), getattr(spec, "mu_prime", ())
     add = lambda a, b: tuple(p + q for p, q in zip(a, b))
     return (
-        TrigLaurentPoly(family, spec.lam, mu),
-        TrigLaurentPoly(family, spec.lam_prime, mu_prime),
-        TrigLaurentPoly(family, add(spec.lam, spec.lam_prime), add(mu, mu_prime)),
+        TrigLaurentPoly(spec.lam, mu),
+        TrigLaurentPoly(spec.lam_prime, mu_prime),
+        TrigLaurentPoly(add(spec.lam, spec.lam_prime), add(mu, mu_prime)),
     )
 
 
@@ -294,7 +306,7 @@ def test_psi0_numeric_constant_mass_profile():
 def test_psi1_numeric_odd_and_zero_at_origin():
     w_plus, w_minus = _m1_pair()
     _, lam_prime, _, _ = _ladders(w_plus, w_minus)
-    w_prime = TrigLaurentPoly(Family.ONE, lam_prime)
+    w_prime = TrigLaurentPoly(lam_prime)
     assert _psi1_numeric(w_plus, w_prime, ONE_HALF, 0.0) == 0.0
     for x in (0.3, 0.9, 1.4):
         left = _psi1_numeric(w_plus, w_prime, ONE_HALF, -x)

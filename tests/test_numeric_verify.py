@@ -24,12 +24,10 @@ from pdmtpt.numeric_verify import (
     _refined_levels,
     _window,
     count_nodes,
-    g_domain,
     gram,
     hermiticity_boundary_check,
     inner_product,
     interior_samples,
-    mass_unflatten,
     residual,
     solve_spectrum,
 )
@@ -79,20 +77,20 @@ def _trapezoid(y, x):
 
 def test_flatten_identity_when_undeformed():
     for df in (DeformingFunction.trig_one(0.0), DeformingFunction.trig_two(0.0)):
-        lo, hi = g_domain(df)
+        lo, hi = df.g_domain
         gs = np.linspace(lo + 0.05, hi - 0.05, 11)
-        np.testing.assert_allclose(mass_unflatten(df, gs), gs, rtol=1e-14)
+        np.testing.assert_allclose(df.unflatten(gs), gs, rtol=1e-14)
 
 
 def test_flatten_reference_point():
     # g(pi/4) = sqrt(2) atan(2^-1/2) = int_0^(pi/4) dx/f at alpha = -1/2
     df = DeformingFunction.trig_one(-0.5)
     g = math.sqrt(2.0) * math.atan(2.0**-0.5)
-    assert mass_unflatten(df, g) == pytest.approx(math.pi / 4.0, rel=1e-14)
+    assert df.unflatten(g) == pytest.approx(math.pi / 4.0, rel=1e-14)
     # dx/dg = f <= 1 here, so g to 5e-7 places x to 5e-7
-    assert mass_unflatten(df, 0.870420) == pytest.approx(math.pi / 4.0, abs=5e-7)
+    assert df.unflatten(0.870420) == pytest.approx(math.pi / 4.0, abs=5e-7)
     by_quad, err = integrate.quad(lambda t: 1.0 / (1.0 - 0.5 * math.sin(t) ** 2), 0.0, math.pi / 4.0)
-    assert mass_unflatten(df, by_quad) == pytest.approx(math.pi / 4.0, rel=1e-12)
+    assert df.unflatten(by_quad) == pytest.approx(math.pi / 4.0, rel=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -107,26 +105,26 @@ def test_flatten_reference_point():
 def test_flatten_derivative_is_inverse_mass_profile(df):
     # dx/dg = f(x(g)), the inverse of dg/dx = 1/f
     rng = np.random.default_rng(11)
-    lo, hi = g_domain(df)
+    lo, hi = df.g_domain
     width = hi - lo
     gs = lo + width * rng.uniform(0.05, 0.95, 64)
     h = 1e-3
     d1 = (
-        mass_unflatten(df, gs - 2 * h)
-        - 8.0 * mass_unflatten(df, gs - h)
-        + 8.0 * mass_unflatten(df, gs + h)
-        - mass_unflatten(df, gs + 2 * h)
+        df.unflatten(gs - 2 * h)
+        - 8.0 * df.unflatten(gs - h)
+        + 8.0 * df.unflatten(gs + h)
+        - df.unflatten(gs + 2 * h)
     ) / (12.0 * h)
-    np.testing.assert_allclose(d1, df.f(mass_unflatten(df, gs)), rtol=1e-10)
+    np.testing.assert_allclose(d1, df.f(df.unflatten(gs)), rtol=1e-10)
 
 
 def test_flatten_monotone_and_domain():
     df = DeformingFunction.trig_two(0.5)
-    lo, hi = g_domain(df)
+    lo, hi = df.g_domain
     assert lo == 0.0
     assert hi == pytest.approx(math.pi / (2.0 * math.sqrt(0.75)), rel=1e-15)
     gs = np.linspace(lo + 1e-4, hi - 1e-4, 501)
-    xs = mass_unflatten(df, gs)
+    xs = df.unflatten(gs)
     assert np.all(np.diff(xs) > 0.0)
     x_lo, x_hi = df.domain
     assert xs[0] > x_lo and xs[-1] < x_hi
@@ -266,7 +264,7 @@ def _reference_eigenvectors(v, df, n_levels, grid_size):
 
 def _g_points(problem, df):
     """The g points of a problem that _flatten built on df, as it forms them."""
-    return g_domain(df)[0] + problem.spacing * np.arange(1, len(problem.v) + 1)
+    return df.g_domain[0] + problem.spacing * np.arange(1, len(problem.v) + 1)
 
 
 def test_sturm_node_counts():
@@ -279,7 +277,7 @@ def test_sturm_node_counts():
 def test_eigenvector_matches_closed_ground_state():
     p, u = _reference_eigenvectors(lambda x: potential_value(FIG1, x), FIG1.deforming, 1, 4000)
     # psi = u/sqrt(f) is unit L2(dx) when u is unit L2(dg)
-    x = np.asarray(mass_unflatten(FIG1.deforming, _g_points(p, FIG1.deforming)))
+    x = np.asarray(FIG1.deforming.unflatten(_g_points(p, FIG1.deforming)))
     psi_num = u[0] / np.sqrt(FIG1.deforming.f(x))
     psi0 = _level_value(FIG1, 0)
     closed = psi0(x) / math.sqrt(inner_product(psi0, psi0, FIG1.deforming))

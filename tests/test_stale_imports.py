@@ -19,6 +19,9 @@ No module imports an underscore-prefixed name, or any name of an
 underscore-prefixed module, from a sibling either: what a module keeps
 private stays its own.  The public names of `_lazy`, the lazy NumPy and
 LAPACK loader every array module imports, are the one exemption.
+
+No module but dsusy_core names `Family`: `DeformingFunction` is the one
+place that knows which family a well belongs to.
 """
 
 import ast
@@ -157,6 +160,23 @@ def test_every_function_and_class_is_reached():
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
     }
     assert sorted(defined - _reached()) == [], "nothing reaches these: delete them"
+
+
+def _mentioned(tree: ast.Module):
+    """Every name, attribute and imported name in `tree`."""
+    for n in ast.walk(tree):
+        if isinstance(n, ast.alias):
+            yield from (n.name, n.asname)
+        elif isinstance(n, ast.Name):
+            yield n.id
+        elif isinstance(n, ast.Attribute):
+            yield n.attr
+
+
+def test_only_dsusy_core_names_the_family():
+    # DeformingFunction decides the family; every other module asks it
+    naming = sorted(stem for stem, tree in MODULES.items() if "Family" in _mentioned(tree))
+    assert naming == ["dsusy_core"]
 
 
 TESTS = ROOT / "tests"

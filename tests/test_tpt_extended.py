@@ -400,7 +400,7 @@ def _perturbed_w_minus(w_pair):
 
     def perturbed(*args):
         w_plus, w_minus = w_pair(*args)
-        bad = TrigLaurentPoly(w_minus.family, w_minus.lam + (1e-6,), w_minus.mu)
+        bad = TrigLaurentPoly(w_minus.lam + (1e-6,), w_minus.mu)
         return w_plus, bad
 
     return perturbed
