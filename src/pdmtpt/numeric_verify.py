@@ -149,7 +149,9 @@ def _flatten(v, df: DeformingFunction, n: int) -> FlattenedProblem:
     g_lo, g_hi = df.g_domain
     h = (g_hi - g_lo) / n
     g = g_lo + h * np.arange(1, n)
-    vt = _sample(v, np.asarray(df.unflatten(g)))
+    # a potential that overflows is refused by the check below, not warned on
+    with np.errstate(over="ignore"):
+        vt = _sample(v, np.asarray(df.unflatten(g)))
     if not np.all(np.isfinite(vt)):
         raise ValueError("potential is not finite on the inset grid")
     return FlattenedProblem(vt, h)

@@ -53,7 +53,11 @@ formulas (A_2k and C_p) evaluated on the reflected well, and E_0 is its
 reflection-invariant terms plus one sec-side sum taken once as given and once
 reflected.  `_closed_two` takes each side's sums, `_sec_terms`, once per
 weight j and reads E_0 from j = 0 and the side's ladder from j >= 1, as
-`_closed_one` does.  The expansion path is not reflected, so it still checks
+`_closed_one` does.  The quadratic and cross sums of W_plus's binomial
+ladders do not depend on j: each side tables them once per build,
+`_conv_tables`, one exact integer convolution per entry rounded to float
+once, and every weight reads the table, so a build's integer work is O(m^2)
+rather than O(m^3).  The expansion path is not reflected, so it still checks
 the csc side independently.
 
 For m2 = 0 the closed forms are reused with sqrt(B_2) replaced by
@@ -617,6 +621,25 @@ def _conv(big: int, m2: int, l: int, lo: int, hi: int) -> float:
     )
 
 
+def _conv_tables(
+    m1: int, m2: int, first_cross: int
+) -> tuple[dict[int, float], dict[int, float]]:
+    """The sec side's quadratic and cross sums, keyed by l.
+
+    The quadratic sums run over l = 1..2 m1 + 1 and the cross sums over
+    l = first_cross..m1, one exact `_conv` each, rounded to float once.
+    """
+    big = m1 + m2 + 1
+    quad = {
+        l: _conv(big, m2, l, max(0, l - m1 - 1), min(l - 1, m1))
+        for l in range(1, 2 * m1 + 2)
+    }
+    cross = {
+        l: _conv(big, m2, l, l, min(m2 + l, m1)) for l in range(first_cross, m1 + 1)
+    }
+    return quad, cross
+
+
 def _linear_block(big: int, m1: int, m2: int, k: int) -> float:
     return (2 * m2 - 2 * k) * binomial(big, m2 + k + 1) - (2 * m1 + 2 * k) * binomial(
         big, m2 + k
@@ -624,14 +647,22 @@ def _linear_block(big: int, m1: int, m2: int, k: int) -> float:
 
 
 def _sec_terms(
-    m1: int, m2: int, j: int, sa: float, sb: float, alpha: float
+    m1: int,
+    m2: int,
+    j: int,
+    sa: float,
+    sb: float,
+    alpha: float,
+    quad_table: dict[int, float],
+    cross_table: dict[int, float],
 ) -> list[float]:
     """The linear, quadratic and cross sums of the sec side, weighted by
     (-1)^(l-j) C(l, j) over l >= max(j, 1).
 
     Their sum is A_2j for 2 <= j <= 2 m1; A_2 adds a leading block to j = 1
     and E_0 takes j = 0.  On the reflected well (m2, m1, sb, sa, -alpha)
-    the same sums give the csc side.
+    the same sums give the csc side.  The quadratic and cross sums read the
+    side's `_conv_tables`, which every weight j shares.
     """
     big = m1 + m2 + 1
     op, om = 1.0 + alpha, 1.0 - alpha
@@ -649,14 +680,14 @@ def _sec_terms(
         (-1.0) ** (l - j)
         * binomial(l, j)
         * rp ** (2 * m1 - l + 1)
-        * _conv(big, m2, l, max(0, l - m1 - 1), min(l - 1, m1))
+        * quad_table[l]
         for l in range(lo, 2 * m1 + 2)
     ]
     cross = [
         (-1.0) ** (l - j)
         * binomial(l, j)
         * rp ** (m1 - m2 - l)
-        * _conv(big, m2, l, l, min(m2 + l, m1))
+        * cross_table[l]
         for l in range(lo, m1 + 1)
     ]
     return [
@@ -671,24 +702,32 @@ def _closed_two(
 ) -> tuple[float, list[float], list[float]]:
     """Closed-form E_0, (A_2, ..., A_{4 m1}) and the csc side's closed sums.
 
-    Each wall side, the well and then its reflection, takes its `_sec_terms`
-    once for each j = 0..max(2 n1, 1): j = 0 goes into E_0 and j >= 1 into
-    that side's ladder, (B_2, ..., B_{4 m2}) on the reflected side, or B_2
-    alone for m2 = 0.  The top coefficients are the inputs.
+    Each wall side, the well and then its reflection, forms its
+    `_conv_tables` once and takes its `_sec_terms` from them once for each
+    j = 0..max(2 n1, 1): j = 0 goes into E_0 and j >= 1 into that side's
+    ladder, (B_2, ..., B_{4 m2}) on the reflected side, or B_2 alone for
+    m2 = 0.  The top coefficients are the inputs.
     """
     big = m1 + m2 + 1
     rp = (1.0 + alpha) / (1.0 - alpha)
-    # the constant and the k = 0 cross term are invariant under reflection
+    sides = ((m1, m2, sa, sb, alpha), (m2, m1, sb, sa, -alpha))
+    # the constant and the l = 0 cross term are invariant under reflection,
+    # so E_0 reads the latter from the well's table and the reflected side's
+    # table starts at l = 1
+    tables = (_conv_tables(m1, m2, 0), _conv_tables(m2, m1, 1))
     e0_terms = [
         float(big) ** 2
         - 2.0 * alpha * (m1 - m2) * (m1 + m2 + 2)
         + alpha * alpha * ((m1 - m2) ** 2 + 2 * big),
-        2.0 * sa * sb * rp ** (m1 - m2) * _conv(big, m2, 0, 0, min(m2, m1)),
+        2.0 * sa * sb * rp ** (m1 - m2) * tables[0][1][0],
     ]
     ladders = []
-    for n1, n2, s1, s2, al in ((m1, m2, sa, sb, alpha), (m2, m1, sb, sa, -alpha)):
+    for (n1, n2, s1, s2, al), (quad, cross) in zip(sides, tables):
         op, om = 1.0 + al, 1.0 - al
-        terms = [_sec_terms(n1, n2, j, s1, s2, al) for j in range(max(2 * n1, 1) + 1)]
+        terms = [
+            _sec_terms(n1, n2, j, s1, s2, al, quad, cross)
+            for j in range(max(2 * n1, 1) + 1)
+        ]
         lead = 2.0 * n2 * binomial(big, n2 + 1) * op ** (n1 + 1) / om**n1
         e0_terms.append(-s1 * lead)
         e0_terms += [-t for t in terms[0]]

@@ -16,6 +16,9 @@
 * `sec_coeffs_two` and `e0_two_closed`: the two-parameter closed forms of
   (A_2, ..., A_{4 m1}) and E_0 with each taking its own `_sec_terms`, as
   `tpt_extended` took them before `_closed_two` read both from one list.
+  Their `_sec_terms` read `conv_on_read`, which takes every quadratic and
+  cross sum by its own `_conv` call, as `_sec_terms` took them before it
+  read each wall side's `_conv_tables`.
 * `c_odd_nested` and `c_two_nested`: the wavefunction constants with the
   alternating binomial sum of the ladder taken afresh inside the outer sum,
   as `tpt_extended` took it before it read one resummation per ladder.
@@ -110,13 +113,34 @@ def ladder_table_terms(m: int) -> tuple[int, tuple[int, ...]]:
     )
 
 
+class _OnRead:
+    """A table whose entry l is fn(l), taken afresh at every read."""
+
+    def __init__(self, fn):
+        self._fn = fn
+
+    def __getitem__(self, l: int) -> float:
+        return self._fn(l)
+
+
+def conv_on_read(m1: int, m2: int) -> tuple[_OnRead, _OnRead]:
+    """The sec side's quadratic and cross sums as `_sec_terms` reads them,
+    each read one `_conv` call of its own."""
+    big = m1 + m2 + 1
+    return (
+        _OnRead(lambda l: _conv(big, m2, l, max(0, l - m1 - 1), min(l - 1, m1))),
+        _OnRead(lambda l: _conv(big, m2, l, l, min(m2 + l, m1))),
+    )
+
+
 def sec_coeffs_two(m1: int, m2: int, sa: float, sb: float, alpha: float) -> list[float]:
     """Closed-form (A_2, ..., A_{4 m1}); the top coefficient is the input."""
     om = 1.0 - alpha
     front = (m1 + 0.5) * (m1 + 1.5) * om * om
-    out = [fsum([front] + _sec_terms(m1, m2, 1, sa, sb, alpha))]
+    sums = conv_on_read(m1, m2)
+    out = [fsum([front] + _sec_terms(m1, m2, 1, sa, sb, alpha, *sums))]
     out += [
-        fsum(_sec_terms(m1, m2, k, sa, sb, alpha)) for k in range(2, 2 * m1 + 1)
+        fsum(_sec_terms(m1, m2, k, sa, sb, alpha, *sums)) for k in range(2, 2 * m1 + 1)
     ]
     return out
 
@@ -136,7 +160,7 @@ def e0_two_closed(m1: int, m2: int, sa: float, sb: float, alpha: float) -> float
             2.0 * n2 * binomial(big, n2 + 1) * (1.0 + al) ** (n1 + 1) / (1.0 - al) ** n1
         )
         terms.append(-s1 * lead)
-        terms += [-t for t in _sec_terms(n1, n2, 0, s1, s2, al)]
+        terms += [-t for t in _sec_terms(n1, n2, 0, s1, s2, al, *conv_on_read(n1, n2))]
     return fsum(terms)
 
 

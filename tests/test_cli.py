@@ -682,6 +682,24 @@ class TestVerify:
         assert captured.out == ""
         assert captured.err == "error: oracle cannot resolve: the N=2000 grid is not certified\n"
 
+    @pytest.mark.parametrize(
+        "flags,a2",
+        [
+            (["--one", "-m", "1", "--atop", "1", "--alpha", "0.3"], "-1e305"),
+            (["--two", "--m1", "1", "--m2", "1", "--atop", "1", "--btop", "1",
+              "--alpha", "0.5"], "-1e308"),
+        ],
+        ids=["one", "two"],
+    )
+    def test_overflowing_potential_is_one_error_line(self, flags, a2, capsys):
+        # sampling V overflows to -inf; the finiteness check refuses it
+        # without a NumPy warning
+        rc = main(["verify", *flags, "--override-a2", a2])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err == "error: potential is not finite on the inset grid\n"
+
     def test_tolerances_are_the_benchmarks(self):
         # perfbench/make_pool.py keeps its own copy of verify's tolerances
         path = os.path.join(os.path.dirname(_README), "perfbench", "make_pool.py")

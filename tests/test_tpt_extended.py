@@ -25,6 +25,7 @@ from pdmtpt.numeric_verify import hermiticity_boundary_check, interior_samples
 from references import (
     c_odd_nested,
     c_two_nested,
+    conv_on_read,
     double_factorial,
     e0_two_closed,
     lone_log_form,
@@ -1013,6 +1014,40 @@ def test_sec_terms_once_per_side_and_weight(monkeypatch, m1, m2):
     assert calls == [(big, small, j) for j in range(2 * big + 1)] + [
         (small, big, j) for j in range(max(2 * small, 1) + 1)
     ]
+
+
+@pytest.mark.parametrize("m1", range(1, 15))
+def test_conv_tables_are_exact(m1):
+    for m2 in range(m1 + 1):
+        for n1, n2, first in ((m1, m2, 0), (m2, m1, 1)):
+            quad, cross = tpt_extended._conv_tables(n1, n2, first)
+            assert list(quad) == list(range(1, 2 * n1 + 2))
+            assert list(cross) == list(range(first, n1 + 1))
+            ref_quad, ref_cross = conv_on_read(n1, n2)
+            assert all(quad[l] == ref_quad[l] for l in quad)
+            assert all(cross[l] == ref_cross[l] for l in cross)
+        # the reflected side's table has no l = 0 entry: E_0 reads the well's
+        assert conv_on_read(m2, m1)[1][0] == conv_on_read(m1, m2)[1][0]
+
+
+@pytest.mark.parametrize(
+    "m1,m2", [(1, 0), (3, 0), (1, 1), (4, 2), (6, 6), (2, 5), (8, 8), (14, 14)]
+)
+def test_conv_once_per_table_entry(monkeypatch, m1, m2):
+    big, small = max(m1, m2), min(m1, m2)  # the canonical well
+    tables = tpt_extended._conv_tables(big, small, 0), tpt_extended._conv_tables(small, big, 1)
+    entries = sum(len(quad) + len(cross) for quad, cross in tables)
+    assert entries == 3 * (m1 + m2) + 3
+    calls = []
+    conv = tpt_extended._conv
+
+    def counted(*args):
+        calls.append(args)
+        return conv(*args)
+
+    monkeypatch.setattr(tpt_extended, "_conv", counted)
+    build_two_param(m1, m2, 1.3, 0.8, 0.35)
+    assert len(calls) == entries
 
 
 class TestGeneratingPairs:
