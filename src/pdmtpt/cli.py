@@ -2,6 +2,10 @@
 
 Exit codes: 0 success, 1 failed verification or invalid parameters,
 2 usage errors, 3 an unwritable output path or a closed standard output.
+
+`sample` and `figures` may fork: a curve file is formed on every CPU the
+process may use, by writers that end before the command returns
+(`_write_curve_file`).
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ import os
 import re
 import shutil
 import sys
+import warnings
 from dataclasses import replace
 
 from ._lazy import np
@@ -54,7 +59,7 @@ _FIGURES = (
 
 
 # Curve files are evaluated, formatted and written this many rows at a time,
-# so the writer's memory (about 2.6 MB) does not grow with `--npoints`.
+# so no writer's memory (about 2.6 MB) grows with `--npoints`.
 _CURVE_BLOCK_ROWS = 8192
 
 # Upper bounds of the sizes a command computes: `--npoints` rows per curve
@@ -138,11 +143,12 @@ def _spec_fields(spec) -> dict:
 
 
 def _params_string(fields: dict) -> str:
-    """The build parameters among `_spec_fields`, as k=v joined by ';'."""
+    """The build parameters among `_spec_fields`, as k=v joined by ';',
+    ending in reflected=True for a well built from an m1 < m2 input."""
     return ";".join(
         f"{k}={_fmt(v) if isinstance(v, float) else v}"
         for k, v in fields.items()
-        if k in ("m", "m1", "m2", "a_top", "b_top", "alpha")
+        if k in ("m", "m1", "m2", "a_top", "b_top", "alpha") or (k == "reflected" and v)
     )
 
 
@@ -277,6 +283,18 @@ def _norm(norm_sq: float, name: str) -> float:
 
 
 def _write_curve_file(path: str, spec, npoints: int) -> dict:
+    """Write `spec`'s curve file: three header lines, then `npoints` rows
+    x,V,psi0,psi1 with psi0 and psi1 divided by their L2 norms.
+
+    The rows are evaluated and formatted in blocks of `_CURVE_BLOCK_ROWS`,
+    on P = min(usable CPUs, blocks) processes: this one forks P - 1 writers
+    and block k is formed by process k mod P, this one being process 0.
+    Every block is written here, in file order, so the file is byte-identical
+    for every P, and no process holds more than about one block (about
+    2.6 MB), whatever `npoints` is.  With P = 1 (one usable CPU, one block,
+    or no `os.fork`) this process forms every block.  An exception in a
+    writer is raised here; no writer outlives the call.
+    """
     df = spec.deforming
     lo, hi = df.domain
     inset = 1e-3 * (hi - lo)
@@ -286,24 +304,29 @@ def _write_curve_file(path: str, spec, npoints: int) -> dict:
     norm0 = _norm(g[0, 0], "psi0")
     norm1 = _norm(g[1, 1], "psi1")
     fields = _spec_fields(spec)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(
-            f"# family={fields['family']}, params={_params_string(fields)}, "
-            f"E0={_fmt(spec.e0)}, E1={_fmt(spec.e1)}\n"
-        )
-        fh.write(f"# norm_psi0={_fmt(norm0)}, norm_psi1={_fmt(norm1)}\n")
-        fh.write("x,V,psi0,psi1\n")
-        for first in range(0, npoints, _CURVE_BLOCK_ROWS):
-            end = min(first + _CURVE_BLOCK_ROWS, npoints)
-            # the arithmetic of np.linspace(start, stop, npoints), one block
-            # at a time, so memory does not grow with npoints
-            xs = np.arange(first, end, dtype=float) * step + start
-            if end == npoints:
-                xs[-1] = stop
-            v = potential_value(spec, xs)
-            p0, p1 = spec.psi.value(xs)
-            cells = np.stack((xs, v, p0 / norm0, p1 / norm1), axis=1).ravel().tolist()
-            fh.write(_CSV_ROW * (end - first) % tuple(cells))
+
+    def block(k: int) -> bytes:
+        first = k * _CURVE_BLOCK_ROWS
+        end = min(first + _CURVE_BLOCK_ROWS, npoints)
+        # the arithmetic of np.linspace(start, stop, npoints), one block at a time
+        xs = np.arange(first, end, dtype=float) * step + start
+        if end == npoints:
+            xs[-1] = stop
+        v = potential_value(spec, xs)
+        p0, p1 = spec.psi.value(xs)
+        cells = np.stack((xs, v, p0 / norm0, p1 / norm1), axis=1).ravel().tolist()
+        return (_CSV_ROW * (end - first) % tuple(cells)).encode()
+
+    header = (
+        f"# family={fields['family']}, params={_params_string(fields)}, "
+        f"E0={_fmt(spec.e0)}, E1={_fmt(spec.e1)}\n"
+        f"# norm_psi0={_fmt(norm0)}, norm_psi1={_fmt(norm1)}\n"
+        "x,V,psi0,psi1\n"
+    )
+    with open(path, "wb") as fh:
+        fh.write(header.encode())
+        fh.flush()
+        _write_blocks(block, -(-npoints // _CURVE_BLOCK_ROWS), fh.write)
     return {
         "path": path,
         "rows": npoints,
@@ -312,6 +335,94 @@ def _write_curve_file(path: str, spec, npoints: int) -> dict:
         "norm_psi0": norm0,
         "norm_psi1": norm1,
     }
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _write_blocks(form, count: int, write) -> None:
+    """write(form(k)) for k = 0 .. count - 1, the forms shared round-robin
+    by this process and up to `_usable_cpus()` - 1 forked writers.
+
+    A writer sends each of its blocks, or the exception that ended it, as
+    an 8-byte signed length (negative for a pickled exception) and the
+    bytes; it ends only through `os._exit`.  Whatever happens here, every
+    pipe is closed and every writer reaped before this returns or raises.
+    """
+    procs = min(_usable_cpus(), count) if hasattr(os, "fork") else 1
+    sys.stdout.flush()
+    sys.stderr.flush()
+    readers = []  # the pipe from writer w is read through readers[w - 1]
+    pids = []
+    try:
+        for worker in range(1, procs):
+            source, sink = os.pipe()
+            readers.append(open(source, "rb"))
+            try:
+                with warnings.catch_warnings():
+                    # Python 3.12+ warns on a fork in a process with threads,
+                    # as OpenBLAS starts unless OPENBLAS_NUM_THREADS=1.  A
+                    # writer runs only NumPy ufuncs and % formatting, never
+                    # BLAS, so it never waits on a lock those threads held.
+                    warnings.filterwarnings(
+                        "ignore", r"This process .* is multi-threaded", DeprecationWarning
+                    )
+                    pid = os.fork()
+                    if pid == 0:
+                        _writer(form, range(worker, count, procs), sink, readers)
+            finally:
+                os.close(sink)
+            pids.append(pid)
+        for k in range(count):
+            write(form(k) if k % procs == 0 else _receive(readers[k % procs - 1]))
+    finally:
+        for reader in readers:
+            reader.close()
+        for pid in pids:
+            os.waitpid(pid, 0)
+
+
+def _writer(form, blocks: range, sink: int, readers: list) -> None:
+    """A forked writer's whole life: send form(k) for each k in `blocks`
+    through `sink`, then leave by `os._exit`, never returning."""
+    try:
+        for reader in readers:  # its own pipe's read end and the earlier writers'
+            reader.close()
+        with open(sink, "wb") as out:
+            try:
+                for k in blocks:
+                    data = form(k)
+                    out.write(len(data).to_bytes(8, "little", signed=True) + data)
+                    out.flush()
+            except BaseException as exc:
+                import pickle
+
+                record = pickle.dumps(exc)
+                out.write((-len(record)).to_bytes(8, "little", signed=True) + record)
+    finally:
+        os._exit(0)
+
+
+def _receive(reader) -> bytes:
+    """The next block from a writer's pipe; raises the writer's exception."""
+    size = int.from_bytes(_read_exactly(reader, 8), "little", signed=True)
+    data = _read_exactly(reader, abs(size))
+    if size < 0:
+        import pickle
+
+        raise pickle.loads(data)
+    return data
+
+
+def _read_exactly(reader, size: int) -> bytes:
+    data = reader.read(size)
+    if len(data) < size:
+        raise ChildProcessError("a curve writer process ended before its block")
+    return data
 
 
 def _check_npoints(args) -> None:

@@ -101,6 +101,15 @@ def _per_row_curve(path, spec, npoints):
 _UNDERFLOW_WELL = ["--one", "-m", "1", "--atop", "1", "--alpha", "-0.999"]
 
 
+# the (1, 1) well of `figures` as sample's flags
+_TWO_WELL = ["--two", "--m1", "1", "--m2", "1", "--atop", "1", "--btop", "1", "--alpha", "0.5"]
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def _sign_changes(values):
     signs = np.sign(values)
     signs = signs[signs != 0.0]
@@ -883,10 +892,14 @@ class TestSample:
         assert (float(meta["norm_psi0"]), float(meta["norm_psi1"])) == norms
 
     def test_blocks_match_the_per_row_writer(self, tmp_path):
-        # the smallest file, one full block plus a one-row last block, and
-        # two full blocks
+        # the smallest file, one full block plus a one-row last block, two
+        # full blocks, and three and six blocks, which two or more processes
+        # form where the CPUs allow
         spec = build_two_param(1, 1, 1.0, 1.0, 0.5)
-        for npoints in (2, _CURVE_BLOCK_ROWS + 1, 2 * _CURVE_BLOCK_ROWS):
+        for npoints in (
+            2, _CURVE_BLOCK_ROWS + 1, 2 * _CURVE_BLOCK_ROWS, 2 * _CURVE_BLOCK_ROWS + 1,
+            5 * _CURVE_BLOCK_ROWS + 7,
+        ):
             out = tmp_path / f"curve{npoints}.csv"
             rc = main(
                 [
@@ -899,6 +912,119 @@ class TestSample:
             ref = tmp_path / f"reference{npoints}.csv"
             _per_row_curve(ref, spec, npoints)
             assert out.read_bytes() == ref.read_bytes(), npoints
+
+    def test_file_is_the_same_on_any_number_of_processes(self, tmp_path, monkeypatch):
+        spec = build_two_param(1, 1, 1.0, 1.0, 0.5)
+        # on every usable CPU, then with forking unavailable and on three
+        default = tmp_path / "default.csv"
+        cli._write_curve_file(str(default), spec, 100_001)
+        _assert_no_child_left()
+        for cpus in (1, 3):
+            monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+            out = tmp_path / f"cpus{cpus}.csv"
+            cli._write_curve_file(str(out), spec, 100_001)
+            assert out.read_bytes() == default.read_bytes(), cpus
+            _assert_no_child_left()
+
+    def test_multi_block_sample_leaves_no_process(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+        out = tmp_path / "curve.csv"
+        argv = ["sample", *_TWO_WELL, "--npoints", str(4 * _CURVE_BLOCK_ROWS + 1)]
+        assert main([*argv, "--out", str(out)]) == 0
+        _assert_no_child_left()
+        assert capsys.readouterr() == (f"wrote {out} ({4 * _CURVE_BLOCK_ROWS + 1} rows)\n", "")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_device_exits_3_with_one_line(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+        argv = ["sample", *_TWO_WELL, "--npoints", "24577", "--out", "/dev/full"]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot write /dev/full: ")
+        assert len(captured.err.splitlines()) == 1
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize(
+        "exc, rc",
+        [
+            (ValueError("raised in block 1"), 1),
+            (OverflowError("raised in block 1"), 1),
+            (OSError(28, "No space left on device"), 3),
+        ],
+        ids=["ValueError", "OverflowError", "OSError"],
+    )
+    def test_error_in_a_writer_is_the_one_line_of_one_process(
+        self, tmp_path, monkeypatch, capsys, exc, rc
+    ):
+        # the potential fails only on block 1, which the first forked writer
+        # forms; the command ends as it would if this process formed it
+        spec = build_two_param(1, 1, 1.0, 1.0, 0.5)
+        lo, hi = spec.deforming.domain
+        start, stop = lo + 1e-3 * (hi - lo), hi - 1e-3 * (hi - lo)
+        npoints = 3 * _CURVE_BLOCK_ROWS
+        step = (stop - start) / (npoints - 1)
+        real = cli.potential_value
+
+        def failing(spec, xs):
+            if _CURVE_BLOCK_ROWS <= round((xs[0] - start) / step) < 2 * _CURVE_BLOCK_ROWS:
+                raise exc
+            return real(spec, xs)
+
+        monkeypatch.setattr(cli, "potential_value", failing)
+        argv = ["sample", *_TWO_WELL, "--npoints", str(npoints)]
+        outcomes = []
+        for cpus in (2, 1):
+            monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+            outcomes.append((main([*argv, "--out", str(tmp_path / "c.csv")]), capsys.readouterr()))
+            _assert_no_child_left()
+        (got, captured), in_process = outcomes
+        assert (got, captured) == in_process
+        assert got == rc
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert len(captured.err.splitlines()) == 1
+
+    def test_writer_that_dies_is_an_unwritable_file(self, tmp_path, monkeypatch, capsys):
+        # a writer that ends without sending its block, as when it is killed
+        parent = os.getpid()
+        real = cli.potential_value
+
+        def dying(spec, xs):
+            if os.getpid() != parent:
+                os._exit(9)
+            return real(spec, xs)
+
+        monkeypatch.setattr(cli, "potential_value", dying)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        out = tmp_path / "c.csv"
+        argv = ["sample", *_TWO_WELL, "--npoints", str(2 * _CURVE_BLOCK_ROWS)]
+        assert main([*argv, "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: cannot write {out}: a curve writer process ended before its block\n"
+        )
+        _assert_no_child_left()
+
+    def test_reflected_well_says_so(self, tmp_path):
+        # (0, 1) is reflected to the canonical (1, 0) well: tops swapped,
+        # alpha negated; its rows are those of that well
+        reflected, canonical = tmp_path / "reflected.csv", tmp_path / "canonical.csv"
+        for path, (m1, m2, atop, btop, alpha) in (
+            (reflected, ("0", "1", "1.5", "1", "0.3")),
+            (canonical, ("1", "0", "1", "1.5", "-0.3")),
+        ):
+            argv = ["--m1", m1, "--m2", m2, "--atop", atop, "--btop", btop, "--alpha", alpha]
+            assert main(["sample", "--two", *argv, "--npoints", "101", "--out", str(path)]) == 0
+        first, *rest = reflected.read_text(encoding="utf-8").splitlines(keepends=True)
+        canonical_first, *canonical_rest = canonical.read_text(encoding="utf-8").splitlines(
+            keepends=True
+        )
+        params = "params=m1=1;m2=0;a_top=1;b_top=1.5;alpha=-0.29999999999999999"
+        assert f"{params}, " in canonical_first
+        assert first == canonical_first.replace(params, f"{params};reflected=True")
+        assert rest == canonical_rest
 
     @pytest.mark.parametrize(
         "x",
