@@ -4,8 +4,9 @@ Exit codes: 0 success, 1 failed verification or invalid parameters,
 2 usage errors, 3 an unwritable output path or a closed standard output.
 
 `sample` and `figures` may fork: a curve file is formed on every CPU the
-process may use, by writers that end before the command returns
-(`_write_curve_file`).
+process may use, by writers that end before the command returns.  A block
+that a writer does not deliver (it raised, died or could not start) is
+formed by the command itself (`_write_curve_file`).
 """
 
 from __future__ import annotations
@@ -292,8 +293,10 @@ def _write_curve_file(path: str, spec, npoints: int) -> dict:
     Every block is written here, in file order, so the file is byte-identical
     for every P, and no process holds more than about one block (about
     2.6 MB), whatever `npoints` is.  With P = 1 (one usable CPU, one block,
-    or no `os.fork`) this process forms every block.  An exception in a
-    writer is raised here; no writer outlives the call.
+    or no `os.fork`) this process forms every block.  A block that its
+    writer does not deliver (it raised, died or could not start) is formed
+    here too, so an error is raised here as on one CPU; no writer outlives
+    the call.
     """
     df = spec.deforming
     lo, hi = df.domain
@@ -348,10 +351,12 @@ def _write_blocks(form, count: int, write) -> None:
     """write(form(k)) for k = 0 .. count - 1, the forms shared round-robin
     by this process and up to `_usable_cpus()` - 1 forked writers.
 
-    A writer sends each of its blocks, or the exception that ended it, as
-    an 8-byte signed length (negative for a pickled exception) and the
-    bytes; it ends only through `os._exit`.  Whatever happens here, every
-    pipe is closed and every writer reaped before this returns or raises.
+    The writers only save time: a block that its writer does not deliver
+    (it raised, died or could not start) is formed here, so any error is
+    raised by this process as it would be on one CPU.  A writer sends each
+    block as an 8-byte length and the bytes, stops at its first error and
+    ends only through `os._exit`.  Whatever happens here, every pipe is
+    closed and every started writer reaped before this returns or raises.
     """
     procs = min(_usable_cpus(), count) if hasattr(os, "fork") else 1
     sys.stdout.flush()
@@ -372,13 +377,16 @@ def _write_blocks(form, count: int, write) -> None:
                         "ignore", r"This process .* is multi-threaded", DeprecationWarning
                     )
                     pid = os.fork()
-                    if pid == 0:
-                        _writer(form, range(worker, count, procs), sink, readers)
+                if pid == 0:
+                    _writer(form, range(worker, count, procs), sink, readers)
+                pids.append(pid)
+            except OSError:
+                pass  # no writer: its pipe reads as ended, so its blocks are formed here
             finally:
                 os.close(sink)
-            pids.append(pid)
         for k in range(count):
-            write(form(k) if k % procs == 0 else _receive(readers[k % procs - 1]))
+            data = _receive(readers[k % procs - 1]) if k % procs else None
+            write(form(k) if data is None else data)
     finally:
         for reader in readers:
             reader.close()
@@ -388,41 +396,26 @@ def _write_blocks(form, count: int, write) -> None:
 
 def _writer(form, blocks: range, sink: int, readers: list) -> None:
     """A forked writer's whole life: send form(k) for each k in `blocks`
-    through `sink`, then leave by `os._exit`, never returning."""
+    through `sink` until the first error, then leave by `os._exit`, never
+    returning."""
     try:
         for reader in readers:  # its own pipe's read end and the earlier writers'
             reader.close()
         with open(sink, "wb") as out:
-            try:
-                for k in blocks:
-                    data = form(k)
-                    out.write(len(data).to_bytes(8, "little", signed=True) + data)
-                    out.flush()
-            except BaseException as exc:
-                import pickle
-
-                record = pickle.dumps(exc)
-                out.write((-len(record)).to_bytes(8, "little", signed=True) + record)
+            for k in blocks:
+                data = form(k)
+                out.write(len(data).to_bytes(8, "little") + data)
+                out.flush()
     finally:
         os._exit(0)
 
 
-def _receive(reader) -> bytes:
-    """The next block from a writer's pipe; raises the writer's exception."""
-    size = int.from_bytes(_read_exactly(reader, 8), "little", signed=True)
-    data = _read_exactly(reader, abs(size))
-    if size < 0:
-        import pickle
-
-        raise pickle.loads(data)
-    return data
-
-
-def _read_exactly(reader, size: int) -> bytes:
+def _receive(reader) -> bytes | None:
+    """The next block from a writer's pipe, or None once the writer ended
+    without sending it whole."""
+    size = int.from_bytes(reader.read(8), "little")  # 0 at the pipe's end
     data = reader.read(size)
-    if len(data) < size:
-        raise ChildProcessError("a curve writer process ended before its block")
-    return data
+    return data if 0 < size == len(data) else None
 
 
 def _check_npoints(args) -> None:

@@ -3,8 +3,10 @@
 Every test drives `main` with an argv list and inspects stdout, stderr, exit
 codes, or emitted files; nothing reaches into command internals except the
 curve writer (its block size, read so that the streaming test spans several
-blocks, its row format, its memory peak and its `gram` calls, counted so
-that each file takes its norms from one), the builds and writes of
+blocks, its row format, its memory peak, its `gram` calls, counted so
+that each file takes its norms from one, and its forks and potential
+calls, failed, ended or counted so that the command forms every block a
+writer does not deliver and no other), the builds and writes of
 `figures`, counted so that each well is done once, the evaluators `verify`
 calls, counted so that each check samples once per grid, the build's generating
 pair, perturbed so that the build must refuse it, the expansion path,
@@ -18,10 +20,12 @@ The README's library quick start is run as written.
 import argparse
 import ast
 import contextlib
+import errno
 import io
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import tempfile
@@ -108,6 +112,14 @@ _TWO_WELL = ["--two", "--m1", "1", "--m2", "1", "--atop", "1", "--btop", "1", "-
 def _assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def _one_process_file(tmp_path, monkeypatch, npoints):
+    # the bytes of the (1, 1) well's curve file, formed by this process alone
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+    path = tmp_path / "one.csv"
+    cli._write_curve_file(str(path), build_two_param(1, 1, 1.0, 1.0, 0.5), npoints)
+    return path.read_bytes()
 
 
 def _sign_changes(values):
@@ -985,27 +997,115 @@ class TestSample:
         assert captured.err.startswith("error: ")
         assert len(captured.err.splitlines()) == 1
 
-    def test_writer_that_dies_is_an_unwritable_file(self, tmp_path, monkeypatch, capsys):
-        # a writer that ends without sending its block, as when it is killed
+    @pytest.mark.parametrize("death", ["exit-before-first", "killed-after-one"])
+    def test_writer_that_dies_leaves_the_whole_file(
+        self, tmp_path, monkeypatch, capsys, death
+    ):
+        # a writer that ends before its first block or after its first one:
+        # this process forms what the writer did not deliver
         parent = os.getpid()
         real = cli.potential_value
+        calls = []
 
         def dying(spec, xs):
             if os.getpid() != parent:
-                os._exit(9)
+                calls.append(len(xs))  # in the writer's own copy of the list
+                if death == "exit-before-first":
+                    os._exit(9)
+                if len(calls) == 2:
+                    os.kill(os.getpid(), signal.SIGKILL)
             return real(spec, xs)
 
+        npoints = 6 * _CURVE_BLOCK_ROWS
+        one = _one_process_file(tmp_path, monkeypatch, npoints)
         monkeypatch.setattr(cli, "potential_value", dying)
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
-        out = tmp_path / "c.csv"
-        argv = ["sample", *_TWO_WELL, "--npoints", str(2 * _CURVE_BLOCK_ROWS)]
-        assert main([*argv, "--out", str(out)]) == 3
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (
-            f"error: cannot write {out}: a curve writer process ended before its block\n"
-        )
+        for cpus in (2, 3):
+            monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+            out = tmp_path / f"cpus{cpus}.csv"
+            assert main(["sample", *_TWO_WELL, "--npoints", str(npoints), "--out", str(out)]) == 0
+            assert capsys.readouterr() == (f"wrote {out} ({npoints} rows)\n", "")
+            assert out.read_bytes() == one, cpus
+            _assert_no_child_left()
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_healthy_writers_do_their_share(self, tmp_path, monkeypatch, cpus):
+        # this process forms only its round-robin share, never every block
+        parent = os.getpid()
+        real = cli.potential_value
+        here = []
+
+        def counted(spec, xs):
+            if os.getpid() == parent:
+                here.append(len(xs))
+            return real(spec, xs)
+
+        monkeypatch.setattr(cli, "potential_value", counted)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        npoints = 6 * _CURVE_BLOCK_ROWS + 1  # seven blocks, the last of one row
+        cli._write_curve_file(str(tmp_path / "c.csv"), build_two_param(1, 1, 1.0, 1.0, 0.5), npoints)
         _assert_no_child_left()
+        assert len(here) == -(-7 // cpus)
+
+    @pytest.mark.parametrize(
+        "cpus, first_failure", [(2, 0), (3, 0), (3, 1)], ids=["2-every", "3-every", "3-second"]
+    )
+    def test_failed_fork_forms_the_blocks_here(
+        self, tmp_path, monkeypatch, capsys, cpus, first_failure
+    ):
+        # a writer that could not be forked delivers nothing: this process
+        # forms its blocks, and the file is the one-process file
+        npoints = 6 * _CURVE_BLOCK_ROWS + 1
+        one = _one_process_file(tmp_path, monkeypatch, npoints)
+        real = os.fork
+        forks = []
+
+        def failing_fork():
+            forks.append(None)
+            if len(forks) > first_failure:
+                raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+            return real()
+
+        monkeypatch.setattr(os, "fork", failing_fork)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        out = tmp_path / "forked.csv"
+        assert main(["sample", *_TWO_WELL, "--npoints", str(npoints), "--out", str(out)]) == 0
+        assert len(forks) == cpus - 1
+        assert capsys.readouterr() == (f"wrote {out} ({npoints} rows)\n", "")
+        assert out.read_bytes() == one
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    @pytest.mark.parametrize("failing_block", ["0", "2P"])
+    def test_error_here_while_writers_stream_is_the_one_line_of_one_process(
+        self, tmp_path, monkeypatch, capsys, cpus, failing_block
+    ):
+        # this process's own block fails while the writers are still sending
+        # theirs, each block larger than a pipe holds; a writer blocked on
+        # its pipe ends when this process closes the read end
+        spec = build_two_param(1, 1, 1.0, 1.0, 0.5)
+        lo, hi = spec.deforming.domain
+        start, stop = lo + 1e-3 * (hi - lo), hi - 1e-3 * (hi - lo)
+        npoints = 8 * _CURVE_BLOCK_ROWS
+        step = (stop - start) / (npoints - 1)
+        block = 0 if failing_block == "0" else 2 * cpus
+        real = cli.potential_value
+
+        def failing(spec, xs):
+            if round((xs[0] - start) / step) // _CURVE_BLOCK_ROWS == block:
+                raise ValueError(f"raised in block {block}")
+            return real(spec, xs)
+
+        monkeypatch.setattr(cli, "potential_value", failing)
+        argv = ["sample", *_TWO_WELL, "--npoints", str(npoints)]
+        outcomes = []
+        for procs in (cpus, 1):
+            monkeypatch.setattr(cli, "_usable_cpus", lambda: procs)
+            outcomes.append((main([*argv, "--out", str(tmp_path / "c.csv")]), capsys.readouterr()))
+            _assert_no_child_left()
+        (got, captured), in_process = outcomes
+        assert (got, captured) == in_process
+        assert got == 1
+        assert captured == ("", f"error: raised in block {block}\n")
 
     def test_reflected_well_says_so(self, tmp_path):
         # (0, 1) is reflected to the canonical (1, 0) well: tops swapped,

@@ -22,6 +22,11 @@ LAPACK loader every array module imports, are the one exemption.
 
 No module but dsusy_core names `Family`: `DeformingFunction` is the one
 place that knows which family a well belongs to.
+
+Every import sits at module level, where `python -X importtime` times it
+on a cold start and the stale-import test above reads the names it binds.
+The one exemption is `_lazy.lapack`'s `import scipy`, which defers SciPy
+until the oracle first needs LAPACK.
 """
 
 import ast
@@ -177,6 +182,19 @@ def test_only_dsusy_core_names_the_family():
     # DeformingFunction decides the family; every other module asks it
     naming = sorted(stem for stem, tree in MODULES.items() if "Family" in _mentioned(tree))
     assert naming == ["dsusy_core"]
+
+
+def test_every_import_is_at_module_level():
+    # each import inside a function or class body, by top-level definition
+    nested = sorted(
+        f"{stem}.{top.name}: {ast.unparse(node)}"
+        for stem, tree in MODULES.items()
+        for top in tree.body
+        if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        for node in ast.walk(top)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    )
+    assert nested == ["_lazy.lapack: import scipy"]
 
 
 TESTS = ROOT / "tests"
