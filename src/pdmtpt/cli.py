@@ -352,22 +352,26 @@ def _write_blocks(form, count: int, write) -> None:
     by this process and up to `_usable_cpus()` - 1 forked writers.
 
     The writers only save time: a block that its writer does not deliver
-    (it raised, died or could not start) is formed here, so any error is
-    raised by this process as it would be on one CPU.  A writer sends each
-    block as an 8-byte length and the bytes, stops at its first error and
-    ends only through `os._exit`.  Whatever happens here, every pipe is
-    closed and every started writer reaped before this returns or raises.
+    (it raised, died, or could not start because its pipe or its fork
+    failed) is formed here, so any error is raised by this process as it
+    would be on one CPU.  A writer sends each block as an 8-byte length and
+    the bytes, stops at its first error and ends only through `os._exit`.
+    Whatever happens here, every pipe is closed and every started writer
+    reaped before this returns or raises.
     """
     procs = min(_usable_cpus(), count) if hasattr(os, "fork") else 1
     sys.stdout.flush()
     sys.stderr.flush()
-    readers = []  # the pipe from writer w is read through readers[w - 1]
+    readers = {}  # the pipe from writer w, if it has one, is read through readers[w]
     pids = []
     try:
         for worker in range(1, procs):
-            source, sink = os.pipe()
-            readers.append(open(source, "rb"))
             try:
+                source, sink = os.pipe()
+            except OSError:
+                continue  # no pipe, so no writer: its blocks are formed here
+            try:
+                readers[worker] = open(source, "rb")
                 with warnings.catch_warnings():
                     # Python 3.12+ warns on a fork in a process with threads,
                     # as OpenBLAS starts unless OPENBLAS_NUM_THREADS=1.  A
@@ -378,17 +382,18 @@ def _write_blocks(form, count: int, write) -> None:
                     )
                     pid = os.fork()
                 if pid == 0:
-                    _writer(form, range(worker, count, procs), sink, readers)
+                    _writer(form, range(worker, count, procs), sink, list(readers.values()))
                 pids.append(pid)
             except OSError:
                 pass  # no writer: its pipe reads as ended, so its blocks are formed here
             finally:
                 os.close(sink)
         for k in range(count):
-            data = _receive(readers[k % procs - 1]) if k % procs else None
+            reader = readers.get(k % procs)  # none for this process or a writer without a pipe
+            data = None if reader is None else _receive(reader)
             write(form(k) if data is None else data)
     finally:
-        for reader in readers:
+        for reader in readers.values():
             reader.close()
         for pid in pids:
             os.waitpid(pid, 0)

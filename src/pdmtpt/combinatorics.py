@@ -1,4 +1,4 @@
-"""Integer and rational building blocks for the closed-form constructions.
+"""Exact integer building blocks for the closed-form constructions.
 
 Everything downstream (superpotential coefficients, resummed potential
 coefficients, wavefunction prefactors) is assembled from binomials, one
@@ -6,20 +6,22 @@ table of double factorials per one-parameter ladder, one family of four-fold
 double-factorial sums and a small alternating binomial polynomial.  A
 one-parameter ladder's double factorials are (2m+1)!! and the m+1
 denominators (2l+1)!! (2m-2l)!! of its ratios, formed by running products
-(`ladder_table`).  The double-factorial sums of the ladder are one integer
-self-convolution of its ratios, read from that table, divided exactly
-(fractions.Fraction) and converted to float only at the call boundary, so
-cancellation inside them is never a float problem.
+(`ladder_table`).  The closed forms' sums of products are exact integer
+`convolution`s: the double-factorial sums of the ladder are the
+self-convolution of its ratios, read from that table, and the two-parameter
+quadratic and cross sums (`tpt_extended._conv_tables`) convolve one row of
+binomials.  Each sum is rounded to float once, so cancellation inside it is
+never a float problem.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 __all__ = [
     "binomial",
     "binomial_transform",
+    "convolution",
     "ladder_table",
     "fsum",
     "s_sum",
@@ -60,27 +62,34 @@ def ladder_table(m: int) -> tuple[int, tuple[int, ...]]:
     return odd[m], tuple(odd[l] * even[m - l] for l in range(m + 1))
 
 
-def s_sum(table: tuple[int, tuple[int, ...]]) -> tuple[Fraction, ...]:
-    """Exact values of the 2m+1 four-fold double-factorial sums S_1..S_{2m+1}
-    of the ladder whose `ladder_table` is given.
+def convolution(a, b) -> tuple[int, ...]:
+    """c_k = sum_i a_i b_(k-i), k = 0..len(a) + len(b) - 2: the coefficients
+    of the product of the polynomials with coefficients a and b, exact for
+    integers."""
+    c = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for k, y in enumerate(b, i):
+            c[k] += x * y
+    return tuple(c)
+
+
+def s_sum(table: tuple[int, tuple[int, ...]]) -> tuple[float, ...]:
+    """The 2m+1 four-fold double-factorial sums S_1..S_{2m+1} of the ladder
+    whose `ladder_table` is given, each rounded to float once.
 
     S_k = sum_l [(2m+1)!!]^2 /
           [(2l+1)!! (2k-2l-1)!! (2m-2l)!! (2m-2k+2l+2)!!]
     over l = max(0, k-m-1) .. min(k-1, m), is the self-convolution of the
     ladder ratios t_l = (2m+1)!! / den_l, l = 0..m.  They are carried as the
     integers T_l = (2m)!! t_l, (2m)!! being den_0, so the convolution is an
-    integer one and each S_k is one Fraction of it over ((2m)!!)^2.
+    integer one and each S_k is one correctly rounded integer quotient of it
+    by ((2m)!!)^2.
     """
     top, den = table
-    m, even = len(den) - 1, den[0]
+    even = den[0]
     t = [top * even // d for d in den]
-    return tuple(
-        Fraction(
-            sum(t[l] * t[k - 1 - l] for l in range(max(0, k - m - 1), min(k - 1, m) + 1)),
-            even * even,
-        )
-        for k in range(1, 2 * m + 2)
-    )
+    square = even * even
+    return tuple(c / square for c in convolution(t, t))
 
 
 def fsum(terms) -> float:

@@ -53,12 +53,15 @@ formulas (A_2k and C_p) evaluated on the reflected well, and E_0 is its
 reflection-invariant terms plus one sec-side sum taken once as given and once
 reflected.  `_closed_two` takes each side's sums, `_sec_terms`, once per
 weight j and reads E_0 from j = 0 and the side's ladder from j >= 1, as
-`_closed_one` does.  The quadratic and cross sums of W_plus's binomial
-ladders do not depend on j: each side tables them once per build,
-`_conv_tables`, one exact integer convolution per entry rounded to float
-once, and every weight reads the table, so a build's integer work is O(m^2)
-rather than O(m^3).  The expansion path is not reflected, so it still checks
-the csc side independently.
+`_closed_one` does.  The linear, quadratic and cross sums of W_plus's
+binomial ladders do not depend on j: each side forms its binomial row
+C(m1 + m2 + 1, m2 + p + 1) once per build, `_conv_tables`, and reads from it
+the linear blocks and, as two exact integer `convolution`s (the one
+`s_sum` also takes), the quadratic and cross sums, each rounded to float
+once.  Every weight j reads those tables and one row of its weights
+(-1)^(l-j) C(l, j), so a build's integer work is O(m^2) rather than O(m^3).
+The expansion path is not reflected, so it still checks the csc side
+independently.
 
 For m2 = 0 the closed forms are reused with sqrt(B_2) replaced by
 1 + alpha + Delta/2, Delta = sqrt((1+alpha)^2 + 4 B_2); the coefficient
@@ -72,7 +75,15 @@ import math
 from dataclasses import dataclass, replace
 
 from ._lazy import np
-from .combinatorics import binomial, binomial_transform, f_poly, fsum, ladder_table, s_sum
+from .combinatorics import (
+    binomial,
+    binomial_transform,
+    convolution,
+    f_poly,
+    fsum,
+    ladder_table,
+    s_sum,
+)
 from .dsusy_core import (
     DeformingFunction,
     TrigLaurentPoly,
@@ -355,7 +366,7 @@ def _w_pair_one(
 
 
 def _sec_terms_one(
-    m: int, j: int, sa: float, alpha: float, table: _Table, s: list[float]
+    m: int, j: int, sa: float, alpha: float, table: _Table, s: tuple[float, ...]
 ) -> list[float]:
     """The linear and quadratic sums, weighted by (-1)^(l-j) C(l, j) over
     l >= max(j, 1); s[l - 1] is the double-factorial sum S_l.
@@ -383,7 +394,7 @@ def _closed_one(
 ) -> tuple[float, list[float]]:
     """Closed-form E_0 and (A_2, ..., A_{4m}); the top coefficient is the input."""
     op = 1.0 + alpha
-    s = [float(v) for v in s_sum(table)]
+    s = s_sum(table)
     e0_front = 0.25 * (2 * m + 1) * op * (2 * m + 1 + (2 * m + 3) * alpha)
     # the linear leading block of E_0 is half the gap
     e0 = fsum(
@@ -612,37 +623,27 @@ def _w_pair_two(
     return w_plus, w_minus
 
 
-def _conv(big: int, m2: int, l: int, lo: int, hi: int) -> float:
-    return float(
-        sum(
-            binomial(big, m2 + p + 1) * binomial(big, m2 + l - p)
-            for p in range(lo, hi + 1)
-        )
-    )
-
-
 def _conv_tables(
     m1: int, m2: int, first_cross: int
-) -> tuple[dict[int, float], dict[int, float]]:
-    """The sec side's quadratic and cross sums, keyed by l.
+) -> tuple[tuple[int, ...], dict[int, int], dict[int, float], dict[int, float]]:
+    """The sec side's binomial row and its linear, quadratic and cross sums.
 
-    The quadratic sums run over l = 1..2 m1 + 1 and the cross sums over
-    l = first_cross..m1, one exact `_conv` each, rounded to float once.
+    The row is C(big, m2 + p + 1), p = 0..m1 + 1, big = m1 + m2 + 1 (its
+    last entry is 0), and every sum reads it, keyed by l: the integer linear
+    blocks (2 m2 - 2l) row[l] - (2 m1 + 2l) row[l - 1] over l = 1..m1 + 1,
+    the quadratic sums convolution(row, row)[l - 1] over l = 1..2 m1 + 1 and
+    the cross sums convolution(row, c)[m2 + l], c_i = C(big, i) for
+    i = 0..m2, over l = first_cross..m1, each rounded to float once.
     """
     big = m1 + m2 + 1
-    quad = {
-        l: _conv(big, m2, l, max(0, l - m1 - 1), min(l - 1, m1))
-        for l in range(1, 2 * m1 + 2)
-    }
-    cross = {
-        l: _conv(big, m2, l, l, min(m2 + l, m1)) for l in range(first_cross, m1 + 1)
-    }
-    return quad, cross
-
-
-def _linear_block(big: int, m1: int, m2: int, k: int) -> float:
-    return (2 * m2 - 2 * k) * binomial(big, m2 + k + 1) - (2 * m1 + 2 * k) * binomial(
-        big, m2 + k
+    row = tuple(binomial(big, m2 + p + 1) for p in range(m1 + 2))
+    quad = convolution(row, row)
+    cross = convolution(row, [binomial(big, i) for i in range(m2 + 1)])
+    return (
+        row,
+        {l: (2 * m2 - 2 * l) * row[l] - (2 * m1 + 2 * l) * row[l - 1] for l in range(1, m1 + 2)},
+        {l: float(quad[l - 1]) for l in range(1, 2 * m1 + 2)},
+        {l: float(cross[m2 + l]) for l in range(first_cross, m1 + 1)},
     )
 
 
@@ -653,43 +654,29 @@ def _sec_terms(
     sa: float,
     sb: float,
     alpha: float,
+    lin_table: dict[int, int],
     quad_table: dict[int, float],
     cross_table: dict[int, float],
 ) -> list[float]:
     """The linear, quadratic and cross sums of the sec side, weighted by
-    (-1)^(l-j) C(l, j) over l >= max(j, 1).
+    w_l = (-1)^(l-j) C(l, j) over l >= max(j, 1).
 
     Their sum is A_2j for 2 <= j <= 2 m1; A_2 adds a leading block to j = 1
     and E_0 takes j = 0.  On the reflected well (m2, m1, sb, sa, -alpha)
-    the same sums give the csc side.  The quadratic and cross sums read the
-    side's `_conv_tables`, which every weight j shares.
+    the same sums give the csc side.  The three sums read the side's
+    `_conv_tables`, which every weight j shares, and one weight row w,
+    which every product starts with.
     """
-    big = m1 + m2 + 1
     op, om = 1.0 + alpha, 1.0 - alpha
     rp = op / om
     lo = max(j, 1)
+    w = {l: (-1.0) ** (l - j) * binomial(l, j) for l in range(lo, 2 * m1 + 2)}
     lin = [
-        (-1.0) ** (l - j)
-        * binomial(l, j)
-        * op ** (m1 - l + 1)
-        / om ** (m1 - l)
-        * _linear_block(big, m1, m2, l)
+        w[l] * op ** (m1 - l + 1) / om ** (m1 - l) * lin_table[l]
         for l in range(lo, m1 + 2)
     ]
-    quad = [
-        (-1.0) ** (l - j)
-        * binomial(l, j)
-        * rp ** (2 * m1 - l + 1)
-        * quad_table[l]
-        for l in range(lo, 2 * m1 + 2)
-    ]
-    cross = [
-        (-1.0) ** (l - j)
-        * binomial(l, j)
-        * rp ** (m1 - m2 - l)
-        * cross_table[l]
-        for l in range(lo, m1 + 1)
-    ]
+    quad = [w[l] * rp ** (2 * m1 - l + 1) * quad_table[l] for l in range(lo, 2 * m1 + 2)]
+    cross = [w[l] * rp ** (m1 - m2 - l) * cross_table[l] for l in range(lo, m1 + 1)]
     return [
         sa * fsum(lin),
         sa * sa * fsum(quad),
@@ -706,7 +693,8 @@ def _closed_two(
     `_conv_tables` once and takes its `_sec_terms` from them once for each
     j = 0..max(2 n1, 1): j = 0 goes into E_0 and j >= 1 into that side's
     ladder, (B_2, ..., B_{4 m2}) on the reflected side, or B_2 alone for
-    m2 = 0.  The top coefficients are the inputs.
+    m2 = 0.  E_0's leading block on each side reads that side's row[0],
+    C(big, n2 + 1).  The top coefficients are the inputs.
     """
     big = m1 + m2 + 1
     rp = (1.0 + alpha) / (1.0 - alpha)
@@ -719,16 +707,13 @@ def _closed_two(
         float(big) ** 2
         - 2.0 * alpha * (m1 - m2) * (m1 + m2 + 2)
         + alpha * alpha * ((m1 - m2) ** 2 + 2 * big),
-        2.0 * sa * sb * rp ** (m1 - m2) * tables[0][1][0],
+        2.0 * sa * sb * rp ** (m1 - m2) * tables[0][3][0],
     ]
     ladders = []
-    for (n1, n2, s1, s2, al), (quad, cross) in zip(sides, tables):
+    for (n1, n2, s1, s2, al), (row, *sums) in zip(sides, tables):
         op, om = 1.0 + al, 1.0 - al
-        terms = [
-            _sec_terms(n1, n2, j, s1, s2, al, quad, cross)
-            for j in range(max(2 * n1, 1) + 1)
-        ]
-        lead = 2.0 * n2 * binomial(big, n2 + 1) * op ** (n1 + 1) / om**n1
+        terms = [_sec_terms(n1, n2, j, s1, s2, al, *sums) for j in range(max(2 * n1, 1) + 1)]
+        lead = 2.0 * n2 * row[0] * op ** (n1 + 1) / om**n1
         e0_terms.append(-s1 * lead)
         e0_terms += [-t for t in terms[0]]
         front = (n1 + 0.5) * (n1 + 1.5) * om * om

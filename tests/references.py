@@ -16,9 +16,10 @@
 * `sec_coeffs_two` and `e0_two_closed`: the two-parameter closed forms of
   (A_2, ..., A_{4 m1}) and E_0 with each taking its own `_sec_terms`, as
   `tpt_extended` took them before `_closed_two` read both from one list.
-  Their `_sec_terms` read `conv_on_read`, which takes every quadratic and
-  cross sum by its own `_conv` call, as `_sec_terms` took them before it
-  read each wall side's `_conv_tables`.
+  Their `_sec_terms` read `conv_on_read`, which takes every linear block by
+  its own `_linear_block` call and every quadratic and cross sum by its own
+  `_conv` call, two binomials per term, as `_sec_terms` took them before it
+  read each wall side's `_conv_tables`, formed from one binomial row.
 * `c_odd_nested` and `c_two_nested`: the wavefunction constants with the
   alternating binomial sum of the ladder taken afresh inside the outer sum,
   as `tpt_extended` took it before it read one resummation per ladder.
@@ -46,7 +47,7 @@ from pdmtpt.combinatorics import binomial, fsum
 from pdmtpt.dsusy_core import DeformingFunction, EvenTrigPoly, TrigLaurentPoly
 from pdmtpt.numeric_verify import _sample
 from pdmtpt.tpt_exact import ExactOneParam, ExactTwoParam
-from pdmtpt.tpt_extended import _conv, _euler, _horner, _sec_terms
+from pdmtpt.tpt_extended import _euler, _horner, _sec_terms
 
 
 def stencil_residual(psi, v, df: DeformingFunction, energy: float, samples) -> float:
@@ -123,11 +124,28 @@ class _OnRead:
         return self._fn(l)
 
 
-def conv_on_read(m1: int, m2: int) -> tuple[_OnRead, _OnRead]:
-    """The sec side's quadratic and cross sums as `_sec_terms` reads them,
-    each read one `_conv` call of its own."""
+def _conv(big: int, m2: int, l: int, lo: int, hi: int) -> float:
+    return float(
+        sum(
+            binomial(big, m2 + p + 1) * binomial(big, m2 + l - p)
+            for p in range(lo, hi + 1)
+        )
+    )
+
+
+def _linear_block(big: int, m1: int, m2: int, k: int) -> int:
+    return (2 * m2 - 2 * k) * binomial(big, m2 + k + 1) - (2 * m1 + 2 * k) * binomial(
+        big, m2 + k
+    )
+
+
+def conv_on_read(m1: int, m2: int) -> tuple[_OnRead, _OnRead, _OnRead]:
+    """The sec side's linear blocks, quadratic sums and cross sums as
+    `_sec_terms` reads them, each read one `_linear_block` or `_conv` call of
+    its own."""
     big = m1 + m2 + 1
     return (
+        _OnRead(lambda l: _linear_block(big, m1, m2, l)),
         _OnRead(lambda l: _conv(big, m2, l, max(0, l - m1 - 1), min(l - 1, m1))),
         _OnRead(lambda l: _conv(big, m2, l, l, min(m2 + l, m1))),
     )

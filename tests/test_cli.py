@@ -1074,6 +1074,37 @@ class TestSample:
         assert out.read_bytes() == one
         _assert_no_child_left()
 
+    @pytest.mark.parametrize(
+        "cpus, failing", [(2, "every"), (3, "every"), (3, "second")]
+    )
+    def test_failed_pipe_forms_the_blocks_here(
+        self, tmp_path, monkeypatch, capsys, cpus, failing
+    ):
+        # a writer whose pipe could not be made is never started: this
+        # process forms its blocks, and every descriptor it opened is closed
+        npoints = 6 * _CURVE_BLOCK_ROWS + 1
+        one = _one_process_file(tmp_path, monkeypatch, npoints)
+        real = os.pipe
+        pipes = []
+
+        def failing_pipe():
+            pipes.append(None)
+            if failing == "every" or len(pipes) == 2:
+                raise OSError(errno.EMFILE, "Too many open files")
+            return real()
+
+        monkeypatch.setattr(os, "pipe", failing_pipe)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        out = tmp_path / "piped.csv"
+        fds = sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+        assert main(["sample", *_TWO_WELL, "--npoints", str(npoints), "--out", str(out)]) == 0
+        assert len(pipes) == cpus - 1
+        if fds is not None:
+            assert sorted(os.listdir("/proc/self/fd")) == fds
+        assert capsys.readouterr() == (f"wrote {out} ({npoints} rows)\n", "")
+        assert out.read_bytes() == one
+        _assert_no_child_left()
+
     @pytest.mark.parametrize("cpus", [2, 3])
     @pytest.mark.parametrize("failing_block", ["0", "2P"])
     def test_error_here_while_writers_stream_is_the_one_line_of_one_process(

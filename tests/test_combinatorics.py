@@ -1,7 +1,6 @@
 """Exact-arithmetic building blocks: frozen values and cross-checks."""
 
 import math
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,6 +8,7 @@ from hypothesis import given, strategies as st
 from pdmtpt.combinatorics import (
     binomial,
     binomial_transform,
+    convolution,
     f_poly,
     fsum,
     ladder_table,
@@ -55,25 +55,55 @@ def test_ladder_table_equals_the_per_entry_double_factorials():
         ladder_table(-1)
 
 
+# rows of one to six integers, entries past 2^64 included
+_ROWS = st.lists(st.integers(min_value=-(2**70), max_value=2**70), min_size=1, max_size=6)
+
+
+@given(_ROWS, _ROWS)
+def test_convolution_is_the_per_term_double_sum(a, b):
+    want = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            want[i + j] += x * y
+    assert convolution(a, b) == tuple(want)
+
+
+def test_convolution_frozen_values():
+    assert convolution((1, 2), (3,)) == (3, 6)
+    assert convolution((1, 1, 1), (1, -1)) == (1, 0, 0, -1)
+    # no float or fixed-width step: 2^130 - 1 survives
+    assert convolution((2**65 + 1,), (2**65 - 1, 3)) == (2**130 - 1, 3 * 2**65 + 3)
+
+
 def test_s_sum_frozen_values():
-    assert s_sum(ladder_table(1)) == (Fraction(9, 4), Fraction(3), Fraction(1))
-    assert s_sum(ladder_table(2)) == (
-        Fraction(225, 64), Fraction(75, 8), Fraction(10), Fraction(5), Fraction(1)
-    )
-    assert all(isinstance(v, Fraction) for v in s_sum(ladder_table(3)))
+    assert s_sum(ladder_table(1)) == (2.25, 3.0, 1.0)
+    assert s_sum(ladder_table(2)) == (225 / 64, 9.375, 10.0, 5.0, 1.0)
+    assert all(type(v) is float for v in s_sum(ladder_table(3)))
 
 
 def test_s_sum_equals_the_per_term_sum():
+    for m in range(21):
+        top, den = ladder_table(m)
+        even = den[0]
+        t = [top * even // d for d in den]
+        sums = convolution(t, t)
+        assert len(sums) == 2 * m + 1
+        for k in range(1, 2 * m + 2):
+            exact = s_sum_terms(m, k) * even**2
+            # the convolution is S_k ((2m)!!)^2 exactly, in integers
+            assert exact.denominator == 1 and sums[k - 1] == exact.numerator, (m, k)
     for m in range(41):
-        want = tuple(s_sum_terms(m, k) for k in range(1, 2 * m + 2))
-        assert s_sum(ladder_table(m)) == want, m
+        want = tuple(float(s_sum_terms(m, k)) for k in range(1, 2 * m + 2))
+        # each S_k is the exact sum rounded to float once, bit for bit
+        assert [v.hex() for v in s_sum(ladder_table(m))] == [v.hex() for v in want], m
 
 
 @given(st.integers(min_value=1, max_value=6), st.data())
 def test_s_sum_positive_and_float_consistent(m, data):
     k = data.draw(st.integers(min_value=1, max_value=2 * m + 1))
-    exact = s_sum(ladder_table(m))[k - 1]
-    assert exact > 0
+    value = s_sum(ladder_table(m))[k - 1]
+    assert value > 0
+    assert value.hex() == float(s_sum_terms(m, k)).hex()
     top = double_factorial(2 * m + 1) ** 2
     terms = []
     for l in range(max(0, k - m - 1), min(k - 1, m) + 1):
@@ -84,7 +114,7 @@ def test_s_sum_positive_and_float_consistent(m, data):
             * double_factorial(2 * m - 2 * k + 2 * l + 2)
         )
         terms.append(top / den)
-    assert math.fsum(terms) == pytest.approx(float(exact), rel=1e-14)
+    assert math.fsum(terms) == pytest.approx(value, rel=1e-14)
 
 
 def test_binomial_transform_rewrites_tan_powers_in_sec_powers():

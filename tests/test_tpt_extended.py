@@ -1020,34 +1020,61 @@ def test_sec_terms_once_per_side_and_weight(monkeypatch, m1, m2):
 def test_conv_tables_are_exact(m1):
     for m2 in range(m1 + 1):
         for n1, n2, first in ((m1, m2, 0), (m2, m1, 1)):
-            quad, cross = tpt_extended._conv_tables(n1, n2, first)
+            row, lin, quad, cross = tpt_extended._conv_tables(n1, n2, first)
+            big = n1 + n2 + 1
+            assert row == tuple(combinatorics.binomial(big, n2 + p + 1) for p in range(n1 + 2))
+            assert row[-1] == 0
+            assert list(lin) == list(range(1, n1 + 2))
             assert list(quad) == list(range(1, 2 * n1 + 2))
             assert list(cross) == list(range(first, n1 + 1))
-            ref_quad, ref_cross = conv_on_read(n1, n2)
+            ref_lin, ref_quad, ref_cross = conv_on_read(n1, n2)
+            assert all(lin[l] == ref_lin[l] for l in lin)
             assert all(quad[l] == ref_quad[l] for l in quad)
             assert all(cross[l] == ref_cross[l] for l in cross)
         # the reflected side's table has no l = 0 entry: E_0 reads the well's
-        assert conv_on_read(m2, m1)[1][0] == conv_on_read(m1, m2)[1][0]
+        assert conv_on_read(m2, m1)[2][0] == conv_on_read(m1, m2)[2][0]
 
 
 @pytest.mark.parametrize(
     "m1,m2", [(1, 0), (3, 0), (1, 1), (4, 2), (6, 6), (2, 5), (8, 8), (14, 14)]
 )
 def test_conv_once_per_table_entry(monkeypatch, m1, m2):
+    # every quadratic and cross sum of a build is an entry of one of two
+    # convolutions per wall side, each formed once
     big, small = max(m1, m2), min(m1, m2)  # the canonical well
     tables = tpt_extended._conv_tables(big, small, 0), tpt_extended._conv_tables(small, big, 1)
-    entries = sum(len(quad) + len(cross) for quad, cross in tables)
+    entries = sum(len(quad) + len(cross) for _, _, quad, cross in tables)
     assert entries == 3 * (m1 + m2) + 3
     calls = []
-    conv = tpt_extended._conv
+    convolution = tpt_extended.convolution
 
-    def counted(*args):
-        calls.append(args)
-        return conv(*args)
+    def counted(a, b):
+        calls.append(convolution(a, b))
+        return calls[-1]
 
-    monkeypatch.setattr(tpt_extended, "_conv", counted)
+    monkeypatch.setattr(tpt_extended, "convolution", counted)
     build_two_param(m1, m2, 1.3, 0.8, 0.35)
-    assert len(calls) == entries
+    assert len(calls) == 4
+    assert sum(len(c) for c in calls) >= entries
+
+
+@pytest.mark.parametrize("m1,m2,per_entry_calls", [(8, 8, 1463), (14, 14, 3881)])
+def test_binomial_calls_per_build_are_under_half_the_per_entry_sums(
+    monkeypatch, m1, m2, per_entry_calls
+):
+    # with one binomial row per wall side and one weight row per j, a build
+    # makes fewer than half the calls of per-entry sums that formed two
+    # binomials per term and the weights afresh in each of three loops
+    calls = []
+    binomial = tpt_extended.binomial
+
+    def counted(n, k):
+        calls.append((n, k))
+        return binomial(n, k)
+
+    monkeypatch.setattr(tpt_extended, "binomial", counted)
+    build_two_param(m1, m2, 1.3, 0.8, 0.35)
+    assert 0 < len(calls) < per_entry_calls / 2
 
 
 class TestGeneratingPairs:
